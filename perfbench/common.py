@@ -42,16 +42,24 @@ ENGINE_COUNTERS = ("blocks", "rescored_rows", "sequential_rows",
 INDEX_PROBES = ("probe_block_codes", "probe_det_codes", "probe_pair",
                 "probe_many", "candidate_counts")
 
-#: Per-layer metrics ``(name, unit, better)``, reported by the traced
-#: run.  A layer a workload leaves idle reports 0.
-PER_LAYER = (
-    # workload-specific end-to-end numbers, from the first untraced pass
+#: Each workload's own headline numbers ``(name, unit, better)``: fit_s
+#: on fit, the draw rates on draw, stream_rows_per_s on stream and the
+#: p95 latency with its sample count on serve.  The traced run reports
+#: them from its first, untraced pass; another workload reports 0.
+HEADLINE_METRICS = (
     ("fit_s", "s", "lower"),
     ("draw_rows_per_s", "rows/s", "higher"),
     ("draw_w2_rows_per_s", "rows/s", "higher"),
     ("stream_rows_per_s", "rows/s", "higher"),
     ("request_p95_ms", "ms", "lower"),
     ("bench.latency_samples", "count", "higher"),
+)
+HEADLINES = tuple(name for name, _, _ in HEADLINE_METRICS)
+
+#: Per-layer metrics ``(name, unit, better)``, reported by the traced
+#: run.  A layer a workload leaves idle reports 0.
+PER_LAYER = (
+    *HEADLINE_METRICS,
     # fit phases, per round
     ("core.sequencing.s", "s", "lower"),
     ("core.params.search_s", "s", "lower"),
@@ -138,6 +146,20 @@ def tail_percentile(count: int) -> float | None:
         if count * (1000 - permille) >= 10 * 1000:
             return permille / 10
     return None
+
+
+def another_round(rounds, started: float, seconds: float,
+                  min_rounds: int = 1) -> bool:
+    """Should a workload that measures whole rounds for ``seconds``
+    (from ``started``) run another?  Always up to ``min_rounds``; after
+    that only while at least half of one more, at the median round's
+    length, falls inside the window, so a run overruns ``seconds`` by at
+    most half a round (draw rounds take most of the window on their
+    own).  Without a minimum, a slowed host would leave fit and stream
+    two rounds, whose median cannot drop the slower one."""
+    if len(rounds) < min_rounds:
+        return True
+    return time.perf_counter() - started + median(rounds) / 2 <= seconds
 
 
 def peak_rss_mb() -> float:
@@ -382,7 +404,7 @@ class Context:
 class Measurement:
     """What one measuring pass of a workload produced."""
 
-    #: End-to-end metric values (every name in END_TO_END but setup_s).
+    #: End-to-end metric values (END_TO_END but setup_s and ok_ratio).
     e2e: dict
     #: Per-layer values (names from PER_LAYER; missing names read 0).
     layers: dict = field(default_factory=dict)

@@ -6,10 +6,18 @@ Usage, from the root of a checkout::
     python3 perfbench/run.py --workload fit --seed 1 --seconds 16 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with nothing installed.
-``--trace 1`` measures the workload twice, untraced and then traced
-(layer wrappers installed, ``RunTrace`` passed), and reports the
-per-layer metrics plus ``trace.overhead_ratio``; its spans are written
-to ``.perfbench/trace-<workload>-<seed>.json``.
+``--trace 1`` measures the workload three times, untraced, traced
+(layer wrappers installed, ``RunTrace`` passed) and untraced again, and
+reports the per-layer metrics plus ``trace.overhead_ratio``; its spans
+are written to ``.perfbench/trace-<workload>-<seed>.json``.  The
+workload's headline numbers (``HEADLINES``) come from the first,
+untraced pass.
+
+A workload measures whole rounds (a fit round, a draw round, a stream)
+for ``--seconds``: it always runs one (fit and stream three), and
+starts another only while at least half of one more, at the median
+round's length, falls inside the window.  The default, 16, is
+``run_seconds`` in ``BENCHMARK.json``.
 
 The last stdout line is one JSON object: ``correct``, ``attempted``,
 ``failed`` and ``metrics`` (name -> value and unit).  A failed
@@ -43,19 +51,14 @@ def _parse(argv):
 
 def _set_up(module, ctx, common):
     """Run the workload's set-up ``SETUP_REPEATS`` times; keep the last
-    state (with the median of the set-up fits' seconds as its ``fit_s``)
-    and report the median set-up seconds."""
-    seconds, fit_s, state = [], [], None
+    state and report the median set-up seconds."""
+    seconds, state = [], None
     for repeat in range(module.SETUP_REPEATS):
         if state is not None:
             module.teardown(state)
         t0 = time.perf_counter()
         state = module.setup(ctx, repeat)
         seconds.append(time.perf_counter() - t0)
-        if "fit_s" in state:
-            fit_s.append(state["fit_s"])
-    if fit_s:
-        state["fit_s"] = common.median(fit_s)
     return state, common.median(seconds)
 
 
@@ -107,10 +110,7 @@ def run(args) -> int:
         values = {name: 0.0 for name, _, _ in common.PER_LAYER}
         values.update(traced.layers)
         values.update({k: v for k, v in plain.layers.items()
-                       if k in ("draw_w2_rows_per_s", "stream_rows_per_s",
-                                "request_p95_ms", "bench.latency_samples")})
-        values.update({k: plain.e2e[k] for k in ("fit_s", "draw_rows_per_s")
-                       if k in plain.e2e})
+                       if k in common.HEADLINES})
         untraced = [m.main_s for m in passes[::2] if m.main_s]
         if untraced:
             values["trace.overhead_ratio"] = (traced.main_s

@@ -42,7 +42,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
 
-    from perfbench.common import file_digest, peak_rss_mb
+    from perfbench.common import another_round, file_digest, peak_rss_mb
     from repro.core import FittedKamino
     from repro.io import load_dcs, load_relation
     from repro.io.stream import write_table_stream
@@ -51,8 +51,8 @@ def main(argv=None) -> int:
     dcs = load_dcs(args.dcs, relation=relation)
     fitted = FittedKamino.load(args.model, relation, dcs)
     started = time.perf_counter()
-    rounds = 0
-    while not rounds or time.perf_counter() - started < args.seconds:
+    rounds: list[float] = []
+    while another_round(rounds, started, args.seconds, min_rounds=3):
         pulls: list[list[float]] = []
         t0 = time.perf_counter()
         chunks = fitted.sample_stream(n=args.n, seed=args.seed,
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
         rows = write_table_stream(args.out, relation,
                                   timed_chunks(chunks, pulls), fmt="csv")
         seconds = time.perf_counter() - t0
-        rounds += 1
+        rounds.append(seconds)
         print(json.dumps({"start": t0, "seconds": seconds, "rows": rows,
                           "pulls": pulls,
                           "bytes": os.path.getsize(args.out),

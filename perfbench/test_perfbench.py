@@ -29,6 +29,15 @@ def test_tail_percentile_keeps_ten_samples_beyond(count, expected):
         assert round(count * (100 - expected) / 100, 6) >= 10
 
 
+def test_a_round_starts_only_while_half_of_it_fits_the_window():
+    now = time.perf_counter()
+    assert common.another_round([], now, 0.0)
+    assert common.another_round([10.0], now, 16.0)
+    assert not common.another_round([10.0], now - 12.0, 16.0)
+    assert not common.another_round([40.0], now, 16.0)
+    assert common.another_round([40.0, 40.0], now - 80.0, 16.0, min_rounds=3)
+
+
 def test_percentile_interpolates_like_numpy():
     values = [5.0, 1.0, 4.0, 2.0, 3.0, 10.0]
     for pct in (0, 25, 50, 90, 95, 100):

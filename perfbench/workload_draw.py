@@ -16,8 +16,8 @@ from __future__ import annotations
 import time
 
 from perfbench.common import (
-    Checks, Measurement, Spans, hard_violations, median, peak_rss_mb,
-    table_digest,
+    Checks, Measurement, Spans, another_round, hard_violations, median,
+    peak_rss_mb, table_digest,
 )
 from perfbench.probes import engine_layers, lane_seconds
 
@@ -33,19 +33,16 @@ SETUP_REPEATS = 3
 
 def fit_artifacts(ctx, names, repeat: int, rows: int = FIT_ROWS):
     """Fit ``names`` at ``rows`` from the workload seed and save each
-    model with its schema and DC sidecars.  Returns name -> paths and
-    the seconds spent inside ``Kamino.fit``."""
+    model with its schema and DC sidecars.  Returns name -> paths."""
     from repro.core import Kamino
     from repro.datasets import load
     from repro.io import save_dcs, save_relation
 
-    out, fit_s = {}, 0.0
+    out = {}
     for name in names:
         ds = load(name, n=rows, seed=ctx.seed)
-        t0 = time.perf_counter()
         fitted = Kamino(ds.relation, ds.dcs, epsilon=EPSILON, delta=DELTA,
                         seed=ctx.seed).fit(ds.table)
-        fit_s += time.perf_counter() - t0
         paths = {"model": ctx.path(f"setup{repeat}", f"{name}.npz"),
                  "schema": ctx.path(f"setup{repeat}", f"{name}.schema.json"),
                  "dcs": ctx.path(f"setup{repeat}", f"{name}.dcs.txt")}
@@ -53,7 +50,7 @@ def fit_artifacts(ctx, names, repeat: int, rows: int = FIT_ROWS):
         save_relation(ds.relation, paths["schema"])
         save_dcs(ds.dcs, paths["dcs"], relation=ds.relation)
         out[name] = paths
-    return out, fit_s
+    return out
 
 
 def load_artifact(paths):
@@ -65,9 +62,8 @@ def load_artifact(paths):
 
 
 def setup(ctx, repeat: int):
-    paths, fit_s = fit_artifacts(ctx, [name for name, _ in DRAWS], repeat)
-    models = {name: load_artifact(p) for name, p in paths.items()}
-    return {"models": models, "fit_s": fit_s}
+    paths = fit_artifacts(ctx, [name for name, _ in DRAWS], repeat)
+    return {"models": {name: load_artifact(p) for name, p in paths.items()}}
 
 
 def prepare(ctx, state, traced: bool) -> Checks:
@@ -91,7 +87,7 @@ def measure(ctx, state, traced: bool) -> Measurement:
     runs, w1_wall, w1_lanes = [], 0.0, 0.0
     forced_violations = 0
     started = time.perf_counter()
-    while not rounds or time.perf_counter() - started < ctx.seconds:
+    while another_round(rounds, started, ctx.seconds):
         seed = draw_seed(ctx, len(rounds))
         tables, w1_s, rows = {}, {}, 0
         with spans.span("draw.round", rid=len(rounds)):
@@ -137,13 +133,12 @@ def measure(ctx, state, traced: bool) -> Measurement:
 
     round_s = median(rounds)
     e2e = {
-        "fit_s": state["fit_s"],
-        "draw_rows_per_s": median(w1_rates),
         "requests_per_s": len(rounds) / sum(rounds),
         "request_p50_ms": round_s * 1e3,
         "peak_rss_mb": peak_rss_mb(),
     }
-    layers = {"draw_w2_rows_per_s": median(w2_rates)}
+    layers = {"draw_rows_per_s": median(w1_rates),
+              "draw_w2_rows_per_s": median(w2_rates)}
     if traced:
         per = float(len(rounds))
         layers.update({k: v / per for k, v in engine_layers(runs).items()})

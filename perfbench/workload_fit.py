@@ -5,8 +5,8 @@ tpch, tax and br2000 at n=2000 with epsilon=1, delta=1e-6 and no
 ``params_override``: the real Algorithm 6 search and uncapped DP-SGD.
 br2000 is the only dataset with soft DCs, so it alone runs Algorithm 5.
 No draw or serve layer runs inside a round.  After the rounds, each
-saved artifact is loaded back and drawn from once, untimed by ``fit_s``,
-to check that it round-trips and keeps the hard DCs.
+saved artifact is loaded back and drawn from once, untimed, to check
+that it round-trips and keeps the hard DCs.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import time
 from contextlib import nullcontext
 
 from perfbench.common import (
-    Checks, Measurement, Spans, artifact_digest, hard_violations, median,
-    peak_rss_mb,
+    Checks, Measurement, Spans, another_round, artifact_digest,
+    hard_violations, median, peak_rss_mb,
 )
 from perfbench.probes import FIT_PHASES, CallTimer, fit_probes
 
@@ -26,9 +26,12 @@ ROWS = 2000
 VERIFY_ROWS = 4000
 EPSILON = 1.0
 DELTA = 1e-6
-#: Set-up is only data generation (tens of milliseconds), so it is
-#: repeated more often than the other workloads' for a steady median.
-SETUP_REPEATS = 9
+#: Set-up is only data generation, 16-30 ms.  The shared host has slow
+#: spells, from under a second to minutes, in which such short work
+#: takes up to 1.8 times as long; a median over a few repeats lands in
+#: whichever spell the run starts in, one over 241 (four to seven
+#: seconds) outlasts the short ones.
+SETUP_REPEATS = 241
 
 
 def setup(ctx, repeat: int):
@@ -76,7 +79,7 @@ def measure(ctx, state, traced: bool) -> Measurement:
     probes = fit_probes(spans, timer) if traced else nullcontext()
     started = time.perf_counter()
     with probes:
-        while not rounds or time.perf_counter() - started < ctx.seconds:
+        while another_round(rounds, started, ctx.seconds, min_rounds=3):
             fits = {}
             with spans.span("fit.round", rid=len(rounds)):
                 t0 = time.perf_counter()
@@ -99,30 +102,25 @@ def measure(ctx, state, traced: bool) -> Measurement:
                 _check_fit(checks, name, fitted, paths[name], digests)
 
     # Load each artifact back and draw once: model_io round trip + DCs.
-    drawn, draw_s = 0, 0.0
     for name in DATASETS:
         checks.op()
         ds = data[name]
         loaded = FittedKamino.load(paths[name], ds.relation, ds.dcs)
-        t0 = time.perf_counter()
         table = loaded.sample(n=VERIFY_ROWS, seed=ctx.seed, workers=1).table
-        draw_s += time.perf_counter() - t0
-        drawn += table.n
         avoidable, _ = hard_violations(table, loaded.dcs, loaded.sequence)
         checks.expect(avoidable == 0, f"fit {name}: reloaded draw has "
                       f"{avoidable} avoidable hard-DC violations")
 
     fit_s = median(rounds)
     e2e = {
-        "fit_s": fit_s,
-        "draw_rows_per_s": drawn / draw_s,
         "requests_per_s": len(rounds) / sum(rounds),
         "request_p50_ms": fit_s * 1e3,
         "peak_rss_mb": peak_rss_mb(),
     }
-    m = Measurement(e2e=e2e, main_s=fit_s, checks=checks, spans=spans)
+    m = Measurement(e2e=e2e, layers={"fit_s": fit_s}, main_s=fit_s,
+                    checks=checks, spans=spans)
     if traced:
-        m.layers = _layers(rounds, spans, timer, run_traces)
+        m.layers.update(_layers(rounds, spans, timer, run_traces))
     return m
 
 
