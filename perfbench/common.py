@@ -112,6 +112,8 @@ PER_LAYER = (
     ("serve.queue.timeouts", "count", "lower"),
     ("serve.server.unattributed_ms", "ms", "lower"),
     ("bench.gen_lag_ms_p95", "ms", "lower"),
+    # host speed: median calibration over its quiet seconds
+    ("bench.host_slowdown", "ratio", "lower"),
     # tracing cost: traced main timing over untraced
     ("trace.overhead_ratio", "ratio", "lower"),
 )
@@ -155,11 +157,70 @@ def another_round(rounds, started: float, seconds: float,
     that only while at least half of one more, at the median round's
     length, falls inside the window, so a run overruns ``seconds`` by at
     most half a round (draw rounds take most of the window on their
-    own).  Without a minimum, a slowed host would leave fit and stream
-    two rounds, whose median cannot drop the slower one."""
+    own).  Without a minimum, a slowed host would leave fit two rounds,
+    whose median cannot drop the slower one."""
     if len(rounds) < min_rounds:
         return True
     return time.perf_counter() - started + median(rounds) / 2 <= seconds
+
+
+# -- host speed -------------------------------------------------------------
+#: Seconds :func:`calibrate` takes on the reference machine (2 cores,
+#: x86_64, Python 3.11, numpy 2.4) when its host is quiet.
+CALIBRATION_S = 0.1
+
+
+def calibrate() -> float:
+    """Time a fixed piece of the benchmark's own work, about 0.1 s: a
+    pure-Python dict and integer loop, small dense numpy layers and
+    sorts of a 65,536-element column, in equal parts.
+
+    The host is shared, and other tenants slow it in spells from under a
+    second to minutes, by up to 1.8 times, the program and this work
+    alike (CPU time grows with wall time).  Set-up and the rounds of
+    fit, draw and stream run a calibration before and after each piece
+    of program work and report it at the host's quiet speed: see
+    :func:`steady_seconds`.  No program code runs here, so a change to
+    the program moves the program's seconds and not these.
+    """
+    import numpy as np
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((64, 128))
+    b = rng.standard_normal((128, 32))
+    column = rng.standard_normal(1 << 16)
+    t0 = time.perf_counter()
+    counts: dict = {}
+    acc = 0
+    for i in range(250_000):
+        key = i % 997
+        counts[key] = counts.get(key, 0) + 1
+        acc ^= i * 31
+    for _ in range(1800):
+        y = np.tanh(a @ b)
+        y.sum(axis=0)
+        np.exp(-np.abs(y))
+    for _ in range(20):
+        np.take(column, np.argsort(column)).cumsum()
+    return time.perf_counter() - t0
+
+
+def slowdown(calibrations) -> float:
+    """How much slower than quiet the host ran: the median calibration
+    over :data:`CALIBRATION_S`."""
+    return median(calibrations) / CALIBRATION_S
+
+
+def steady_seconds(pieces, calibrations) -> float:
+    """Seconds of program work at the host's quiet speed.  Piece ``i``
+    ran between calibrations ``i`` and ``i + 1``, and is divided by the
+    host's slowdown over those two: their mean over
+    :data:`CALIBRATION_S`."""
+    if len(calibrations) != len(pieces) + 1:
+        raise ValueError(f"{len(pieces)} pieces need {len(pieces) + 1} "
+                         f"calibrations, not {len(calibrations)}")
+    return sum(2 * CALIBRATION_S * piece / (before + after)
+               for piece, before, after
+               in zip(pieces, calibrations, calibrations[1:]))
 
 
 def peak_rss_mb() -> float:

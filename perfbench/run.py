@@ -17,7 +17,9 @@ A workload measures whole rounds (a fit round, a draw round, a stream)
 for ``--seconds``: it always runs one (fit and stream three), and
 starts another only while at least half of one more, at the median
 round's length, falls inside the window.  The default, 16, is
-``run_seconds`` in ``BENCHMARK.json``.
+``run_seconds`` in ``BENCHMARK.json``.  Set-up, the rounds of fit,
+draw and stream, and serve's latencies are reported at the host's
+quiet speed (``common.calibrate``).
 
 The last stdout line is one JSON object: ``correct``, ``attempted``,
 ``failed`` and ``metrics`` (name -> value and unit).  A failed
@@ -50,15 +52,20 @@ def _parse(argv):
 
 
 def _set_up(module, ctx, common):
-    """Run the workload's set-up ``SETUP_REPEATS`` times; keep the last
-    state and report the median set-up seconds."""
+    """Run the workload's set-up ``SETUP_REPEATS`` times, each between
+    two calibrations; keep the last state and report the median set-up
+    seconds at the host's quiet speed."""
     seconds, state = [], None
+    before = common.calibrate()
     for repeat in range(module.SETUP_REPEATS):
         if state is not None:
             module.teardown(state)
         t0 = time.perf_counter()
         state = module.setup(ctx, repeat)
-        seconds.append(time.perf_counter() - t0)
+        elapsed = time.perf_counter() - t0
+        after = common.calibrate()
+        seconds.append(common.steady_seconds([elapsed], [before, after]))
+        before = after
     return state, common.median(seconds)
 
 

@@ -38,6 +38,35 @@ def test_a_round_starts_only_while_half_of_it_fits_the_window():
     assert common.another_round([40.0, 40.0], now - 80.0, 16.0, min_rounds=3)
 
 
+def test_steady_seconds_divide_each_piece_by_its_neighbours_slowdown():
+    quiet = common.CALIBRATION_S
+    assert common.slowdown([quiet, 1.5 * quiet, 9 * quiet]) == \
+        pytest.approx(1.5)
+    # 6 s at twice quiet, then 3 s between a 2x and a 1x calibration
+    assert common.steady_seconds([6.0, 3.0], [2 * quiet, 2 * quiet, quiet]) \
+        == pytest.approx(3.0 + 2.0)
+    with pytest.raises(ValueError):
+        common.steady_seconds([1.0], [quiet])
+    assert 0 < common.calibrate() < 60 * quiet
+
+
+def test_stream_pieces_lie_between_calibrations():
+    from perfbench.stream_child import pieces_between
+    # round 0..10; calibrations at 1-2, 5-6 and 8-9
+    assert pieces_between(0.0, 10.0, [[1, 2], [5, 6], [8, 9]]) == \
+        pytest.approx([1 + 3, 2 + 1])
+
+
+def test_serve_segments_keep_a_duplicate_with_its_twin():
+    from perfbench.workload_serve import split_schedule
+    requests = [Request(due, f"/r{k}") for k, due in
+                enumerate([0.0, 1.9, 2.0, 2.0, 3.5, 3.99])]
+    parts = split_schedule(requests, 4.0, 2)
+    assert [[r.path for r in part] for part in parts] == \
+        [["/r0", "/r1"], ["/r2", "/r3", "/r4", "/r5"]]
+    assert [r.due for r in parts[1]] == pytest.approx([0.0, 0.0, 1.5, 1.99])
+
+
 def test_percentile_interpolates_like_numpy():
     values = [5.0, 1.0, 4.0, 2.0, 3.0, 10.0]
     for pct in (0, 25, 50, 90, 95, 100):

@@ -4,9 +4,12 @@ Each round runs ``Kamino.fit`` and ``FittedKamino.save`` on adult,
 tpch, tax and br2000 at n=2000 with epsilon=1, delta=1e-6 and no
 ``params_override``: the real Algorithm 6 search and uncapped DP-SGD.
 br2000 is the only dataset with soft DCs, so it alone runs Algorithm 5.
-No draw or serve layer runs inside a round.  After the rounds, each
-saved artifact is loaded back and drawn from once, untimed, to check
-that it round-trips and keeps the hard DCs.
+No draw or serve layer runs inside a round.  A calibration
+(``common.calibrate``) runs before and after each fit, outside its
+timing; a round's end-to-end seconds are its fits' and saves' seconds
+at the host's quiet speed, ``fit_s`` the same seconds as measured.
+After the rounds, each saved artifact is loaded back and drawn from
+once, untimed, to check that it round-trips and keeps the hard DCs.
 """
 
 from __future__ import annotations
@@ -15,23 +18,20 @@ import time
 from contextlib import nullcontext
 
 from perfbench.common import (
-    Checks, Measurement, Spans, another_round, artifact_digest,
-    hard_violations, median, peak_rss_mb,
+    Checks, Measurement, Spans, another_round, artifact_digest, calibrate,
+    hard_violations, median, peak_rss_mb, slowdown, steady_seconds,
 )
 from perfbench.probes import FIT_PHASES, CallTimer, fit_probes
 
 DATASETS = ("adult", "tpch", "tax", "br2000")
 ROWS = 2000
 #: Rows of the check draw from each reloaded artifact.
-VERIFY_ROWS = 4000
+VERIFY_ROWS = 1000
 EPSILON = 1.0
 DELTA = 1e-6
-#: Set-up is only data generation, 16-30 ms.  The shared host has slow
-#: spells, from under a second to minutes, in which such short work
-#: takes up to 1.8 times as long; a median over a few repeats lands in
-#: whichever spell the run starts in, one over 241 (four to seven
-#: seconds) outlasts the short ones.
-SETUP_REPEATS = 241
+#: Set-up is only data generation, 16-30 ms, each repeat followed by a
+#: 0.1 s calibration: 21 repeats take about three seconds.
+SETUP_REPEATS = 21
 
 
 def setup(ctx, repeat: int):
@@ -73,30 +73,45 @@ def measure(ctx, state, traced: bool) -> Measurement:
     data = state["data"]
     checks, spans, timer = Checks(), Spans(), CallTimer()
     run_traces: list = []
+    # Per round: the seconds of its fits and saves as measured and at the
+    # host's quiet speed, its wall time (with the calibrations) and the
+    # host's slowdown over its calibrations.
     rounds: list[float] = []
+    steady: list[float] = []
+    walls: list[float] = []
+    slowdowns: list[float] = []
     digests: dict = {}
     paths: dict = {}
     probes = fit_probes(spans, timer) if traced else nullcontext()
     started = time.perf_counter()
     with probes:
-        while another_round(rounds, started, ctx.seconds, min_rounds=3):
-            fits = {}
+        while another_round(walls, started, ctx.seconds, min_rounds=3):
+            fits, pieces, calibrations = {}, [], []
             with spans.span("fit.round", rid=len(rounds)):
-                t0 = time.perf_counter()
+                t_round = time.perf_counter()
+                with spans.span("bench.calibrate"):
+                    calibrations.append(calibrate())
                 for name in DATASETS:
                     ds = data[name]
                     paths[name] = ctx.path(f"fit-{name}.npz")
                     trace = RunTrace() if traced else None
                     with spans.span("fit.dataset", rid=name):
+                        t0 = time.perf_counter()
                         fitted = Kamino(ds.relation, ds.dcs,
                                         epsilon=EPSILON, delta=DELTA,
                                         seed=ctx.seed).fit(ds.table,
                                                            trace=trace)
                         fitted.save(paths[name])
+                        pieces.append(time.perf_counter() - t0)
+                    with spans.span("bench.calibrate"):
+                        calibrations.append(calibrate())
                     fits[name] = fitted
                     if trace is not None:
                         run_traces.append(trace)
-                rounds.append(time.perf_counter() - t0)
+                walls.append(time.perf_counter() - t_round)
+            rounds.append(sum(pieces))
+            steady.append(steady_seconds(pieces, calibrations))
+            slowdowns.append(slowdown(calibrations))
             for name, fitted in fits.items():
                 checks.op()
                 _check_fit(checks, name, fitted, paths[name], digests)
@@ -111,14 +126,15 @@ def measure(ctx, state, traced: bool) -> Measurement:
         checks.expect(avoidable == 0, f"fit {name}: reloaded draw has "
                       f"{avoidable} avoidable hard-DC violations")
 
-    fit_s = median(rounds)
+    fit_s, steady_s = median(rounds), median(steady)
     e2e = {
-        "requests_per_s": len(rounds) / sum(rounds),
-        "request_p50_ms": fit_s * 1e3,
+        "requests_per_s": 1.0 / steady_s,
+        "request_p50_ms": steady_s * 1e3,
         "peak_rss_mb": peak_rss_mb(),
     }
-    m = Measurement(e2e=e2e, layers={"fit_s": fit_s}, main_s=fit_s,
-                    checks=checks, spans=spans)
+    m = Measurement(e2e=e2e, layers={
+        "fit_s": fit_s, "bench.host_slowdown": median(slowdowns)},
+        main_s=steady_s, checks=checks, spans=spans)
     if traced:
         m.layers.update(_layers(rounds, spans, timer, run_traces))
     return m

@@ -7,7 +7,10 @@ rounds run in a child process that holds nothing else
 (``perfbench.stream_child``): ``sample_stream(n=131072,
 chunk_rows=65536)`` piped into ``write_table_stream`` as CSV.  Its
 engine lanes are the draw workload's, but chunk by chunk with
-persistent index state, plus the ``io.stream`` writer.
+persistent index state, plus the ``io.stream`` writer.  A round's
+end-to-end seconds are its seconds at the host's quiet speed, from the
+calibrations the child runs before each chunk pull and after the last;
+``stream_rows_per_s`` uses the seconds as measured.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import sys
 
 from perfbench.common import (
     Checks, Measurement, Spans, file_digest, hard_violations, median,
+    slowdown, steady_seconds,
 )
 from perfbench.probes import engine_layers
 from perfbench.workload_draw import fit_artifacts, load_artifact
@@ -30,8 +34,8 @@ DATASET = "tpch"
 CHUNK_ROWS = 65_536
 ROWS = 2 * CHUNK_ROWS
 #: One tpch fit and save, 0.5-0.75 s depending on the shared host's
-#: load; the median of 13 is steadier than that of 7 (0.26 over ten seeds).
-SETUP_REPEATS = 13
+#: load, each followed by a calibration.
+SETUP_REPEATS = 5
 #: The child must finish well inside the run's 180 s limit.
 CHILD_TIMEOUT_S = 150.0
 
@@ -100,19 +104,27 @@ def measure(ctx, state, traced: bool) -> Measurement:
                       f"stream round {k}: {r['rows']} rows, digest differs "
                       f"from the single-shot reference")
         parent = spans.add("stream.round", r["start"],
-                           r["start"] + r["seconds"], rid=k)
+                           r["start"] + r["wall"], rid=k)
         for start, end in r["pulls"]:
             spans.add("core.engine.stream.chunk", start, end,
                       parent=parent, rid=k)
+        for start, end in r["calibrations"]:
+            spans.add("bench.calibrate", start, end, parent=parent, rid=k)
 
     seconds = [r["seconds"] for r in rounds]
+    calibrations = [[end - start for start, end in r["calibrations"]]
+                    for r in rounds]
+    slowdowns = [slowdown(c) for c in calibrations]
+    steady_s = median(steady_seconds(r["pieces"], c)
+                      for r, c in zip(rounds, calibrations))
     round_s = median(seconds)
     e2e = {
-        "requests_per_s": len(rounds) / sum(seconds),
-        "request_p50_ms": round_s * 1e3,
+        "requests_per_s": 1.0 / steady_s,
+        "request_p50_ms": steady_s * 1e3,
         "peak_rss_mb": lines[-1]["peak_rss_mb"],
     }
-    layers = {"stream_rows_per_s": ROWS / round_s}
+    layers = {"stream_rows_per_s": ROWS / round_s,
+              "bench.host_slowdown": median(slowdowns)}
     if traced:
         pulls = [[end - start for start, end in r["pulls"]] for r in rounds]
         layers.update(state["engine"])
@@ -125,5 +137,5 @@ def measure(ctx, state, traced: bool) -> Measurement:
             "io.stream.chunks": median(len(p) for p in pulls),
             "io.stream.bytes": median(r["bytes"] for r in rounds),
         })
-    return Measurement(e2e=e2e, layers=layers, main_s=round_s,
+    return Measurement(e2e=e2e, layers=layers, main_s=steady_s,
                        checks=checks, spans=spans)
