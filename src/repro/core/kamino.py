@@ -563,14 +563,15 @@ def _phase_epsilons(params: KaminoParams) -> tuple[float, float]:
     alpha = int(params.best_alpha)
     if not params.learn_weights or alpha < 2 or params.n <= 0:
         return eps, 0.0
-    from repro.privacy.rdp import kamino_rdp, rdp_sgm
-    total_rdp = kamino_rdp(
-        alpha, sigma_g=params.sigma_g, sigma_d=params.sigma_d,
+    from repro.privacy.rdp import SgmCurves, kamino_curve
+    curves = SgmCurves((alpha,))
+    total_rdp = float(kamino_curve(
+        curves, sigma_g=params.sigma_g, sigma_d=params.sigma_d,
         T=params.iterations, k=params.k, b=params.batch, n=params.n,
         learn_weights=True, sigma_w=params.sigma_w, L_w=params.L_w,
-        n_hist=params.n_hist, n_submodels=params.n_submodels)
-    m3_rdp = rdp_sgm(min(params.L_w / params.n, 1.0), params.sigma_w,
-                     alpha)
+        n_hist=params.n_hist, n_submodels=params.n_submodels)[0])
+    m3_rdp = float(curves.sgm(min(params.L_w / params.n, 1.0),
+                              params.sigma_w)[0])
     share = m3_rdp / total_rdp if total_rdp > 0 else 0.0
     return eps * (1.0 - share), eps * share
 
@@ -696,9 +697,13 @@ class Kamino:
         restored phases' spends as ``resumed``.  Checkpoints carry
         DP-protected model state — guard the directory like the model
         artifact itself — and are cleared when the fit completes.
+
+        A ``table`` with no rows raises ``ValueError``.
         """
         from repro.synth.ledger import BudgetLedger
 
+        if table.n == 0:
+            raise ValueError("cannot fit on an empty table: it has 0 rows")
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
         known_weights = weights

@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.privacy.rdp import kamino_epsilon
+from repro.privacy.rdp import SgmCurves, kamino_curve, kamino_epsilon, \
+    rdp_gaussian
 
 
 @dataclass
@@ -60,18 +61,21 @@ class KaminoParams:
     achieved_epsilon: float = field(default=math.nan)
     best_alpha: int = field(default=0)
 
-    def accounted_epsilon(self) -> tuple[float, int]:
-        """Recompute the end-to-end (epsilon, alpha) for this config."""
+    def accounted_epsilon(self, curves: SgmCurves | None = None
+                          ) -> tuple[float, int]:
+        """Recompute the end-to-end (epsilon, alpha) for this config,
+        reusing the SGM curves memoised in ``curves`` if given."""
         return kamino_epsilon(
             self.delta, sigma_g=self.sigma_g, sigma_d=self.sigma_d,
             T=self.iterations, k=self.k, b=self.batch, n=self.n,
             learn_weights=self.learn_weights, sigma_w=self.sigma_w,
             L_w=self.L_w, n_hist=self.n_hist, n_submodels=self.n_submodels,
+            curves=curves,
         )
 
 
 def _backoff_sigma_g(params: "KaminoParams", epsilon: float,
-                     sigma_g_min: float) -> None:
+                     sigma_g_min: float, curves: SgmCurves) -> None:
     """Re-tighten the histogram noise once the budget is met.
 
     The priority loop bumps every knob per round, so sigma_g often ends
@@ -83,14 +87,14 @@ def _backoff_sigma_g(params: "KaminoParams", epsilon: float,
         candidate = max(sigma_g_min, params.sigma_g / 1.25)
         saved = params.sigma_g
         params.sigma_g = candidate
-        achieved, _ = params.accounted_epsilon()
+        achieved, _ = params.accounted_epsilon(curves)
         if achieved > epsilon:
             params.sigma_g = saved
             return
 
 
 def _backoff_sigma_w(params: "KaminoParams", epsilon: float,
-                     sigma_w_min: float = 0.3) -> None:
+                     curves: SgmCurves, sigma_w_min: float = 0.3) -> None:
     """Re-tighten the DC-weight noise once the budget is met.
 
     M3 is a single subsampled release, so its share of the composition
@@ -105,23 +109,22 @@ def _backoff_sigma_w(params: "KaminoParams", epsilon: float,
         candidate = max(sigma_w_min, params.sigma_w / 1.25)
         saved = params.sigma_w
         params.sigma_w = candidate
-        achieved, _ = params.accounted_epsilon()
+        achieved, _ = params.accounted_epsilon(curves)
         if achieved > epsilon:
             params.sigma_w = saved
             return
 
 
-def _histogram_share(params: "KaminoParams") -> float:
+def _histogram_share(params: "KaminoParams", curves: SgmCurves) -> float:
     """Fraction of the total RDP cost contributed by the histogram
     releases (M1) at the configuration's best order."""
-    from repro.privacy.rdp import kamino_rdp, rdp_gaussian
-    _, alpha = params.accounted_epsilon()
-    total = kamino_rdp(
-        alpha, sigma_g=params.sigma_g, sigma_d=params.sigma_d,
+    _, alpha = params.accounted_epsilon(curves)
+    total = kamino_curve(
+        curves, sigma_g=params.sigma_g, sigma_d=params.sigma_d,
         T=params.iterations, k=params.k, b=params.batch, n=params.n,
         learn_weights=params.learn_weights, sigma_w=params.sigma_w,
         L_w=params.L_w, n_hist=params.n_hist,
-        n_submodels=params.n_submodels)
+        n_submodels=params.n_submodels)[curves.alphas.index(alpha)]
     hist = params.n_hist * rdp_gaussian(params.sigma_g, alpha)
     return hist / max(total, 1e-12)
 
@@ -174,13 +177,17 @@ def search_dp_params(epsilon: float, delta: float, relation, sequence,
         n_submodels=n_submodels,
     )
     sigma_w_max = max(sigma_g_max, params.sigma_w)
+    # Changing T, backing off sigma_g or checking the histogram share
+    # never changes an SGM curve, so the search keeps one memo of them;
+    # it goes when the search returns.
+    curves = SgmCurves()
 
     for _ in range(max_rounds):
-        achieved, alpha = params.accounted_epsilon()
+        achieved, alpha = params.accounted_epsilon(curves)
         if achieved <= epsilon:
-            _backoff_sigma_g(params, epsilon, sigma_g_min)
-            _backoff_sigma_w(params, epsilon)
-            achieved, alpha = params.accounted_epsilon()
+            _backoff_sigma_g(params, epsilon, sigma_g_min, curves)
+            _backoff_sigma_w(params, epsilon, curves)
+            achieved, alpha = params.accounted_epsilon(curves)
             params.achieved_epsilon = achieved
             params.best_alpha = alpha
             return params
@@ -191,7 +198,8 @@ def search_dp_params(epsilon: float, delta: float, relation, sequence,
         if params.sigma_d < sigma_d_max:
             params.sigma_d = min(sigma_d_max, params.sigma_d + 0.05)
             progressed = True
-        if params.sigma_g < sigma_g_max and _histogram_share(params) > 0.05:
+        if (params.sigma_g < sigma_g_max
+                and _histogram_share(params, curves) > 0.05):
             # Only trade histogram accuracy for budget when M1 actually
             # contributes: raising sigma_g past the point where M2
             # dominates the composition would destroy the first

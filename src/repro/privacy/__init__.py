@@ -5,9 +5,9 @@ Implements everything §2.4 and §6 of the paper rely on:
 * :mod:`repro.privacy.mechanisms` — Gaussian and Laplace mechanisms and
   the classic sigma calibration;
 * :mod:`repro.privacy.rdp` — the Rényi-DP accountant: per-step RDP of
-  the Sampled Gaussian Mechanism (Lemma 2), linear composition, the
-  Kamino total of Theorem 1, and the tail-bound conversion to
-  (epsilon, delta)-DP of Eqn. (7);
+  the Sampled Gaussian Mechanism (Lemma 2) as whole curves over the
+  order grid, linear composition, the Kamino total of Theorem 1, and
+  the tail-bound conversion to (epsilon, delta)-DP of Eqn. (7);
 * :mod:`repro.privacy.dpsgd` — differentially private SGD with
   per-sample L2 clipping and Gaussian noising (Algorithm 2, lines
   13-16), consuming the per-sample gradients produced by
@@ -23,8 +23,10 @@ from repro.privacy.mechanisms import (
 )
 from repro.privacy.rdp import (
     DEFAULT_ALPHAS,
+    SgmCurves,
     calibrate_sgm_sigma,
     sgm_epsilon,
+    kamino_curve,
     kamino_rdp,
     kamino_epsilon,
     rdp_gaussian,
@@ -48,8 +50,10 @@ __all__ = [
     "LaplaceMechanism",
     "LedgerEntry",
     "PrivacyLedger",
+    "SgmCurves",
     "gaussian_sigma",
     "histogram_l2_sensitivity",
+    "kamino_curve",
     "kamino_epsilon",
     "kamino_rdp",
     "rdp_gaussian",

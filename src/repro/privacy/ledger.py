@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 from repro.privacy.rdp import (
     DEFAULT_ALPHAS,
-    kamino_rdp,
+    SgmCurves,
+    kamino_curve,
     rdp_gaussian,
-    rdp_sgm,
+    rdp_orders,
     rdp_to_epsilon,
 )
 
@@ -62,7 +63,8 @@ class PrivacyLedger:
         exceed it (the already-recorded entries are never rolled back —
         DP spending is irrevocable).
     alphas:
-        The grid of integer Rényi orders curves are evaluated on.
+        The grid of Rényi orders curves are evaluated on: whole numbers
+        >= 2, else ``ValueError``.
     """
 
     def __init__(self, delta: float, budget_epsilon: float | None = None,
@@ -73,9 +75,7 @@ class PrivacyLedger:
             raise ValueError("budget_epsilon must be positive")
         self.delta = float(delta)
         self.budget_epsilon = budget_epsilon
-        self.alphas = tuple(int(a) for a in alphas)
-        if any(a < 2 for a in self.alphas):
-            raise ValueError("all Rényi orders must be >= 2")
+        self.alphas = rdp_orders(alphas)
         self.entries: list[LedgerEntry] = []
 
     # ------------------------------------------------------------------
@@ -83,7 +83,11 @@ class PrivacyLedger:
     # ------------------------------------------------------------------
     def record_rdp(self, label: str, rdp_fn) -> LedgerEntry:
         """Record a release from its RDP function ``alpha -> value``."""
-        curve = tuple(float(rdp_fn(a)) for a in self.alphas)
+        return self._record_curve(label, [rdp_fn(a) for a in self.alphas])
+
+    def _record_curve(self, label: str, values) -> LedgerEntry:
+        """Record a release from its RDP values on the ledger's grid."""
+        curve = tuple(float(v) for v in values)
         if any(not math.isfinite(v) or v < 0 for v in curve):
             raise ValueError(f"RDP curve for {label!r} must be finite "
                              f"and non-negative")
@@ -104,17 +108,18 @@ class PrivacyLedger:
         """Record ``steps`` Sampled-Gaussian applications at rate ``q``."""
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        return self.record_rdp(label, lambda a: steps * rdp_sgm(q, sigma, a))
+        return self._record_curve(
+            label, steps * SgmCurves(self.alphas).sgm(q, sigma))
 
     def record_kamino(self, label: str, params) -> LedgerEntry:
         """Record one full Kamino run from its :class:`KaminoParams`."""
         if not math.isfinite(params.epsilon):
             raise ValueError("cannot ledger a non-private run")
-        return self.record_rdp(label, lambda a: kamino_rdp(
-            a, sigma_g=params.sigma_g, sigma_d=params.sigma_d,
-            T=params.iterations, k=params.k, b=params.batch, n=params.n,
-            learn_weights=params.learn_weights, sigma_w=params.sigma_w,
-            L_w=params.L_w, n_hist=params.n_hist,
+        return self._record_curve(label, kamino_curve(
+            SgmCurves(self.alphas), sigma_g=params.sigma_g,
+            sigma_d=params.sigma_d, T=params.iterations, k=params.k,
+            b=params.batch, n=params.n, learn_weights=params.learn_weights,
+            sigma_w=params.sigma_w, L_w=params.L_w, n_hist=params.n_hist,
             n_submodels=params.n_submodels))
 
     def charge(self, label: str, rdp_fn) -> LedgerEntry:
