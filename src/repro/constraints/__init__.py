@@ -48,6 +48,7 @@ from repro.constraints.algebra import (
 from repro.constraints.discovery import discover_dcs
 from repro.constraints.fd import FDIndex, extract_fds
 from repro.constraints.index import (
+    ArrayFDViolationIndex,
     FDViolationIndex,
     GenericViolationIndex,
     OrderViolationIndex,
@@ -58,6 +59,7 @@ from repro.constraints.index import (
 )
 
 __all__ = [
+    "ArrayFDViolationIndex",
     "DenialConstraint",
     "FDIndex",
     "FDViolationIndex",

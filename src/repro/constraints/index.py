@@ -19,6 +19,9 @@ O(group) instead of O(prefix):
   violations a candidate ``v`` creates is ``size(X) - count(X, v)``.
   This generalises the forced-value ``FDIndex`` fast path of
   Experiment 10 from hard FDs to violation *counts*.
+* :class:`ArrayFDViolationIndex` — the same FD counts over two known
+  code domains as one dense table, so block probes and folds are
+  array operations (the sampler's categorical FDs).
 * :class:`OrderViolationIndex` — sorted-structure index for
   conditional-order DCs (``not(E= and A> and B<)``).  Per equality
   group it keeps the (A, B) points; a probe splits the group on the
@@ -290,8 +293,9 @@ class FDViolationIndex(ViolationIndex):
             return 0
         return group[0] - group[1].get(dep, 0)
 
-    def add_pair(self, key: tuple, dep) -> None:
-        """Append one ``(determinant key, dependent)`` observation.
+    def add_pair(self, key: tuple, dep) -> int:
+        """Append one ``(determinant key, dependent)`` observation and
+        return the violating pairs it adds.
 
         The allocation-free core of :meth:`append_from` for callers that
         already hold python-scalar keys (the blocked engine's fast
@@ -302,11 +306,13 @@ class FDViolationIndex(ViolationIndex):
             group = [0, {}]
             self._groups[key] = group
         size, counts = group
-        self._total += size - counts.get(dep, 0)
+        created = size - counts.get(dep, 0)
+        self._total += created
         group[0] = size + 1
         counts[dep] = counts.get(dep, 0) + 1
         self._det_cache_update(key, dep, 1)
         self._n += 1
+        return created
 
     def _add_row(self, row: dict) -> None:
         self.add_pair(self._key(row), _item(row[self.dependent]))
@@ -467,6 +473,158 @@ class FDViolationIndex(ViolationIndex):
             if all(key[p] == v for p, v in others):
                 out.add(key[t_pos])
         return sorted(out)
+
+
+#: Largest count table (cells) an FD gets; bigger FDs stay on the
+#: dict-backed :class:`FDViolationIndex`.  At int64, 32 MB.
+MAX_FD_TABLE_CELLS = 1 << 22
+
+
+class ArrayFDViolationIndex(FDViolationIndex):
+    """:class:`FDViolationIndex` over two known code domains.
+
+    For ``x -> y`` with a single determinant whose values are codes
+    ``0..K-1`` and a dependent with codes ``0..V-1``, the per-group
+    histograms become one int64 table ``count[x, y]`` next to the group
+    sizes ``size[x]``.  Every probe is then array arithmetic: the
+    ``(B, V)`` candidate counts of a block of rows are one row gather
+    and one in-place subtract (:meth:`dep_counts`), and folding the
+    block in is one ``np.add.at`` (:meth:`add_codes`).  ``dep_major``
+    stores the table as ``count[y, x]`` instead, so that a block drawing
+    the *determinant* (:meth:`det_counts`) gathers contiguous rows too.
+
+    The caller guarantees that every value it appends or probes is an
+    in-domain code (the sampler's categorical columns are).  Counts are
+    exact integers, identical to the dict-backed index.
+    """
+
+    def __init__(self, dc: DenialConstraint, det_size: int, dep_size: int,
+                 dep_major: bool = False):
+        self.det_size = int(det_size)
+        self.dep_size = int(dep_size)
+        self.dep_major = bool(dep_major)
+        super().__init__(dc)
+        if len(self.determinant) != 1:
+            raise ValueError(f"DC {dc.name} has a composite determinant")
+
+    def reset(self) -> None:
+        shape = ((self.dep_size, self.det_size) if self.dep_major
+                 else (self.det_size, self.dep_size))
+        self._table = np.zeros(shape, dtype=np.int64)
+        #: The table indexed ``[det, dep]`` (a view in either layout).
+        self._by_det = self._table.T if self.dep_major else self._table
+        self._sizes = np.zeros(self.det_size, dtype=np.int64)
+        self._n = 0
+
+    # -- block probes and folds ------------------------------------------
+    def dep_counts(self, det_codes: np.ndarray) -> np.ndarray:
+        """``(B, V)`` new-violation counts of every dependent code, one
+        row per determinant code in ``det_codes``."""
+        self._bump("probe_block_codes")
+        out = self._by_det[det_codes]
+        np.subtract(self._sizes[det_codes][:, None], out, out=out)
+        return out
+
+    def det_counts(self, dep_codes: np.ndarray) -> np.ndarray:
+        """``(B, K)`` new-violation counts of every determinant code, one
+        row per dependent code in ``dep_codes``."""
+        self._bump("probe_det_codes")
+        out = self._by_det.T[dep_codes]
+        np.subtract(self._sizes[None, :], out, out=out)
+        return out
+
+    def add_codes(self, det_codes: np.ndarray, dep_codes: np.ndarray) -> None:
+        """Append the rows ``(det_codes[r], dep_codes[r])``."""
+        np.add.at(self._sizes, det_codes, 1)
+        if self.dep_major:
+            np.add.at(self._table, (dep_codes, det_codes), 1)
+        else:
+            np.add.at(self._table, (det_codes, dep_codes), 1)
+        self._n += len(det_codes)
+
+    # -- the FDViolationIndex API ----------------------------------------
+    def probe_block_codes(self, keys: list, size: int) -> np.ndarray:
+        return self.dep_counts(np.fromiter((k[0] for k in keys),
+                                           dtype=np.int64, count=len(keys)))
+
+    def probe_det_codes(self, dep, size: int,
+                        out: np.ndarray | None = None) -> np.ndarray:
+        self._bump("probe_det_codes")
+        if out is None:
+            return self._sizes - self._by_det[:, dep]
+        np.subtract(self._sizes, self._by_det[:, dep], out=out)
+        return out
+
+    def probe_pair(self, key: tuple, dep) -> int:
+        self._bump("probe_pair")
+        det = key[0]
+        return self._sizes.item(det) - self._by_det.item(det, dep)
+
+    def add_pair(self, key: tuple, dep) -> int:
+        det = key[0]
+        size = self._sizes.item(det)
+        count = self._by_det.item(det, dep)
+        self._sizes[det] = size + 1
+        self._by_det[det, dep] = count + 1
+        self._n += 1
+        return size - count
+
+    def _add_row(self, row: dict) -> None:
+        self.add_pair((row[self.determinant[0]],), row[self.dependent])
+
+    def _remove_row(self, row: dict) -> None:
+        det, dep = row[self.determinant[0]], row[self.dependent]
+        self._sizes[det] -= 1
+        self._by_det[det, dep] -= 1
+        self._n -= 1
+
+    def total(self) -> int:
+        """Violating pairs: within-group pairs minus same-dependent ones."""
+        sizes, table = self._sizes, self._table
+        return int((sizes * (sizes - 1)).sum() // 2
+                   - (table * (table - 1)).sum() // 2)
+
+    def candidate_counts(self, target_values: dict | None,
+                         context: dict) -> np.ndarray:
+        self._bump("candidate_counts")
+        det_attr, dep_attr = self.determinant[0], self.dependent
+        tv = target_values or {}
+        det = tv.get(det_attr, context.get(det_attr))
+        dep = tv.get(dep_attr, context.get(dep_attr))
+        counts = self._sizes[det] - self._by_det[det, dep]
+        return np.atleast_1d(counts).astype(np.int64, copy=False)
+
+    def dependents_of(self, key_row: dict) -> list:
+        det = key_row[self.determinant[0]]
+        return np.flatnonzero(self._by_det[det]).tolist()
+
+    def matched_det_values(self, target: str, row: dict) -> list:
+        return np.flatnonzero(
+            self._by_det[:, row[self.dependent]]).tolist()
+
+
+def build_fd_table_index(dc: DenialConstraint, code_sizes: dict,
+                         target: str | None = None
+                         ) -> ArrayFDViolationIndex | None:
+    """An :class:`ArrayFDViolationIndex` for ``dc``, or None.
+
+    ``code_sizes`` maps each categorical attribute to its code-domain
+    size.  The FD qualifies when its determinant is one attribute and
+    both it and the dependent have code domains whose product fits
+    :data:`MAX_FD_TABLE_CELLS`.  The table is stored dependent-major
+    when ``target`` (the attribute being drawn) is the determinant.
+    """
+    fd = dc.as_fd()
+    if fd is None or len(fd[0]) != 1:
+        return None
+    det, dep = fd[0][0], fd[1]
+    if det not in code_sizes or dep not in code_sizes:
+        return None
+    det_size, dep_size = code_sizes[det], code_sizes[dep]
+    if det_size * dep_size > MAX_FD_TABLE_CELLS:
+        return None
+    return ArrayFDViolationIndex(dc, det_size, dep_size,
+                                 dep_major=(target == det))
 
 
 # ----------------------------------------------------------------------

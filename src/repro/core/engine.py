@@ -97,7 +97,7 @@ from repro.core.sampling import (
     _record_fd,
     synthesize as _synthesize_row,
 )
-from repro.constraints.index import FDViolationIndex
+from repro.constraints.index import ArrayFDViolationIndex, FDViolationIndex
 from repro.constraints.violations import multi_candidate_violation_counts
 from repro.schema.table import Table
 
@@ -455,6 +455,32 @@ def _conflict_blocks(specs: list, cols: dict, n: int, max_block: int):
         seen.update(row_keys)
     if n > start:
         yield (start, n)
+
+
+def _python_keys(mode: str, side) -> list:
+    """An FD-lane side as per-row python keys: determinant key tuples
+    (``dep`` mode) or dependent values (``det`` mode).  A list already
+    is; a code array (count-table lane) becomes one."""
+    if isinstance(side, list):
+        return side
+    codes = side.tolist()
+    return [(v,) for v in codes] if mode == "dep" else codes
+
+
+def _first_conflict(group: np.ndarray, dep: np.ndarray) -> int:
+    """First row with an earlier row of the same group holding another
+    dependent, or ``len(group)`` when there is none.
+
+    Within a group (rows in order), the first such row is the first
+    whose dependent differs from the group's first row's.
+    """
+    n = group.shape[0]
+    order = np.argsort(group, kind="stable")
+    g, d = group[order], dep[order]
+    starts = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+    first_dep = np.repeat(d[starts], np.diff(np.append(starts, n)))
+    bad = order[d != first_dep]
+    return int(bad.min()) if bad.size else n
 
 
 # ----------------------------------------------------------------------
@@ -875,15 +901,29 @@ class _ColumnPass:
                           specs: list) -> None:
         """The hot lane: FD-only columns, integer-exact validation.
 
-        Per block: one vectorized probe per DC, one gumbel-argmax; per
-        row: O(1) pair probes to validate, O(1) pair appends to fold.
+        Per block: one vectorized probe per DC, one gumbel-argmax, then
+        the rows are kept or re-scored exactly as a row-at-a-time pass
+        would.  A row's live count at its pick exceeds the block-start
+        count only by the earlier in-block rows of its FD group that
+        hold another dependent.  So when every index is an
+        :class:`ArrayFDViolationIndex`, the rows before the first such
+        row (and before the first FD-lookup forced row) keep their
+        picks and fold in with one ``add_codes`` per DC.  From there on,
+        rows are validated one at a time with O(1) pair probes and
+        re-scored against the live state when a count moved.
         Validation compares raw per-DC counts (integers), so keep/
         rescore decisions carry no float subtleties at all.
+
+        Traced, the lane counts ``hard_violation_pairs``: the violating
+        pairs its picks add under hard FDs, nonzero only where no
+        zero-violation code existed.
         """
-        cols, w = self.cols, self.w
+        cols = self.cols
         tracer = self.tracer
         V = self.layout.d
         logp_all = self.base[1]
+        tables = all(isinstance(index, ArrayFDViolationIndex)
+                     for _, index, _, _ in specs)
         for lo in range(0, n, max_block):
             hi = min(lo + max_block, n)
             B = hi - lo
@@ -894,40 +934,95 @@ class _ColumnPass:
             scores = logp_all[lo:hi] + g
             per_dc = []
             for weight, index, mode, src in specs:
-                if mode == "dep":
+                if tables:
+                    side = cols[src[0]][lo:hi]
+                    counts = (index.dep_counts(side) if mode == "dep"
+                              else index.det_counts(side))
+                elif mode == "dep":
                     src_cols = [cols[a][lo:hi].tolist() for a in src]
-                    keys = ([(v,) for v in src_cols[0]]
-                            if len(src_cols) == 1 else
-                            list(zip(*src_cols)))
-                    counts = index.probe_block_codes(keys, V)
-                    per_dc.append((weight, index, mode, keys, counts))
+                    side = ([(v,) for v in src_cols[0]]
+                            if len(src_cols) == 1 else list(zip(*src_cols)))
+                    counts = index.probe_block_codes(side, V)
                 else:
-                    deps = cols[src[0]][lo:hi].tolist()
+                    side = cols[src[0]][lo:hi].tolist()
                     counts = np.empty((B, V), dtype=np.int64)
-                    for r, dep in enumerate(deps):
+                    for r, dep in enumerate(side):
                         index.probe_det_codes(dep, V, out=counts[r])
-                    per_dc.append((weight, index, mode, deps, counts))
+                per_dc.append((weight, index, mode, side, counts))
                 scores -= weight * counts
             pen_unary = self._unary_penalty(lo, hi)
             if pen_unary is not None:
                 scores -= pen_unary
-            picks = np.argmax(scores, axis=1).tolist()
-            for r in range(B):
+            picks = np.argmax(scores, axis=1)
+            stop = self._fold_kept_prefix(per_dc, picks, lo) if tables else 0
+            hard_pairs = 0
+            if tracer is not None and stop:
+                kept = np.arange(stop)
+                hard_pairs = sum(int(counts[kept, picks[:stop]].sum())
+                                 for _, index, _, _, counts in per_dc
+                                 if index.dc.hard)
+            if stop < B:
+                hard_pairs += self._fill_fd_rows(per_dc, picks.tolist(),
+                                                 pen_unary, g, lo, stop, B)
+            if tracer is not None and hard_pairs:
+                tracer.count("hard_violation_pairs", hard_pairs)
+
+    def _fold_kept_prefix(self, per_dc: list, picks: np.ndarray,
+                          lo: int) -> int:
+        """Write and fold the block rows a row-at-a-time pass would keep
+        as picked; returns how many (a prefix of the block).
+
+        The prefix ends at the first row with an earlier in-block row of
+        one of its FD groups holding another dependent, or at the first
+        row an FD lookup forces.
+        """
+        stop = picks.shape[0]
+        for _, _, mode, side, _ in per_dc:
+            group, dep = (side, picks) if mode == "dep" else (picks, side)
+            stop = _first_conflict(group[:stop], dep[:stop])
+        if self.fd_indexes:
+            # Forced values depend on the rows recorded before them, so
+            # this check walks the prefix row by row.
+            for r in range(stop):
                 i = lo + r
-                if self.fd_indexes:
-                    forced = _forced_value(self.fd_indexes, cols, i)
-                    if forced is not None:
-                        if tracer is not None:
-                            tracer.count("forced_rows")
-                        self.wcols[w][i] = forced
-                        pick = int(cols[w][i])
-                        for weight, index, mode, side, counts in per_dc:
-                            if mode == "dep":
-                                index.add_pair(side[r], pick)
-                            else:
-                                index.add_pair((pick,), side[r])
-                        _record_fd(self.fd_indexes, cols, i)
-                        continue
+                if _forced_value(self.fd_indexes, self.cols, i) is not None:
+                    stop = r
+                    break
+                self.wcols[self.w][i] = picks[r]
+                _record_fd(self.fd_indexes, self.cols, i)
+        self.wcols[self.w][lo:lo + stop] = picks[:stop]
+        for _, index, mode, side, _ in per_dc:
+            if mode == "dep":
+                index.add_codes(side[:stop], picks[:stop])
+            else:
+                index.add_codes(picks[:stop], side[:stop])
+        return stop
+
+    def _fill_fd_rows(self, per_dc: list, picks: list, pen_unary,
+                      g: np.ndarray, lo: int, start: int, B: int) -> int:
+        """Validate, re-score and fold block rows ``start..B`` one at a
+        time; returns the violating pairs the picks add under hard FDs.
+
+        ``per_dc`` sides are per-row python keys, or a count-table
+        index's code array, turned into keys here.
+        """
+        cols, w = self.cols, self.w
+        tracer = self.tracer
+        V = self.layout.d
+        logp_all = self.base[1]
+        per_dc = [(weight, index, mode, _python_keys(mode, side), counts)
+                  for weight, index, mode, side, counts in per_dc]
+        hard_pairs = 0
+        for r in range(start, B):
+            i = lo + r
+            forced = (_forced_value(self.fd_indexes, cols, i)
+                      if self.fd_indexes else None)
+            if forced is not None:
+                if tracer is not None:
+                    tracer.count("forced_rows")
+                self.wcols[w][i] = forced
+                pick = int(cols[w][i])
+            else:
                 pick = picks[r]
                 valid = True
                 for weight, index, mode, side, counts in per_dc:
@@ -954,12 +1049,13 @@ class _ColumnPass:
                         s = s - pen_unary[r]
                     pick = int(np.argmax(s))
                 self.wcols[w][i] = pick
-                for weight, index, mode, side, counts in per_dc:
-                    if mode == "dep":
-                        index.add_pair(side[r], pick)
-                    else:
-                        index.add_pair((pick,), side[r])
-                _record_fd(self.fd_indexes, cols, i)
+            for weight, index, mode, side, counts in per_dc:
+                created = (index.add_pair(side[r], pick) if mode == "dep"
+                           else index.add_pair((pick,), side[r]))
+                if index.dc.hard:
+                    hard_pairs += created
+            _record_fd(self.fd_indexes, cols, i)
+        return hard_pairs
 
     def _fold_row(self, i: int) -> None:
         _record_fd(self.fd_indexes, self.cols, i)

@@ -69,6 +69,20 @@ _ENGINES = ("blocked", "row")
 _POOLS = ("thread", "process")
 
 
+def _draw_size(n, default: int) -> int:
+    """The row count of a draw: ``default`` for None, else ``n`` as a
+    non-negative integer (numpy integers included)."""
+    if n is None:
+        return default
+    try:
+        rows = int(n)
+    except (TypeError, ValueError, OverflowError):
+        rows = -1
+    if rows < 0 or rows != n:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    return rows
+
+
 def _resolve_workers(workers: int, engine: str, pool: str) -> int:
     """Resolve ``workers=0`` ("auto") at draw time.
 
@@ -367,7 +381,7 @@ class FittedKamino:
         per-column wall-clock, engine lanes, block sizes, and
         violation-index probe counts.
         """
-        n_out = self.default_n if n is None else int(n)
+        n_out = _draw_size(n, self.default_n)
         cfg = self.config
         engine = cfg.engine if engine is None else engine
         pool = cfg.pool if pool is None else pool
@@ -452,7 +466,7 @@ class FittedKamino:
         indexes raises :class:`~repro.core.sampling.PrefixScanRequired`
         rather than silently answering from a partial prefix.
         """
-        n_out = self.default_n if n is None else int(n)
+        n_out = _draw_size(n, self.default_n)
         cfg = self.config
         engine = cfg.engine if engine is None else engine
         if engine not in _ENGINES:
@@ -496,7 +510,7 @@ class FittedKamino:
         ``trace`` records a run-level :class:`SampleTrace` (engine
         ``"ar"``, no per-column breakdown).
         """
-        n_out = self.default_n if n is None else int(n)
+        n_out = _draw_size(n, self.default_n)
         rng = self._sampling_rng(seed, offset=1)
         cfg = self.config
         sampled_dcs = self.dcs if cfg.constraint_aware_sampling else []

@@ -51,7 +51,8 @@ import numpy as np
 
 from repro.constraints.fd import FDIndex, extract_fds
 from repro.constraints.index import (
-    FDViolationIndex, OrderViolationIndex, ViolationIndex, build_index,
+    FDViolationIndex, OrderViolationIndex, ViolationIndex,
+    build_fd_table_index, build_index,
 )
 from repro.constraints.violations import multi_candidate_violation_counts
 from repro.core.hyper import HyperSpec
@@ -108,6 +109,9 @@ class _ColumnSampler:
 
         self.wseq = hyper.working_sequence
         self.wrel = hyper.working_relation
+        #: Code-domain size of every categorical attribute.
+        self.code_sizes = {attr.name: attr.domain.size
+                           for attr in relation if attr.is_categorical}
         # Original attributes covered after each working position.
         self.covered_after: list[set[str]] = []
         covered: set[str] = set()
@@ -536,7 +540,12 @@ class _ColumnSampler:
         for dc in self.active_at[j]:
             if dc.is_unary:
                 continue
-            index = build_index(dc)
+            # FDs between two categoricals count in a dense code table;
+            # the rest keep the dict-backed group index.
+            index = build_fd_table_index(dc, self.code_sizes,
+                                         target=self.wseq[j])
+            if index is None:
+                index = build_index(dc)
             if not index.supports_candidates:
                 continue
             if removable and not index.supports_removal:

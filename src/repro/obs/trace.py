@@ -63,7 +63,8 @@ class ColumnTrace:
         self.rows = 0
         #: Scheduling counters: ``blocks``, ``block_rows_max``,
         #: ``rescored_rows``, ``forced_rows``, ``sequential_rows``,
-        #: ``shards`` — whichever the lane produces.
+        #: ``shards`` — whichever the lane produces — and the FD lane's
+        #: ``hard_violation_pairs``.
         self.counters: dict[str, int] = {}
         #: Violation-index probe counts, keyed by probe method name
         #: (``probe_block_codes``, ``probe_det_codes``, ``probe_pair``,

@@ -244,6 +244,38 @@ def test_fit_does_not_sample(fitted_tpch):
     assert fitted.default_n == 100
 
 
+_DRAWS = {
+    "sample": lambda fitted, n: fitted.sample(n=n, seed=1).table,
+    "sample_ar": lambda fitted, n: fitted.sample_ar(n=n, seed=1,
+                                                    max_tries=5).table,
+    "sample_stream": lambda fitted, n: list(
+        fitted.sample_stream(n=n, seed=1, chunk_rows=4)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DRAWS))
+@pytest.mark.parametrize("n", [2.5, -2, -1, np.float64(3.5), "3", [3]])
+def test_malformed_draw_sizes_raise_a_typed_error(fitted_tpch, entry, n):
+    _, fitted = fitted_tpch
+    with pytest.raises(ValueError, match=r"\bn must be a non-negative "
+                       r"integer"):
+        _DRAWS[entry](fitted, n)
+
+
+@pytest.mark.parametrize("entry", sorted(_DRAWS))
+def test_draw_sizes_accept_none_zero_and_numpy_integers(fitted_tpch,
+                                                        entry):
+    _, fitted = fitted_tpch
+
+    def rows(out):
+        return (sum(t.n for t in out) if isinstance(out, list)
+                else out.n)
+    assert rows(_DRAWS[entry](fitted, None)) == fitted.default_n
+    assert rows(_DRAWS[entry](fitted, 0)) == 0
+    assert rows(_DRAWS[entry](fitted, np.int64(5))) == 5
+    assert rows(_DRAWS[entry](fitted, 5.0)) == 5
+
+
 def test_sample_ar_produces_valid_rows(fitted_tpch):
     ds, fitted = fitted_tpch
     result = fitted.sample_ar(n=40, seed=11, max_tries=40)

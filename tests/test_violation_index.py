@@ -11,6 +11,7 @@ all-violating unary DCs, exact-dtype group keys).
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import repair_violations
 from repro.constraints import (
+    ArrayFDViolationIndex,
     FDViolationIndex,
     GenericViolationIndex,
     OrderViolationIndex,
@@ -29,7 +31,9 @@ from repro.constraints import (
     parse_dc,
     violation_matrix,
 )
+from repro.constraints import index as index_mod
 from repro.constraints.dc import DenialConstraint
+from repro.constraints.index import build_fd_table_index
 from repro.constraints.predicate import TUPLE_I
 from repro.constraints.violations import group_inverse
 from repro.core.params import KaminoParams
@@ -590,3 +594,106 @@ def test_probe_many_falls_back_to_none_on_unanswerable_rows():
     index = build_index(dc)
     assert index.probe_many({"u": np.arange(3, dtype=np.float64)},
                             [{"a": np.int64(0)}]) is None
+
+
+# ----------------------------------------------------------------------
+# Array-backed FD count tables
+# ----------------------------------------------------------------------
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_array_fd_index_matches_dict_index_and_scan(data):
+    """On random code tables, the count-table index answers every probe
+    like the dict-backed index and the scan engine, in both layouts,
+    through appends (one by one and in bulk) and removals; the factory
+    switches to it exactly below the cell cap."""
+    k = data.draw(st.integers(1, 6), label="det codes")
+    v = data.draw(st.integers(1, 6), label="dep codes")
+    cap = data.draw(st.integers(1, 40), label="cell cap")
+    rel = Relation([
+        Attribute("x", CategoricalDomain([f"x{i}" for i in range(k)])),
+        Attribute("y", CategoricalDomain([f"y{i}" for i in range(v)])),
+    ])
+    dc = DenialConstraint.fd("fd", "x", "y")
+    with mock.patch.object(index_mod, "MAX_FD_TABLE_CELLS", cap):
+        built = build_fd_table_index(dc, {"x": k, "y": v})
+    assert (built is None) == (k * v > cap)
+
+    n = data.draw(st.integers(0, 30), label="rows")
+    cols = {"x": np.asarray(data.draw(st.lists(
+                st.integers(0, k - 1), min_size=n, max_size=n)),
+                dtype=np.int64),
+            "y": np.asarray(data.draw(st.lists(
+                st.integers(0, v - 1), min_size=n, max_size=n)),
+                dtype=np.int64)}
+    bulk = data.draw(st.integers(0, n), label="bulk-folded rows")
+    removed = data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                 max_size=n, unique=True), label="removed")
+    removed = [i for i in removed if i < n]
+    live = [i for i in range(n) if i not in set(removed)]
+    det_codes = np.arange(k, dtype=np.int64)
+    dep_codes = np.arange(v, dtype=np.int64)
+
+    for dep_major in (False, True):
+        table_index = ArrayFDViolationIndex(dc, k, v, dep_major=dep_major)
+        dict_index = FDViolationIndex(dc)
+        table_index.add_codes(cols["x"][:bulk], cols["y"][:bulk])
+        for i in range(bulk):
+            dict_index.append_from(cols, i)
+        for i in range(bulk, n):
+            table_index.append_from(cols, i)
+            dict_index.append_from(cols, i)
+        for i in removed:
+            table_index.remove_from(cols, i)
+            dict_index.remove_from(cols, i)
+        prefix = {a: c[live] for a, c in cols.items()}
+        assert len(table_index) == len(dict_index) == len(live)
+        assert table_index.total() == dict_index.total() == \
+            count_violations(dc, Table(rel, prefix, validate=False))
+
+        keys = [(x,) for x in range(k)]
+        np.testing.assert_array_equal(
+            table_index.probe_block_codes(keys, v),
+            dict_index.probe_block_codes(keys, v))
+        np.testing.assert_array_equal(table_index.dep_counts(det_codes),
+                                      dict_index.probe_block_codes(keys, v))
+        for y in range(v):
+            want = multi_candidate_violation_counts(
+                dc, {"x": det_codes}, {"y": np.int64(y)}, prefix)
+            np.testing.assert_array_equal(
+                table_index.probe_det_codes(y, k), want)
+            np.testing.assert_array_equal(
+                dict_index.probe_det_codes(y, k), want)
+            np.testing.assert_array_equal(
+                table_index.det_counts(np.array([y]))[0], want)
+            np.testing.assert_array_equal(
+                table_index.candidate_counts({"x": det_codes},
+                                             {"y": np.int64(y)}), want)
+            assert table_index.matched_det_values("x", {"y": y}) == \
+                dict_index.matched_det_values("x", {"y": y})
+        for x in range(k):
+            ctx = {"x": np.int64(x)}
+            want = multi_candidate_violation_counts(
+                dc, {"y": dep_codes}, ctx, prefix)
+            np.testing.assert_array_equal(
+                table_index.candidate_counts({"y": dep_codes}, ctx), want)
+            np.testing.assert_array_equal(
+                dict_index.candidate_counts({"y": dep_codes}, ctx), want)
+            assert table_index.dependents_of(ctx) == \
+                dict_index.dependents_of(ctx)
+            for y in range(v):
+                assert table_index.probe_pair((x,), y) == \
+                    dict_index.probe_pair((x,), y) == want[y]
+                row = {"x": np.int64(x), "y": np.int64(y)}
+                np.testing.assert_array_equal(
+                    table_index.candidate_counts(None, row), want[y:y + 1])
+        # Both columns vary per candidate (a hyper-attribute target).
+        xs = np.asarray(data.draw(st.lists(st.integers(0, k - 1),
+                                           min_size=3, max_size=3)))
+        ys = np.asarray(data.draw(st.lists(st.integers(0, v - 1),
+                                           min_size=3, max_size=3)))
+        want = multi_candidate_violation_counts(
+            dc, {"x": xs, "y": ys}, {}, prefix)
+        np.testing.assert_array_equal(
+            table_index.candidate_counts({"x": xs, "y": ys}, {}), want)
+        np.testing.assert_array_equal(
+            dict_index.candidate_counts({"x": xs, "y": ys}, {}), want)
