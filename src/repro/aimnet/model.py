@@ -86,29 +86,34 @@ class AimNet(Module):
     # ------------------------------------------------------------------
     # Forward
     # ------------------------------------------------------------------
-    def _encode_context(self, batch_cols: dict) -> np.ndarray:
+    def _encode_context(self, batch_cols: dict,
+                        cache: bool = True) -> np.ndarray:
         """Stack per-attribute encodings into (batch, m, d)."""
-        encoded = [self.encoders[a].forward(batch_cols[a])
+        encoded = [self.encoders[a].forward(batch_cols[a], cache)
                    for a in self.context_attrs]
         return np.stack(encoded, axis=1)
 
-    def forward(self, batch_cols: dict):
+    def forward(self, batch_cols: dict, cache: bool = True):
         """Run the model on a batch given as ``{attr: column}``.
 
         Returns logits ``(batch, |y|)`` for categorical targets or
         ``(mu_std, log_sigma_std)`` (standardized space) for numerical
-        targets.
+        targets.  ``cache=False`` is the inference forward: no layer
+        keeps the batch arrays :meth:`backward` would need, so a model
+        that has drawn holds no copy of its last batch.
         """
-        context = self._encode_context(batch_cols)
-        ctx = self.attention.forward(context)
+        context = self._encode_context(batch_cols, cache)
+        ctx = self.attention.forward(context, cache)
         if self.target_is_categorical:
             table = self.target_embedding.table.value
             scale = 1.0 / np.sqrt(self.dim)
             logits = ctx @ table.T * scale + self.out_bias.value
-            self._cache = ("cat", ctx, scale)
+            if cache:
+                self._cache = ("cat", ctx, scale)
             return logits
-        out = self.head.forward(ctx)
-        self._cache = ("num", ctx)
+        out = self.head.forward(ctx, cache)
+        if cache:
+            self._cache = ("num", ctx)
         return out[:, 0], out[:, 1]
 
     # ------------------------------------------------------------------
@@ -170,14 +175,14 @@ class AimNet(Module):
         """Conditional distribution over the categorical target domain."""
         if not self.target_is_categorical:
             raise ValueError("predict_proba requires a categorical target")
-        logits = self.forward(batch_cols)
+        logits = self.forward(batch_cols, cache=False)
         return softmax(logits, axis=1)
 
     def predict_gaussian(self, batch_cols: dict) -> tuple[np.ndarray, np.ndarray]:
         """Per-row (mu, sigma) of the numerical target, in raw units."""
         if self.target_is_categorical:
             raise ValueError("predict_gaussian requires a numerical target")
-        mu_std, log_sigma_std = self.forward(batch_cols)
+        mu_std, log_sigma_std = self.forward(batch_cols, cache=False)
         log_sigma_std = np.clip(log_sigma_std, -6.0, 6.0)
         mu = mu_std * self._t_scale + self._t_mid
         sigma = np.exp(log_sigma_std) * self._t_scale

@@ -65,7 +65,10 @@ import numpy as np
 
 from repro.constraints.algebra import minimize_dcs
 from repro.constraints.discovery import discover_dcs
-from repro.core.kamino import FittedKamino, Kamino, KaminoConfig
+from repro.constraints.parser import DCParseError
+from repro.core.kamino import ConfigError, FittedKamino, Kamino, KaminoConfig
+from repro.core.model_io import ModelFormatError
+from repro.core.sampling import PrefixScanRequired
 from repro.constraints.violations import violating_pairs
 from repro.evaluation.marginals import marginal_distances
 from repro.evaluation.violations import dc_violation_report
@@ -182,8 +185,6 @@ def cmd_discover(args) -> int:
 
 def _config_from_args(args) -> KaminoConfig:
     """Build the pipeline config a ``fit``/``synthesize`` run asked for."""
-    epsilon = float("inf") if args.epsilon in ("inf", "none") \
-        else float(args.epsilon)
     params_override = None
     if args.max_iterations is not None:
         cap = args.max_iterations
@@ -193,8 +194,9 @@ def _config_from_args(args) -> KaminoConfig:
     extra = {}
     if getattr(args, "engine", None) is not None:
         extra["engine"] = args.engine
-    return KaminoConfig(epsilon=epsilon, delta=args.delta, seed=args.seed,
-                        params_override=params_override, **extra)
+    return KaminoConfig(epsilon=args.epsilon, delta=args.delta,
+                        seed=args.seed, params_override=params_override,
+                        **extra)
 
 
 def _record_ledger(args, label: str, private: bool, params) -> None:
@@ -230,11 +232,6 @@ def _finish_trace(args, trace: RunTrace | None) -> None:
     print(f"wrote run trace to {args.trace}")
 
 
-def _parse_epsilon(args) -> float:
-    return float("inf") if args.epsilon in ("inf", "none") \
-        else float(args.epsilon)
-
-
 def _resolve_method(args, bundle) -> str:
     """The backend a ``fit``/``synthesize`` run targets.
 
@@ -254,7 +251,7 @@ def _make_backend(method: str, args, dcs):
     kwargs = {}
     if args.max_iterations is not None and method in ("pategan", "dpvae"):
         kwargs["iterations"] = args.max_iterations
-    return make_synthesizer(method, _parse_epsilon(args),
+    return make_synthesizer(method, args.epsilon,
                             delta=args.delta, seed=args.seed, dcs=dcs,
                             **kwargs)
 
@@ -602,6 +599,23 @@ def cmd_serve(args) -> int:
 # ----------------------------------------------------------------------
 # Parser wiring
 # ----------------------------------------------------------------------
+def _epsilon(text: str) -> float:
+    """``--epsilon``: a positive budget, or ``inf``/``none`` for a
+    non-private run."""
+    if text in ("inf", "none"):
+        return float("inf")
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a number: {text!r} (use a positive budget, or 'inf')"
+        ) from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"must be positive, got {text!r} (or 'inf' for non-private)")
+    return value
+
+
 class _AppendOverDefault(argparse.Action):
     """``action="append"`` with a usable parser-level default.
 
@@ -626,8 +640,9 @@ def _add_budget_arguments(p: argparse.ArgumentParser) -> None:
                         "routes on the bundle's shape — DCs present -> "
                         "kamino, wide unconstrained tables -> a "
                         "marginal method")
-    p.add_argument("--epsilon", default="1.0",
-                   help="privacy budget; 'inf' for non-private")
+    p.add_argument("--epsilon", type=_epsilon, default=1.0,
+                   help="privacy budget, > 0; 'inf' (or 'none') for "
+                        "non-private")
     p.add_argument("--delta", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iterations", type=int, default=None,
@@ -831,10 +846,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Errors that describe bad input, not a bug: ``main`` reports them as
+#: one ``error:`` line and exit status 2 instead of a traceback.
+_INPUT_ERRORS = (FileNotFoundError, DCParseError, ModelFormatError,
+                 ConfigError, PrefixScanRequired)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -51,9 +51,11 @@ from repro.constraints.index import (
     ArrayFDViolationIndex,
     FDViolationIndex,
     GenericViolationIndex,
+    GridViolationIndex,
     OrderViolationIndex,
     UnaryViolationIndex,
     ViolationIndex,
+    build_grid_index,
     build_index,
     per_row_violation_counts,
 )
@@ -64,9 +66,11 @@ __all__ = [
     "FDIndex",
     "FDViolationIndex",
     "GenericViolationIndex",
+    "GridViolationIndex",
     "OrderViolationIndex",
     "UnaryViolationIndex",
     "ViolationIndex",
+    "build_grid_index",
     "build_index",
     "per_row_violation_counts",
     "Operator",

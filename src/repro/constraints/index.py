@@ -27,6 +27,11 @@ O(group) instead of O(prefix):
   group it keeps the (A, B) points; a probe splits the group on the
   fixed partner value and binary-searches the sorted target values, so
   ``d`` candidates cost O(g log g + d log g).
+* :class:`GridViolationIndex` — count tables over the value grid of a
+  binary DC whose predicates each read one attribute (order DCs and
+  generic ones alike), one pair per equality group: a probe is one
+  gather, a fold a few slice adds (the sampler's order and generic
+  DCs, whose values lie on known code ranges and snap grids).
 * :class:`UnaryViolationIndex` — violations depend only on the tuple
   itself; the index just maintains the running total.
 * :class:`GenericViolationIndex` — cached blocked-numpy fallback for
@@ -51,6 +56,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constraints.dc import DenialConstraint
+from repro.constraints.predicate import TUPLE_I, TUPLE_J, Operator
+from repro.constraints.violations import multi_candidate_violation_counts
 
 
 def _item(value):
@@ -628,212 +635,63 @@ def build_fd_table_index(dc: DenialConstraint, code_sizes: dict,
 
 
 # ----------------------------------------------------------------------
-# Conditional-order DCs
+# Per-group point arrays
 # ----------------------------------------------------------------------
-#: Group size at which an order group builds its Fenwick tree (smaller
-#: groups answer probes faster with the plain sort-and-search path).
-_FENWICK_MIN_GROUP = 8
-#: Cap on the per-group Fenwick table (cells), keeping memory bounded.
-_MAX_FENWICK_CELLS = 1 << 16
-#: Universes small enough that a dense count grid (O(1) update, pure
-#: vectorized probes) beats BIT walks; larger ones use the Fenwick.
-_DENSE_GRID_CELLS = 1 << 12
-#: Values beyond this magnitude lose exactness as float64 ranks.
-_FENWICK_MAX_ABS = float(2 ** 52)
+class _Points:
+    """The indexed rows of one group as growable per-attribute arrays.
 
-
-class _Fenwick2D:
-    """2D binary-indexed tree over compressed ``(rank_a, rank_b)`` grids.
-
-    Point ranks are 1-based; :meth:`prefix` returns the number of
-    indexed points with ``rank_a <= ra and rank_b <= rb`` in
-    O(log ga * log gb).  The multi-candidate variants answer a whole
-    candidate vector against one fixed partner rank with the inner BIT
-    decomposition shared across candidates, so ``d`` probes cost
-    O((ga + d) log gb) instead of ``d`` independent tree walks.
+    Capacity-doubling numpy buffers keep appends O(1) amortised and
+    :meth:`columns` a zero-copy view — an eq-less DC has a single group
+    covering the whole prefix, and rebuilding its arrays per probe would
+    be quadratic.
     """
 
-    __slots__ = ("ga", "gb", "tree")
+    __slots__ = ("_cols", "n")
 
-    def __init__(self, ga: int, gb: int):
-        self.ga = ga
-        self.gb = gb
-        self.tree = np.zeros((ga + 1, gb + 1), dtype=np.int64)
+    def __init__(self, cols: dict | None = None):
+        self._cols = cols
+        self.n = 0 if not cols else next(iter(cols.values())).shape[0]
 
-    def update(self, ra: int, rb: int, delta: int) -> None:
-        i = ra
-        while i <= self.ga:
-            row = self.tree[i]
-            j = rb
-            while j <= self.gb:
-                row[j] += delta
-                j += j & (-j)
-            i += i & (-i)
+    def columns(self) -> dict:
+        """Attribute -> the group's values (views — do not mutate)."""
+        if self._cols is None:
+            return {}
+        return {a: buf[:self.n] for a, buf in self._cols.items()}
 
-    @staticmethod
-    def _path(rank: int) -> list[int]:
-        out = []
-        while rank > 0:
-            out.append(rank)
-            rank -= rank & (-rank)
-        return out
+    def add(self, row: dict) -> None:
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = {
+                a: np.empty(8, dtype=np.int64
+                            if isinstance(v, (int, np.integer))
+                            else np.float64)
+                for a, v in row.items()}
+        elif self.n == next(iter(cols.values())).shape[0]:
+            for a, buf in cols.items():
+                grown = np.empty(2 * buf.shape[0], dtype=buf.dtype)
+                grown[:self.n] = buf
+                cols[a] = grown
+        for a, buf in cols.items():
+            buf[self.n] = row[a]
+        self.n += 1
 
-    def prefix(self, ra: int, rb: int) -> int:
-        total = 0
-        for i in self._path(ra):
-            row = self.tree[i]
-            for j in self._path(rb):
-                total += row[j]
-        return int(total)
-
-    def _rank_scan(self, marginal: np.ndarray,
-                   ranks: np.ndarray) -> np.ndarray:
-        """Prefix sums of a 1D BIT marginal at each requested rank.
-
-        For dense rank sets (the common probe shape: every candidate
-        rank, or the whole universe) the full prefix vector is rebuilt
-        with the ``prefix[r] = prefix[r - lowbit(r)] + marginal[r]``
-        recurrence — one tiny O(size) loop — and indexed; sparse rank
-        sets walk their BIT paths vectorized instead.
-        """
-        size = marginal.shape[0] - 1
-        if size <= 512 or ranks.shape[0] * 8 >= size:
-            m = marginal.tolist()
-            prefix = [0] * (size + 1)
-            for r in range(1, size + 1):
-                prefix[r] = prefix[r - (r & -r)] + m[r]
-            return np.asarray(prefix, dtype=np.int64)[ranks]
-        ans = np.zeros(ranks.shape[0], dtype=np.int64)
-        rank = ranks.astype(np.int64, copy=True)
-        while True:
-            live = np.flatnonzero(rank)
-            if live.size == 0:
-                return ans
-            ans[live] += marginal[rank[live]]
-            rank[live] -= rank[live] & (-rank[live])
-
-    def prefix_a_many(self, ras: np.ndarray, rb: int) -> np.ndarray:
-        """``prefix(ra, rb)`` for a vector of a-ranks, fixed ``rb``."""
-        cols = self._path(rb)
-        if not cols:
-            return np.zeros(ras.shape[0], dtype=np.int64)
-        return self._rank_scan(self.tree[:, cols].sum(axis=1), ras)
-
-    def prefix_b_many(self, ra: int, rbs: np.ndarray) -> np.ndarray:
-        """``prefix(ra, rb)`` for a vector of b-ranks, fixed ``ra``."""
-        rows = self._path(ra)
-        if not rows:
-            return np.zeros(rbs.shape[0], dtype=np.int64)
-        return self._rank_scan(self.tree[rows, :].sum(axis=0), rbs)
-
-
-class _DenseGrid:
-    """Dense (rank_a, rank_b) count grid — the small-universe sibling of
-    :class:`_Fenwick2D`.
-
-    For tiny compressed universes (quantized snap grids are typically
-    16-32 values a side) a dense int matrix answers the same dominance
-    queries with a couple of fused-slice sums and O(1) point updates,
-    with far smaller constants than BIT path walks.  The update/query
-    API mirrors :class:`_Fenwick2D` (1-based point ranks) so
-    :class:`OrderViolationIndex` treats the two interchangeably.
-    """
-
-    __slots__ = ("ga", "gb", "grid")
-
-    def __init__(self, ga: int, gb: int):
-        self.ga = ga
-        self.gb = gb
-        self.grid = np.zeros((ga, gb), dtype=np.int64)
-
-    def update(self, ra: int, rb: int, delta: int) -> None:
-        self.grid[ra - 1, rb - 1] += delta
-
-    def prefix(self, ra: int, rb: int) -> int:
-        return int(self.grid[:ra, :rb].sum())
-
-    def prefix_a_many(self, ras: np.ndarray, rb: int) -> np.ndarray:
-        per_a = self.grid[:, :rb].sum(axis=1)
-        cum = np.zeros(self.ga + 1, dtype=np.int64)
-        np.cumsum(per_a, out=cum[1:])
-        return cum[ras]
-
-    def prefix_b_many(self, ra: int, rbs: np.ndarray) -> np.ndarray:
-        per_b = self.grid[:ra, :].sum(axis=0)
-        cum = np.zeros(self.gb + 1, dtype=np.int64)
-        np.cumsum(per_b, out=cum[1:])
-        return cum[rbs]
-
-
-class _OrderGroup:
-    """The (A, B) points of one equality group.
-
-    Backed by capacity-doubling numpy buffers so that appends are O(1)
-    amortised and :meth:`arrays` is a zero-copy view — an eq-less order
-    DC has a single group covering the whole prefix, and rebuilding its
-    arrays per probe would be quadratic.
-
-    When the owning index was given value universes
-    (:meth:`OrderViolationIndex.provide_universe`), a group that grows
-    past ``_FENWICK_MIN_GROUP`` additionally maintains a
-    :class:`_Fenwick2D` over the compressed (A, B) ranks, turning each
-    probe from an O(group log group) sort into O(log group) tree walks.
-    A value outside the universe permanently reverts the group to the
-    scan path (``off_universe``) — counts stay exact either way.
-    """
-
-    __slots__ = ("_a", "_b", "_n", "fen", "off_universe")
-
-    def __init__(self):
-        self._a = None
-        self._b = None
-        self._n = 0
-        self.fen = None
-        self.off_universe = False
-
-    def arrays(self):
-        if self._a is None:
-            empty = np.empty(0, dtype=np.float64)
-            return empty, empty
-        return self._a[:self._n], self._b[:self._n]
-
-    @staticmethod
-    def _grow(buf: np.ndarray) -> np.ndarray:
-        out = np.empty(2 * buf.shape[0], dtype=buf.dtype)
-        out[:buf.shape[0]] = buf
-        return out
-
-    def add(self, a, b) -> None:
-        if self._a is None:
-            dtype_a = np.int64 if isinstance(a, (int, np.integer)) \
-                else np.float64
-            dtype_b = np.int64 if isinstance(b, (int, np.integer)) \
-                else np.float64
-            self._a = np.empty(8, dtype=dtype_a)
-            self._b = np.empty(8, dtype=dtype_b)
-        elif self._n == self._a.shape[0]:
-            self._a = self._grow(self._a)
-            self._b = self._grow(self._b)
-        self._a[self._n] = a
-        self._b[self._n] = b
-        self._n += 1
-
-    def remove(self, a, b) -> None:
-        # Multiset removal: drop one occurrence (swap-with-last + pop).
-        a_arr, b_arr = self.arrays()
-        hits = np.flatnonzero((a_arr == a) & (b_arr == b))
+    def remove(self, row: dict) -> None:
+        """Drop one occurrence of ``row`` (swap-with-last + pop)."""
+        hit = np.ones(self.n, dtype=bool)
+        for a, col in self.columns().items():
+            hit &= col == row[a]
+        hits = np.flatnonzero(hit)
         if hits.size == 0:
-            raise KeyError((a, b))
-        p = int(hits[-1])
-        last = self._n - 1
-        self._a[p] = self._a[last]
-        self._b[p] = self._b[last]
-        self._n = last
-
-    def __len__(self) -> int:
-        return self._n
+            raise KeyError(tuple(_item(v) for v in row.values()))
+        p, last = int(hits[-1]), self.n - 1
+        for buf in self._cols.values():
+            buf[p] = buf[last]
+        self.n = last
 
 
+# ----------------------------------------------------------------------
+# Conditional-order DCs (sort path)
+# ----------------------------------------------------------------------
 class OrderViolationIndex(ViolationIndex):
     """Sorted-structure index for ``not(E= and A> and B<)`` DCs.
 
@@ -842,7 +700,10 @@ class OrderViolationIndex(ViolationIndex):
     (A, B) points; a probe for candidates of one order attribute with
     the partner fixed splits the group into partner-below / partner-
     above halves, sorts the target values of each half once, and
-    answers every candidate with two binary searches.
+    answers every candidate with two binary searches.  This is the
+    index of repair, cleaning and unbounded value universes; the
+    sampler counts order DCs over known universes in a
+    :class:`GridViolationIndex`.
     """
 
     supports_candidates = True
@@ -854,109 +715,23 @@ class OrderViolationIndex(ViolationIndex):
         if shape is None:
             raise ValueError(f"DC {dc.name} is not conditional-order-shaped")
         self.eq_attrs, self.greater_attr, self.less_attr = shape
-        self._uni_a: np.ndarray | None = None
-        self._uni_b: np.ndarray | None = None
         self.reset()
 
     def reset(self) -> None:
-        self._groups: dict[tuple, _OrderGroup] = {}
+        self._groups: dict[tuple, _Points] = {}
         self._total = 0
         self._n = 0
-
-    def provide_universe(self, greater_values, less_values) -> bool:
-        """Enable Fenwick-backed groups over compressed value grids.
-
-        ``greater_values`` / ``less_values`` enumerate the values the
-        two order attributes can take (e.g. the sampler's snap grids or
-        a categorical code range).  When both universes are small enough
-        (``_MAX_FENWICK_CELLS``) and exactly representable as float64
-        ranks, groups past ``_FENWICK_MIN_GROUP`` points switch their
-        probes from the O(group log group) sort path to O(log group)
-        BIT walks.  Values outside the universe only revert the
-        affected group to the scan path — counts stay bit-identical in
-        every configuration.  Returns whether the universes were
-        accepted.
-        """
-        if greater_values is None or less_values is None:
-            return False
-        uni_a = np.unique(np.asarray(greater_values, dtype=np.float64))
-        uni_b = np.unique(np.asarray(less_values, dtype=np.float64))
-        if uni_a.size == 0 or uni_b.size == 0:
-            return False
-        if (uni_a.size + 1) * (uni_b.size + 1) > _MAX_FENWICK_CELLS:
-            return False
-        if (np.abs(uni_a) > _FENWICK_MAX_ABS).any() \
-                or (np.abs(uni_b) > _FENWICK_MAX_ABS).any():
-            return False
-        self._uni_a, self._uni_b = uni_a, uni_b
-        for group in self._groups.values():
-            self._build_fenwick(group)
-        return True
 
     def _key(self, row: dict) -> tuple:
         return tuple(_item(row[a]) for a in self.eq_attrs)
 
-    # -- Fenwick bookkeeping -------------------------------------------
-    def _rank_of(self, uni: np.ndarray, value) -> int | None:
-        """1-based universe rank of ``value``, or None if absent."""
-        pos = int(np.searchsorted(uni, value, side="left"))
-        if pos < uni.size and uni[pos] == value:
-            return pos + 1
-        return None
+    def _arrays(self, group: _Points):
+        cols = group.columns()
+        return cols[self.greater_attr], cols[self.less_attr]
 
-    def _build_fenwick(self, group: _OrderGroup) -> None:
-        if (self._uni_a is None or group.off_universe
-                or len(group) < _FENWICK_MIN_GROUP):
-            return
-        cls = (_DenseGrid
-               if self._uni_a.size * self._uni_b.size <= _DENSE_GRID_CELLS
-               else _Fenwick2D)
-        fen = cls(self._uni_a.size, self._uni_b.size)
-        a_arr, b_arr = group.arrays()
-        for a, b in zip(a_arr.tolist(), b_arr.tolist()):
-            ra = self._rank_of(self._uni_a, a)
-            rb = self._rank_of(self._uni_b, b)
-            if ra is None or rb is None:
-                group.off_universe = True
-                group.fen = None
-                return
-            fen.update(ra, rb, 1)
-        group.fen = fen
-
-    def _fenwick_update(self, group: _OrderGroup, a, b, delta: int) -> None:
-        if self._uni_a is None or group.off_universe:
-            return
-        if group.fen is None:
-            if delta > 0:
-                self._build_fenwick(group)
-            return
-        ra = self._rank_of(self._uni_a, a)
-        rb = self._rank_of(self._uni_b, b)
-        if ra is None or rb is None:
-            # Off-universe point: the tree can no longer answer probes
-            # for this group; fall back to the scan path permanently.
-            group.off_universe = True
-            group.fen = None
-            return
-        group.fen.update(ra, rb, delta)
-
-    def _discordant(self, group: _OrderGroup, a, b) -> int:
+    def _discordant(self, group: _Points, a, b) -> int:
         """Strictly discordant pairs between (a, b) and the group."""
-        fen = group.fen
-        if fen is not None:
-            uni_a, uni_b = self._uni_a, self._uni_b
-            ra_lt = int(np.searchsorted(uni_a, a, side="left"))
-            ra_le = int(np.searchsorted(uni_a, a, side="right"))
-            rb_lt = int(np.searchsorted(uni_b, b, side="left"))
-            rb_le = int(np.searchsorted(uni_b, b, side="right"))
-            if isinstance(fen, _DenseGrid):
-                m = fen.grid
-                return int(m[:ra_lt, rb_le:].sum()
-                           + m[ra_le:, :rb_lt].sum())
-            lo = fen.prefix(ra_lt, fen.gb) - fen.prefix(ra_lt, rb_le)
-            hi = fen.prefix(fen.ga, rb_lt) - fen.prefix(ra_le, rb_lt)
-            return lo + hi
-        a_arr, b_arr = group.arrays()
+        a_arr, b_arr = self._arrays(group)
         lo = int(np.count_nonzero((a_arr < a) & (b_arr > b)))
         hi = int(np.count_nonzero((a_arr > a) & (b_arr < b)))
         return lo + hi
@@ -967,28 +742,32 @@ class OrderViolationIndex(ViolationIndex):
     def remove_from(self, cols: dict, i: int) -> None:
         self._remove_row({a: cols[a][i] for a in self.dc.attributes})
 
+    def _point(self, row: dict) -> dict:
+        return {self.greater_attr: _item(row[self.greater_attr]),
+                self.less_attr: _item(row[self.less_attr])}
+
     def _add_row(self, row: dict) -> None:
         key = self._key(row)
         group = self._groups.get(key)
         if group is None:
-            group = _OrderGroup()
+            group = _Points()
             self._groups[key] = group
-        a = _item(row[self.greater_attr])
-        b = _item(row[self.less_attr])
-        self._total += self._discordant(group, a, b)
-        group.add(a, b)
-        self._fenwick_update(group, a, b, 1)
+        point = self._point(row)
+        if group.n:
+            self._total += self._discordant(
+                group, point[self.greater_attr], point[self.less_attr])
+        group.add(point)
         self._n += 1
 
     def _remove_row(self, row: dict) -> None:
         key = self._key(row)
         group = self._groups[key]
-        a = _item(row[self.greater_attr])
-        b = _item(row[self.less_attr])
-        group.remove(a, b)
-        self._fenwick_update(group, a, b, -1)
-        self._total -= self._discordant(group, a, b)
-        if not len(group):
+        point = self._point(row)
+        group.remove(point)
+        if group.n:
+            self._total -= self._discordant(
+                group, point[self.greater_attr], point[self.less_attr])
+        else:
             del self._groups[key]
         self._n -= 1
 
@@ -1020,11 +799,7 @@ class OrderViolationIndex(ViolationIndex):
         group = self._groups.get(self._key(row))
         if group is None:
             return np.zeros(d, dtype=np.int64)
-        if group.fen is not None:
-            partner = context[self.less_attr if target == self.greater_attr
-                              else self.greater_attr]
-            return self._fenwick_counts(group.fen, target, cands, partner)
-        a_arr, b_arr = group.arrays()
+        a_arr, b_arr = self._arrays(group)
 
         if target == self.greater_attr:
             partner = context[self.less_attr]
@@ -1043,137 +818,545 @@ class OrderViolationIndex(ViolationIndex):
                            - np.searchsorted(above_t, cands, side="right"))
         return counts.astype(np.int64)
 
-    def _fenwick_counts(self, fen: _Fenwick2D, target: str,
-                        cands: np.ndarray, partner) -> np.ndarray:
-        """O(log group) per-candidate discordance via the group's BIT.
-
-        Mirrors the sort-based probe exactly: candidates and the partner
-        value are located in the universes with binary search (arbitrary
-        probe values are fine — only *indexed* points must lie on the
-        universe), and the four strict dominance counts combine into the
-        discordant-pair totals.
-        """
-        uni_a, uni_b = self._uni_a, self._uni_b
-        c = np.asarray(cands, dtype=np.float64)
-        dense = fen.grid if isinstance(fen, _DenseGrid) else None
-        if target == self.greater_attr:
-            ra_lt = np.searchsorted(uni_a, c, side="left")
-            ra_le = np.searchsorted(uni_a, c, side="right")
-            rb_lt = int(np.searchsorted(uni_b, partner, side="left"))
-            rb_le = int(np.searchsorted(uni_b, partner, side="right"))
-            if dense is not None:
-                # #(a<c & b>p) via a cumsum over "b above" per a-rank,
-                # #(a>c & b<p) via the suffix of "b below" per a-rank.
-                hi_per_a = dense[:, rb_le:].sum(axis=1)
-                lo_per_a = dense[:, :rb_lt].sum(axis=1)
-                cum_hi = np.zeros(fen.ga + 1, dtype=np.int64)
-                np.cumsum(hi_per_a, out=cum_hi[1:])
-                cum_lo = np.zeros(fen.ga + 1, dtype=np.int64)
-                np.cumsum(lo_per_a, out=cum_lo[1:])
-                return cum_hi[ra_lt] + (cum_lo[fen.ga] - cum_lo[ra_le])
-            below = (fen.prefix_a_many(ra_lt, fen.gb)
-                     - fen.prefix_a_many(ra_lt, rb_le))
-            above = (fen.prefix(fen.ga, rb_lt)
-                     - fen.prefix_a_many(ra_le, rb_lt))
-        else:
-            rb_lt = np.searchsorted(uni_b, c, side="left")
-            rb_le = np.searchsorted(uni_b, c, side="right")
-            ra_lt = int(np.searchsorted(uni_a, partner, side="left"))
-            ra_le = int(np.searchsorted(uni_a, partner, side="right"))
-            if dense is not None:
-                hi_per_b = dense[ra_le:, :].sum(axis=0)
-                lo_per_b = dense[:ra_lt, :].sum(axis=0)
-                cum_hi = np.zeros(fen.gb + 1, dtype=np.int64)
-                np.cumsum(hi_per_b, out=cum_hi[1:])
-                cum_lo = np.zeros(fen.gb + 1, dtype=np.int64)
-                np.cumsum(lo_per_b, out=cum_lo[1:])
-                return cum_hi[rb_lt] + (cum_lo[fen.gb] - cum_lo[rb_le])
-            below = (fen.prefix_b_many(fen.ga, rb_lt)
-                     - fen.prefix_b_many(ra_le, rb_lt))
-            above = (fen.prefix(ra_lt, fen.gb)
-                     - fen.prefix_b_many(ra_lt, rb_le))
-        return (below + above).astype(np.int64)
-
     def group_points(self, key_row: dict):
         """The indexed (A, B) point arrays of ``key_row``'s equality
         group, or None if the group is empty (views — do not mutate)."""
         group = self._groups.get(self._key(key_row))
         if group is None:
             return None
-        return group.arrays()
+        return self._arrays(group)
 
-    def group_profile(self, key_row: dict, target: str, partner_value,
-                      limit: int):
-        """Hard-DC candidate hints for ``target`` given a fixed partner.
 
-        Returns ``(matching, below_max, above_min)`` where ``matching``
-        is the first ``limit`` sorted distinct target values of group
-        rows whose partner equals ``partner_value`` (always violation-
-        free against those rows), and ``below_max`` / ``above_min`` are
-        the feasible-interval endpoints over rows with partner strictly
-        below / above (None when the half is empty).  Exact mirror of
-        the prefix scans in the sampler's ``_consistent_values`` /
-        ``_order_interval``; returns None when the group has no Fenwick
-        (the caller scans the group arrays instead).
-        """
-        group = self._groups.get(self._key(key_row))
-        if group is None:
-            return [], None, None
-        fen = group.fen
-        if fen is None:
+# ----------------------------------------------------------------------
+# Value-grid count tables (order and generic binary DCs)
+# ----------------------------------------------------------------------
+#: Group size at which a group builds its count tables (smaller groups
+#: answer probes faster from their point arrays).
+_GRID_MIN_GROUP = 8
+#: Largest value grid (cells) a DC gets count tables over; larger ones
+#: stay on :func:`build_index`'s indexes.  Two int64 tables per group.
+MAX_GRID_CELLS = 1 << 16
+#: Universe values beyond this magnitude are not exact as float64.
+_GRID_MAX_ABS = float(2 ** 52)
+#: Cells whose fold indexers an index keeps (the cache restarts when
+#: full), bounding its memory on large grids.
+_REGION_CACHE_CELLS = 4096
+
+
+def _grid_layout(dc: DenialConstraint) -> tuple[tuple, tuple] | None:
+    """``(eq_attrs, axes)`` of a DC the value grid can count, or None.
+
+    The DC must be binary, not FD-shaped (FDs have their own indexes),
+    and every predicate must read a single attribute (``ti.A op tj.A``
+    or ``ti.A op c``).  Attributes that appear only in ``ti.E = tj.E``
+    predicates key the groups; the others span the grid.
+    """
+    if dc.is_unary or dc.as_fd() is not None:
+        return None
+    eq_attrs, axes = set(), set()
+    for p in dc.predicates:
+        if len(p.attributes) != 1:
             return None
-        if isinstance(fen, _DenseGrid):
-            if target == self.greater_attr:
-                uni = self._uni_a
-                rb_lt = int(np.searchsorted(self._uni_b, partner_value,
-                                            "left"))
-                rb_le = int(np.searchsorted(self._uni_b, partner_value,
-                                            "right"))
-                eq_counts = fen.grid[:, rb_lt:rb_le].sum(axis=1)
-                below_counts = fen.grid[:, :rb_lt].sum(axis=1)
-                above_counts = fen.grid[:, rb_le:].sum(axis=1)
-            else:
-                uni = self._uni_b
-                ra_lt = int(np.searchsorted(self._uni_a, partner_value,
-                                            "left"))
-                ra_le = int(np.searchsorted(self._uni_a, partner_value,
-                                            "right"))
-                eq_counts = fen.grid[ra_lt:ra_le, :].sum(axis=0)
-                below_counts = fen.grid[:ra_lt, :].sum(axis=0)
-                above_counts = fen.grid[ra_le:, :].sum(axis=0)
-            matching = uni[np.flatnonzero(eq_counts)[:limit]].tolist()
-            below = np.flatnonzero(below_counts)
-            above = np.flatnonzero(above_counts)
-            below_max = float(uni[below[-1]]) if below.size else None
-            above_min = float(uni[above[0]]) if above.size else None
-            return matching, below_max, above_min
-        if target == self.greater_attr:
-            uni, size = self._uni_a, fen.ga
-            rb_lt = int(np.searchsorted(self._uni_b, partner_value, "left"))
-            rb_le = int(np.searchsorted(self._uni_b, partner_value, "right"))
-            ranks = np.arange(1, size + 1)
-            le = fen.prefix_a_many(ranks, rb_le)
-            lt = fen.prefix_a_many(ranks, rb_lt)
-            full = fen.prefix_a_many(ranks, fen.gb)
+        (attr,) = p.attributes
+        if (not p.is_constant and p.op is Operator.EQ
+                and p.lhs_var != p.rhs_var):
+            eq_attrs.add(attr)
         else:
-            uni, size = self._uni_b, fen.gb
-            ra_lt = int(np.searchsorted(self._uni_a, partner_value, "left"))
-            ra_le = int(np.searchsorted(self._uni_a, partner_value, "right"))
-            ranks = np.arange(1, size + 1)
-            le = fen.prefix_b_many(ra_le, ranks)
-            lt = fen.prefix_b_many(ra_lt, ranks)
-            full = fen.prefix_b_many(fen.ga, ranks)
-        zero = np.zeros(1, dtype=np.int64)
-        eq_counts = np.diff(np.concatenate([zero, le - lt]))
-        below_counts = np.diff(np.concatenate([zero, lt]))
-        above_counts = np.diff(np.concatenate([zero, full - le]))
-        matching = uni[np.flatnonzero(eq_counts > 0)[:limit]].tolist()
-        below = np.flatnonzero(below_counts > 0)
-        above = np.flatnonzero(above_counts > 0)
-        below_max = float(uni[below[-1]]) if below.size else None
-        above_min = float(uni[above[0]]) if above.size else None
-        return matching, below_max, above_min
+            axes.add(attr)
+    eq_attrs = tuple(sorted(eq_attrs - axes))
+    order = dc.as_conditional_order()
+    if not axes or (order is not None
+                    and (tuple(order[0]) != eq_attrs
+                         or axes != {order[1], order[2]}
+                         or order[1] == order[2])):
+        # (An order shape whose group key or order pair differs from the
+        # grid's would split the sampler's interval scans differently.)
+        return None
+    return eq_attrs, tuple(sorted(axes))
 
+
+def _indexer(mask: np.ndarray):
+    """A mask's true positions as a slice when contiguous, else an
+    index array; None when there are none."""
+    hits = np.flatnonzero(mask)
+    if hits.size == 0:
+        return None
+    lo, hi = int(hits[0]), int(hits[-1]) + 1
+    return slice(lo, hi) if hi - lo == hits.size else hits
+
+
+class _GridGroup:
+    """One equality group of a :class:`GridViolationIndex`.
+
+    The group starts on point arrays; at ``_GRID_MIN_GROUP`` tuples, all
+    on the universe, it switches to the ``hist``/``pen`` tables.  A value
+    off the universe puts it back on point arrays, rebuilt from
+    ``hist``, for good.  Order-shape tables also keep ``ends``: for each
+    axis ``t`` and each rank ``r`` of the other axis, the smallest and
+    largest axis-``t`` rank among the tuples at ``r`` (the interval
+    endpoints of :meth:`GridViolationIndex.hint_values`).
+    """
+
+    __slots__ = ("n", "points", "hist", "pen", "ends", "off_universe")
+
+    def __init__(self):
+        self.n = 0
+        self.points: _Points | None = _Points()
+        self.hist: np.ndarray | None = None
+        self.pen: np.ndarray | None = None
+        self.ends: tuple | None = None
+        self.off_universe = False
+
+
+class GridViolationIndex(ViolationIndex):
+    """Count tables over a binary DC's value grid, one per equality group.
+
+    Covers the conditional-order shape ``not(E= and A> and B<)`` and
+    generic binary DCs alike, as long as every predicate reads one
+    attribute.  The attributes outside the equality predicates (the
+    *axes*) take their values from known universes — the sampler's code
+    ranges and snap grids — and per equality group the index keeps two
+    int64 arrays over the product of those universes:
+
+    * ``hist[c]`` counts the indexed tuples in cell ``c``;
+    * ``pen[c]`` counts the violations a tuple in cell ``c`` would add
+      against the group, in either orientation.
+
+    Appending a tuple in cell ``c0`` adds ``pen[c0]`` to the total and
+    its violation region to ``pen``.  Each predicate constrains one
+    attribute of the new tuple, so the region of each orientation is a
+    product of per-axis masks, and their union is ``I + J - (I and J)``
+    with ``I and J`` a product too.  For the order shape ``I and J`` is
+    empty and ``I``, ``J`` are rectangles: a fold is two slice adds.
+    Removal subtracts.  A probe is one gather of ``pen`` along the
+    target's axis at the row's other ranks.
+
+    Groups below ``_GRID_MIN_GROUP`` tuples, and groups that ever index
+    a value off the universe, count from their point arrays with the
+    scan engine.  Every count is the scan engine's, exactly.
+    """
+
+    supports_candidates = True
+    supports_removal = True
+
+    def __init__(self, dc: DenialConstraint, universes: dict):
+        super().__init__(dc)
+        layout = _grid_layout(dc)
+        if layout is None:
+            raise ValueError(f"DC {dc.name} has no value-grid layout")
+        self.eq_attrs, self.axes = layout
+        #: Sorted-distinct universe per axis, and value -> rank maps.
+        self._values = [np.unique(np.asarray(universes[a], dtype=np.float64))
+                        for a in self.axes]
+        self._ranks = [{v: r for r, v in enumerate(values.tolist())}
+                       for values in self._values]
+        self._value_lists = [values.tolist() for values in self._values]
+        self._shape = tuple(values.shape[0] for values in self._values)
+        self._terms = self._region_terms()
+        shape = dc.as_conditional_order()
+        #: ``(greater_attr, less_attr)`` for the order shape, else None.
+        self.order = shape[1:] if shape is not None else None
+        self.reset()
+
+    def reset(self) -> None:
+        self._groups: dict[tuple, _GridGroup] = {}
+        self._regions: dict[tuple, list] = {}
+        self._total = 0
+        self._n = 0
+
+    def _region_terms(self) -> list:
+        """The terms of a tuple's violation region — new tuple as ``ti``
+        (+1), as ``tj`` (+1), as both (-1) — that are not empty for every
+        tuple.  Each holds, per axis and per old rank, the new ranks the
+        axis' predicates admit as an :func:`_indexer` (None when empty)."""
+        by_axis = {a: [] for a in self.axes}
+        for p in self.dc.predicates:
+            (attr,) = p.attributes
+            if attr in by_axis:
+                by_axis[attr].append(p)
+        pieces = ([], [], [])
+        for attr, values in zip(self.axes, self._values):
+            m = values.shape[0]
+            mats = []
+            for new in (TUPLE_I, TUPLE_J):
+                def value_of(var, _attr, new=new):
+                    return values[None, :] if var == new else values[:, None]
+                mat = np.ones((m, m), dtype=bool)       # [old, new]
+                for p in by_axis[attr]:
+                    mat &= np.broadcast_to(p.evaluate(value_of), (m, m))
+                mats.append(mat)
+            mats.append(mats[0] & mats[1])
+            for term, mat in zip(pieces, mats):
+                term.append([_indexer(row) for row in mat])
+        return [(sign, term) for sign, term in zip((1, 1, -1), pieces)
+                if not any(all(p is None for p in axis) for axis in term)]
+
+    # -- cells ---------------------------------------------------------
+    def _key(self, row: dict) -> tuple:
+        if not self.eq_attrs:
+            return ()
+        return tuple(_item(row[a]) for a in self.eq_attrs)
+
+    def _cell(self, row: dict) -> tuple | None:
+        """``row``'s grid ranks, or None when a value is off the grid."""
+        cell = []
+        for attr, ranks in zip(self.axes, self._ranks):
+            r = ranks.get(row[attr])
+            if r is None:
+                return None
+            cell.append(r)
+        return tuple(cell)
+
+    def _region(self, cell: tuple) -> list:
+        """``(pen index, sign)`` of each non-empty term of the violation
+        region of a tuple in ``cell``."""
+        region = self._regions.get(cell)
+        if region is not None:
+            return region
+        region = []
+        for sign, term in self._terms:
+            idx = [per_rank[r] for per_rank, r in zip(term, cell)]
+            if any(p is None for p in idx):
+                continue
+            if sum(isinstance(p, np.ndarray) for p in idx) > 1:
+                # Two index arrays would pair up, not span a product.
+                idx = np.ix_(*[np.arange(p.start, p.stop)
+                               if isinstance(p, slice) else p
+                               for p in idx])
+            region.append((tuple(idx), sign))
+        if len(self._regions) >= _REGION_CACHE_CELLS:
+            self._regions.clear()
+        self._regions[cell] = region
+        return region
+
+    def _fold(self, group: _GridGroup, cell: tuple, delta: int) -> None:
+        """Add (``delta=1``) or remove (``-1``) one tuple in ``cell``."""
+        pen = group.pen
+        for idx, sign in self._region(cell):
+            pen[idx] += sign * delta
+        group.hist[cell] += delta
+        if group.ends is not None:
+            self._update_ends(group, cell, delta)
+
+    def _update_ends(self, group: _GridGroup, cell: tuple,
+                     delta: int) -> None:
+        hist = group.hist
+        for t, (lo, hi) in enumerate(group.ends):
+            r, other = cell[t], cell[1 - t]
+            if delta > 0:
+                if r < lo[other]:
+                    lo[other] = r
+                if r > hi[other]:
+                    hi[other] = r
+            elif not hist[cell]:
+                line = np.flatnonzero(hist[:, other] if t == 0
+                                      else hist[other])
+                lo[other] = int(line[0]) if line.size else self._shape[t]
+                hi[other] = int(line[-1]) if line.size else -1
+
+    def _hist_columns(self, group: _GridGroup, key: tuple) -> dict:
+        """A table group's tuples as point columns (order is immaterial
+        to every count)."""
+        occupied = np.nonzero(group.hist)
+        counts = group.hist[occupied]
+        cols = {a: np.repeat(values[ranks], counts)
+                for a, values, ranks in zip(self.axes, self._values,
+                                            occupied)}
+        for a, v in zip(self.eq_attrs, key):
+            cols[a] = np.full(group.n, v)
+        return cols
+
+    def _to_table(self, group: _GridGroup) -> None:
+        cols = group.points.columns()
+        group.hist = np.zeros(self._shape, dtype=np.int64)
+        group.pen = np.zeros(self._shape, dtype=np.int64)
+        if self.order is not None:
+            m0, m1 = self._shape
+            group.ends = (([m0] * m1, [-1] * m1), ([m1] * m0, [-1] * m0))
+        ranks = [np.searchsorted(values, cols[a]).tolist()
+                 for a, values in zip(self.axes, self._values)]
+        for cell in zip(*ranks):
+            self._fold(group, cell, 1)
+        group.points = None
+
+    def _to_points(self, group: _GridGroup, key: tuple) -> None:
+        group.points = _Points(self._hist_columns(group, key))
+        group.hist = group.pen = group.ends = None
+        group.off_universe = True
+
+    # -- multiset updates ----------------------------------------------
+    def append_from(self, cols: dict, i: int) -> None:
+        self._add_row({a: cols[a][i] for a in self.dc.attributes})
+
+    def remove_from(self, cols: dict, i: int) -> None:
+        self._remove_row({a: cols[a][i] for a in self.dc.attributes})
+
+    def _add_row(self, row: dict) -> None:
+        key = self._key(row)
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = _GridGroup()
+        cell = self._cell(row)
+        if group.pen is not None and cell is None:
+            self._to_points(group, key)
+        if group.pen is not None:
+            self._total += int(group.pen[cell])
+            self._fold(group, cell, 1)
+        else:
+            points = group.points
+            if points.n:
+                self._total += int(multi_candidate_violation_counts(
+                    self.dc, None, row, points.columns())[0])
+            points.add(row)
+            group.off_universe |= cell is None
+            if not group.off_universe and points.n >= _GRID_MIN_GROUP:
+                self._to_table(group)
+        group.n += 1
+        self._n += 1
+
+    def _remove_row(self, row: dict) -> None:
+        key = self._key(row)
+        group = self._groups[key]
+        if group.pen is not None:
+            cell = self._cell(row)
+            if cell is None or not group.hist[cell]:
+                raise KeyError(tuple(_item(v) for v in row.values()))
+            self._fold(group, cell, -1)
+            self._total -= int(group.pen[cell])
+        else:
+            group.points.remove(row)
+            self._total -= int(multi_candidate_violation_counts(
+                self.dc, None, row, group.points.columns())[0])
+        group.n -= 1
+        if not group.n:
+            del self._groups[key]
+        self._n -= 1
+
+    def total(self) -> int:
+        return self._total
+
+    def __len__(self) -> int:
+        return self._n
+
+    # -- probes --------------------------------------------------------
+    def _probe_index(self, target_values: dict, context: dict):
+        """The ``pen`` index of a probe — rank arrays on the target
+        axes, ranks elsewhere — or None when a value is off the grid."""
+        idx = []
+        for attr, values, ranks in zip(self.axes, self._values,
+                                       self._ranks):
+            cands = target_values.get(attr)
+            if cands is None:
+                r = ranks.get(context[attr])
+                if r is None:
+                    return None
+            else:
+                # A rank past the end clips onto a different value.
+                r = values.searchsorted(cands)
+                if not (values.take(r, mode="clip") == cands).all():
+                    return None
+            idx.append(r)
+        return tuple(idx)
+
+    def _counts(self, target_values: dict, context: dict) -> np.ndarray:
+        d = (next(iter(target_values.values())).shape[0]
+             if target_values else 1)
+        if any(a in target_values for a in self.eq_attrs):
+            return self._counts_by_key(target_values, context, d)
+        key = self._key(context)
+        group = self._groups.get(key)
+        if group is None:
+            return np.zeros(d, dtype=np.int64)
+        if group.pen is not None:
+            idx = self._probe_index(target_values, context)
+            if idx is not None:
+                counts = group.pen[idx]
+                return counts if target_values else np.array([counts])
+            cols = self._hist_columns(group, key)
+        else:
+            cols = group.points.columns()
+        return multi_candidate_violation_counts(
+            self.dc, target_values or None, context, cols)
+
+    def _counts_by_key(self, target_values: dict, context: dict,
+                       d: int) -> np.ndarray:
+        """Candidates that move the tuple between groups: probe each
+        group's candidates on their own."""
+        keys = zip(*[target_values[a].tolist() if a in target_values
+                     else [_item(context[a])] * d for a in self.eq_attrs])
+        by_key: dict[tuple, list] = {}
+        for c, key in enumerate(keys):
+            by_key.setdefault(key, []).append(c)
+        out = np.empty(d, dtype=np.int64)
+        for key, sel in by_key.items():
+            ctx = dict(context)
+            ctx.update(zip(self.eq_attrs, key))
+            tv = {a: v[sel] for a, v in target_values.items()
+                  if a not in self.eq_attrs}
+            out[sel] = self._counts(tv, ctx)
+        return out
+
+    def candidate_counts(self, target_values: dict | None,
+                         context: dict) -> np.ndarray:
+        self._bump("candidate_counts")
+        return self._counts(target_values or {}, context)
+
+    def probe_many(self, target_values, contexts) -> np.ndarray:
+        """Batched probe: the rank lookup of every row's candidates is
+        one vectorized search, then each row is one gather from its
+        group's ``pen``."""
+        self._bump("probe_many")
+        if not contexts:
+            return np.zeros((0, 0), dtype=np.int64)
+        tvs = ([target_values] * len(contexts)
+               if isinstance(target_values, dict) else target_values)
+        attrs = tuple(tvs[0])
+        if (len(attrs) != 1 or attrs[0] not in self.axes
+                or any(tuple(tv) != attrs for tv in tvs)):
+            return np.vstack([self._counts(tv, context)
+                              for tv, context in zip(tvs, contexts)])
+        k = self.axes.index(attrs[0])
+        values = self._values[k]
+        cands = np.vstack([tv[attrs[0]] for tv in tvs])
+        ranks = values.searchsorted(cands)
+        on_grid = (values.take(ranks, mode="clip") == cands).all(axis=1)
+        out = np.empty(cands.shape, dtype=np.int64)
+        for r, (context, ok) in enumerate(zip(contexts, on_grid.tolist())):
+            counts = self._gather(context, k, ranks[r]) if ok else None
+            out[r] = (self._counts(tvs[r], context) if counts is None
+                      else counts)
+        return out
+
+    def _gather(self, context: dict, k: int, ranks: np.ndarray):
+        """``pen`` along axis ``k`` at ``ranks`` for the row ``context``
+        (zeros for an empty group), or None when the row's group counts
+        from point arrays or a context value is off the grid."""
+        group = self._groups.get(self._key(context))
+        if group is None:
+            return 0
+        if group.pen is None:
+            return None
+        cell = []
+        for j, (attr, rank_of) in enumerate(zip(self.axes, self._ranks)):
+            r = ranks if j == k else rank_of.get(context[attr])
+            if r is None:
+                return None
+            cell.append(r)
+        return group.pen[tuple(cell)]
+
+    # -- hard-DC candidate hints ---------------------------------------
+    def hint_values(self, target: str, row: dict, limit: int) -> list:
+        """Zero-violation candidate values for ``target`` given ``row``.
+
+        The first ``limit`` sorted distinct target values of indexed
+        rows agreeing with ``row`` on every other attribute of the DC
+        (always violation-free against those rows), then — for the
+        order shape — the feasible-interval endpoints: the largest
+        target value of the group's rows with partner below ``row``'s,
+        and the smallest with partner above.  The exact answers of the
+        sampler's prefix scans (``_consistent_values``,
+        ``_order_interval``), from ``hist`` when the group has tables.
+        """
+        if target in self.eq_attrs:
+            return self._matched_keys(target, row, limit)
+        key = self._key(row)
+        group = self._groups.get(key)
+        if group is None:
+            return []
+        partner = None
+        if self.order is not None and target in self.order:
+            partner = self.order[1] if target == self.order[0] \
+                else self.order[0]
+        if group.pen is None:
+            cols = group.points.columns()
+            mask = np.ones(group.n, dtype=bool)
+            for a in self.axes:
+                if a != target:
+                    mask &= cols[a] == row[a]
+            out = np.unique(cols[target][mask])[:limit].tolist()
+            if partner is not None:
+                t_vals, p_vals = cols[target], cols[partner]
+                below = t_vals[p_vals < row[partner]]
+                above = t_vals[p_vals > row[partner]]
+                if below.size:
+                    out.append(float(below.max()))
+                if above.size:
+                    out.append(float(above.min()))
+            return out
+        k = self.axes.index(target)
+        values = self._value_lists[k]
+        idx = [slice(None) if a == target else rank_of.get(row[a])
+               for a, rank_of in zip(self.axes, self._ranks)]
+        out = [] if None in idx else [
+            values[r] for r in
+            np.flatnonzero(group.hist[tuple(idx)])[:limit].tolist()]
+        if partner is not None:
+            r = idx[1 - k]
+            if r is None:
+                lt = le = int(np.searchsorted(self._values[1 - k],
+                                              row[partner]))
+            else:
+                lt, le = r, r + 1
+            lo, hi = group.ends[k]
+            below = max(hi[:lt], default=-1)
+            above = min(lo[le:], default=len(values))
+            if below >= 0:
+                out.append(values[below])
+            if above < len(values):
+                out.append(values[above])
+        return out
+
+    def _matched_keys(self, target: str, row: dict, limit: int) -> list:
+        """:meth:`hint_values` for an equality attribute: the values it
+        takes in groups holding a tuple that agrees with ``row`` on
+        every other attribute."""
+        pos = self.eq_attrs.index(target)
+        others = [(q, _item(row[a])) for q, a in enumerate(self.eq_attrs)
+                  if a != target]
+        cell = self._cell(row)
+        found = set()
+        for key, group in self._groups.items():
+            if any(key[q] != v for q, v in others):
+                continue
+            if group.pen is not None:
+                hit = cell is not None and group.hist[cell] > 0
+            else:
+                cols = group.points.columns()
+                mask = np.ones(group.n, dtype=bool)
+                for a in self.axes:
+                    mask &= cols[a] == row[a]
+                hit = bool(mask.any())
+            if hit:
+                found.add(key[pos])
+        return sorted(found)[:limit]
+
+
+def build_grid_index(dc: DenialConstraint,
+                     universe_of) -> GridViolationIndex | None:
+    """A :class:`GridViolationIndex` for ``dc``, or None.
+
+    ``universe_of(attr)`` returns every value ``attr`` can take (codes
+    for categoricals, the snap grid for DC numericals) or None.  The DC
+    qualifies when it has a value-grid layout (:func:`_grid_layout`) and
+    its axes' universes are known, exact as float64 and span at most
+    :data:`MAX_GRID_CELLS` cells.
+    """
+    layout = _grid_layout(dc)
+    if layout is None:
+        return None
+    universes, cells = {}, 1
+    for attr in layout[1]:
+        values = universe_of(attr)
+        if values is None:
+            return None
+        values = np.unique(np.asarray(values, dtype=np.float64))
+        if values.size == 0 or (np.abs(values) > _GRID_MAX_ABS).any():
+            return None
+        universes[attr] = values
+        cells *= values.size
+    if cells > MAX_GRID_CELLS:
+        return None
+    return GridViolationIndex(dc, universes)
 
 # ----------------------------------------------------------------------
 # Unary DCs

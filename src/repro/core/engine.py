@@ -97,7 +97,9 @@ from repro.core.sampling import (
     _record_fd,
     synthesize as _synthesize_row,
 )
-from repro.constraints.index import ArrayFDViolationIndex, FDViolationIndex
+from repro.constraints.index import (
+    MAX_GRID_CELLS, ArrayFDViolationIndex, FDViolationIndex,
+)
 from repro.constraints.violations import multi_candidate_violation_counts
 from repro.schema.table import Table
 
@@ -714,8 +716,9 @@ class _ColumnPass:
             raise PrefixScanRequired(
                 f"DC {dc.name!r} needs a prefix scan at column "
                 f"{self.w!r}; streaming draws require an index-served "
-                f"probe path (use_violation_index=True and an "
-                f"FD/order-shaped DC)")
+                f"probe path (use_violation_index=True, and a DC whose "
+                f"predicates each compare one attribute over a value "
+                f"grid of at most {MAX_GRID_CELLS} cells)")
 
     def _fd_block_counts(self, dc, tattrs: tuple, rows: np.ndarray,
                          target_values: dict) -> np.ndarray | None:

@@ -101,6 +101,10 @@ def _resolve_workers(workers: int, engine: str, pool: str) -> int:
     return os.cpu_count() or 1
 
 
+class ConfigError(ValueError):
+    """A :class:`KaminoConfig` field out of its valid range."""
+
+
 @dataclass(frozen=True)
 class KaminoConfig:
     """Every knob of the pipeline, validated once, immutable thereafter.
@@ -199,6 +203,12 @@ class KaminoConfig:
     stream_chunk_rows: int = 65536
 
     def __post_init__(self):
+        try:
+            self._validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def _validate(self) -> None:
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "delta", float(self.delta))
         if not self.epsilon > 0:

@@ -51,8 +51,8 @@ import numpy as np
 
 from repro.constraints.fd import FDIndex, extract_fds
 from repro.constraints.index import (
-    FDViolationIndex, OrderViolationIndex, ViolationIndex,
-    build_fd_table_index, build_index,
+    FDViolationIndex, GridViolationIndex, OrderViolationIndex,
+    ViolationIndex, build_fd_table_index, build_grid_index, build_index,
 )
 from repro.constraints.violations import multi_candidate_violation_counts
 from repro.core.hyper import HyperSpec
@@ -271,10 +271,11 @@ class _ColumnSampler:
         When a violation index covering the prefix is available it
         replaces the scan exactly: an FD determinant group (or its
         reverse histogram lookup when the target sits *inside* the
-        determinant) and an order group's point arrays yield the same
-        sorted-distinct sets as ``np.unique`` over the prefix.  In
-        ``strict`` mode (streaming — the prefix arrays are gone) a DC
-        with no index-served path raises :class:`PrefixScanRequired`.
+        determinant), a value-grid group's ``hist`` and an order
+        group's point arrays yield the same sorted-distinct sets as
+        ``np.unique`` over the prefix.  In ``strict`` mode (streaming —
+        the prefix arrays are gone) a DC with no index-served path
+        raises :class:`PrefixScanRequired`.
         ``prefix_rows`` is the number of rows already sampled *globally*
         when it differs from ``i`` (chunked draws).
         """
@@ -287,26 +288,18 @@ class _ColumnSampler:
             if not others or hist == 0:
                 continue
             index = indexes.get(dc.name) if indexes else None
+            if isinstance(index, GridViolationIndex):
+                # The matched values and (order shape) the interval
+                # endpoints, identical to the scans below.
+                values.extend(index.hint_values(
+                    target, {a: cols[a][i] for a in dc.attributes}, limit))
+                continue
             matched: list | None = None
             if (isinstance(index, OrderViolationIndex)
                     and target in (index.greater_attr, index.less_attr)):
                 partner = (index.less_attr
                            if target == index.greater_attr
                            else index.greater_attr)
-                profile = index.group_profile(
-                    {a: cols[a][i] for a in index.eq_attrs}, target,
-                    cols[partner][i], limit)
-                if profile is not None:
-                    # Fenwick-backed group: the equality-matched values
-                    # and the feasible-interval endpoints in O(log g),
-                    # identical to the scans below.
-                    matching, below_max, above_min = profile
-                    values.extend(matching)
-                    if below_max is not None:
-                        values.append(below_max)
-                    if above_min is not None:
-                        values.append(above_min)
-                    continue
                 points = index.group_points(
                     {a: cols[a][i] for a in index.eq_attrs})
                 if points is None:
@@ -528,11 +521,14 @@ class _ColumnSampler:
                               ) -> dict[str, ViolationIndex]:
         """Fresh (empty) incremental indexes for the DCs active at ``j``.
 
-        Only shapes with a group-structured probe are indexed (FD and
-        conditional-order DCs): unary probes are already O(d) without a
-        prefix, and generic binary probes have no exploitable structure.
-        ``removable`` additionally requires remove support (the MCMC
-        all-but-one conditional).
+        Only shapes with a probe are indexed: unary probes are already
+        O(d) without a prefix.  FDs between two categoricals count in a
+        dense code table, other binary DCs whose predicates each read
+        one attribute in value-grid tables over the attributes' known
+        universes (:meth:`value_universe`); the rest keep the FD, order
+        and generic indexes of :func:`build_index`.  ``removable``
+        additionally requires remove support (the MCMC all-but-one
+        conditional).
         """
         if not self.use_violation_index:
             return {}
@@ -540,24 +536,16 @@ class _ColumnSampler:
         for dc in self.active_at[j]:
             if dc.is_unary:
                 continue
-            # FDs between two categoricals count in a dense code table;
-            # the rest keep the dict-backed group index.
             index = build_fd_table_index(dc, self.code_sizes,
                                          target=self.wseq[j])
+            if index is None:
+                index = build_grid_index(dc, self.value_universe)
             if index is None:
                 index = build_index(dc)
             if not index.supports_candidates:
                 continue
             if removable and not index.supports_removal:
                 continue
-            if isinstance(index, OrderViolationIndex):
-                # Fenwick-backed order groups: the sampler knows both
-                # order attributes' value grids up front (snap grids /
-                # code ranges), which is exactly the compressed universe
-                # the O(log group) probe path needs.
-                index.provide_universe(
-                    self.value_universe(index.greater_attr),
-                    self.value_universe(index.less_attr))
             out[dc.name] = index
         return out
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constraints.dc import DenialConstraint
-from repro.constraints.parser import parse_dc
+from repro.constraints.parser import DCParseError, parse_dc
 from repro.constraints.predicate import CONST, Operator, Predicate
 
 #: Operators rendered with their parser spelling (EQ prints as ``==``
@@ -93,19 +93,24 @@ def load_dcs(path: str, relation=None) -> list[DenialConstraint]:
                 continue
             head, sep, body = line.partition(":")
             if not sep:
-                raise ValueError(
+                raise DCParseError(
                     f"{path}:{lineno}: expected 'name hard|soft: not(...)'"
                 )
             parts = head.split()
             if len(parts) != 2 or parts[1] not in ("hard", "soft"):
-                raise ValueError(
+                raise DCParseError(
                     f"{path}:{lineno}: bad header {head!r}; expected "
                     f"'name hard' or 'name soft'"
                 )
             name, hardness = parts
             if name in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate DC name {name!r}")
+                raise DCParseError(
+                    f"{path}:{lineno}: duplicate DC name {name!r}")
             seen.add(name)
-            out.append(parse_dc(body.strip(), name=name,
-                                hard=hardness == "hard", relation=relation))
+            try:
+                out.append(parse_dc(body.strip(), name=name,
+                                    hard=hardness == "hard",
+                                    relation=relation))
+            except DCParseError as exc:
+                raise DCParseError(f"{path}:{lineno}: {exc}") from None
     return out

@@ -39,14 +39,18 @@ class Attention(Module):
                               name=f"{name}.proj")
         self._cache = None
 
-    def forward(self, context: np.ndarray) -> np.ndarray:
-        """``context``: (batch, m, d) -> context vector (batch, d)."""
+    def forward(self, context: np.ndarray, cache: bool = True) -> np.ndarray:
+        """``context``: (batch, m, d) -> context vector (batch, d).
+
+        ``cache=False`` (inference) keeps none of the batch arrays that
+        :meth:`backward` and :meth:`last_weights` read."""
         scale = 1.0 / np.sqrt(self.dim)
         scores = context @ self.query.value * scale          # (B, m)
         alpha = softmax(scores, axis=1)                      # (B, m)
         projected = context @ self.proj.value                # (B, m, d)
         ctx = np.einsum("bm,bmd->bd", alpha, projected)      # (B, d)
-        self._cache = (context, alpha, projected, scale)
+        if cache:
+            self._cache = (context, alpha, projected, scale)
         return ctx
 
     def last_weights(self) -> np.ndarray:

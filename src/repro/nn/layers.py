@@ -1,11 +1,12 @@
 """Layers with manual forward/backward and per-sample gradients.
 
-Every layer caches its forward inputs and implements
-``backward(grad_out, per_sample=False)`` returning the gradient with
-respect to its input.  When ``per_sample=True``, parameter gradients are
-additionally recorded per example into ``Parameter.grad_sample`` with a
-leading batch axis — the contract required by
-:class:`repro.privacy.dpsgd.DPSGD`.
+Every layer caches its forward inputs (unless called with
+``cache=False``, the inference path, which keeps no batch arrays) and
+implements ``backward(grad_out, per_sample=False)`` returning the
+gradient with respect to its input.  When ``per_sample=True``,
+parameter gradients are additionally recorded per example into
+``Parameter.grad_sample`` with a leading batch axis — the contract
+required by :class:`repro.privacy.dpsgd.DPSGD`.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ class Linear(Module):
                      if bias else None)
         self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        if cache:
+            self._x = x
         y = x @ self.weight.value
         if self.bias is not None:
             y = y + self.bias.value
@@ -95,9 +97,11 @@ class ReLU(Module):
     def __init__(self):
         self._mask: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        mask = x > 0
+        if cache:
+            self._mask = mask
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad_out: np.ndarray,
                  per_sample: bool = False) -> np.ndarray:
@@ -131,9 +135,11 @@ class Embedding(Module):
     def dim(self) -> int:
         return self.table.shape[1]
 
-    def forward(self, idx: np.ndarray) -> np.ndarray:
-        self._idx = np.asarray(idx, dtype=np.int64)
-        return self.table.value[self._idx]
+    def forward(self, idx: np.ndarray, cache: bool = True) -> np.ndarray:
+        idx = np.asarray(idx, dtype=np.int64)
+        if cache:
+            self._idx = idx
+        return self.table.value[idx]
 
     def backward(self, grad_out: np.ndarray,
                  per_sample: bool = False) -> None:
@@ -179,9 +185,10 @@ class NumericEncoder(Module):
         scale = max((self.high - self.low) / 4.0, 1e-12)
         return (np.asarray(x, dtype=np.float64) - mid) / scale
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         z = self.standardize(x).reshape(-1, 1)
-        return self.lin2.forward(self.act.forward(self.lin1.forward(z)))
+        h = self.act.forward(self.lin1.forward(z, cache), cache)
+        return self.lin2.forward(h, cache)
 
     def backward(self, grad_out: np.ndarray,
                  per_sample: bool = False) -> None:

@@ -348,3 +348,100 @@ def test_cmd_synthesize_method_auto_routes_on_dcs(tpch_bundle, tmp_path,
     text = capsys.readouterr().out
     assert "routed to 'kamino'" in text
     assert load_bundle(str(out)).table.n == 30
+
+
+# ----------------------------------------------------------------------
+# Bad input: one error line and exit status 2, never a traceback
+# ----------------------------------------------------------------------
+def _error_line(capsys) -> str:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+def test_missing_bundle_is_an_error_line(tmp_path, capsys):
+    assert main(["synthesize", str(tmp_path / "nonexistent"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "schema.json" in _error_line(capsys)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("-1", "must be positive"),
+    ("abc", "not a number"),
+])
+def test_bad_epsilon_is_a_usage_error(tpch_bundle, tmp_path, capsys, value,
+                                      message):
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", tpch_bundle, "--epsilon", value,
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --epsilon" in err and message in err
+    assert "Traceback" not in err
+
+
+def test_epsilon_inf_or_none_is_non_private():
+    for text in ("inf", "none"):
+        args = build_parser().parse_args(
+            ["fit", "bundle", "--epsilon", text, "--out", "m.npz"])
+        assert args.epsilon == float("inf")
+    assert build_parser().parse_args(
+        ["fit", "bundle", "--out", "m.npz"]).epsilon == 1.0
+
+
+def test_config_error_is_an_error_line(tpch_bundle, tmp_path, capsys):
+    assert main(["synthesize", tpch_bundle, "--delta", "2",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "delta must be in (0, 1)" in _error_line(capsys)
+
+
+def test_malformed_dc_text_is_an_error_line(tpch_bundle, capsys):
+    with open(f"{tpch_bundle}/dcs.txt", "a") as f:
+        f.write("broken hard: not(ti.o_custkey ?? tj.o_custkey)\n")
+    assert main(["check", tpch_bundle]) == 2
+    line = _error_line(capsys)
+    assert "dcs.txt:5: missing operator" in line
+
+
+def test_corrupt_model_is_an_error_line(tpch_bundle, tmp_path, capsys):
+    model = tmp_path / "model.npz"
+    model.write_bytes(b"not a model")
+    assert main(["sample", str(model),
+                 "--schema", f"{tpch_bundle}/schema.json",
+                 "--out", str(tmp_path / "out"), "--n", "10"]) == 2
+    assert str(model) in _error_line(capsys)
+
+
+def test_prefix_scan_required_is_an_error_line(tmp_path, capsys):
+    from repro.constraints import parse_dc
+
+    ds = load("adult", n=80, seed=0)
+    # Compares two attributes: no index counts it, so a stream (which
+    # keeps no prefix) cannot draw it exactly.
+    cross = parse_dc("not(ti.age < tj.hours and ti.hours < tj.age)",
+                     name="cross", hard=False, relation=ds.relation)
+    bundle = tmp_path / "bundle"
+    save_bundle(str(bundle), ds.table, ds.dcs + [cross])
+    model = tmp_path / "model.npz"
+    assert main(["fit", str(bundle), "--epsilon", "inf",
+                 "--max-iterations", "2", "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["sample", str(model), "--schema", f"{bundle}/schema.json",
+                 "--dcs", f"{bundle}/dcs.txt", "--n", "50",
+                 "--out", str(tmp_path / "draw.csv")]) == 2
+    assert "'cross' needs a prefix scan" in _error_line(capsys)
+    assert not (tmp_path / "draw.csv").exists()
+
+
+def test_br2000_streams_to_csv(tmp_path, capsys):
+    ds = load("br2000", n=80, seed=0)
+    bundle = tmp_path / "bundle"
+    save_bundle(str(bundle), ds.table, ds.dcs)
+    model = tmp_path / "model.npz"
+    assert main(["fit", str(bundle), "--epsilon", "1.0",
+                 "--max-iterations", "4", "--out", str(model)]) == 0
+    out = tmp_path / "draw.csv"
+    assert main(["sample", str(model), "--schema", f"{bundle}/schema.json",
+                 "--dcs", f"{bundle}/dcs.txt", "--n", "600", "--seed", "3",
+                 "--chunk-rows", "128", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 601

@@ -452,6 +452,32 @@ def test_serving_determinism_contract(server, client, tpch, tmp_path):
     assert third.etag == first.etag
 
 
+def test_serve_renders_br2000(client, tmp_path):
+    """br2000's generic soft DCs count in value-grid tables, so the
+    served (streamed) render works and equals the direct export."""
+    ds = load("br2000", n=60, seed=0)
+
+    def cap(params):
+        params.iterations = min(params.iterations, 6)
+
+    fitted = Kamino(ds.relation, ds.dcs, epsilon=1.0, seed=0,
+                    params_override=cap).fit(ds.table)
+    paths = {name: str(tmp_path / name)
+             for name in ("model.npz", "schema.json", "dcs.txt")}
+    fitted.save(paths["model.npz"])
+    save_relation(ds.relation, paths["schema.json"])
+    save_dcs(ds.dcs, paths["dcs.txt"], relation=ds.relation)
+    client.register("br2000", paths["model.npz"], paths["schema.json"],
+                    dcs=paths["dcs.txt"])
+    served = client.sample("br2000", n=300, seed=3)
+    assert served.status == 200
+    direct = tmp_path / "direct.csv"
+    write_table_stream(str(direct), ds.relation,
+                       iter([fitted.sample(n=300, seed=3).table]),
+                       fmt="csv")
+    assert served.body == direct.read_bytes()
+
+
 def test_serve_distinct_requests_differ(client):
     a = client.sample("tpch", n=30, seed=1)
     b = client.sample("tpch", n=30, seed=2)

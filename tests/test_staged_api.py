@@ -291,3 +291,41 @@ def test_constraint_ablation_respected():
     fitted = Kamino(ds.relation, ds.dcs, config=cfg).fit(ds.table)
     # The ablation draws i.i.d. tuples; just check it runs and sizes.
     assert fitted.sample(n=25, seed=0).table.n == 25
+
+
+# ----------------------------------------------------------------------
+# Inference keeps no training caches
+# ----------------------------------------------------------------------
+def _forward_arrays(model) -> list:
+    """(sub-model, attribute) of every backward cache a layer holds."""
+    found = []
+    for target, net in model.submodels.items():
+        layers = [net, net.attention, net.head]
+        for encoder in list(net.encoders.values()) + [net.target_embedding]:
+            layers += [encoder, getattr(encoder, "lin1", None),
+                       getattr(encoder, "act", None),
+                       getattr(encoder, "lin2", None)]
+        for layer in layers:
+            for attr in ("_cache", "_x", "_mask", "_idx"):
+                if getattr(layer, attr, None) is not None:
+                    found.append((target, type(layer).__name__, attr))
+    return found
+
+
+@pytest.mark.parametrize("name", ["adult", "tpch"])
+def test_draws_keep_no_forward_arrays_on_sub_models(tmp_path, name):
+    ds = load(name, n=200, seed=0)
+    fitted = Kamino(ds.relation, ds.dcs, epsilon=1.0, seed=0,
+                    params_override=_cap).fit(ds.table)
+    path = tmp_path / "model.npz"
+    fitted.save(path)
+    loaded = FittedKamino.load(path, ds.relation, ds.dcs)
+    assert not _forward_arrays(loaded.model)
+    table = loaded.sample(n=300, seed=4).table
+    assert not _forward_arrays(loaded.model)
+    _assert_tables_equal(table, fitted.sample(n=300, seed=4).table)
+    # Training and attention inspection still run the caching forward.
+    net = next(iter(loaded.model.submodels.values()))
+    batch = {a: table.column(a)[:5] for a in net.context_attrs}
+    assert net.attention_weights(batch).shape == (5, len(net.context_attrs))
+    assert _forward_arrays(loaded.model)

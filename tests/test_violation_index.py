@@ -23,6 +23,7 @@ from repro.constraints import (
     ArrayFDViolationIndex,
     FDViolationIndex,
     GenericViolationIndex,
+    GridViolationIndex,
     OrderViolationIndex,
     UnaryViolationIndex,
     build_index,
@@ -33,7 +34,7 @@ from repro.constraints import (
 )
 from repro.constraints import index as index_mod
 from repro.constraints.dc import DenialConstraint
-from repro.constraints.index import build_fd_table_index
+from repro.constraints.index import build_fd_table_index, build_grid_index
 from repro.constraints.predicate import TUPLE_I
 from repro.constraints.violations import group_inverse
 from repro.core.params import KaminoParams
@@ -419,24 +420,29 @@ def test_repair_skips_passes_via_index_totals():
 
 
 # ----------------------------------------------------------------------
-# Fenwick/dense-backed order groups (PR 5)
+# Order DCs on value-grid count tables
 # ----------------------------------------------------------------------
-def _order_universes():
-    return np.arange(13, dtype=np.float64), np.arange(13, dtype=np.float64)
+#: The value universe of ``u`` and ``v``.
+_UNIVERSE = np.arange(13, dtype=np.float64)
+
+
+def _grid(dc, universe):
+    index = build_grid_index(dc, lambda attr: universe)
+    assert isinstance(index, GridViolationIndex)
+    return index
 
 
 @pytest.mark.parametrize("dc_key", ["ord", "ord0"])
 @given(st.data())
 @settings(max_examples=20, deadline=None)
 def test_order_probes_bit_identical_with_universe(dc_key, data):
-    """provide_universe must never change a count (Fenwick vs scan)."""
+    """The grid tables never change a count (grid vs sort path vs scan)."""
     _, dcs = _dcs()
     dc = dcs[dc_key]
     table = _tables(data.draw)
     cols = table.columns
     plain = build_index(dc)
-    fast = build_index(dc)
-    assert fast.provide_universe(*_order_universes())
+    fast = _grid(dc, _UNIVERSE)
     cands = np.arange(13, dtype=np.float64)
     for i in range(table.n):
         for target in ("u", "v"):
@@ -447,7 +453,7 @@ def test_order_probes_bit_identical_with_universe(dc_key, data):
             np.testing.assert_array_equal(
                 plain.candidate_counts(tv, ctx), want, err_msg=f"plain {i}")
             np.testing.assert_array_equal(
-                fast.candidate_counts(tv, ctx), want, err_msg=f"fen {i}")
+                fast.candidate_counts(tv, ctx), want, err_msg=f"grid {i}")
         plain.append_from(cols, i)
         fast.append_from(cols, i)
         assert plain.total() == fast.total() == count_violations(
@@ -461,15 +467,13 @@ def test_order_probes_bit_identical_with_universe(dc_key, data):
         assert plain.total() == fast.total()
 
 
-def test_order_index_forces_fenwick_class_on_larger_universe():
-    """Universes past the dense-grid cap must still be exact (true BIT)."""
-    from repro.constraints.index import _DENSE_GRID_CELLS, _Fenwick2D
+def test_grid_index_exact_past_the_old_dense_cap():
+    """A universe past the old 4,096-cell dense-grid cap still gets
+    tables, and they stay exact."""
     rng = np.random.default_rng(3)
-    side = int(np.sqrt(_DENSE_GRID_CELLS)) + 8   # forces _Fenwick2D
+    side = 72                                   # 5,184 cells
     dc = parse_dc("not(ti.u > tj.u and ti.v < tj.v)", "big")
-    index = build_index(dc)
-    assert index.provide_universe(np.arange(side, dtype=np.float64),
-                                  np.arange(side, dtype=np.float64))
+    index = _grid(dc, np.arange(side, dtype=np.float64))
     n = 400
     cols = {"u": rng.integers(0, side, n).astype(np.float64),
             "v": rng.integers(0, side, n).astype(np.float64)}
@@ -482,13 +486,17 @@ def test_order_index_forces_fenwick_class_on_larger_universe():
             index.candidate_counts({"u": cands}, ctx), want, err_msg=str(i))
         index.append_from(cols, i)
     group = next(iter(index._groups.values()))
-    assert isinstance(group.fen, _Fenwick2D)
+    assert group.pen is not None and group.pen.size == side * side
+    assert index.total() == count_violations(
+        dc, Table(Relation([
+            Attribute("u", NumericalDomain(0, side - 1, integer=True)),
+            Attribute("v", NumericalDomain(0, side - 1, integer=True))]),
+            cols, validate=False))
 
 
 def test_order_index_off_universe_value_falls_back_exactly():
     dc = parse_dc("not(ti.u > tj.u and ti.v < tj.v)", "off")
-    index = build_index(dc)
-    assert index.provide_universe(*_order_universes())
+    index = _grid(dc, _UNIVERSE)
     rng = np.random.default_rng(0)
     n = 60
     cols = {"u": rng.integers(0, 13, n).astype(np.float64),
@@ -502,10 +510,17 @@ def test_order_index_off_universe_value_falls_back_exactly():
         np.testing.assert_array_equal(
             index.candidate_counts({"u": cands}, ctx), want, err_msg=str(i))
         index.append_from(cols, i)
+        # Tables from the eighth tuple on, points again from row 30.
+        group = next(iter(index._groups.values()))
+        assert (group.pen is None) == (i < 7 or i >= 30), i
+    assert group.off_universe and index.total() == count_violations(
+        dc, Table(Relation([
+            Attribute("u", NumericalDomain(0, 12)),
+            Attribute("v", NumericalDomain(0, 12))]), cols, validate=False))
 
 
-def test_group_profile_matches_scans():
-    """group_profile == the sampler's equality-match + interval scans."""
+def test_hint_values_match_scans():
+    """hint_values == the sampler's equality-match + interval scans."""
     _, dcs = _dcs()
     dc = dcs["ord"]
     rng = np.random.default_rng(7)
@@ -513,27 +528,23 @@ def test_group_profile_matches_scans():
     cols = {"a": rng.integers(0, 3, n).astype(np.int64),
             "u": rng.integers(0, 13, n).astype(np.float64),
             "v": rng.integers(0, 13, n).astype(np.float64)}
-    index = build_index(dc)
-    assert index.provide_universe(*_order_universes())
+    index = _grid(dc, _UNIVERSE)
     for i in range(n):
         for target, partner in (("u", "v"), ("v", "u")):
-            key_row = {"a": cols["a"][i]}
-            p_now = cols[partner][i]
-            got = index.group_profile(key_row, target, p_now, limit=4)
+            row = {a: cols[a][i] for a in dc.attributes}
+            got = index.hint_values(target, row, limit=4)
             mask = cols["a"][:i] == cols["a"][i]
             t_vals = cols[target][:i][mask]
             p_vals = cols[partner][:i][mask]
-            if got is None:
-                continue  # group too small for a grid — scan path used
-            matching, below_max, above_min = got
-            want_match = np.unique(t_vals[p_vals == p_now])[:4].tolist()
-            assert matching == want_match, (i, target)
+            p_now = cols[partner][i]
+            want = np.unique(t_vals[p_vals == p_now])[:4].tolist()
             below = t_vals[p_vals < p_now]
             above = t_vals[p_vals > p_now]
-            assert below_max == (float(below.max()) if below.size
-                                 else None), (i, target)
-            assert above_min == (float(above.min()) if above.size
-                                 else None), (i, target)
+            if below.size:
+                want.append(float(below.max()))
+            if above.size:
+                want.append(float(above.min()))
+            assert got == want, (i, target)
         index.append_from(cols, i)
 
 
