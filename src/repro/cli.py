@@ -616,6 +616,18 @@ def _epsilon(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 class _AppendOverDefault(argparse.Action):
     """``action="append"`` with a usable parser-level default.
 
@@ -644,7 +656,7 @@ def _add_budget_arguments(p: argparse.ArgumentParser) -> None:
                    help="privacy budget, > 0; 'inf' (or 'none') for "
                         "non-private")
     p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-iterations", type=int, default=None,
                    help="cap DP-SGD iterations (fast runs)")
     p.add_argument("--ledger", default=None,
@@ -689,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundle")
     p.add_argument("--limit", type=int, default=16)
     p.add_argument("--max-rate", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--minimize", action="store_true",
                    help="drop duplicate/trivial/implied constraints")
     p.set_defaults(fn=cmd_discover)
@@ -728,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the draw to in bounded-memory chunks")
     p.add_argument("--n", type=int, default=None,
                    help="synthetic rows (default: fitted input size)")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="draw seed (default: reproduce the fit-time "
                         "draw, given the same --dcs)")
     p.add_argument("--workers", type=int, default=None,
@@ -781,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=(1, 2), metavar="K",
                    help="marginal order(s); repeatable (default: 1 2)")
     p.add_argument("--max-sets", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("ledger", help="print a privacy ledger summary")

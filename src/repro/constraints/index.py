@@ -19,9 +19,11 @@ O(group) instead of O(prefix):
   violations a candidate ``v`` creates is ``size(X) - count(X, v)``.
   This generalises the forced-value ``FDIndex`` fast path of
   Experiment 10 from hard FDs to violation *counts*.
-* :class:`ArrayFDViolationIndex` — the same FD counts over two known
-  code domains as one dense table, so block probes and folds are
-  array operations (the sampler's categorical FDs).
+* :class:`ArrayFDViolationIndex` — the same FD counts over known value
+  domains as one dense table (composite determinants by a mixed-radix
+  code, numerical dependents by rank on their value grid), so block
+  probes and folds are array operations (the sampler's FDs over
+  categorical determinants).
 * :class:`OrderViolationIndex` — sorted-structure index for
   conditional-order DCs (``not(E= and A> and B<)``).  Per equality
   group it keeps the (A, B) points; a probe splits the group on the
@@ -488,31 +490,47 @@ MAX_FD_TABLE_CELLS = 1 << 22
 
 
 class ArrayFDViolationIndex(FDViolationIndex):
-    """:class:`FDViolationIndex` over two known code domains.
+    """:class:`FDViolationIndex` over known value domains, as one table.
 
-    For ``x -> y`` with a single determinant whose values are codes
-    ``0..K-1`` and a dependent with codes ``0..V-1``, the per-group
-    histograms become one int64 table ``count[x, y]`` next to the group
-    sizes ``size[x]``.  Every probe is then array arithmetic: the
-    ``(B, V)`` candidate counts of a block of rows are one row gather
-    and one in-place subtract (:meth:`dep_counts`), and folding the
-    block in is one ``np.add.at`` (:meth:`add_codes`).  ``dep_major``
-    stores the table as ``count[y, x]`` instead, so that a block drawing
-    the *determinant* (:meth:`det_counts`) gathers contiguous rows too.
+    For ``X -> y`` whose determinant attributes take codes and whose
+    dependent takes codes ``0..V-1`` — or, for a numerical dependent,
+    the values of a known sorted universe, indexed by rank — the
+    per-group histograms become one int64 table ``count[x, y]`` next to
+    the group sizes ``size[x]``.  A composite determinant indexes by one
+    mixed-radix code (``det_size`` lists the attributes' code sizes;
+    the group count is their product).  Every probe is then array
+    arithmetic: the ``(B, V)`` candidate counts of a block of rows are
+    one row gather and one in-place subtract (:meth:`dep_counts`), the
+    counts of arbitrary candidate ranks one fancy gather
+    (:meth:`counts_at`), and folding a block in is one ``np.add.at``
+    (:meth:`add_codes`).  ``dep_major`` stores the table as
+    ``count[y, x]`` instead, so that a block drawing the (single)
+    *determinant* (:meth:`det_counts`) gathers contiguous rows too.
 
-    The caller guarantees that every value it appends or probes is an
-    in-domain code (the sampler's categorical columns are).  Counts are
-    exact integers, identical to the dict-backed index.
+    The value-level API (``append_from``, ``candidate_counts``,
+    ``probe_many``, ``dependents_of``, ``probe_pair``/``add_pair`` with
+    per-attribute key tuples) answers exactly like the dict-backed
+    index.  The caller guarantees in-domain determinant codes; a probe
+    of an off-universe dependent counts the whole group, and appending
+    one raises :class:`ValueError`.
     """
 
-    def __init__(self, dc: DenialConstraint, det_size: int, dep_size: int,
-                 dep_major: bool = False):
-        self.det_size = int(det_size)
+    def __init__(self, dc: DenialConstraint, det_size, dep_size: int,
+                 dep_major: bool = False,
+                 dep_universe: np.ndarray | None = None):
+        sizes = tuple(int(s) for s in np.atleast_1d(det_size))
+        self.det_sizes = sizes
+        self.det_size = int(np.prod(sizes))
         self.dep_size = int(dep_size)
         self.dep_major = bool(dep_major)
+        #: Sorted dependent values by rank (numerical), or None (codes).
+        self.dep_universe = (None if dep_universe is None
+                             else np.asarray(dep_universe, dtype=np.float64))
         super().__init__(dc)
-        if len(self.determinant) != 1:
-            raise ValueError(f"DC {dc.name} has a composite determinant")
+        if len(self.determinant) != len(sizes):
+            raise ValueError(f"DC {dc.name} has {len(self.determinant)} "
+                             f"determinant attributes, got {len(sizes)} "
+                             f"code sizes")
 
     def reset(self) -> None:
         shape = ((self.dep_size, self.det_size) if self.dep_major
@@ -523,6 +541,52 @@ class ArrayFDViolationIndex(FDViolationIndex):
         self._sizes = np.zeros(self.det_size, dtype=np.int64)
         self._n = 0
 
+    # -- codes -----------------------------------------------------------
+    def _det_code(self, parts):
+        """The mixed-radix determinant code ``((x1 * K2) + x2) * K3 ...``
+        of per-attribute codes ``parts`` (arrays or scalars, in
+        determinant order); one attribute's code is the code itself."""
+        code = parts[0]
+        for part, size in zip(parts[1:], self.det_sizes[1:]):
+            code = code * size + part
+        return code
+
+    def group_codes(self, cols: dict, rows) -> np.ndarray:
+        """Determinant codes of ``rows`` (a slice or index array) of
+        ``cols``."""
+        return self._det_code([cols[a][rows] for a in self.determinant])
+
+    def _key_code(self, key: tuple):
+        """The determinant code of a key tuple: per-attribute codes, or a
+        1-tuple holding the code itself.  The block lanes key their
+        row-at-a-time probes (``probe_pair``, ``add_pair``,
+        ``probe_block_codes``) by :meth:`group_codes` codes that way."""
+        return key[0] if len(key) == 1 else self._det_code(key)
+
+    def dep_ranks(self, values) -> np.ndarray:
+        """Table column of each dependent value: the code itself, or the
+        rank on the universe (-1 off it)."""
+        values = np.asarray(values)
+        if self.dep_universe is None:
+            return values.astype(np.int64, copy=False)
+        grid = self.dep_universe
+        idx = np.minimum(np.searchsorted(grid, values), grid.shape[0] - 1)
+        return np.where(grid[idx] == values, idx, -1)
+
+    def _dep_column(self, dep, strict: bool = False):
+        """Table column of one dependent value, or None off-universe
+        (a :class:`ValueError` naming the DC when ``strict``)."""
+        if self.dep_universe is None:
+            return dep
+        rank = int(self.dep_ranks(dep))
+        if rank >= 0:
+            return rank
+        if strict:
+            raise ValueError(
+                f"DC {self.dc.name}: dependent value {dep!r} of "
+                f"{self.dependent!r} is off the indexed value universe")
+        return None
+
     # -- block probes and folds ------------------------------------------
     def dep_counts(self, det_codes: np.ndarray) -> np.ndarray:
         """``(B, V)`` new-violation counts of every dependent code, one
@@ -532,6 +596,17 @@ class ArrayFDViolationIndex(FDViolationIndex):
         np.subtract(self._sizes[det_codes][:, None], out, out=out)
         return out
 
+    def counts_at(self, det_codes: np.ndarray,
+                  ranks: np.ndarray) -> np.ndarray:
+        """``(B, W)`` new-violation counts of dependent ranks ``ranks``
+        (``(B, W)``, -1 off the universe: the whole group), one row per
+        determinant code.  Traced as a ``probe_block_codes``, like
+        :meth:`dep_counts`: one block gather."""
+        self._bump("probe_block_codes")
+        sizes = self._sizes[det_codes][:, None]
+        held = self._by_det[det_codes[:, None], np.maximum(ranks, 0)]
+        return sizes - np.where(ranks >= 0, held, 0)
+
     def det_counts(self, dep_codes: np.ndarray) -> np.ndarray:
         """``(B, K)`` new-violation counts of every determinant code, one
         row per dependent code in ``dep_codes``."""
@@ -540,8 +615,18 @@ class ArrayFDViolationIndex(FDViolationIndex):
         np.subtract(self._sizes[None, :], out, out=out)
         return out
 
+    def holds(self, det_codes: np.ndarray) -> np.ndarray:
+        """``(B, V)`` mask of the dependents each group already holds
+        (:meth:`dependents_of` for a block, by table column)."""
+        return self._by_det[det_codes] > 0
+
     def add_codes(self, det_codes: np.ndarray, dep_codes: np.ndarray) -> None:
-        """Append the rows ``(det_codes[r], dep_codes[r])``."""
+        """Append the rows ``(det_codes[r], dep_codes[r])`` (dependent
+        table columns: codes, or universe ranks)."""
+        if self.dep_universe is not None and (dep_codes < 0).any():
+            raise ValueError(
+                f"DC {self.dc.name}: a dependent value of "
+                f"{self.dependent!r} is off the indexed value universe")
         np.add.at(self._sizes, det_codes, 1)
         if self.dep_major:
             np.add.at(self._table, (dep_codes, det_codes), 1)
@@ -551,8 +636,9 @@ class ArrayFDViolationIndex(FDViolationIndex):
 
     # -- the FDViolationIndex API ----------------------------------------
     def probe_block_codes(self, keys: list, size: int) -> np.ndarray:
-        return self.dep_counts(np.fromiter((k[0] for k in keys),
-                                           dtype=np.int64, count=len(keys)))
+        return self.dep_counts(np.fromiter(
+            (self._key_code(k) for k in keys), dtype=np.int64,
+            count=len(keys)))
 
     def probe_det_codes(self, dep, size: int,
                         out: np.ndarray | None = None) -> np.ndarray:
@@ -564,25 +650,31 @@ class ArrayFDViolationIndex(FDViolationIndex):
 
     def probe_pair(self, key: tuple, dep) -> int:
         self._bump("probe_pair")
-        det = key[0]
-        return self._sizes.item(det) - self._by_det.item(det, dep)
+        det = self._key_code(key)
+        col = self._dep_column(dep)
+        if col is None:
+            return self._sizes.item(det)
+        return self._sizes.item(det) - self._by_det.item(det, col)
 
     def add_pair(self, key: tuple, dep) -> int:
-        det = key[0]
+        det = self._key_code(key)
+        col = self._dep_column(dep, strict=True)
         size = self._sizes.item(det)
-        count = self._by_det.item(det, dep)
+        count = self._by_det.item(det, col)
         self._sizes[det] = size + 1
-        self._by_det[det, dep] = count + 1
+        self._by_det[det, col] = count + 1
         self._n += 1
         return size - count
 
     def _add_row(self, row: dict) -> None:
-        self.add_pair((row[self.determinant[0]],), row[self.dependent])
+        self.add_pair(tuple(row[a] for a in self.determinant),
+                      row[self.dependent])
 
     def _remove_row(self, row: dict) -> None:
-        det, dep = row[self.determinant[0]], row[self.dependent]
+        det = self._key_code(tuple(row[a] for a in self.determinant))
+        col = self._dep_column(row[self.dependent], strict=True)
         self._sizes[det] -= 1
-        self._by_det[det, dep] -= 1
+        self._by_det[det, col] -= 1
         self._n -= 1
 
     def total(self) -> int:
@@ -594,44 +686,79 @@ class ArrayFDViolationIndex(FDViolationIndex):
     def candidate_counts(self, target_values: dict | None,
                          context: dict) -> np.ndarray:
         self._bump("candidate_counts")
-        det_attr, dep_attr = self.determinant[0], self.dependent
         tv = target_values or {}
-        det = tv.get(det_attr, context.get(det_attr))
-        dep = tv.get(dep_attr, context.get(dep_attr))
-        counts = self._sizes[det] - self._by_det[det, dep]
-        return np.atleast_1d(counts).astype(np.int64, copy=False)
+        det = self._det_code([np.asarray(tv.get(a, context.get(a)))
+                              for a in self.determinant])
+        ranks = self.dep_ranks(tv.get(self.dependent,
+                                      context.get(self.dependent)))
+        det, ranks = np.broadcast_arrays(np.atleast_1d(det),
+                                         np.atleast_1d(ranks))
+        counts = self._sizes[det] - np.where(
+            ranks >= 0, self._by_det[det, np.maximum(ranks, 0)], 0)
+        return counts.astype(np.int64, copy=False)
 
     def dependents_of(self, key_row: dict) -> list:
-        det = key_row[self.determinant[0]]
-        return np.flatnonzero(self._by_det[det]).tolist()
+        det = self._key_code(tuple(key_row[a] for a in self.determinant))
+        ranks = np.flatnonzero(self._by_det[det])
+        if self.dep_universe is None:
+            return ranks.tolist()
+        return self.dep_universe[ranks].tolist()
 
     def matched_det_values(self, target: str, row: dict) -> list:
-        return np.flatnonzero(
-            self._by_det[:, row[self.dependent]]).tolist()
+        if len(self.determinant) != 1:
+            # Composite tables are built only to draw the dependent.
+            raise NotImplementedError(
+                f"DC {self.dc.name}: composite determinant")
+        col = self._dep_column(row[self.dependent])
+        if col is None:
+            return []
+        return np.flatnonzero(self._by_det[:, col]).tolist()
 
 
 def build_fd_table_index(dc: DenialConstraint, code_sizes: dict,
-                         target: str | None = None
-                         ) -> ArrayFDViolationIndex | None:
+                         target: str | None = None,
+                         universe=None) -> ArrayFDViolationIndex | None:
     """An :class:`ArrayFDViolationIndex` for ``dc``, or None.
 
     ``code_sizes`` maps each categorical attribute to its code-domain
-    size.  The FD qualifies when its determinant is one attribute and
-    both it and the dependent have code domains whose product fits
-    :data:`MAX_FD_TABLE_CELLS`.  The table is stored dependent-major
-    when ``target`` (the attribute being drawn) is the determinant.
+    size.  The FD qualifies when every determinant attribute has a code
+    domain and the table fits :data:`MAX_FD_TABLE_CELLS`, and when
+    either
+
+    * the determinant is one attribute and the dependent is categorical
+      (stored dependent-major when ``target``, the attribute being
+      drawn, is the determinant), or
+    * ``target`` is the dependent, which is categorical or numerical
+      with a known value universe (``universe(name)``: the sorted values
+      it can take, e.g. :meth:`_ColumnSampler.value_universe`'s snap
+      grid).  Numerical determinants never qualify: fresh values fall
+      off any grid.
     """
     fd = dc.as_fd()
-    if fd is None or len(fd[0]) != 1:
+    if fd is None:
         return None
-    det, dep = fd[0][0], fd[1]
-    if det not in code_sizes or dep not in code_sizes:
+    det, dep = list(fd[0]), fd[1]
+    if any(a not in code_sizes for a in det):
         return None
-    det_size, dep_size = code_sizes[det], code_sizes[dep]
-    if det_size * dep_size > MAX_FD_TABLE_CELLS:
+    dep_universe = None
+    if dep in code_sizes:
+        dep_size = code_sizes[dep]
+        if len(det) != 1 and target != dep:
+            return None
+    elif target == dep and universe is not None:
+        dep_universe = universe(dep)
+        if dep_universe is None:
+            return None
+        dep_size = dep_universe.shape[0]
+    else:
         return None
-    return ArrayFDViolationIndex(dc, det_size, dep_size,
-                                 dep_major=(target == det))
+    det_sizes = [code_sizes[a] for a in det]
+    if int(np.prod(det_sizes)) * dep_size > MAX_FD_TABLE_CELLS:
+        return None
+    return ArrayFDViolationIndex(dc, det_sizes, dep_size,
+                                 dep_major=(target == det[0]
+                                            and len(det) == 1),
+                                 dep_universe=dep_universe)
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,10 @@ the same computation around two observations:
     cannot be determined up front (the target feeds a determinant, an
     eq-less order DC, a generic binary DC) degrade to singleton blocks
     — exactly the sequential semantics, minus the per-row rng calls.
+    Columns whose DCs are all FDs counted in dense tables go further:
+    a block of rows that may share groups is scored in one shot, and
+    the prefix a row-at-a-time pass would keep folds in bulk
+    (:meth:`_ColumnPass.fill_cat`, :meth:`_ColumnPass._fill_num_fd_lane`).
 
 2.  **Counter-based per-cell noise.**  All randomness comes from
     :class:`numpy.random.Philox` streams keyed by ``(seed, column,
@@ -87,6 +91,7 @@ import numpy as np
 from repro.core.hyper import HyperSpec
 from repro.faults import fault_point
 from repro.core.sampling import (
+    CONSISTENT_LIMIT,
     PrefixScanRequired,
     _allocate_columns,
     _allocate_working,
@@ -112,6 +117,10 @@ NOISE_CHUNK = 2048
 
 #: Default cap on conflict-free block length (bounds peak probe width).
 MAX_BLOCK_ROWS = 512
+
+#: Smallest window of the numerical FD lane, which otherwise sizes each
+#: window at twice the rows the last one kept (capped at the block cap).
+_MIN_WINDOW_ROWS = 32
 
 #: Rows below which sharding an unconstrained column is not worth the
 #: thread handoff.
@@ -462,26 +471,35 @@ def _conflict_blocks(specs: list, cols: dict, n: int, max_block: int):
 def _python_keys(mode: str, side) -> list:
     """An FD-lane side as per-row python keys: determinant key tuples
     (``dep`` mode) or dependent values (``det`` mode).  A list already
-    is; a code array (count-table lane) becomes one."""
+    is; a code array (count-table lane) becomes one, a determinant code
+    ``c`` the key ``(c,)`` (see ``ArrayFDViolationIndex._key_code``)."""
     if isinstance(side, list):
         return side
     codes = side.tolist()
     return [(v,) for v in codes] if mode == "dep" else codes
 
 
-def _first_conflict(group: np.ndarray, dep: np.ndarray) -> int:
+def _first_conflict(group: np.ndarray, dep: np.ndarray,
+                    fresh: np.ndarray | None = None) -> int:
     """First row with an earlier row of the same group holding another
     dependent, or ``len(group)`` when there is none.
 
     Within a group (rows in order), the first such row is the first
-    whose dependent differs from the group's first row's.
+    whose dependent differs from the group's first row's.  ``fresh``
+    (optional) marks rows whose dependent is new to their group; a row
+    after such a row of its group conflicts too.
     """
     n = group.shape[0]
     order = np.argsort(group, kind="stable")
     g, d = group[order], dep[order]
     starts = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
-    first_dep = np.repeat(d[starts], np.diff(np.append(starts, n)))
-    bad = order[d != first_dep]
+    lengths = np.diff(np.append(starts, n))
+    bad = d != np.repeat(d[starts], lengths)
+    if fresh is not None:
+        f = fresh[order].astype(np.int64)
+        before = np.cumsum(f) - f
+        bad |= before > np.repeat(before[starts], lengths)
+    bad = order[bad]
     return int(bad.min()) if bad.size else n
 
 
@@ -937,10 +955,12 @@ class _ColumnPass:
             scores = logp_all[lo:hi] + g
             per_dc = []
             for weight, index, mode, src in specs:
-                if tables:
+                if tables and mode == "dep":
+                    side = index.group_codes(cols, slice(lo, hi))
+                    counts = index.dep_counts(side)
+                elif tables:
                     side = cols[src[0]][lo:hi]
-                    counts = (index.dep_counts(side) if mode == "dep"
-                              else index.det_counts(side))
+                    counts = index.det_counts(side)
                 elif mode == "dep":
                     src_cols = [cols[a][lo:hi].tolist() for a in src]
                     side = ([(v,) for v in src_cols[0]]
@@ -970,19 +990,27 @@ class _ColumnPass:
             if tracer is not None and hard_pairs:
                 tracer.count("hard_violation_pairs", hard_pairs)
 
-    def _fold_kept_prefix(self, per_dc: list, picks: np.ndarray,
-                          lo: int) -> int:
+    def _fold_kept_prefix(self, per_dc: list, picks: np.ndarray, lo: int,
+                          values: np.ndarray | None = None,
+                          fresh: list | None = None) -> int:
         """Write and fold the block rows a row-at-a-time pass would keep
         as picked; returns how many (a prefix of the block).
 
-        The prefix ends at the first row with an earlier in-block row of
-        one of its FD groups holding another dependent, or at the first
-        row an FD lookup forces.
+        ``picks`` are the picked table columns (codes, or the dependent's
+        grid ranks) and ``values`` the working values written (default:
+        the picks).  The prefix ends at the first row with an earlier
+        in-block row of one of its FD groups holding another dependent,
+        or one new to the group where that DC's ``fresh`` mask is given
+        (see :func:`_first_conflict`), or at the first row an FD lookup
+        forces.
         """
+        values = picks if values is None else values
         stop = picks.shape[0]
-        for _, _, mode, side, _ in per_dc:
+        for s, (_, _, mode, side, _) in enumerate(per_dc):
             group, dep = (side, picks) if mode == "dep" else (picks, side)
-            stop = _first_conflict(group[:stop], dep[:stop])
+            new = None if fresh is None else fresh[s]
+            stop = _first_conflict(group[:stop], dep[:stop],
+                                   None if new is None else new[:stop])
         if self.fd_indexes:
             # Forced values depend on the rows recorded before them, so
             # this check walks the prefix row by row.
@@ -991,9 +1019,9 @@ class _ColumnPass:
                 if _forced_value(self.fd_indexes, self.cols, i) is not None:
                     stop = r
                     break
-                self.wcols[self.w][i] = picks[r]
+                self.wcols[self.w][i] = values[r]
                 _record_fd(self.fd_indexes, self.cols, i)
-        self.wcols[self.w][lo:lo + stop] = picks[:stop]
+        self.wcols[self.w][lo:lo + stop] = values[:stop]
         for _, index, mode, side, _ in per_dc:
             if mode == "dep":
                 index.add_codes(side[:stop], picks[:stop])
@@ -1161,6 +1189,147 @@ class _ColumnPass:
         pick = np.argmax(lpm - penalty + g, axis=1)
         self.wcols[w][rows] = cmat[np.arange(B), pick]
 
+    # -- numerical FD window lane ----------------------------------------
+    def _num_fd_specs(self) -> list | None:
+        """``(dc, weight, index)`` per active DC (``index`` None for a
+        unary DC) when every non-unary one is an FD onto this numerical
+        target counted in an :class:`ArrayFDViolationIndex` over its
+        value grid; else None."""
+        if self.layout.kind == "cat" or self.used is not None:
+            return None
+        specs = []
+        for dc, weight, _ in self._active_specs:
+            index = None
+            if not dc.is_unary:
+                index = self.vio.get(dc.name)
+                if (not isinstance(index, ArrayFDViolationIndex)
+                        or index.dependent != self.w
+                        or index.dep_universe is None):
+                    return None
+            specs.append((dc, weight, index))
+        return specs
+
+    def _fill_num_fd_lane(self, n: int, max_block: int,
+                          specs: list) -> None:
+        """Windows of rows scored in one shot against the FD tables.
+
+        A window gathers each row's base candidates, its hard FDs' first
+        prefix dependents (the extras of ``_consistent_values``), their
+        log-probabilities, the penalties ``weight * (size - count)`` in
+        :meth:`_penalty`'s DC order and the gumbel slots, and takes one
+        argmax — the conflict-free block computation, over rows that may
+        share groups.  A row keeps its pick unless an earlier row of the
+        window in one of its FD groups picked another value, or (hard
+        FDs, whose groups feed the extras) a value its group did not
+        hold at the window start: otherwise its candidates and the
+        penalty at its pick are unchanged, and since penalties only grow
+        as groups grow, the same first-index argmax wins (the argument
+        of :meth:`fill_cat`).  The kept prefix folds with one
+        ``add_codes`` per DC and the next window starts at the first row
+        not kept, sized from the prefix just kept.  FD-lookup forced
+        rows end the prefix and are written one at a time.
+
+        Traced, each window counts as a block, its scored rows beyond
+        the kept prefix as ``rescored_rows``, and the violating pairs
+        the picks add under hard FDs as ``hard_violation_pairs``.
+        """
+        cols, w, tracer = self.cols, self.w, self.tracer
+        layout, base = self.layout, self.base
+        d, width = layout.d, layout.width
+        gum = layout.gumbel_off
+        fds = [index for _, _, index in specs if index is not None]
+        hard = [s for s, index in enumerate(fds) if index.dc.hard]
+        grid = fds[0].dep_universe
+        window, lo = max_block, 0
+        while lo < n:
+            if self.fd_indexes:
+                forced = _forced_value(self.fd_indexes, cols, lo)
+                if forced is not None:
+                    self._write_forced_num(lo, forced, fds)
+                    lo += 1
+                    continue
+            hi = min(lo + window, n)
+            B = hi - lo
+            rows = np.arange(B)
+            groups = [index.group_codes(cols, slice(lo, hi))
+                      for index in fds]
+            cand, logp = self._base_candidates(lo, hi)
+            cmat = np.empty((B, width))
+            cmat[:, :d] = cand
+            cmat[:, d:] = cand[:, :1]  # valid pad, masked by -inf below
+            lpm = np.full((B, width), -np.inf)
+            lpm[:, :d] = logp
+            holds = {s: fds[s].holds(groups[s]) for s in hard}
+            if holds:
+                extra = np.zeros((B, grid.shape[0]), dtype=bool)
+                for held in holds.values():
+                    extra |= held & (np.cumsum(held, axis=1)
+                                     <= CONSISTENT_LIMIT)
+                r_idx, rank = np.nonzero(extra)
+                pos = d + np.cumsum(extra, axis=1)[r_idx, rank] - 1
+                added = grid[rank]
+                cmat[r_idx, pos] = added
+                if layout.kind == "num":
+                    mu, sigma = base[1][lo + r_idx], base[2][lo + r_idx]
+                    lpm[r_idx, pos] = -0.5 * ((added - mu) / sigma) ** 2
+                else:
+                    hist = base[1]
+                    lpm[r_idx, pos] = hist.log_prob_codes()[
+                        hist.quantizer.encode(added)]
+            ranks = fds[0].dep_ranks(cmat)
+            penalty = np.zeros((B, width))
+            per_dc = []
+            fd_groups = iter(groups)
+            for dc, weight, index in specs:
+                if index is None:
+                    counts = np.vstack([
+                        multi_candidate_violation_counts(
+                            dc, {w: cmat[r]},
+                            {a: cols[a][lo + r] for a in dc.attributes
+                             if a != w}, {})
+                        for r in range(B)])
+                else:
+                    group = next(fd_groups)
+                    counts = index.counts_at(group, ranks)
+                    per_dc.append((weight, index, "dep", group, counts))
+                penalty += weight * counts
+            u = self.noise.rows(lo, hi)
+            g = _gumbel(u[:, gum:gum + width])
+            picks = np.argmax(lpm - penalty + g, axis=1)
+            pick_ranks = ranks[rows, picks]
+            fresh = [~holds[s][rows, pick_ranks] if s in holds else None
+                     for s in range(len(fds))]
+            stop = self._fold_kept_prefix(per_dc, pick_ranks, lo,
+                                          values=cmat[rows, picks],
+                                          fresh=fresh)
+            if tracer is not None:
+                tracer.observe_block(B)
+                if stop < B:
+                    tracer.count("rescored_rows", B - stop)
+                pairs = sum(int(counts[rows[:stop], picks[:stop]].sum())
+                            for _, index, _, _, counts in per_dc
+                            if index.dc.hard)
+                if pairs:
+                    tracer.count("hard_violation_pairs", pairs)
+            lo += stop
+            window = min(max_block, max(_MIN_WINDOW_ROWS, 2 * stop))
+
+    def _write_forced_num(self, i: int, forced, fds: list) -> None:
+        """Write and fold one FD-lookup forced row of the window lane."""
+        cols, tracer = self.cols, self.tracer
+        self.wcols[self.w][i] = forced
+        _record_fd(self.fd_indexes, cols, i)
+        pairs = 0
+        for index in fds:
+            created = index.add_pair(
+                tuple(cols[a][i] for a in index.determinant), cols[self.w][i])
+            if index.dc.hard:
+                pairs += created
+        if tracer is not None:
+            tracer.count("forced_rows")
+            if pairs:
+                tracer.count("hard_violation_pairs", pairs)
+
     # -- sequential numeric driver (conflict-all columns) --------------
     def fill_numeric_sequential(self, n: int) -> None:
         """Per-row pass for columns whose rows all potentially interact
@@ -1232,6 +1401,32 @@ class _ColumnPass:
             pick = int(np.argmax(scores))
             self.wcols[w][i] = cand[pick]
             self._fold_row(i)
+
+    # -- lane dispatch ---------------------------------------------------
+    def fill(self, n: int, specs: list | None, max_block: int) -> None:
+        """Draw rows ``0..n`` of this constrained column on its lane.
+
+        ``specs`` are the column's group keys (:func:`_conflict_keys`).
+        A categorical target scores fixed blocks (:meth:`fill_cat`); a
+        numerical one runs per row when its rows all interact
+        (``specs`` None), in windows when its DCs are FDs counted on
+        its value grid, else in conflict-free blocks.  The numerical
+        lanes trace as ``num-sequential`` and ``num-blocked``.
+        """
+        if self.layout.kind == "cat":
+            self.fill_cat(n, max_block)
+            return
+        if self.tracer is not None:
+            self.tracer.mode = ("num-sequential" if specs is None
+                                else "num-blocked")
+        fd_specs = self._num_fd_specs() if specs is not None else None
+        if specs is None:
+            self.fill_numeric_sequential(n)
+        elif fd_specs is not None:
+            self._fill_num_fd_lane(n, max_block, fd_specs)
+        else:
+            for lo, hi in _conflict_blocks(specs, self.cols, n, max_block):
+                self.process_block(lo, hi)
 
     # -- block driver (numerical targets) ------------------------------
     def process_block(self, lo: int, hi: int) -> None:
@@ -1324,12 +1519,8 @@ def _run_shard_pass(sampler: _ColumnSampler, j: int, base, layout,
     counts.
     """
     wcols_g = {sampler.wseq[j]: gw}
-    col = _ColumnPass(sampler, j, base, layout, noise, gcols, wcols_g)
-    if layout.kind == "cat":
-        col.fill_cat(m, max_block)
-    else:
-        for lo, hi in _conflict_blocks(specs, gcols, m, max_block):
-            col.process_block(lo, hi)
+    _ColumnPass(sampler, j, base, layout, noise, gcols,
+                wcols_g).fill(m, specs, max_block)
 
 
 def _context_attrs(sampler: _ColumnSampler, j: int) -> list:
@@ -1681,27 +1872,10 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
                                      max_block_rows, tpool, None,
                                      tracer=col_trace)
                 else:
-                    col = _ColumnPass(sampler, j, base, layout,
-                                      _CellNoise(*noise_key), cols,
-                                      wcols, fd_indexes,
-                                      tracer=col_trace)
-                    if layout.kind == "cat":
-                        # Candidates are the fixed code domain: score
-                        # whole blocks optimistically, validate per row.
-                        col.fill_cat(n, max_block_rows)
-                    elif specs is None:
-                        # Numerical candidates depend on the prefix
-                        # (hard-DC augmentation): conflict-all columns
-                        # stay sequential.
-                        if col_trace is not None:
-                            col_trace.mode = "num-sequential"
-                        col.fill_numeric_sequential(n)
-                    else:
-                        if col_trace is not None:
-                            col_trace.mode = "num-blocked"
-                        for lo, hi in _conflict_blocks(specs, cols, n,
-                                                       max_block_rows):
-                            col.process_block(lo, hi)
+                    _ColumnPass(sampler, j, base, layout,
+                                _CellNoise(*noise_key), cols, wcols,
+                                fd_indexes, tracer=col_trace,
+                                ).fill(n, specs, max_block_rows)
             if col_trace is not None:
                 col_trace.finish(time.perf_counter() - col_start, n)
             if params.mcmc_m > 0:
@@ -1791,15 +1965,7 @@ def synthesize_stream(model, relation, dcs, weights, n: int, params,
                 _draw_unconstrained(sampler, j, base, layout, noise,
                                     cols, wcols, 0, m)
             else:
-                col = _ColumnPass(sampler, j, base, layout, noise,
-                                  cols, wcols, state=states[j],
-                                  strict=True, row_offset=off)
-                if layout.kind == "cat":
-                    col.fill_cat(m, max_block_rows)
-                elif specs_of[j] is None:
-                    col.fill_numeric_sequential(m)
-                else:
-                    for lo, hi in _conflict_blocks(specs_of[j], cols, m,
-                                                   max_block_rows):
-                        col.process_block(lo, hi)
+                _ColumnPass(sampler, j, base, layout, noise, cols, wcols,
+                            state=states[j], strict=True, row_offset=off,
+                            ).fill(m, specs_of[j], max_block_rows)
         yield Table(relation, cols, validate=False)

@@ -69,18 +69,27 @@ _ENGINES = ("blocked", "row")
 _POOLS = ("thread", "process")
 
 
-def _draw_size(n, default: int) -> int:
-    """The row count of a draw: ``default`` for None, else ``n`` as a
-    non-negative integer (numpy integers included)."""
-    if n is None:
-        return default
+def _non_negative_int(value, name: str) -> int:
+    """``value`` as a non-negative integer (numpy integers included), or
+    a :class:`ValueError` naming ``name``."""
     try:
-        rows = int(n)
+        out = int(value)
     except (TypeError, ValueError, OverflowError):
-        rows = -1
-    if rows < 0 or rows != n:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    return rows
+        out = -1
+    if out < 0 or out != value:
+        raise ValueError(
+            f"{name} must be a non-negative integer, got {value!r}")
+    return out
+
+
+def _draw_size(n, default: int) -> int:
+    """The row count of a draw: ``default`` for None, else ``n``."""
+    return default if n is None else _non_negative_int(n, "n")
+
+
+def _draw_seed(seed) -> int | None:
+    """The seed of a draw: None (the fitted config's), else ``seed``."""
+    return None if seed is None else _non_negative_int(seed, "seed")
 
 
 def _resolve_workers(workers: int, engine: str, pool: str) -> int:
@@ -211,6 +220,8 @@ class KaminoConfig:
     def _validate(self) -> None:
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "seed",
+                           _non_negative_int(self.seed, "seed"))
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
@@ -392,6 +403,7 @@ class FittedKamino:
         violation-index probe counts.
         """
         n_out = _draw_size(n, self.default_n)
+        seed = _draw_seed(seed)
         cfg = self.config
         engine = cfg.engine if engine is None else engine
         pool = cfg.pool if pool is None else pool
@@ -477,6 +489,7 @@ class FittedKamino:
         rather than silently answering from a partial prefix.
         """
         n_out = _draw_size(n, self.default_n)
+        seed = _draw_seed(seed)
         cfg = self.config
         engine = cfg.engine if engine is None else engine
         if engine not in _ENGINES:
@@ -521,6 +534,7 @@ class FittedKamino:
         ``"ar"``, no per-column breakdown).
         """
         n_out = _draw_size(n, self.default_n)
+        seed = _draw_seed(seed)
         rng = self._sampling_rng(seed, offset=1)
         cfg = self.config
         sampled_dcs = self.dcs if cfg.constraint_aware_sampling else []

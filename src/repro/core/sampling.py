@@ -62,6 +62,10 @@ from repro.schema.table import Table
 #: log space, it zeroes every violating candidate's probability.
 HARD_WEIGHT = 1e9
 
+#: Prefix values per hard DC that :meth:`_ColumnSampler._consistent_values`
+#: adds to a numerical target's candidates.
+CONSISTENT_LIMIT = 4
+
 
 class PrefixScanRequired(RuntimeError):
     """An exact answer would need the full sampled prefix arrays.
@@ -260,7 +264,7 @@ class _ColumnSampler:
         return cand, decode, logp
 
     def _consistent_values(self, j: int, target: str, cols: dict,
-                           i: int, limit: int = 4,
+                           i: int, limit: int = CONSISTENT_LIMIT,
                            indexes: dict[str, ViolationIndex] | None = None,
                            strict: bool = False,
                            prefix_rows: int | None = None) -> np.ndarray:
@@ -522,22 +526,29 @@ class _ColumnSampler:
         """Fresh (empty) incremental indexes for the DCs active at ``j``.
 
         Only shapes with a probe are indexed: unary probes are already
-        O(d) without a prefix.  FDs between two categoricals count in a
-        dense code table, other binary DCs whose predicates each read
-        one attribute in value-grid tables over the attributes' known
-        universes (:meth:`value_universe`); the rest keep the FD, order
-        and generic indexes of :func:`build_index`.  ``removable``
-        additionally requires remove support (the MCMC all-but-one
-        conditional).
+        O(d) without a prefix.  FDs over categorical determinants count
+        in a dense table (a numerical dependent, when it is the target,
+        by rank on its snap grid), other binary DCs whose predicates
+        each read one attribute in value-grid tables over the
+        attributes' known universes (:meth:`value_universe`); the rest
+        keep the FD, order and generic indexes of :func:`build_index`.
+        ``removable`` additionally requires remove support (the MCMC
+        all-but-one conditional).
         """
         if not self.use_violation_index:
             return {}
+        # A target that takes fresh values (:meth:`_fresh_values`, not
+        # snapped) keeps its FDs on the dict index: they fall off the
+        # grid.
+        universe = (self.value_universe
+                    if self.fresh_value_tracker(j) is None else None)
         out: dict[str, ViolationIndex] = {}
         for dc in self.active_at[j]:
             if dc.is_unary:
                 continue
             index = build_fd_table_index(dc, self.code_sizes,
-                                         target=self.wseq[j])
+                                         target=self.wseq[j],
+                                         universe=universe)
             if index is None:
                 index = build_grid_index(dc, self.value_universe)
             if index is None:

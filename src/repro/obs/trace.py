@@ -63,13 +63,16 @@ class ColumnTrace:
         self.rows = 0
         #: Scheduling counters: ``blocks``, ``block_rows_max``,
         #: ``rescored_rows``, ``forced_rows``, ``sequential_rows``,
-        #: ``shards`` — whichever the lane produces — and the FD lane's
+        #: ``shards`` — whichever the lane produces — and the FD lanes'
         #: ``hard_violation_pairs``.
         self.counters: dict[str, int] = {}
         #: Violation-index probe counts, keyed by probe method name
         #: (``probe_block_codes``, ``probe_det_codes``, ``probe_pair``,
-        #: ``probe_many``, ``candidate_counts``).  The engine attaches
-        #: this dict to every index it probes.
+        #: ``probe_many``, ``candidate_counts``).  An FD count table's
+        #: block gathers count under the probe they stand in for:
+        #: ``dep_counts`` and the window lane's ``counts_at`` as
+        #: ``probe_block_codes``, ``det_counts`` as ``probe_det_codes``.
+        #: The engine attaches this dict to every index it probes.
         self.probes: dict[str, int] = {}
 
     def count(self, key: str, inc: int = 1) -> None:

@@ -22,7 +22,8 @@ Loaded artifacts live in an in-memory **hot cache**: LRU over
 onto one load (per-key single-flight locks) — no duplicate loads, no
 torn reads.  All six registered backends serve through the one
 :func:`repro.synth.load_fitted` dispatch; ``peek_method`` decides the
-``.kamino`` / ``.synth`` suffix at registration time.
+``.kamino`` / ``.synth`` suffix at registration time, so a lookup reads
+no artifact bytes (a ``.synth`` method is peeked once per path).
 """
 
 from __future__ import annotations
@@ -151,6 +152,9 @@ class ModelRegistry:
         #: (name, version) -> reason for every artifact that failed
         #: digest/load verification; requests for them fail fast.
         self.quarantined: dict[tuple[str, str], str] = {}
+        #: ``.synth`` path -> backend method; the file name is its
+        #: content digest, so the peeked method never goes stale.
+        self._methods: dict[str, str] = {}
 
     # -- registration ---------------------------------------------------
     def register(self, name: str, model_path: str, schema_path: str,
@@ -209,14 +213,26 @@ class ModelRegistry:
             base = os.path.join(directory, stem)
             dcs = base + ".dcs.txt"
             records.append(ModelRecord(
-                name=name, version=stem,
-                method=peek_method(path) or "kamino", path=path,
-                schema_path=base + ".schema.json",
+                name=name, version=stem, method=self._method(path, suffix),
+                path=path, schema_path=base + ".schema.json",
                 dcs_path=dcs if os.path.exists(dcs) else None))
         if not records:
             raise UnknownModelError(f"unknown model {name!r}")
         records.sort(key=lambda r: os.path.getmtime(r.path))
         return records
+
+    def _method(self, path: str, suffix: str) -> str:
+        """The backend of a stored artifact without reading it per call:
+        :meth:`register` stores Kamino models as ``.kamino``, and a
+        ``.synth`` payload's method is peeked once per path."""
+        if suffix == NATIVE_SUFFIX:
+            return "kamino"
+        method = self._methods.get(path)
+        if method is None:
+            # Two racing first lookups both peek and store the same value.
+            method = peek_method(path) or "kamino"
+            self._methods[path] = method
+        return method
 
     def resolve(self, name: str, version: str | None = None) -> ModelRecord:
         """The record for ``(name, version)``; latest when no version."""

@@ -380,6 +380,25 @@ def test_bad_epsilon_is_a_usage_error(tpch_bundle, tmp_path, capsys, value,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "model.npz", "--out", "out"],
+    ["fit", "bundle", "--out", "m.npz"],
+    ["synthesize", "bundle", "--out", "out"],
+    ["evaluate", "real", "synth"],
+])
+@pytest.mark.parametrize("value, message", [
+    ("-1", "must be >= 0"),
+    ("1.5", "not an integer"),
+])
+def test_bad_seed_is_a_usage_error(capsys, argv, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed" in err and message in err
+    assert "Traceback" not in err
+
+
 def test_epsilon_inf_or_none_is_non_private():
     for text in ("inf", "none"):
         args = build_parser().parse_args(

@@ -145,6 +145,7 @@ def lane_scenarios(draw):
         "k": k, "v": v, "n": n, "target": target, "hard": hard,
         "weight": draw(st.sampled_from([0.3, 1.0, 4.0])),
         "second_fd": draw(st.booleans()),
+        "composite": draw(st.booleans()),
         "unary": draw(st.booleans()),
         "fd_lookup": hard and target == "y" and draw(st.booleans()),
         "max_block": draw(st.integers(1, 40)),
@@ -159,7 +160,10 @@ def _lane_pass(sc: dict, tracer: ColumnTrace) -> _ColumnPass:
     dcs = [parse_dc("not(ti.x == tj.x and ti.y != tj.y)", name="fd_xy",
                     hard=sc["hard"], relation=relation)]
     if sc["second_fd"] and sc["target"] == "y":
-        dcs.append(parse_dc("not(ti.z == tj.z and ti.y != tj.y)",
+        # Composite: (x, z) -> y counts by one mixed-radix group code.
+        det = ("ti.x == tj.x and ti.z == tj.z" if sc["composite"]
+               else "ti.z == tj.z")
+        dcs.append(parse_dc(f"not({det} and ti.y != tj.y)",
                             name="fd_zy", hard=sc["hard"],
                             relation=relation))
     if sc["unary"]:

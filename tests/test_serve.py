@@ -11,16 +11,19 @@ request hits the draw cache (visible in ``/metrics``), and
 """
 
 import contextlib
+import http.client
 import os
 import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import repro.faults as faults
+import repro.serve.registry as registry_mod
 from repro.core.kamino import Kamino
 from repro.datasets import load
 from repro.io.dc_text import save_dcs
@@ -128,6 +131,24 @@ def test_register_synth_payload_suffix(tmp_path, privbayes):
     assert record.method == "privbayes"
     assert record.path.endswith(".synth")
     assert record.supports_native_stream() is False
+
+
+def test_registry_lookups_read_no_artifact_bytes(tmp_path, tpch,
+                                                privbayes):
+    """A ``.kamino`` lookup never peeks its artifact; a ``.synth`` one
+    peeks once per path."""
+    registry = ModelRegistry(str(tmp_path))
+    registry.register("m", tpch["model"], tpch["schema"],
+                      dcs_path=tpch["dcs"])
+    registry.register("pb", privbayes["model"], privbayes["schema"])
+    with mock.patch.object(registry_mod, "peek_method",
+                           wraps=registry_mod.peek_method) as peek:
+        for _ in range(3):
+            assert registry.get("m").record.method == "kamino"
+        assert peek.call_count == 0
+        for _ in range(3):
+            assert registry.resolve("pb").method == "privbayes"
+        assert peek.call_count == 1
 
 
 def test_registry_unknown_and_invalid_names(tmp_path, tpch):
@@ -519,11 +540,44 @@ def test_serve_version_pinning(client, server):
     assert missing.status == 404
 
 
+def test_cached_hits_make_no_artifact_peek(client, server):
+    assert client.sample("tpch", n=12, seed=41).status == 200
+    with mock.patch.object(registry_mod, "peek_method",
+                           wraps=registry_mod.peek_method) as peek:
+        hit = client.sample("tpch", n=12, seed=41)
+    assert hit.status == 200 and hit.cache_state == "hit"
+    assert peek.call_count == 0
+
+
+def test_keep_alive_cached_hits_do_not_stall(client, server):
+    """Back-to-back GETs on one connection: with Nagle on, each waited
+    for the client's delayed ACK (~40 ms)."""
+    path = "/sample?model=tpch&n=12&seed=42"
+    assert client.sample("tpch", n=12, seed=42).status == 200
+    conn = http.client.HTTPConnection(server.server_address[0],
+                                      server.server_address[1], timeout=10)
+    try:
+        latencies = []
+        for _ in range(20):
+            start = time.perf_counter()
+            conn.request("GET", path)
+            resp = conn.getresponse()
+            resp.read()
+            latencies.append(time.perf_counter() - start)
+            assert resp.status == 200
+    finally:
+        conn.close()
+    assert float(np.median(latencies)) < 0.020, latencies
+
+
 def test_serve_error_statuses(client):
     assert client.sample("ghost").status == 404
     assert client._request("GET", "/sample").status == 400
     assert client._request("GET", "/sample?model=tpch&n=nope").status \
         == 400
+    negative = client._request("GET", "/sample?model=tpch&seed=-1")
+    assert negative.status == 400
+    assert b"seed must be >= 0" in negative.body
     assert client._request(
         "GET", "/sample?model=tpch&format=xml").status == 400
     assert client._request("GET", "/nowhere").status == 404

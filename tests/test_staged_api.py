@@ -14,8 +14,9 @@ import pytest
 
 from repro.constraints import count_violations
 from repro.core import FittedKamino, Kamino, KaminoConfig
-from repro.core.kamino import KaminoResult
+from repro.core.kamino import ConfigError, KaminoResult
 from repro.datasets import load
+from repro.schema import Table
 
 
 def _cap(params):
@@ -274,6 +275,49 @@ def test_draw_sizes_accept_none_zero_and_numpy_integers(fitted_tpch,
     assert rows(_DRAWS[entry](fitted, 0)) == 0
     assert rows(_DRAWS[entry](fitted, np.int64(5))) == 5
     assert rows(_DRAWS[entry](fitted, 5.0)) == 5
+
+
+_SEEDED = {
+    "sample": lambda fitted, seed: fitted.sample(n=3, seed=seed).table,
+    "sample_ar": lambda fitted, seed: fitted.sample_ar(
+        n=3, seed=seed, max_tries=5).table,
+    "sample_stream": lambda fitted, seed: _joined(
+        fitted.sample_stream(n=3, seed=seed, chunk_rows=2)),
+}
+
+
+def _joined(chunks) -> Table:
+    chunks = list(chunks)
+    relation = chunks[0].relation
+    return Table(relation, {a: np.concatenate([c.column(a) for c in chunks])
+                            for a in relation.names}, validate=False)
+
+
+@pytest.mark.parametrize("entry", sorted(_SEEDED))
+@pytest.mark.parametrize("seed", [1.9, -1, np.int64(-3), "1", [1]])
+def test_malformed_seeds_raise_a_typed_error(fitted_tpch, entry, seed):
+    _, fitted = fitted_tpch
+    with pytest.raises(ValueError, match=r"\bseed must be a non-negative "
+                       r"integer"):
+        _SEEDED[entry](fitted, seed)
+
+
+@pytest.mark.parametrize("entry", sorted(_SEEDED))
+def test_seeds_accept_none_and_integral_values(fitted_tpch, entry):
+    _, fitted = fitted_tpch
+    draw = _SEEDED[entry]
+    assert draw(fitted, None).n == 3
+    want = draw(fitted, 7)
+    for seed in (np.int64(7), 7.0):
+        got = draw(fitted, seed)
+        for a in fitted.relation.names:
+            np.testing.assert_array_equal(got.column(a), want.column(a))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_config_rejects_malformed_seeds(seed):
+    with pytest.raises(ConfigError, match="seed must be a non-negative"):
+        KaminoConfig(epsilon=1.0, seed=seed)
 
 
 def test_sample_ar_produces_valid_rows(fitted_tpch):
