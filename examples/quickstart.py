@@ -9,16 +9,12 @@ private "true" instance, and walks the staged API:
    and returns a ``FittedKamino``;
 3. ``FittedKamino.sample`` draws synthetic instances — any size, any
    seed, as many as wanted — as free post-processing, on the
-   block-scheduled vectorized engine (``engine="blocked"``, the
-   default) whose counter-based per-cell rng makes every draw
-   deterministic per seed and lets ``workers=k`` shard it across
-   threads bit-identically;
-4. ``engine="row"`` keeps the legacy per-row sampler for exact replay
-   of pre-engine outputs;
-5. ``save``/``load`` persist the fitted model (including the engine
-   choice and rng spec) so later draws never touch the private data
-   again;
-6. a ``RunTrace`` records where the time went — fit phases, per-column
+   block-scheduled vectorized engine whose counter-based per-cell rng
+   makes every draw deterministic per seed and lets ``workers=k``
+   shard it across threads bit-identically;
+4. ``save``/``load`` persist the fitted model (including its rng spec)
+   so later draws never touch the private data again;
+5. a ``RunTrace`` records where the time went — fit phases, per-column
    sampling wall-clock, engine lanes, index probe counts — without
    changing a single drawn cell (the CLI exposes the same telemetry as
    ``repro-kamino fit/sample/synthesize --trace out.json``).
@@ -76,9 +72,8 @@ def main() -> None:
     print(f"privacy spent   : epsilon={fitted.params.achieved_epsilon:.3f} "
           f"(budget {config.epsilon}), alpha={fitted.params.best_alpha}")
 
-    # Serve many: draws are free post-processing.  By default they run
-    # on the block-scheduled engine (KaminoConfig.engine="blocked"):
-    # conflict-free row blocks are scored and drawn vectorized, and all
+    # Serve many: draws are free post-processing.  They run on the
+    # block-scheduled engine: conflict-free row blocks are scored and drawn vectorized, and all
     # randomness comes from counter-based per-cell streams, so a draw
     # is a pure function of (model, DCs, n, seed) — block size and
     # worker count never change a single cell.  That determinism is
@@ -92,16 +87,6 @@ def main() -> None:
     print(f"draws           : default n={result.table.n}, "
           f"seeded n={extra.table.n} (workers=4, bit-identical to "
           f"workers=1) — one training run, zero extra budget")
-
-    # engine="row" keeps the legacy per-row sampler: pick it (per draw
-    # or via KaminoConfig) when you must replay outputs produced before
-    # the blocked engine existed bit for bit — e.g. regression-pinned
-    # synthetic datasets.  Both engines sample the same distribution;
-    # models saved by older releases load with engine="row"
-    # automatically so their historical draws still reproduce.
-    legacy = fitted.sample(n=500, seed=1, engine="row")
-    print(f"row engine      : n={legacy.table.n} (legacy bit-exact "
-          f"stream, sequential)")
 
     print(f"FD violations   : truth "
           f"{violating_pair_percentage(fd, table):.3f}%  synthetic "

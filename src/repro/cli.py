@@ -191,12 +191,8 @@ def _config_from_args(args) -> KaminoConfig:
 
         def params_override(params, cap=cap):
             params.iterations = min(params.iterations, cap)
-    extra = {}
-    if getattr(args, "engine", None) is not None:
-        extra["engine"] = args.engine
     return KaminoConfig(epsilon=args.epsilon, delta=args.delta,
-                        seed=args.seed, params_override=params_override,
-                        **extra)
+                        seed=args.seed, params_override=params_override)
 
 
 def _record_ledger(args, label: str, private: bool, params) -> None:
@@ -309,7 +305,7 @@ def _sample_backend(args, method: str) -> int:
 
     relation = load_relation(args.schema)
     dcs = load_dcs(args.dcs, relation=relation) if args.dcs else []
-    for flag in ("workers", "pool", "engine", "chunk_rows"):
+    for flag in ("workers", "pool", "chunk_rows"):
         if getattr(args, flag, None) is not None:
             print(f"warning: --{flag.replace('_', '-')} applies to "
                   f"Kamino models only; ignoring it for this {method} "
@@ -388,15 +384,9 @@ def cmd_sample(args) -> int:
     relation = load_relation(args.schema)
     dcs = load_dcs(args.dcs, relation=relation) if args.dcs else []
     fitted = FittedKamino.load(args.model, relation, dcs)
-    resolved = args.engine or fitted.config.engine
     pool = args.pool or fitted.config.pool
     n_workers = fitted.config.workers if args.workers is None \
         else args.workers
-    if n_workers not in (0, 1) and resolved == "row" and pool != "process":
-        print("error: --workers requires the blocked engine (this draw "
-              f"resolves to engine={resolved!r}; pass --engine blocked, "
-              "--pool process, or drop --workers)", file=sys.stderr)
-        return 2
     missing = sorted(set(fitted.weights) - {dc.name for dc in dcs})
     if missing:
         print(f"warning: model was fitted with DC weights for "
@@ -410,8 +400,7 @@ def cmd_sample(args) -> int:
                   "ignoring it", file=sys.stderr)
         start = time.perf_counter()
         chunks = fitted.sample_stream(n=args.n, seed=args.seed,
-                                      chunk_rows=args.chunk_rows,
-                                      engine=args.engine)
+                                      chunk_rows=args.chunk_rows)
         try:
             rows = write_table_stream(args.out, relation, chunks,
                                       fmt=stream_fmt)
@@ -422,20 +411,18 @@ def cmd_sample(args) -> int:
                       if args.chunk_rows is None else args.chunk_rows)
         print(f"streamed synthetic table to {args.out} "
               f"(n={rows}, {stream_fmt}, chunk_rows={chunk_rows}, "
-              f"{time.perf_counter() - start:.1f}s via the {resolved} "
+              f"{time.perf_counter() - start:.1f}s via the blocked "
               f"engine, no privacy spend)")
         return 0
     trace = RunTrace(label=f"sample:{args.model}") if args.trace else None
     result = fitted.sample(n=args.n, seed=args.seed,
-                           workers=n_workers, engine=args.engine,
-                           pool=args.pool, trace=trace)
+                           workers=n_workers, pool=args.pool, trace=trace)
     save_bundle(args.out, result.table, fitted.dcs)
-    engine = resolved
     workers = f", workers={n_workers} ({pool} pool)" \
         if n_workers != 1 else ""
     print(f"wrote synthetic bundle to {args.out} "
           f"(n={result.table.n}, sampling "
-          f"{result.timings['Sam.']:.1f}s via the {engine} engine"
+          f"{result.timings['Sam.']:.1f}s via the blocked engine"
           f"{workers}, no privacy spend)")
     _finish_trace(args, trace)
     return 0
@@ -447,20 +434,12 @@ def cmd_synthesize(args) -> int:
     if method != "kamino":
         return _synthesize_backend(args, bundle, method)
     config = _config_from_args(args)
-    n_workers = config.workers if args.workers is None else args.workers
-    pool = args.pool or config.pool
-    if n_workers not in (0, 1) and config.engine == "row" \
-            and pool != "process":
-        print("error: --workers requires the blocked engine (drop "
-              "--engine row or --workers, or pass --pool process)",
-              file=sys.stderr)
-        return 2
     # One trace spans the whole pipeline: fit phases + the draw.
     trace = RunTrace(label=f"synthesize:{args.bundle}") \
         if args.trace else None
     kamino = Kamino(bundle.relation, bundle.dcs, config=config)
     fitted = kamino.fit(bundle.table, trace=trace)
-    result = fitted.sample(n=args.n, workers=n_workers, pool=args.pool,
+    result = fitted.sample(n=args.n, workers=args.workers, pool=args.pool,
                            trace=trace)
     if args.save_model:
         fitted.save(args.save_model)
@@ -616,8 +595,9 @@ def _epsilon(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    """``--seed``: a non-negative integer."""
+def _non_negative_int(text: str) -> int:
+    """``--seed``, ``--n``, ``--workers``, ``--max-iterations``: a
+    non-negative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -625,6 +605,14 @@ def _seed(text: str) -> int:
             f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """``--chunk-rows``: an integer >= 1."""
+    value = _non_negative_int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
     return value
 
 
@@ -656,15 +644,11 @@ def _add_budget_arguments(p: argparse.ArgumentParser) -> None:
                    help="privacy budget, > 0; 'inf' (or 'none') for "
                         "non-private")
     p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--max-iterations", type=int, default=None,
-                   help="cap DP-SGD iterations (fast runs)")
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--max-iterations", type=_non_negative_int,
+                   default=None, help="cap DP-SGD iterations (fast runs)")
     p.add_argument("--ledger", default=None,
                    help="JSON privacy ledger to append this run to")
-    p.add_argument("--engine", choices=("blocked", "row"), default=None,
-                   help="sampling engine (default: blocked — the "
-                        "block-scheduled vectorized engine; 'row' keeps "
-                        "the legacy per-row stream for exact replay)")
 
 
 def _add_trace_argument(p: argparse.ArgumentParser) -> None:
@@ -701,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundle")
     p.add_argument("--limit", type=int, default=16)
     p.add_argument("--max-rate", type=float, default=5.0)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--minimize", action="store_true",
                    help="drop duplicate/trivial/implied constraints")
     p.set_defaults(fn=cmd_discover)
@@ -738,12 +722,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output bundle directory, or a table file "
                         "(.csv/.parquet/.arrow/.feather) to *stream* "
                         "the draw to in bounded-memory chunks")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_non_negative_int, default=None,
                    help="synthetic rows (default: fitted input size)")
-    p.add_argument("--seed", type=_seed, default=None,
+    p.add_argument("--seed", type=_non_negative_int, default=None,
                    help="draw seed (default: reproduce the fit-time "
                         "draw, given the same --dcs)")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_non_negative_int, default=None,
                    help="shard the blocked engine's column passes over "
                         "N workers; 0 resolves from os.cpu_count() at "
                         "draw time (output is bit-identical for any "
@@ -754,13 +738,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "memory threads or worker processes (default: "
                         "the fitted config's pool; either is "
                         "bit-identical to workers=1)")
-    p.add_argument("--chunk-rows", type=int, default=None,
+    p.add_argument("--chunk-rows", type=_positive_int, default=None,
                    help="rows per streamed chunk when --out is a table "
                         "file (default: the fitted config's "
                         "stream_chunk_rows; pure scheduling)")
-    p.add_argument("--engine", choices=("blocked", "row"), default=None,
-                   help="override the engine the model was fitted "
-                        "with for this draw")
     _add_trace_argument(p)
     p.set_defaults(fn=cmd_sample)
 
@@ -768,13 +749,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run Kamino on a bundle, write a synthetic "
                             "bundle (fused fit + sample)")
     p.add_argument("bundle")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_non_negative_int, default=None,
                    help="synthetic rows (default: same as input)")
     p.add_argument("--out", required=True)
     p.add_argument("--save-model", default=None, metavar="MODEL",
                    help="also persist the fitted model for later "
                         "'sample' runs")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_non_negative_int, default=None,
                    help="workers for the blocked engine's sampling "
                         "pass; 0 = auto from os.cpu_count() (default: "
                         "the config's workers)")
@@ -793,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=(1, 2), metavar="K",
                    help="marginal order(s); repeatable (default: 1 2)")
     p.add_argument("--max-sets", type=int, default=30)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("ledger", help="print a privacy ledger summary")
@@ -824,13 +805,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max distinct renders in flight before 429s")
     p.add_argument("--timeout", type=float, default=120.0,
                    help="per-request render wait in seconds before 503s")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_non_negative_int, default=None,
                    help="shard Kamino draws over N workers (0 = auto "
                         "from cpu_count; bit-identical to any other "
                         "count — the cache stays coherent)")
     p.add_argument("--pool", choices=("thread", "process"), default=None,
                    help="execution lane for --workers > 1")
-    p.add_argument("--chunk-rows", type=int, default=None,
+    p.add_argument("--chunk-rows", type=_positive_int, default=None,
                    help="rows per streamed render chunk (default: each "
                         "model's own stream_chunk_rows)")
     p.add_argument("--quiet", action="store_true",

@@ -6,14 +6,14 @@
 * :mod:`repro.core.training` — Algorithm 2 (private learning of the
   tuple probability chain);
 * :mod:`repro.core.weights` — Algorithm 5 (private DC-weight learning);
-* :mod:`repro.core.sampling` — Algorithm 3 (constraint-aware instance
-  sampling), the constrained MCMC refinement, the accept-reject
-  alternative (Experiment 6), and the hard-FD lookup fast path
-  (Experiment 10);
+* :mod:`repro.core.sampling` — Algorithm 3's per-cell machinery
+  (constraint-aware candidates and penalties), the constrained MCMC
+  refinement, the accept-reject alternative (Experiment 6), and the
+  hard-FD lookup fast path (Experiment 10);
 * :mod:`repro.core.engine` — the block-scheduled vectorized sampling
-  engine (``KaminoConfig.engine = "blocked"``, the default): conflict-
-  aware batching over the violation-index group keys, counter-based
-  per-cell rng, and sharded parallel draws (``sample(..., workers=k)``);
+  engine that draws every instance: conflict-aware batching over the
+  violation-index group keys, counter-based per-cell rng, and sharded
+  parallel draws (``sample(..., workers=k)``);
 * :mod:`repro.core.kamino` — Algorithm 1 (end-to-end orchestration),
   staged as ``KaminoConfig`` -> ``Kamino.fit`` -> ``FittedKamino``
   (train once, sample/persist many);
@@ -24,7 +24,7 @@ from repro.core.sequencing import sequence_attributes, group_small_domains
 from repro.core.params import KaminoParams, search_dp_params
 from repro.core.training import ProbModel, train_model
 from repro.core.weights import learn_dc_weights
-from repro.core.sampling import ar_sample, synthesize
+from repro.core.sampling import ar_sample
 from repro.core.engine import synthesize_engine
 from repro.core.kamino import (
     FittedKamino, Kamino, KaminoConfig, KaminoResult,
@@ -47,7 +47,6 @@ __all__ = [
     "save_model",
     "search_dp_params",
     "sequence_attributes",
-    "synthesize",
     "synthesize_engine",
     "train_model",
     "UpdateDecision",

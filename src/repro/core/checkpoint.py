@@ -50,12 +50,12 @@ import numpy as np
 
 from repro.core.model_io import (
     ModelFormatError,
-    _PERSISTED_CONFIG,
     _base_meta,
     _decode_weights,
     _encode_weights,
     _rebuild_model,
     atomic_savez,
+    persisted_config,
 )
 from repro.core.params import KaminoParams
 
@@ -82,7 +82,7 @@ def table_digest(table) -> str:
 def fit_key(config, table, known_weights=None) -> str:
     """The identity a checkpoint must match to be resumable."""
     payload = {
-        "config": {f: getattr(config, f) for f in _PERSISTED_CONFIG},
+        "config": persisted_config(config),
         "params_override_used": config.params_override is not None,
         "table": table_digest(table),
         "known_weights": (None if known_weights is None

@@ -1,11 +1,11 @@
-"""Block-scheduled vectorized sampling engine (``engine="blocked"``).
+"""Block-scheduled vectorized sampling engine: every draw runs here.
 
 Algorithm 3 is sequential by definition: every cell's violation penalty
-is counted against the prefix of already-sampled rows.  The row engine
-(:mod:`repro.core.sampling`) therefore runs a Python loop per
-constrained cell, and at production ``n`` the sampler is bounded by
-interpreter overhead, not by the index math.  This module restructures
-the same computation around two observations:
+is counted against the prefix of already-sampled rows.  Run literally —
+the per-row reference loop in ``tests/row_reference.py`` — that is a
+Python loop per constrained cell, and at production ``n`` the sampler
+is bounded by interpreter overhead, not by the index math.  This module
+restructures the same computation around two observations:
 
 1.  **Conflict-free blocks.**  Within one column pass, a row's penalty
     only depends on prefix rows in the *same* constraint group (an FD's
@@ -37,10 +37,9 @@ the same computation around two observations:
 
 Selection itself uses the Gumbel-max trick: ``argmax(logp - penalty +
 gumbel)`` draws from exactly the normalised-product distribution of
-Algorithm 3 line 10, so the blocked engine samples from the *same law*
-as the row engine (its draws differ only through the rng scheme; the
-``engine="row"`` config keeps the legacy stream for exact replay of
-pre-engine outputs).
+Algorithm 3 line 10, so the engine samples from the *same law* as the
+per-row reference loop (their draws differ only through the rng
+scheme).
 
 Built on those two properties, three further execution lanes (all
 bit-identical to the plain single-worker draw, pinned by
@@ -71,9 +70,10 @@ bit-identical to the plain single-worker draw, pinned by
     :class:`~repro.core.sampling.PrefixScanRequired` instead of
     silently degrading.
 
-Entry point: :func:`synthesize_engine` — the blocked counterpart of
-:func:`repro.core.sampling.synthesize`, dispatched from
-:meth:`repro.core.kamino.FittedKamino.sample` via ``KaminoConfig.engine``.
+Entry points: :func:`synthesize_engine`, behind
+:meth:`repro.core.kamino.FittedKamino.sample`, and
+:func:`synthesize_stream`, behind
+:meth:`~repro.core.kamino.FittedKamino.sample_stream`.
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ from repro.core.sampling import (
     _forced_value,
     _mcmc_resample,
     _record_fd,
-    synthesize as _synthesize_row,
 )
 from repro.constraints.index import (
     MAX_GRID_CELLS, ArrayFDViolationIndex, FDViolationIndex,
@@ -136,12 +135,12 @@ STREAM_CHUNK_ROWS = 65536
 _NOISE_CACHE_CHUNKS = 4
 _BASE_CACHE_CHUNKS = 2
 
-#: The rng spec persisted alongside the engine choice.
+#: The rng spec persisted with every fitted model.
 ENGINE_RNG_SPEC = {"scheme": "philox-cell", "chunk": NOISE_CHUNK}
 
 #: Per-row uniform slots consumed by one fresh-value draw sequence.
 _FRESH_TRIES = 24
-#: Candidate-slot bounds mirrored from the row engine's limits:
+#: Candidate-slot bounds mirrored from the per-row helpers' limits:
 #: ``_consistent_values`` yields at most 4 dependents + 2 order
 #: endpoints per DC; ``_fresh_values`` at most 2 values per row.
 _CONSISTENT_SLOTS = 6
@@ -151,7 +150,8 @@ _EMPTY = np.empty(0, dtype=np.float64)
 
 
 def _gumbel(u: np.ndarray) -> np.ndarray:
-    """Gumbel noise from uniforms (same guards as the row engine)."""
+    """Gumbel noise from uniforms (same guards as
+    :func:`repro.core.sampling._gumbel_argmax`)."""
     return -np.log(-np.log(u + 1e-300) + 1e-300)
 
 
@@ -1336,8 +1336,8 @@ class _ColumnPass:
         (eq-less order DCs, determinant-feeding targets, generic binary
         DCs).  Candidates and noise still come from the vectorized
         chunk machinery; only extras, penalty probes, and the argmax
-        run per row — strictly less per-row Python than the row engine
-        (no per-row rng, no normalise-and-choice).
+        run per row — strictly less per-row Python than the reference
+        loop (no per-row rng, no normalise-and-choice).
         """
         sampler, layout = self.sampler, self.layout
         w, cols = self.w, self.cols
@@ -1600,46 +1600,6 @@ def _pool_constrained(j: int, rows: np.ndarray, noise_key: tuple,
     return gw, members
 
 
-def synthesize_row_subprocess(model, relation, dcs, weights, n: int,
-                              params, rng, hyper=None,
-                              use_fd_lookup: bool = False,
-                              use_violation_index: bool = True) -> Table:
-    """Run the legacy row engine in one worker process.
-
-    The row engine is inherently sequential, so ``pool="process"``
-    means "the whole draw in a subprocess" — same computation, other
-    address space, trivially bit-identical.  The parent's rng object is
-    never advanced (the child works on the pickled copy) — which is
-    also what makes the self-healing path safe: if the worker dies, the
-    draw re-runs in-process from the same starting state, bit-identical
-    to what the worker would have produced.
-    """
-    try:
-        with ProcessPoolExecutor(max_workers=1,
-                                 mp_context=_pool_context()) as ex:
-            cols = ex.submit(
-                _row_draw_task, model, relation, dcs, weights, n, params,
-                rng, hyper, use_fd_lookup, use_violation_index).result()
-    except BrokenProcessPool:
-        _LOG.warning("row-draw worker process died; retrying the draw "
-                     "in-process (output unchanged)")
-        return _synthesize_row(
-            model, relation, dcs, weights, n, params, rng, hyper=hyper,
-            use_fd_lookup=use_fd_lookup,
-            use_violation_index=use_violation_index)
-    return Table(relation, cols, validate=False)
-
-
-def _row_draw_task(model, relation, dcs, weights, n, params, rng, hyper,
-                   use_fd_lookup, use_violation_index):
-    fault_point("engine.worker")
-    table = _synthesize_row(
-        model, relation, dcs, weights, n, params, rng, hyper=hyper,
-        use_fd_lookup=use_fd_lookup,
-        use_violation_index=use_violation_index)
-    return table.columns
-
-
 # ----------------------------------------------------------------------
 # Sharded dispatch (parent side)
 # ----------------------------------------------------------------------
@@ -1754,7 +1714,7 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
                       max_block_rows: int = MAX_BLOCK_ROWS,
                       noise_chunk: int = NOISE_CHUNK,
                       trace=None) -> Table:
-    """Blocked-engine counterpart of :func:`repro.core.sampling.synthesize`.
+    """Algorithm 3: draw a synthetic instance of ``n`` rows.
 
     The output is a deterministic function of the arguments — in
     particular it does **not** depend on ``workers``, ``pool``, or

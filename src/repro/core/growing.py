@@ -161,8 +161,8 @@ class GrowingSynthesizer:
         for any worker count.
     kamino_kwargs:
         Extra keyword arguments forwarded to :class:`Kamino` (e.g.
-        ``params_override`` for small-scale runs, or ``engine="row"``
-        for exact replay of legacy draws).
+        ``params_override`` for small-scale runs, or ``use_fd_lookup``
+        for the hard-FD lookup path).
     """
 
     def __init__(self, relation, dcs, epsilon: float, delta: float = 1e-6,

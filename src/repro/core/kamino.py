@@ -23,8 +23,7 @@ split:
   can train on one machine and serve draws from many.
 
 ``Kamino.fit_sample`` remains as the one-shot convenience — it is
-literally ``fit(table).sample(n)`` and produces bit-identical output to
-the historical fused pipeline.  :class:`Kamino` also applies the §4.3
+literally ``fit(table).sample(n)``.  :class:`Kamino` also applies the §4.3
 structural optimisations (hyper-attribute grouping, large-domain
 histogram fallback) and records the per-phase wall-clock profile that
 Figure 7 reports.
@@ -51,9 +50,12 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.engine import (
+    ENGINE_RNG_SPEC, NOISE_CHUNK, synthesize_engine, synthesize_stream,
+)
 from repro.core.hyper import HyperSpec
 from repro.core.params import KaminoParams, search_dp_params
-from repro.core.sampling import ar_sample, synthesize
+from repro.core.sampling import ar_sample
 from repro.core.sequencing import (
     group_small_domains,
     large_domain_attributes,
@@ -65,7 +67,6 @@ from repro.faults import fault_point
 from repro.schema.table import Table
 
 _WEIGHT_ESTIMATORS = ("matrix", "capped")
-_ENGINES = ("blocked", "row")
 _POOLS = ("thread", "process")
 
 
@@ -82,6 +83,15 @@ def _non_negative_int(value, name: str) -> int:
     return out
 
 
+def _positive_int(value, name: str) -> int:
+    """``value`` as an integer >= 1, or a :class:`ValueError` naming
+    ``name``."""
+    out = _non_negative_int(value, name)
+    if out < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return out
+
+
 def _draw_size(n, default: int) -> int:
     """The row count of a draw: ``default`` for None, else ``n``."""
     return default if n is None else _non_negative_int(n, "n")
@@ -90,24 +100,6 @@ def _draw_size(n, default: int) -> int:
 def _draw_seed(seed) -> int | None:
     """The seed of a draw: None (the fitted config's), else ``seed``."""
     return None if seed is None else _non_negative_int(seed, "seed")
-
-
-def _resolve_workers(workers: int, engine: str, pool: str) -> int:
-    """Resolve ``workers=0`` ("auto") at draw time.
-
-    Auto means ``os.cpu_count()`` for lanes that can shard; the
-    sequential row engine's thread lane resolves to 1 (there is nothing
-    to shard there).  The literal 0 is what configs persist — a model
-    artifact never bakes in one machine's core count.
-    """
-    if workers < 0:
-        raise ValueError(f"workers must be >= 1, or 0 for auto, "
-                         f"got {workers}")
-    if workers != 0:
-        return workers
-    if engine == "row" and pool == "thread":
-        return 1
-    return os.cpu_count() or 1
 
 
 class ConfigError(ValueError):
@@ -156,19 +148,12 @@ class KaminoConfig:
         literal Algorithm 5) or ``"capped"`` (log-odds over capped
         violation indicators — better when the budget affords an
         informative release); see :mod:`repro.core.weights`.
-    engine:
-        Sampling engine: ``"blocked"`` (default — the block-scheduled
-        vectorized engine of :mod:`repro.core.engine`, counter-based
-        per-cell rng, supports ``workers``) or ``"row"`` (the legacy
-        per-row loop, bit-exact replay of pre-engine outputs).  Both
-        sample the same distribution; they differ only in rng scheme
-        and speed.
     workers:
         Default worker count for :meth:`FittedKamino.sample` (the
         per-call ``workers=`` argument overrides it).  ``0`` means
         "auto": resolve from ``os.cpu_count()`` at draw time — the
         literal ``0`` is what persists in model v2, never a
-        machine-specific count.  Only the blocked engine shards on it —
+        machine-specific count.  The engine shards on it —
         unconstrained passes over contiguous spans, constrained passes
         over group-disjoint sub-schedules — and the drawn instance is
         bit-identical for any worker count (a scheduling knob, never a
@@ -177,9 +162,8 @@ class KaminoConfig:
         Execution lane for ``workers > 1``: ``"thread"`` (default,
         shared-memory, GIL-bound) or ``"process"`` (worker processes
         holding their own sampler; shards travel as compact picklable
-        specs and stitch back bit-identically).  Under
-        ``engine="row"``, ``pool="process"`` runs the whole sequential
-        draw in one subprocess.  Pure scheduling: never changes a cell.
+        specs and stitch back bit-identically).  Pure scheduling: never
+        changes a cell.
     stream_chunk_rows:
         Default chunk size of :meth:`FittedKamino.sample_stream` (rows
         per yielded table; the per-call ``chunk_rows=`` argument
@@ -205,7 +189,6 @@ class KaminoConfig:
     random_sequence: bool = False
     constraint_aware_sampling: bool = True
     weight_estimator: str = "matrix"
-    engine: str = "blocked"
     workers: int = 1
     pool: str = "thread"
     max_block_rows: int = 512
@@ -238,22 +221,17 @@ class KaminoConfig:
             raise ValueError(
                 f"weight_estimator must be one of {_WEIGHT_ESTIMATORS}, "
                 f"got {self.weight_estimator!r}")
-        if self.engine not in _ENGINES:
-            raise ValueError(
-                f"engine must be one of {_ENGINES}, got {self.engine!r}")
-        if self.workers < 0:
-            raise ValueError(
-                f"workers must be >= 1, or 0 for auto, got {self.workers}")
+        object.__setattr__(self, "workers",
+                           _non_negative_int(self.workers, "workers"))
         if self.pool not in _POOLS:
             raise ValueError(
                 f"pool must be one of {_POOLS}, got {self.pool!r}")
-        if self.max_block_rows < 1:
-            raise ValueError(
-                f"max_block_rows must be >= 1, got {self.max_block_rows}")
-        if self.stream_chunk_rows < 1:
-            raise ValueError(
-                f"stream_chunk_rows must be >= 1, "
-                f"got {self.stream_chunk_rows}")
+        object.__setattr__(self, "max_block_rows",
+                           _positive_int(self.max_block_rows,
+                                         "max_block_rows"))
+        object.__setattr__(self, "stream_chunk_rows",
+                           _positive_int(self.stream_chunk_rows,
+                                         "stream_chunk_rows"))
 
     @property
     def private(self) -> bool:
@@ -263,10 +241,6 @@ class KaminoConfig:
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
 
-
-#: Config field names, used by the :class:`Kamino` back-compat shim to
-#: forward attribute reads/writes onto the frozen config.
-_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(KaminoConfig))
 
 #: Sentinel distinguishing "knob not passed" from any real value, so
 #: ``Kamino(..., config=cfg, seed=5)`` can be rejected instead of
@@ -318,13 +292,14 @@ class FittedKamino:
     default_n: int
     #: Seq./Tra./DC.W. seconds of the fit phases.
     fit_timings: dict[str, float] = field(default_factory=dict)
-    #: Bit-generator state right after training — ``sample(seed=None)``
-    #: resumes from here, which is what makes ``fit(t).sample(n)``
-    #: bit-identical to the historical fused ``fit_sample(t, n)``.
+    #: Bit-generator state right after training.  No draw reads it: the
+    #: artifact records it, and a fit resumed from a checkpoint must
+    #: reproduce the uninterrupted fit's state exactly.
     sampling_state: dict | None = None
-    #: Counter-rng spec of the blocked engine (scheme + noise chunking),
+    #: Counter-rng spec of the engine (scheme + noise chunking),
     #: persisted with the model so reloaded artifacts replay their
-    #: draws; None on legacy artifacts (which default to engine="row").
+    #: draws; None on v1 and early v2 artifacts, which draw under the
+    #: default spec.
     rng_spec: dict | None = None
     #: Per-phase privacy-spend itemisation of the fit that produced
     #: this artifact (a :class:`repro.synth.ledger.BudgetLedger`;
@@ -341,14 +316,20 @@ class FittedKamino:
         return self.config.private
 
     # ------------------------------------------------------------------
-    def _sampling_rng(self, seed, offset: int = 0) -> np.random.Generator:
-        if seed is not None:
-            return np.random.default_rng(seed)
-        if offset == 0 and self.sampling_state is not None:
-            rng = np.random.default_rng(0)
-            rng.bit_generator.state = self.sampling_state
-            return rng
-        return np.random.default_rng(self.config.seed + offset)
+    def _noise_key(self, seed) -> tuple[int, int]:
+        """``(master, noise_chunk)`` of a draw: the counter-rng master
+        seed (``seed``, or the fitted config's) and the noise chunking
+        the artifact records."""
+        spec = self.rng_spec or {}
+        scheme = spec.get("scheme", "philox-cell")
+        if scheme != "philox-cell":
+            # Drawing with a different stream than the artifact
+            # records would silently break draw replay.
+            raise ValueError(
+                f"model was fitted under rng scheme {scheme!r}, "
+                f"which this version cannot reproduce")
+        master = int(self.config.seed if seed is None else seed)
+        return master, spec.get("chunk", NOISE_CHUNK)
 
     def _result(self, synthetic: Table, seconds: float) -> KaminoResult:
         timings = dict(self.fit_timings)
@@ -359,41 +340,27 @@ class FittedKamino:
                             timings=timings)
 
     def sample(self, n: int | None = None, seed: int | None = None,
-               workers: int | None = None, engine: str | None = None,
-               pool: str | None = None, trace=None) -> KaminoResult:
+               workers: int | None = None, pool: str | None = None,
+               trace=None) -> KaminoResult:
         """Draw a synthetic instance (Algorithm 3, post-processing).
 
-        ``n`` defaults to the fitted input size.  ``seed=None`` draws
-        with the fitted config's seed; under ``engine="row"`` it resumes
-        the pipeline rng where :meth:`Kamino.fit` left it (so the first
-        default draw reproduces the fused ``fit_sample`` bit for bit,
-        and repeated default draws are identical); pass distinct seeds
-        for distinct draws.
+        ``n`` defaults to the fitted input size; ``seed=None`` draws
+        with the fitted config's seed, so repeated default draws are
+        identical — pass distinct seeds for distinct draws.
 
-        ``engine`` overrides the fitted ``config.engine`` for this draw:
-        ``"blocked"`` is the block-scheduled vectorized engine,
-        ``"row"`` the legacy loop for exact replay of pre-engine
-        outputs.  ``workers`` (default: ``config.workers``; ``0`` =
-        auto from ``os.cpu_count()``) shards the blocked engine's
-        column passes — unconstrained ones over contiguous spans,
-        constrained ones over group-disjoint sub-schedules — and
-        ``pool`` (default: ``config.pool``) picks the ``"thread"`` or
-        ``"process"`` lane.  Under ``engine="row"``,
-        ``pool="process"`` runs the whole sequential draw in one
-        subprocess (``workers`` stays 1; with a ``trace`` the draw runs
-        in-process so the trace object can be populated).
+        ``workers`` (default: ``config.workers``; ``0`` = auto from
+        ``os.cpu_count()``) shards the engine's column passes —
+        unconstrained ones over contiguous spans, constrained ones over
+        group-disjoint sub-schedules — and ``pool`` (default:
+        ``config.pool``) picks the ``"thread"`` or ``"process"`` lane.
 
         **Determinism guarantees.**  For a given fitted model, the drawn
-        instance is a pure function of ``(n, seed, engine)``:
+        instance is a pure function of ``(n, seed)``:
 
-        * the blocked engine keys every cell's noise off counter-based
-          Philox streams, so ``workers``, ``pool``,
-          ``config.max_block_rows``, and ``config.use_violation_index``
-          are pure scheduling knobs — any combination yields
-          bit-identical output;
-        * the row engine replays the single legacy numpy stream, so
-          equal seeds give equal draws (and ``seed=None`` resumes the
-          fit-time rng, reproducing the fused pipeline exactly);
+        * the engine keys every cell's noise off counter-based Philox
+          streams, so ``workers``, ``pool``, ``config.max_block_rows``,
+          and ``config.use_violation_index`` are pure scheduling knobs
+          — any combination yields bit-identical output;
         * passing a ``trace`` (see below) never touches any rng: a
           traced draw is bit-identical to an untraced one.
 
@@ -405,83 +372,47 @@ class FittedKamino:
         n_out = _draw_size(n, self.default_n)
         seed = _draw_seed(seed)
         cfg = self.config
-        engine = cfg.engine if engine is None else engine
         pool = cfg.pool if pool is None else pool
-        workers = cfg.workers if workers is None else int(workers)
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, "
-                             f"got {engine!r}")
+        workers = (cfg.workers if workers is None
+                   else _non_negative_int(workers, "workers"))
         if pool not in _POOLS:
             raise ValueError(f"pool must be one of {_POOLS}, "
                              f"got {pool!r}")
-        workers = _resolve_workers(workers, engine, pool)
-        if workers != 1 and engine != "blocked":
-            raise ValueError("workers != 1 requires engine='blocked' "
-                             "(the row engine is sequential; use "
-                             "pool='process' to move its draw off the "
-                             "main process)")
+        # 0 means "auto", resolved here: configs persist the literal 0,
+        # so an artifact never bakes in one machine's core count.
+        workers = workers or os.cpu_count() or 1
+        master, chunk = self._noise_key(seed)
         sampled_dcs = self.dcs if cfg.constraint_aware_sampling else []
         run_trace = None
         if trace is not None:
-            run_trace = trace.begin_sample(engine, n_out, seed,
+            run_trace = trace.begin_sample("blocked", n_out, seed,
                                            workers=workers, pool=pool)
         start = time.perf_counter()
-        if engine == "blocked":
-            from repro.core.engine import NOISE_CHUNK, synthesize_engine
-            spec = self.rng_spec or {}
-            scheme = spec.get("scheme", "philox-cell")
-            if scheme != "philox-cell":
-                # Drawing with a different stream than the artifact
-                # records would silently break draw replay.
-                raise ValueError(
-                    f"model was fitted under rng scheme {scheme!r}, "
-                    f"which this version cannot reproduce")
-            chunk = spec.get("chunk", NOISE_CHUNK)
-            master = int(cfg.seed if seed is None else seed)
-            synthetic = synthesize_engine(
-                self.model, self.relation, sampled_dcs, self.weights,
-                n_out, self.params, master, hyper=self.hyper,
-                use_fd_lookup=cfg.use_fd_lookup,
-                use_violation_index=cfg.use_violation_index,
-                workers=workers, pool=pool,
-                max_block_rows=cfg.max_block_rows,
-                noise_chunk=chunk, trace=run_trace)
-        elif pool == "process" and run_trace is None:
-            from repro.core.engine import synthesize_row_subprocess
-            synthetic = synthesize_row_subprocess(
-                self.model, self.relation, sampled_dcs, self.weights,
-                n_out, self.params, self._sampling_rng(seed),
-                hyper=self.hyper, use_fd_lookup=cfg.use_fd_lookup,
-                use_violation_index=cfg.use_violation_index)
-        else:
-            rng = self._sampling_rng(seed)
-            synthetic = synthesize(
-                self.model, self.relation, sampled_dcs, self.weights,
-                n_out, self.params, rng, hyper=self.hyper,
-                use_fd_lookup=cfg.use_fd_lookup,
-                use_violation_index=cfg.use_violation_index,
-                trace=run_trace)
+        synthetic = synthesize_engine(
+            self.model, self.relation, sampled_dcs, self.weights,
+            n_out, self.params, master, hyper=self.hyper,
+            use_fd_lookup=cfg.use_fd_lookup,
+            use_violation_index=cfg.use_violation_index,
+            workers=workers, pool=pool,
+            max_block_rows=cfg.max_block_rows,
+            noise_chunk=chunk, trace=run_trace)
         seconds = time.perf_counter() - start
         if run_trace is not None:
             run_trace.finish(seconds)
         return self._result(synthetic, seconds)
 
     def sample_stream(self, n: int | None = None, seed: int | None = None,
-                      chunk_rows: int | None = None,
-                      engine: str | None = None):
+                      chunk_rows: int | None = None):
         """Draw ``n`` rows as an iterator of bounded-memory table chunks.
 
         Concatenating the yielded :class:`Table` chunks in order is
         bit-identical to ``sample(n, seed).table`` — chunking is pure
         scheduling (see :func:`repro.core.engine.synthesize_stream`).
-        ``chunk_rows`` defaults to ``config.stream_chunk_rows``.  Under
-        the blocked engine, peak memory holds one chunk plus the
-        per-column constraint-index state, never the full ``n`` rows —
-        this is the lane behind ``repro-kamino sample --out`` streaming
-        n=10M draws straight to disk.  The row engine is sequential
-        with a full in-memory prefix by construction, so there it
-        materializes the draw once and slices it (bounded *output*
-        granularity, not bounded peak).
+        ``chunk_rows`` defaults to ``config.stream_chunk_rows``.  Peak
+        memory holds one chunk plus the per-column constraint-index
+        state, never the full ``n`` rows — this is the lane behind
+        ``repro-kamino sample --out`` streaming n=10M draws straight to
+        disk.
 
         Requires ``mcmc_m == 0`` (the refinement re-reads the whole
         instance); a DC that cannot be answered from the violation
@@ -491,52 +422,32 @@ class FittedKamino:
         n_out = _draw_size(n, self.default_n)
         seed = _draw_seed(seed)
         cfg = self.config
-        engine = cfg.engine if engine is None else engine
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, "
-                             f"got {engine!r}")
         chunk = (cfg.stream_chunk_rows if chunk_rows is None
-                 else int(chunk_rows))
-        if chunk < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk}")
+                 else _positive_int(chunk_rows, "chunk_rows"))
+        master, noise_chunk = self._noise_key(seed)
         sampled_dcs = self.dcs if cfg.constraint_aware_sampling else []
-        if engine == "blocked":
-            from repro.core.engine import NOISE_CHUNK, synthesize_stream
-            spec = self.rng_spec or {}
-            scheme = spec.get("scheme", "philox-cell")
-            if scheme != "philox-cell":
-                raise ValueError(
-                    f"model was fitted under rng scheme {scheme!r}, "
-                    f"which this version cannot reproduce")
-            master = int(cfg.seed if seed is None else seed)
-            return synthesize_stream(
-                self.model, self.relation, sampled_dcs, self.weights,
-                n_out, self.params, master, hyper=self.hyper,
-                use_fd_lookup=cfg.use_fd_lookup,
-                use_violation_index=cfg.use_violation_index,
-                chunk_rows=chunk, max_block_rows=cfg.max_block_rows,
-                noise_chunk=spec.get("chunk", NOISE_CHUNK))
-        return self._row_stream(n_out, seed, chunk)
-
-    def _row_stream(self, n_out: int, seed, chunk: int):
-        table = self.sample(n=n_out, seed=seed, engine="row").table
-        for lo in range(0, n_out, chunk):
-            hi = min(lo + chunk, n_out)
-            yield Table(self.relation,
-                        {a: table.column(a)[lo:hi]
-                         for a in self.relation.names}, validate=False)
+        return synthesize_stream(
+            self.model, self.relation, sampled_dcs, self.weights,
+            n_out, self.params, master, hyper=self.hyper,
+            use_fd_lookup=cfg.use_fd_lookup,
+            use_violation_index=cfg.use_violation_index,
+            chunk_rows=chunk, max_block_rows=cfg.max_block_rows,
+            noise_chunk=noise_chunk)
 
     def sample_ar(self, n: int | None = None, seed: int | None = None,
                   max_tries: int = 300, trace=None) -> KaminoResult:
         """Accept-reject draw (the Experiment 6 sampler variant).
 
-        ``trace`` records a run-level :class:`SampleTrace` (engine
-        ``"ar"``, no per-column breakdown).
+        The sampler reads one numpy stream, started at ``seed`` (or at
+        ``config.seed + 1`` when ``seed`` is None).  ``max_tries`` (at
+        least 1) caps the draws per cell.  ``trace`` records a run-level
+        :class:`SampleTrace` (engine ``"ar"``, no per-column breakdown).
         """
         n_out = _draw_size(n, self.default_n)
         seed = _draw_seed(seed)
-        rng = self._sampling_rng(seed, offset=1)
+        max_tries = _positive_int(max_tries, "max_tries")
         cfg = self.config
+        rng = np.random.default_rng(cfg.seed + 1 if seed is None else seed)
         sampled_dcs = self.dcs if cfg.constraint_aware_sampling else []
         run_trace = None
         if trace is not None:
@@ -624,18 +535,19 @@ class Kamino:
     Two construction styles::
 
         Kamino(relation, dcs, config=KaminoConfig(epsilon=1.0, seed=3))
-        Kamino(relation, dcs, 1.0, seed=3)     # back-compat shim
+        Kamino(relation, dcs, 1.0, seed=3)     # keyword knobs
 
-    The second forwards the keyword knobs into a ``KaminoConfig``;
-    attribute reads and writes (``kamino.seed``, ``kamino.use_fd_lookup
-    = True``) keep working and transparently re-derive the frozen
-    config.
+    The second forwards the keyword knobs into a ``KaminoConfig``.
+    Either way the knobs live on the frozen ``kamino.config``; derive a
+    changed one with ``config.replace(...)``.
 
     :meth:`fit` runs the budget-consuming phases and returns a
     :class:`FittedKamino`; :meth:`fit_sample` / :meth:`fit_sample_ar`
     are the fused conveniences (``fit().sample()`` /
     ``fit().sample_ar()``).
     """
+
+    __slots__ = ("relation", "dcs", "config")
 
     def __init__(self, relation, dcs, epsilon: float | None = None,
                  delta: float = _UNSET, seed: int = _UNSET,
@@ -648,7 +560,6 @@ class Kamino:
                  random_sequence: bool = _UNSET,
                  constraint_aware_sampling: bool = _UNSET,
                  weight_estimator: str = _UNSET,
-                 engine: str = _UNSET,
                  workers: int = _UNSET,
                  pool: str = _UNSET,
                  max_block_rows: int = _UNSET,
@@ -666,7 +577,6 @@ class Kamino:
                 ("random_sequence", random_sequence),
                 ("constraint_aware_sampling", constraint_aware_sampling),
                 ("weight_estimator", weight_estimator),
-                ("engine", engine),
                 ("workers", workers),
                 ("pool", pool),
                 ("max_block_rows", max_block_rows),
@@ -686,21 +596,6 @@ class Kamino:
         self.relation = relation
         self.dcs = [dc.bind(relation) for dc in dcs]
         self.config = config
-
-    # -- config delegation (back-compat attribute surface) --------------
-    def __getattr__(self, name):
-        config = self.__dict__.get("config")
-        if config is not None and name in _CONFIG_FIELDS:
-            return getattr(config, name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def __setattr__(self, name, value):
-        if name in _CONFIG_FIELDS and "config" in self.__dict__:
-            object.__setattr__(
-                self, "config", self.config.replace(**{name: value}))
-        else:
-            object.__setattr__(self, name, value)
 
     @property
     def private(self) -> bool:
@@ -886,7 +781,6 @@ class Kamino:
             # keeps the directory from resuming a *completed* fit.
             ckpt.clear()
 
-        from repro.core.engine import ENGINE_RNG_SPEC
         return FittedKamino(
             relation=self.relation, dcs=list(self.dcs), config=cfg,
             sequence=sequence, independent=independent, hyper=hyper,

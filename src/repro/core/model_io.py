@@ -14,21 +14,25 @@ again.  The staged API makes this one line each way::
 
 The lower-level :func:`save_model` / :func:`load_model` pair persists
 just the ``(model, weights, params)`` triple for callers that drive
-:func:`repro.core.sampling.synthesize` themselves.
+:func:`repro.core.engine.synthesize_engine` themselves.
 
 Format: one ``.npz`` holding every parameter array (namespaced per
 sub-model, so parallel-trained models with per-model encoders round-trip
 too) plus a JSON metadata blob.  Version 2 of the format additionally
 records the hyper-attribute grouping (as member-name groups — the
 working relation is re-derived from them), the schema sequence, the
-independent-attribute set, the :class:`~repro.core.kamino.KaminoConfig`
-(including the sampling ``engine``), the post-fit sampler randomness
-state, and the blocked engine's counter-rng spec (Philox scheme + noise
-chunking), so grouped and large-domain-fallback models round-trip and a
-reloaded model reproduces the original draws bit for bit under either
-engine.  Version 1 files still load; v2 files written before the engine
-knob existed load with ``engine="row"`` so their historical draws keep
-replaying.
+independent-attribute set, the :class:`~repro.core.kamino.KaminoConfig`,
+the post-fit sampler randomness state, and the engine's counter-rng spec
+(Philox scheme + noise chunking), so grouped and large-domain-fallback
+models round-trip and a reloaded model reproduces the original draws bit
+for bit.  The config's ``engine`` entry is written as ``"blocked"``, the
+only engine, and ignored on load.
+
+Version 1 files and v2 files whose ``engine`` entry reads ``"row"`` or
+is missing were fitted for a retired per-row sampler.  They still load,
+and draw on the blocked engine: their draws differ, once, from the ones
+that sampler made.  Refusing them would force a refit, which spends the
+budget again; a redraw is free post-processing.
 
 The relation is *not* stored — it is public schema the caller already
 persists via :mod:`repro.io`; passing a mismatching relation fails
@@ -96,14 +100,22 @@ def atomic_savez(path: str, arrays: dict) -> None:
 _SAMPLING_PARAMS = ("epsilon", "delta", "num_candidates", "mcmc_m",
                     "quant_bins", "n", "k")
 
-#: KaminoConfig fields that are persisted (all but ``params_override``,
-#: which is a callable consumed during fit).
+#: The persisted config fields, in their order in ``meta.json``: every
+#: KaminoConfig field but ``params_override`` (a callable consumed during
+#: fit), plus ``engine``, written as the constant ``"blocked"``.
 _PERSISTED_CONFIG = ("epsilon", "delta", "seed", "group_max_domain",
                      "large_domain_threshold", "use_fd_lookup",
                      "use_violation_index", "parallel_training",
                      "random_sequence", "constraint_aware_sampling",
                      "weight_estimator", "engine", "workers", "pool",
                      "max_block_rows", "stream_chunk_rows")
+
+
+def persisted_config(config) -> dict:
+    """The ``meta.json`` record of ``config``: the
+    :data:`_PERSISTED_CONFIG` fields, in order."""
+    return {f: "blocked" if f == "engine" else getattr(config, f)
+            for f in _PERSISTED_CONFIG}
 
 
 def _histogram_meta(hist: HistogramModel) -> dict:
@@ -200,9 +212,9 @@ def save_fitted(path: str, fitted) -> None:
     """Write a full :class:`~repro.core.kamino.FittedKamino` to ``path``.
 
     On top of :func:`save_model` this records the schema sequence, the
-    independent-attribute set, the config, the fit timings, and the
-    post-fit sampler state, so the reloaded artifact reproduces the
-    original default draw bit for bit.
+    independent-attribute set, the config, the fit timings, the
+    post-fit sampler state, and the counter-rng spec, so the reloaded
+    artifact reproduces the original draws bit for bit.
     """
     meta, arrays = _base_meta(fitted.model, fitted.weights, fitted.params,
                               fitted.hyper)
@@ -214,7 +226,7 @@ def save_fitted(path: str, fitted) -> None:
         "fit_timings": {k: float(v)
                         for k, v in fitted.fit_timings.items()},
         "sampling_state": fitted.sampling_state,
-        "config": {f: getattr(config, f) for f in _PERSISTED_CONFIG},
+        "config": persisted_config(config),
         "params_override_used": config.params_override is not None,
         # Counter-rng spec of the blocked engine: a reloaded model must
         # draw with the chunking it was fitted under to replay draws.
@@ -365,10 +377,9 @@ def load_fitted(path: str, relation) -> dict:
     if hyper is None:
         hyper = HyperSpec.trivial(relation, fitted_meta["sequence"])
     config_meta = dict(fitted_meta["config"])
-    # Files saved before the engine knob existed were fitted (and had
-    # their draws pinned) under the per-row sampler: default them to
-    # engine="row" so reloading reproduces their historical outputs.
-    config_meta.setdefault("engine", "row")
+    # Every artifact draws on the blocked engine, whichever engine (or
+    # none, before the entry existed) it records.
+    config_meta.pop("engine", None)
     config = KaminoConfig(params_override=None, **config_meta)
     return {
         "model": model,

@@ -1,6 +1,7 @@
-"""Algorithm 3 — constraint-aware database instance sampling.
+"""Algorithm 3 — constraint-aware database instance sampling: the
+per-cell machinery.
 
-The sampler walks the working schema sequence attribute by attribute and
+Algorithm 3 walks the working schema sequence attribute by attribute and
 tuple by tuple.  For each cell it combines
 
 * the learned conditional ``p_{v|c}`` from the probabilistic data model
@@ -15,6 +16,13 @@ excluded unless *every* candidate violates, in which case the sampler
 falls back to the minimum-violation candidates (the probabilistic-
 database semantics: all remaining instances are "almost surely" ruled
 out, so we pick the least bad).
+
+:class:`_ColumnSampler` holds that machinery — base conditionals,
+candidate sets, violation penalties, the violation indexes and the
+hard-FD lookup indexes — and the block-scheduled engine of
+:mod:`repro.core.engine` draws every instance with it.  The loop that
+walks it one cell at a time is the tests' reference
+(``tests/row_reference.py``).
 
 Also implemented here:
 
@@ -34,9 +42,9 @@ of an O(prefix) broadcast rescan.  DC shapes without an indexable
 structure fall back to the scan engine; counts are bit-identical in
 both modes.
 
-Both entry points are pure post-processing over a trained model: they
-read only the model, the (public) DCs and weights, and an rng.  Each
-call builds its own fresh violation-index state, so one
+Every draw is pure post-processing over a trained model: it reads only
+the model, the (public) DCs and weights, and an rng.  Each draw builds
+its own fresh violation-index state, so one
 :class:`~repro.core.kamino.FittedKamino` can serve arbitrarily many
 concurrent draws at different sizes and seeds — the train-once /
 sample-many service shape.
@@ -45,7 +53,6 @@ sample-many service shape.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -96,7 +103,8 @@ def _gumbel_argmax(log_p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 class _ColumnSampler:
-    """Shared machinery between the direct sampler and accept-reject."""
+    """Shared per-cell machinery of the engine, the MCMC refinement
+    and accept-reject."""
 
     def __init__(self, model, relation, hyper: HyperSpec, dcs, weights,
                  params, rng, use_fd_lookup: bool = False,
@@ -588,64 +596,6 @@ class _ColumnSampler:
         return out
 
 
-def synthesize(model, relation, dcs, weights, n: int, params,
-               rng: np.random.Generator, hyper: HyperSpec | None = None,
-               use_fd_lookup: bool = False,
-               use_violation_index: bool = True,
-               trace=None) -> Table:
-    """Algorithm 3: sample a synthetic instance of ``n`` rows.
-
-    Parameters
-    ----------
-    model:
-        The learned :class:`~repro.core.training.ProbModel`.
-    relation:
-        The *original* schema (output table schema).
-    dcs, weights:
-        Denial constraints (bound to the schema) and their weights; hard
-        DCs are enforced regardless of their weight entry.
-    n:
-        Number of rows to generate.
-    params:
-        :class:`~repro.core.params.KaminoParams` (candidate counts and
-        the MCMC budget ``mcmc_m`` are read from here).
-    hyper:
-        Grouping spec; defaults to the trivial one.
-    use_fd_lookup:
-        Enable the hard-FD lookup fast path (Experiment 10).
-    use_violation_index:
-        Probe per-cell violation counts through the incremental
-        violation indexes (O(group) per probe) instead of re-scanning
-        the sampled prefix.  Counts are bit-identical either way; this
-        switch exists for benchmarking and as a fallback.
-    trace:
-        Optional :class:`repro.obs.trace.SampleTrace`: records one
-        :class:`~repro.obs.trace.ColumnTrace` per working column (wall
-        clock, lane, forced rows, index probe counts).  Tracing never
-        touches the rng — a traced draw is bit-identical to an untraced
-        one — and None (the default) costs nothing.
-    """
-    if hyper is None:
-        hyper = HyperSpec.trivial(relation, model.sequence)
-    sampler = _ColumnSampler(model, relation, hyper, dcs, weights, params,
-                             rng, use_fd_lookup,
-                             use_violation_index=use_violation_index)
-    cols = _allocate_columns(relation, n)
-    wcols = _allocate_working(sampler, cols, n)
-
-    for j in range(len(sampler.wseq)):
-        col_trace = None
-        if trace is not None:
-            col_trace = trace.column(sampler.wseq[j])
-            col_start = time.perf_counter()
-        _fill_column(sampler, j, cols, wcols, n, tracer=col_trace)
-        if params.mcmc_m > 0:
-            _mcmc_resample(sampler, j, cols, wcols, n, params.mcmc_m)
-        if col_trace is not None:
-            col_trace.finish(time.perf_counter() - col_start, n)
-    return Table(relation, cols, validate=False)
-
-
 def _allocate_columns(relation, n: int) -> dict:
     cols = {}
     for attr in relation:
@@ -675,58 +625,6 @@ def _write_cell(sampler: _ColumnSampler, j: int, i: int, cand_idx: int,
     if sampler.hyper.is_hyper(w):
         for attr, values in decode.items():
             cols[attr][i] = values[cand_idx]
-
-
-def _fill_column(sampler: _ColumnSampler, j: int, cols: dict, wcols: dict,
-                 n: int, fd_indexes: list | None = None,
-                 tracer=None) -> None:
-    rng = sampler.rng
-    base = sampler.base_distribution(j, wcols, n)
-    active = sampler.active_at[j]
-    if fd_indexes is None:
-        fd_indexes = sampler.fd_indexes_for(j)
-
-    if not active and not fd_indexes:
-        if tracer is not None:
-            tracer.mode = "iid-vectorized"
-        _fill_column_vectorized(sampler, j, base, cols, wcols, n)
-        return
-
-    w = sampler.wseq[j]
-    vio_indexes = sampler.violation_indexes_for(j)
-    used = sampler.fresh_value_tracker(j)
-    if tracer is not None:
-        tracer.mode = "sequential"
-        tracer.count("sequential_rows", n)
-        for index in vio_indexes.values():
-            index.counters = tracer.probes
-    for i in range(n):
-        if fd_indexes:
-            forced = _forced_value(fd_indexes, cols, i)
-            if forced is not None:
-                if tracer is not None:
-                    tracer.count("forced_rows")
-                wcols[w][i] = forced
-                # The forced row pins its determinant groups in *every*
-                # FD index targeting this dependent, not only the one
-                # that forced it — otherwise, with two hard FDs sharing
-                # a dependent, the second index misses forced rows and
-                # can later force a value inconsistent with them.
-                _record_fd(fd_indexes, cols, i)
-                _append_row(vio_indexes, cols, i)
-                if used is not None:
-                    used.add(float(cols[w][i]))
-                continue
-        cand, decode, logp = sampler.candidates_for_row(
-            j, base, i, cols, indexes=vio_indexes, used=used)
-        penalty = sampler.violation_penalty(j, decode, cols, i,
-                                            indexes=vio_indexes)
-        choice = _log_normalise_sample(logp - penalty, rng)
-        _write_cell(sampler, j, i, choice, cand, decode, cols, wcols)
-        _record_fd(fd_indexes, cols, i)
-        _append_row(vio_indexes, cols, i)
-        if used is not None:
-            used.add(float(cols[w][i]))
 
 
 def _forced_value(fd_indexes, cols: dict, i: int):

@@ -13,8 +13,8 @@ long each part took:
   sequential-fallback rows), and violation-index probe counts.
 
 The collector is threaded through :meth:`repro.core.kamino.Kamino.fit`,
-:meth:`repro.core.kamino.FittedKamino.sample`, both sampling engines
-(:mod:`repro.core.engine`, :mod:`repro.core.sampling`), and the
+:meth:`repro.core.kamino.FittedKamino.sample`, the sampling engine
+(:mod:`repro.core.engine`), and the
 violation indexes (:mod:`repro.constraints.index`) behind a
 zero-cost-when-off hook: every instrumentation site is guarded by an
 ``if trace is not None`` (or, inside the index probes, ``if
@@ -56,8 +56,7 @@ class ColumnTrace:
         self.name = name
         #: Engine lane the pass ran on: ``unconstrained``,
         #: ``cat-fd-lane``, ``cat-generic``, ``num-blocked``,
-        #: ``num-sequential`` (blocked engine) or ``iid-vectorized`` /
-        #: ``sequential`` (row engine).
+        #: ``num-sequential``, ``cat-sharded`` or ``num-sharded``.
         self.mode = ""
         self.seconds = 0.0
         self.rows = 0

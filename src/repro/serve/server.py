@@ -94,6 +94,10 @@ class ServeConfig:
         self.workers = None if workers is None else int(workers)
         self.pool = pool
         self.chunk_rows = None if chunk_rows is None else int(chunk_rows)
+        if self.workers is not None and self.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers!r}")
+        if self.chunk_rows is not None and self.chunk_rows < 1:
+            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows!r}")
         self.quiet = bool(quiet)
 
 

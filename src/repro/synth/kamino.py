@@ -54,8 +54,7 @@ class FittedKaminoSynthesizer(FittedSynthesizer):
     def sample(self, n=None, seed=None, *, trace=None):
         """Delegates to :meth:`FittedKamino.sample`; returns the table.
 
-        All of Kamino's own draw knobs (engine, workers, pool,
-        streaming) stay available on ``self.fitted`` — the protocol
+        All of Kamino's own draw knobs (workers, pool, streaming) stay available on ``self.fitted`` — the protocol
         surface is the portable subset.
         """
         return self.fitted.sample(n=n, seed=seed, trace=trace).table
@@ -80,8 +79,7 @@ class FittedKaminoSynthesizer(FittedSynthesizer):
 
     def _traced_drain(self, chunks, n_out, seed, trace):
         import time
-        run = trace.begin_sample(f"{self.fitted.config.engine}-stream",
-                                 n_out, seed)
+        run = trace.begin_sample("blocked-stream", n_out, seed)
         start = time.perf_counter()
         for chunk in chunks:
             yield chunk
@@ -101,7 +99,7 @@ class KaminoSynthesizer(Synthesizer):
     """The Kamino pipeline as a registry backend.
 
     Extra keyword arguments are :class:`KaminoConfig` knobs
-    (``engine``, ``params_override``, ``group_max_domain``, ...), so
+    (``workers``, ``params_override``, ``group_max_domain``, ...), so
     harness- and CLI-level construction stays one call.
     """
 

@@ -1,17 +1,13 @@
-"""AimNet discriminative model + probabilistic database tests."""
-
-import math
+"""AimNet discriminative model tests."""
 
 import numpy as np
 import pytest
 
 from repro.aimnet import AimNet, EmbeddingStore
-from repro.constraints import DenialConstraint, parse_dc
 from repro.nn import gradcheck
 from repro.nn.losses import cross_entropy_loss
-from repro.probdb import ProbabilisticDatabase, chain_log_potential, log_potential
 from repro.schema import (
-    Attribute, CategoricalDomain, NumericalDomain, Relation, Table,
+    Attribute, CategoricalDomain, NumericalDomain, Relation,
 )
 
 
@@ -121,66 +117,3 @@ class TestAimNet:
                                      "x1": np.array([5.0])})
         assert w.shape == (1, 2)
         np.testing.assert_allclose(w.sum(), 1.0)
-
-
-def tiny_table():
-    relation = Relation([
-        Attribute("g", CategoricalDomain(["u", "v"])),
-        Attribute("h", NumericalDomain(0, 5, integer=True, bins=6)),
-    ])
-    return Table.from_rows(relation, [
-        ["u", 1], ["u", 1], ["v", 2], ["v", 3],
-    ])
-
-
-class TestProbDb:
-    def test_log_potential_zero_when_clean(self):
-        t = tiny_table()
-        fd = parse_dc("not(ti.g == tj.g and ti.h != tj.h)", "fd")
-        clean = t.take([0, 1])
-        assert log_potential(clean, [fd], {"fd": 2.0}) == 0.0
-
-    def test_log_potential_counts_weighted(self):
-        t = tiny_table()
-        fd = parse_dc("not(ti.g == tj.g and ti.h != tj.h)", "fd")
-        # rows 2,3 share g=v with h 2 != 3 -> one violation.
-        assert log_potential(t, [fd], {"fd": 2.0}) == pytest.approx(-2.0)
-
-    def test_hard_dc_infinite(self):
-        t = tiny_table()
-        fd = parse_dc("not(ti.g == tj.g and ti.h != tj.h)", "fd")
-        assert log_potential(t, [fd], {"fd": math.inf}) == -math.inf
-
-    def test_chain_equals_direct(self):
-        """Eqn. (3)/(4): tuple-incremental accumulation is exact."""
-        rng = np.random.default_rng(0)
-        relation = tiny_table().relation
-        rows = [[int(rng.integers(0, 2)), int(rng.integers(0, 6))]
-                for _ in range(20)]
-        t = Table.from_rows(relation, rows, encoded=True)
-        fd = parse_dc("not(ti.g == tj.g and ti.h != tj.h)", "fd")
-        order = parse_dc("not(ti.h > tj.h and ti.g != tj.g)", "ord")
-        weights = {"fd": 1.5, "ord": 0.5}
-        assert chain_log_potential(t, [fd, order], weights) == pytest.approx(
-            log_potential(t, [fd, order], weights))
-
-    def test_more_likely_prefers_consistent(self):
-        fd = parse_dc("not(ti.g == tj.g and ti.h != tj.h)", "fd")
-        pdb = ProbabilisticDatabase(lambda t: np.zeros(t.n), [fd],
-                                    {"fd": 3.0})
-        t = tiny_table()
-        clean = t.take([0, 1])        # no violations
-        dirty = t.take([2, 3])        # one violation
-        assert pdb.more_likely(clean, dirty)
-
-    def test_missing_weight_rejected(self):
-        fd = parse_dc("not(ti.g == tj.g and ti.h != tj.h)", "fd")
-        with pytest.raises(ValueError):
-            ProbabilisticDatabase(lambda t: np.zeros(t.n), [fd], {})
-
-    def test_log_score_combines_tuple_model(self):
-        fd = parse_dc("not(ti.g == tj.g and ti.h != tj.h)", "fd")
-        pdb = ProbabilisticDatabase(lambda t: np.full(t.n, -1.0), [fd],
-                                    {"fd": 2.0})
-        t = tiny_table()
-        assert pdb.log_score(t) == pytest.approx(-4.0 - 2.0)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, infer_schema, main
 from repro.datasets import load
 from repro.io import load_bundle, save_bundle
@@ -269,30 +270,27 @@ def test_cmd_check_show_rows(tmp_path, capsys):
 
 def test_cmd_sample_engine_and_workers_flags(tpch_bundle, tmp_path,
                                              capsys):
-    """--workers draws are bit-identical; --engine row/blocked both work;
-    --engine at fit time persists into the model config."""
+    """Draws report the engine they ran on, and --workers draws are
+    bit-identical to single-worker ones."""
     model_path = tmp_path / "model.npz"
     assert main(["fit", tpch_bundle, "--epsilon", "inf",
-                 "--max-iterations", "8", "--engine", "blocked",
-                 "--out", str(model_path)]) == 0
+                 "--max-iterations", "8", "--out", str(model_path)]) == 0
     schema = f"{tpch_bundle}/schema.json"
     dcs = f"{tpch_bundle}/dcs.txt"
     tables = {}
-    for name, extra in (("w1", []), ("w4", ["--workers", "4"]),
-                        ("row", ["--engine", "row"])):
+    for name, extra in (("w1", []), ("w4", ["--workers", "4"])):
         out = tmp_path / name
         assert main(["sample", str(model_path), "--schema", schema,
                      "--dcs", dcs, "--out", str(out), "--n", "60",
                      "--seed", "5"] + extra) == 0
         tables[name] = load_bundle(str(out)).table
     text = capsys.readouterr().out
+    assert "via the blocked engine, no privacy spend" in text
     assert "blocked engine, workers=4" in text
-    assert "row engine" in text
     for attr in tables["w1"].relation.names:
         np.testing.assert_array_equal(tables["w1"].column(attr),
                                       tables["w4"].column(attr),
                                       err_msg=attr)
-    assert tables["row"].n == 60
 
 
 # ----------------------------------------------------------------------
@@ -397,6 +395,43 @@ def test_bad_seed_is_a_usage_error(capsys, argv, value, message):
     err = capsys.readouterr().err
     assert "argument --seed" in err and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("sample", "--n", "-5", "must be >= 0"),
+    ("sample", "--n", "2.5", "not an integer"),
+    ("sample", "--workers", "-1", "must be >= 0"),
+    ("sample", "--chunk-rows", "0", "must be >= 1"),
+    ("synthesize", "--n", "-3", "must be >= 0"),
+    ("synthesize", "--workers", "-2", "must be >= 0"),
+    ("synthesize", "--max-iterations", "-1", "must be >= 0"),
+    ("fit", "--max-iterations", "1.5", "not an integer"),
+    ("serve", "--workers", "-1", "must be >= 0"),
+    ("serve", "--chunk-rows", "0", "must be >= 1"),
+])
+def test_bad_integer_flag_is_a_usage_error(tpch_bundle, tmp_path, capsys,
+                                           monkeypatch, command, flag,
+                                           value, message):
+    """Rejected while parsing, before any fit, draw or server start."""
+    # A flag that slipped through would run the command (``serve``
+    # would block for good): fail instead.
+    monkeypatch.setattr(cli, f"cmd_{command}",
+                        lambda args: pytest.fail(f"{command} ran"))
+    out = tmp_path / "out.csv"
+    argv = {
+        "sample": ["sample", str(tmp_path / "model.npz"), "--schema",
+                   f"{tpch_bundle}/schema.json", "--out", str(out)],
+        "synthesize": ["synthesize", tpch_bundle, "--out", str(out)],
+        "fit": ["fit", tpch_bundle, "--out", str(out)],
+        "serve": ["serve", "--models-dir", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_epsilon_inf_or_none_is_non_private():

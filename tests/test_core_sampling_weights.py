@@ -10,7 +10,8 @@ from repro.constraints import count_violations, parse_dc
 from repro.core import Kamino
 from repro.core.hyper import HyperSpec
 from repro.core.params import KaminoParams
-from repro.core.sampling import ar_sample, synthesize
+from repro.core.engine import synthesize_engine
+from repro.core.sampling import ar_sample
 from repro.core.training import train_model
 from repro.core.weights import learn_dc_weights
 from repro.schema import (
@@ -51,8 +52,8 @@ class TestSynthesize:
     def test_hard_fd_categorical_enforced(self):
         table = fd_table()
         model, params, rng = trained_model(table)
-        out = synthesize(model, table.relation, [FD], {"fd": math.inf},
-                         200, params, rng)
+        out = synthesize_engine(model, table.relation, [FD],
+                                {"fd": math.inf}, 200, params, 0)
         assert count_violations(FD, out) == 0
 
     def test_hard_fd_numerical_enforced(self):
@@ -60,14 +61,15 @@ class TestSynthesize:
         the forced value."""
         table = fd_table()
         model, params, rng = trained_model(table)
-        out = synthesize(model, table.relation, [FD_NUM],
-                         {"fd_num": math.inf}, 200, params, rng)
+        out = synthesize_engine(model, table.relation, [FD_NUM],
+                                {"fd_num": math.inf}, 200, params, 0)
         assert count_violations(FD_NUM, out) == 0
 
     def test_unconstrained_matches_schema(self):
         table = fd_table()
         model, params, rng = trained_model(table, T=30)
-        out = synthesize(model, table.relation, [], {}, 150, params, rng)
+        out = synthesize_engine(model, table.relation, [], {}, 150,
+                                params, 0)
         assert out.n == 150
         assert out.relation.names == table.relation.names
         for attr in out.relation:
@@ -78,10 +80,10 @@ class TestSynthesize:
         model, params, rng = trained_model(table, T=30)
         soft = parse_dc("not(ti.g == tj.g and ti.h != tj.h)", "soft",
                         hard=False)
-        heavy = synthesize(model, table.relation, [soft], {"soft": 8.0},
-                           150, params, np.random.default_rng(1))
-        light = synthesize(model, table.relation, [soft], {"soft": 0.0},
-                           150, params, np.random.default_rng(1))
+        heavy = synthesize_engine(model, table.relation, [soft],
+                                  {"soft": 8.0}, 150, params, 1)
+        light = synthesize_engine(model, table.relation, [soft],
+                                  {"soft": 0.0}, 150, params, 1)
         assert (count_violations(soft, heavy)
                 <= count_violations(soft, light))
 
@@ -89,16 +91,16 @@ class TestSynthesize:
         table = fd_table()
         model, params, rng = trained_model(table, T=30)
         params.mcmc_m = 50
-        out = synthesize(model, table.relation, [FD], {"fd": math.inf},
-                         120, params, rng)
+        out = synthesize_engine(model, table.relation, [FD],
+                                {"fd": math.inf}, 120, params, 0)
         assert count_violations(FD, out) == 0
 
     def test_fd_lookup_fast_path_consistent(self):
         table = fd_table()
         model, params, rng = trained_model(table)
-        out = synthesize(model, table.relation, [FD], {"fd": math.inf},
-                         200, params, np.random.default_rng(3),
-                         use_fd_lookup=True)
+        out = synthesize_engine(model, table.relation, [FD],
+                                {"fd": math.inf}, 200, params, 3,
+                                use_fd_lookup=True)
         assert count_violations(FD, out) == 0
 
     def test_hyper_grouping_sampling(self):
@@ -111,8 +113,9 @@ class TestSynthesize:
         model = train_model(working, spec.working_relation,
                             spec.working_sequence, params, rng,
                             private=False)
-        out = synthesize(model, table.relation, [FD], {"fd": math.inf},
-                         150, params, rng, hyper=spec)
+        out = synthesize_engine(model, table.relation, [FD],
+                                {"fd": math.inf}, 150, params, 0,
+                                hyper=spec)
         assert out.relation.names == table.relation.names
         assert count_violations(FD, out) == 0
 

@@ -5,12 +5,12 @@ Pins the engine's contract:
 * scheduling invariance — the draw is a pure function of
   ``(model, DCs, weights, n, seed)``: block size, worker count, and
   the ``use_violation_index`` probe mechanism never change a cell;
-* statistical equivalence with the row engine — same marginals and
-  violation behaviour (the engines share a sampling law and differ
-  only in rng scheme);
-* hard-DC enforcement, the staged/config/CLI surface (``engine`` knob,
-  ``workers``), and model-format round-trips (engine + counter-rng
-  spec persisted; legacy files default to the row engine);
+* statistical equivalence with the per-row reference loop
+  (``row_reference``) — same marginals and violation behaviour (they
+  share a sampling law and differ only in rng scheme);
+* hard-DC enforcement, the ``workers``/``pool`` surface, and
+  model-format round-trips (counter-rng spec persisted; files written
+  for the retired row engine draw on the blocked engine);
 * the forced-value bugfix: rows short-circuited by one hard-FD lookup
   index are recorded in *every* FD index sharing the dependent.
 """
@@ -36,7 +36,7 @@ from repro.core.engine import (
 from repro.core.hyper import HyperSpec
 from repro.core.sampling import (
     PrefixScanRequired, _allocate_columns, _allocate_working,
-    _ColumnSampler, _fill_column,
+    _ColumnSampler,
 )
 from repro.obs.trace import RunTrace
 from repro.datasets import load
@@ -44,6 +44,7 @@ from repro.evaluation import total_variation_distance
 from repro.schema import (
     Attribute, CategoricalDomain, NumericalDomain, Relation, Table,
 )
+from row_reference import _fill_column, sample_rows
 
 
 def _cap(params):
@@ -119,19 +120,20 @@ def test_blocked_enforces_hard_dcs(fitted):
 
 
 def test_blocked_row_statistical_equivalence():
-    """Same law, different rng scheme: marginals must agree closely.
+    """Same law, different rng scheme: the engine's marginals must
+    agree closely with the per-row reference loop's.
 
     Hard-FD *dependents* are excluded from the marginal comparison —
     their marginal is dominated by one draw per determinant group (two
-    row-engine seeds differ just as much), so the meaningful check
-    there is FD consistency, asserted for both engines below.
+    reference-loop seeds differ just as much), so the meaningful check
+    there is FD consistency, asserted for both below.
     """
     ds = load("adult", n=500, seed=1)
     cfg = KaminoConfig(epsilon=float("inf"), seed=0, params_override=_cap)
     model = Kamino(ds.relation, ds.dcs, config=cfg).fit(ds.table)
     blocked = model.sample(n=500, seed=2).table
-    row = model.sample(n=500, seed=2, engine="row").table
-    row_b = model.sample(n=500, seed=3, engine="row").table
+    row = sample_rows(model, 500, 2)
+    row_b = sample_rows(model, 500, 3)
     hard_attrs: set = set()
     for dc in ds.dcs:
         if dc.hard and not dc.is_unary:
@@ -140,9 +142,9 @@ def test_blocked_row_statistical_equivalence():
         cross = total_variation_distance(blocked, row, (attr,))
         if attr in hard_attrs:
             # Hard-DC attributes are constraint-dominated: a few early
-            # draws pin whole groups, so even two row-engine seeds
+            # draws pin whole groups, so even two reference-loop seeds
             # differ substantially.  Demand no more divergence across
-            # engines than across seeds within one engine.
+            # samplers than across seeds within one.
             floor = total_variation_distance(row, row_b, (attr,))
             assert cross < floor + 0.15, \
                 f"{attr}: TVD {cross:.3f} vs seed-noise {floor:.3f}"
@@ -152,51 +154,6 @@ def test_blocked_row_statistical_equivalence():
         if dc.hard:
             assert count_violations(dc, blocked) == 0
             assert count_violations(dc, row) == 0
-
-
-def test_row_engine_default_draw_resumes_fit_state():
-    """engine='row' keeps the legacy fused-pipeline replay intact."""
-    ds = load("tpch", n=80, seed=0)
-    make = lambda: Kamino(  # noqa: E731
-        ds.relation, ds.dcs, config=KaminoConfig(
-            epsilon=1.0, seed=0, engine="row", params_override=_cap))
-    fused = make().fit_sample(ds.table)
-    staged = make().fit(ds.table).sample()
-    _assert_tables_equal(fused.table, staged.table, "row-replay")
-
-
-# ----------------------------------------------------------------------
-# Config / API surface
-# ----------------------------------------------------------------------
-def test_engine_knob_validated():
-    with pytest.raises(ValueError, match="engine"):
-        KaminoConfig(epsilon=1.0, engine="warp")
-    assert KaminoConfig(epsilon=1.0).engine == "blocked"
-    assert KaminoConfig(epsilon=1.0, engine="row").engine == "row"
-
-
-def test_kamino_shim_accepts_engine_knob():
-    ds = load("tpch", n=60, seed=0)
-    kam = Kamino(ds.relation, ds.dcs, 1.0, engine="row")
-    assert kam.config.engine == "row"
-
-
-def test_workers_require_blocked_engine(fitted):
-    _, model = fitted
-    with pytest.raises(ValueError, match="workers"):
-        model.sample(n=10, seed=0, engine="row", workers=2)
-    with pytest.raises(ValueError, match="engine"):
-        model.sample(n=10, seed=0, engine="warp")
-
-
-def test_sample_engine_override(fitted):
-    """A fitted model can serve either engine per draw."""
-    ds, model = fitted
-    blocked = model.sample(n=60, seed=7)
-    row = model.sample(n=60, seed=7, engine="row")
-    again = model.sample(n=60, seed=7, engine="blocked")
-    _assert_tables_equal(blocked.table, again.table, "override")
-    assert blocked.table.n == row.table.n == 60
 
 
 # ----------------------------------------------------------------------
@@ -209,34 +166,43 @@ def test_model_io_persists_engine_and_rng_spec(tmp_path):
     path = str(tmp_path / "m.npz")
     model.save(path)
     reloaded = FittedKamino.load(path, ds.relation, ds.dcs)
-    assert reloaded.config.engine == "blocked"
+    with np.load(path, allow_pickle=False) as data:
+        meta = json.loads(str(data["meta.json"]))
+    assert meta["fitted"]["config"]["engine"] == "blocked"
     assert reloaded.rng_spec == model.rng_spec
     assert reloaded.rng_spec["scheme"] == "philox-cell"
     _assert_tables_equal(model.sample(n=70, seed=4).table,
                          reloaded.sample(n=70, seed=4).table, "roundtrip")
 
 
-def test_legacy_model_files_default_to_row_engine(tmp_path):
-    """Files saved before the engine knob replay with the row engine."""
+@pytest.mark.parametrize("written_for", ["no-engine-entry", "row"])
+def test_legacy_model_files_draw_on_the_blocked_engine(tmp_path,
+                                                       written_for):
+    """Files written for the retired row engine — an ``engine`` entry
+    reading ``"row"``, or none at all (written before the entry
+    existed, with no rng spec either) — load and draw what the fresh
+    artifact draws, seeded and at the default seed."""
     ds = load("tpch", n=80, seed=0)
     cfg = KaminoConfig(epsilon=1.0, seed=0, params_override=_cap)
     model = Kamino(ds.relation, ds.dcs, config=cfg).fit(ds.table)
     path = str(tmp_path / "m.npz")
     model.save(path)
-    # Strip the new fields, as a pre-engine writer would have.
     with np.load(path, allow_pickle=False) as data:
         arrays = {key: data[key] for key in data.files}
     meta = json.loads(str(arrays["meta.json"]))
-    del meta["fitted"]["config"]["engine"]
-    del meta["fitted"]["rng_spec"]
+    if written_for == "row":
+        meta["fitted"]["config"]["engine"] = "row"
+    else:
+        del meta["fitted"]["config"]["engine"]
+        del meta["fitted"]["rng_spec"]
     arrays["meta.json"] = np.array(json.dumps(meta))
     np.savez(path, **arrays)
     legacy = FittedKamino.load(path, ds.relation, ds.dcs)
-    assert legacy.config.engine == "row"
-    assert legacy.rng_spec is None
-    # The historical default draw resumes the persisted sampler state.
-    _assert_tables_equal(model.sample(engine="row").table,
-                         legacy.sample().table, "legacy-replay")
+    assert legacy.config == cfg.replace(params_override=None)
+    _assert_tables_equal(model.sample(n=70, seed=4).table,
+                         legacy.sample(n=70, seed=4).table, "seeded")
+    _assert_tables_equal(model.sample().table, legacy.sample().table,
+                         "default-seed")
 
 
 # ----------------------------------------------------------------------
@@ -276,16 +242,7 @@ def test_sharded_lanes_engage_and_stitch(fitted):
         assert "stitch_us" in col.counters
 
 
-def test_row_engine_process_pool_bit_identical(fitted):
-    """Row engine + pool='process' = the whole sequential draw in one
-    subprocess; same computation, other address space."""
-    ds, model = fitted
-    base = model.sample(n=120, seed=3, engine="row")
-    proc = model.sample(n=120, seed=3, engine="row", pool="process")
-    _assert_tables_equal(base.table, proc.table, "row-subprocess")
-
-
-def test_stream_concat_bit_identical_both_engines(fitted):
+def test_stream_concat_bit_identical(fitted):
     ds, model = fitted
     single = model.sample(n=1500, seed=8).table
     chunks = list(model.sample_stream(n=1500, seed=8, chunk_rows=367))
@@ -295,14 +252,6 @@ def test_stream_concat_bit_identical_both_engines(fitted):
             single.column(name),
             np.concatenate([c.column(name) for c in chunks]),
             err_msg=f"stream:{name}")
-    row = model.sample(n=200, seed=8, engine="row").table
-    row_chunks = list(model.sample_stream(n=200, seed=8, chunk_rows=64,
-                                          engine="row"))
-    for name in ds.relation.names:
-        np.testing.assert_array_equal(
-            row.column(name),
-            np.concatenate([c.column(name) for c in row_chunks]),
-            err_msg=f"row-stream:{name}")
 
 
 def test_stream_chunk_size_invariance(fitted):
@@ -325,8 +274,6 @@ def test_workers_auto_resolves_at_draw_time(fitted):
     assert trace.samples[0].workers == (os.cpu_count() or 1)
     one = model.sample(n=64, seed=2, workers=1)
     _assert_tables_equal(auto.table, one.table, "auto-workers")
-    # The sequential row engine's thread lane resolves auto to 1.
-    model.sample(n=20, seed=2, engine="row", workers=0)
     with pytest.raises(ValueError, match="workers"):
         model.sample(n=20, seed=2, workers=-1)
 

@@ -6,7 +6,6 @@ This suite proves each recovery path the ISSUE names:
 
 * a killed process-pool worker degrades the draw to the thread pool —
   bit-identical output, a ``pool_broken`` trace counter, a warning;
-* a killed row-engine subprocess retries in-process — bit-identical;
 * an interrupted streamed draw (in-process error or a killed CLI
   subprocess) never leaves a truncated file at ``--out``;
 * corrupt or truncated model artifacts raise a typed
@@ -146,20 +145,6 @@ def test_pool_worker_death_heals_bit_identical(artifacts, caplog):
                  for sample in trace.samples for col in sample.columns)
     assert broken >= 1
     assert any("worker" in rec.message for rec in caplog.records)
-
-
-def test_row_subprocess_death_retries_in_process(artifacts, caplog):
-    ds, model = artifacts["dataset"], artifacts["fitted"]
-    reference = model.sample(n=30, seed=5, engine="row")
-    with caplog.at_level(logging.WARNING, logger="repro.engine"):
-        with faults.injected("engine.worker=kill"):
-            healed = model.sample(n=30, seed=5, engine="row",
-                                  pool="process")
-    for name in ds.relation.names:
-        np.testing.assert_array_equal(healed.table.column(name),
-                                      reference.table.column(name),
-                                      err_msg=name)
-    assert any("retrying" in rec.message for rec in caplog.records)
 
 
 # ----------------------------------------------------------------------

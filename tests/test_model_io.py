@@ -13,8 +13,8 @@ import pytest
 
 from repro.constraints import count_violations
 from repro.core import FittedKamino, Kamino, KaminoConfig
+from repro.core.engine import synthesize_engine
 from repro.core.model_io import load_fitted, load_model, save_model
-from repro.core.sampling import synthesize
 from repro.datasets import load
 
 
@@ -74,9 +74,8 @@ def test_reloaded_model_predicts_identically(trained):
 def test_reloaded_model_samples_valid_instances(trained):
     dataset, result, path = trained
     model, weights, params = load_model(path, dataset.relation)
-    rng = np.random.default_rng(42)
-    table = synthesize(model, dataset.relation, dataset.dcs, weights,
-                       60, params, rng)
+    table = synthesize_engine(model, dataset.relation, dataset.dcs,
+                              weights, 60, params, 42)
     assert table.n == 60
     for attr in dataset.relation:
         assert attr.domain.validate_column(table.column(attr.name))

@@ -12,8 +12,8 @@ Pins four things:
   already holding several values;
 * draw digests recorded before the lane replaced those blocks (adult
   ``edu_num``, tax ``child_exemp``/``single_exemp``): single-shot,
-  sharded, FD-lookup, MCMC, accept-reject and row-engine draws; large
-  shapes are ``slow``;
+  sharded, FD-lookup, MCMC, accept-reject and per-row reference-loop
+  (``row_reference``) draws; large shapes are ``slow``;
 * adult and tax streams in full chunks equal their single-shot draws;
 * a numerical dependent that also takes fresh values (the determinant
   of a hard FD) keeps its FDs on the dict index, and draws through
@@ -54,6 +54,7 @@ from repro.schema import (
     Attribute, CategoricalDomain, NumericalDomain, Relation, Table,
 )
 from repro.schema.quantize import Quantizer
+from row_reference import sample_rows
 
 
 # ----------------------------------------------------------------------
@@ -450,8 +451,7 @@ def test_accept_reject_and_row_engine_draws_pinned(fits):
     tax = fits("tax")
     assert _table_digest(tax.sample_ar(n=300, seed=3000).table) == \
         "75d0d30b31ea6719"
-    assert _table_digest(tax.sample(n=600, seed=3000,
-                                    engine="row").table) == \
+    assert _table_digest(sample_rows(tax, 600, 3000)) == \
         "c1ae7c7b1d6bc7e9"
 
 
@@ -535,11 +535,10 @@ _FRESH_DRAWS = {
     "thread": lambda f: f.sample(n=600, seed=3, workers=2,
                                  pool="thread").table,
     "stream": lambda f: _streamed(f, 600, 3),
-    "row": lambda f: f.sample(n=600, seed=2, engine="row").table,
+    "row": lambda f: sample_rows(f, 600, 2),
     "ar": lambda f: f.sample_ar(n=200, seed=3).table,
     "mcmc-blocked": lambda f: _mcmc(f).sample(n=400, seed=7).table,
-    "mcmc-row": lambda f: _mcmc(f).sample(n=400, seed=7,
-                                          engine="row").table,
+    "mcmc-row": lambda f: sample_rows(_mcmc(f), 400, 7),
 }
 
 

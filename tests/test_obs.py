@@ -116,19 +116,16 @@ def test_traced_fit_equals_untraced_fit():
 # ----------------------------------------------------------------------
 # Sample coverage + non-interference
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ["blocked", "row"])
-def test_traced_draw_bit_identical_and_covers_columns(fitted_traced,
-                                                      engine):
+def test_traced_draw_bit_identical_and_covers_columns(fitted_traced):
     fitted, _ = fitted_traced
     trace = RunTrace()
-    plain = fitted.sample(n=120, seed=7, engine=engine).table
-    traced = fitted.sample(n=120, seed=7, engine=engine,
-                           trace=trace).table
+    plain = fitted.sample(n=120, seed=7).table
+    traced = fitted.sample(n=120, seed=7, trace=trace).table
     for attr in plain.relation.names:
         np.testing.assert_array_equal(plain.column(attr),
                                       traced.column(attr), err_msg=attr)
     (st,) = trace.samples
-    assert st.engine == engine and st.n == 120 and st.seed == 7
+    assert st.engine == "blocked" and st.n == 120 and st.seed == 7
     assert [c.name for c in st.columns] \
         == list(fitted.hyper.working_sequence)
     assert all(c.mode for c in st.columns)
@@ -140,7 +137,7 @@ def test_traced_draw_bit_identical_and_covers_columns(fitted_traced,
 def test_blocked_lanes_and_counters(fitted_traced):
     fitted, _ = fitted_traced
     trace = RunTrace()
-    fitted.sample(n=120, seed=3, engine="blocked", trace=trace)
+    fitted.sample(n=120, seed=3, trace=trace)
     (st,) = trace.samples
     modes = {c.mode for c in st.columns}
     assert "unconstrained" in modes

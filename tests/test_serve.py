@@ -669,6 +669,14 @@ def test_registry_quarantines_load_failure(tmp_path, tpch):
             registry.get("m")
 
 
+@pytest.mark.parametrize("knob, value", [("workers", -1),
+                                         ("chunk_rows", 0)])
+def test_serve_config_rejects_bad_draw_knobs(tmp_path, knob, value):
+    """Caught when the server is configured, not as a 500 per render."""
+    with pytest.raises(ValueError, match=rf"{knob} must be"):
+        ServeConfig(str(tmp_path), **{knob: value})
+
+
 @contextlib.contextmanager
 def _running_server(root, tpch, **cfg):
     srv = KaminoServer(ServeConfig(str(root), port=0, quiet=True, **cfg))

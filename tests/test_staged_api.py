@@ -1,7 +1,7 @@
 """Tests for the staged fit/sample API.
 
 Pins the redesign's contract: ``KaminoConfig`` validation and the
-back-compat constructor shim, ``fit()`` + ``FittedKamino.sample()``
+keyword constructor, ``fit()`` + ``FittedKamino.sample()``
 bit-identical to the fused ``fit_sample`` across private / non-private
 / grouped / FD-lookup / AR configurations, and sample-many semantics
 (any size, any seed, no retraining).
@@ -91,7 +91,7 @@ def test_kamino_accepts_config_object():
     cfg = KaminoConfig(epsilon=1.0, seed=3, use_fd_lookup=True)
     kam = Kamino(ds.relation, ds.dcs, config=cfg)
     assert kam.config is cfg
-    assert kam.seed == 3 and kam.use_fd_lookup
+    assert kam.config.seed == 3 and kam.config.use_fd_lookup
 
 
 def test_kamino_kwargs_shim_builds_config():
@@ -120,15 +120,16 @@ def test_kamino_rejects_knobs_alongside_config():
         Kamino(ds.relation, ds.dcs, config=cfg, use_fd_lookup=True)
 
 
-def test_kamino_attribute_writes_rederive_config():
+def test_kamino_attribute_writes_raise():
+    """The knobs live on the frozen config alone: a stray write raises
+    instead of silently leaving the config unchanged."""
     ds = load("tpch", n=20, seed=0)
-    kam = Kamino(ds.relation, ds.dcs, 1.0)
-    kam.use_fd_lookup = True
-    kam.params_override = _cap
-    assert kam.config.use_fd_lookup
-    assert kam.config.params_override is _cap
-    with pytest.raises(ValueError):
-        kam.epsilon = -1.0  # writes revalidate
+    kam = Kamino(ds.relation, ds.dcs, 1.0, seed=3)
+    with pytest.raises(AttributeError):
+        kam.seed = 5
+    with pytest.raises(AttributeError):
+        kam.use_fd_lookup = True
+    assert kam.config == KaminoConfig(epsilon=1.0, seed=3)
 
 
 # ----------------------------------------------------------------------
@@ -318,6 +319,49 @@ def test_seeds_accept_none_and_integral_values(fitted_tpch, entry):
 def test_config_rejects_malformed_seeds(seed):
     with pytest.raises(ConfigError, match="seed must be a non-negative"):
         KaminoConfig(epsilon=1.0, seed=seed)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("workers", 1.5),
+    ("workers", "x"),
+    ("max_block_rows", 2.5),
+    ("stream_chunk_rows", 1.5),
+])
+def test_config_rejects_malformed_integer_knobs(field, value):
+    with pytest.raises(ConfigError, match=rf"\b{field} must be"):
+        KaminoConfig(epsilon=1.0, **{field: value})
+
+
+def test_config_integer_knobs_accept_integral_values():
+    cfg = KaminoConfig(epsilon=1.0, workers=np.int64(2), max_block_rows=8.0,
+                       stream_chunk_rows=np.int32(16))
+    assert (cfg.workers, cfg.max_block_rows, cfg.stream_chunk_rows) \
+        == (2, 8, 16)
+    assert type(cfg.workers) is int and type(cfg.max_block_rows) is int
+
+
+_INTEGER_ARGS = {
+    "workers": lambda fitted, v: fitted.sample(n=3, seed=1, workers=v),
+    "chunk_rows": lambda fitted, v: fitted.sample_stream(
+        n=3, seed=1, chunk_rows=v),
+    "max_tries": lambda fitted, v: fitted.sample_ar(n=3, seed=1,
+                                                    max_tries=v),
+}
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("workers", 1.9),
+    ("workers", "2"),
+    ("chunk_rows", 1.5),
+    ("chunk_rows", 0),
+    ("max_tries", 0),
+    ("max_tries", 2.5),
+])
+def test_malformed_draw_arguments_raise_a_typed_error(fitted_tpch, arg,
+                                                      value):
+    _, fitted = fitted_tpch
+    with pytest.raises(ValueError, match=rf"\b{arg} must be"):
+        _INTEGER_ARGS[arg](fitted, value)
 
 
 def test_sample_ar_produces_valid_rows(fitted_tpch):

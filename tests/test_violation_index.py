@@ -38,11 +38,11 @@ from repro.constraints.index import build_fd_table_index, build_grid_index
 from repro.constraints.predicate import TUPLE_I
 from repro.constraints.violations import group_inverse
 from repro.core.params import KaminoParams
-from repro.core.sampling import synthesize
 from repro.core.training import train_model
 from repro.schema.domain import CategoricalDomain, NumericalDomain
 from repro.schema.relation import Attribute, Relation
 from repro.schema.table import Table
+from row_reference import synthesize
 
 
 def _relation():
@@ -209,7 +209,9 @@ def test_violation_matrix_matches_brute_force(data):
 
 
 # ----------------------------------------------------------------------
-# The sampler produces identical output with the index on or off
+# The sampler produces identical output with the index on or off: the
+# per-row reference loop drives ``violation_penalty`` (which MCMC and
+# accept-reject share) through both
 # ----------------------------------------------------------------------
 def test_sampler_bit_identical_with_and_without_index():
     relation = Relation([
