@@ -66,6 +66,7 @@ import numpy as np
 from repro.constraints.algebra import minimize_dcs
 from repro.constraints.discovery import discover_dcs
 from repro.constraints.parser import DCParseError
+from repro.core.engine import STREAM_CHUNK_ROWS
 from repro.core.kamino import ConfigError, FittedKamino, Kamino, KaminoConfig
 from repro.core.model_io import ModelFormatError
 from repro.core.sampling import PrefixScanRequired
@@ -384,9 +385,6 @@ def cmd_sample(args) -> int:
     relation = load_relation(args.schema)
     dcs = load_dcs(args.dcs, relation=relation) if args.dcs else []
     fitted = FittedKamino.load(args.model, relation, dcs)
-    pool = args.pool or fitted.config.pool
-    n_workers = fitted.config.workers if args.workers is None \
-        else args.workers
     missing = sorted(set(fitted.weights) - {dc.name for dc in dcs})
     if missing:
         print(f"warning: model was fitted with DC weights for "
@@ -407,8 +405,7 @@ def cmd_sample(args) -> int:
         except RuntimeError as exc:  # e.g. pyarrow not installed
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        chunk_rows = (fitted.config.stream_chunk_rows
-                      if args.chunk_rows is None else args.chunk_rows)
+        chunk_rows = args.chunk_rows or STREAM_CHUNK_ROWS
         print(f"streamed synthetic table to {args.out} "
               f"(n={rows}, {stream_fmt}, chunk_rows={chunk_rows}, "
               f"{time.perf_counter() - start:.1f}s via the blocked "
@@ -416,10 +413,10 @@ def cmd_sample(args) -> int:
         return 0
     trace = RunTrace(label=f"sample:{args.model}") if args.trace else None
     result = fitted.sample(n=args.n, seed=args.seed,
-                           workers=n_workers, pool=args.pool, trace=trace)
+                           workers=args.workers, pool=args.pool, trace=trace)
     save_bundle(args.out, result.table, fitted.dcs)
-    workers = f", workers={n_workers} ({pool} pool)" \
-        if n_workers != 1 else ""
+    workers = (f", workers={args.workers} ({args.pool or 'thread'} pool)"
+               if args.workers not in (None, 1) else "")
     print(f"wrote synthetic bundle to {args.out} "
           f"(n={result.table.n}, sampling "
           f"{result.timings['Sam.']:.1f}s via the blocked engine"
@@ -731,17 +728,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shard the blocked engine's column passes over "
                         "N workers; 0 resolves from os.cpu_count() at "
                         "draw time (output is bit-identical for any "
-                        "worker count; default: the fitted config's "
-                        "workers)")
+                        "worker count; default: 1)")
     p.add_argument("--pool", choices=("thread", "process"), default=None,
                    help="execution lane for --workers > 1: shared-"
                         "memory threads or worker processes (default: "
-                        "the fitted config's pool; either is "
-                        "bit-identical to workers=1)")
+                        "thread; either is bit-identical to workers=1)")
     p.add_argument("--chunk-rows", type=_positive_int, default=None,
                    help="rows per streamed chunk when --out is a table "
-                        "file (default: the fitted config's "
-                        "stream_chunk_rows; pure scheduling)")
+                        "file (default: 65536; pure scheduling)")
     _add_trace_argument(p)
     p.set_defaults(fn=cmd_sample)
 
@@ -757,11 +751,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "'sample' runs")
     p.add_argument("--workers", type=_non_negative_int, default=None,
                    help="workers for the blocked engine's sampling "
-                        "pass; 0 = auto from os.cpu_count() (default: "
-                        "the config's workers)")
+                        "pass; 0 = auto from os.cpu_count() (default: 1)")
     p.add_argument("--pool", choices=("thread", "process"), default=None,
                    help="execution lane for --workers > 1 (default: "
-                        "the config's pool)")
+                        "thread)")
     _add_budget_arguments(p)
     _add_trace_argument(p)
     p.set_defaults(fn=cmd_synthesize)
@@ -812,8 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", choices=("thread", "process"), default=None,
                    help="execution lane for --workers > 1")
     p.add_argument("--chunk-rows", type=_positive_int, default=None,
-                   help="rows per streamed render chunk (default: each "
-                        "model's own stream_chunk_rows)")
+                   help="rows per streamed render chunk (default: "
+                        "65536)")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-request access logging")
     p.set_defaults(fn=cmd_serve)

@@ -283,9 +283,3 @@ def violation_matrix(table, dcs) -> np.ndarray:
     for l, dc in enumerate(dcs):
         out[:, l] = per_row_violation_counts(dc, table).astype(np.float64)
     return out
-
-
-def total_weighted_violations(table, dcs, weights: dict) -> float:
-    """``sum_phi w_phi * |V(phi, D)|`` — the exponent of Eqn. (1)."""
-    return float(sum(weights[dc.name] * count_violations(dc, table)
-                     for dc in dcs))

@@ -26,7 +26,10 @@ precisely where the interrupted run left it.
 The **fit key** binds a checkpoint to the fit that wrote it: a sha256
 over the persisted config fields, the private table's content digest,
 and any caller-supplied known weights.  A checkpoint from a different
-table, budget, or config never resumes.  ``params_override`` is a
+table, budget, or fit config never resumes.  The fields only the draw
+reads (``use_fd_lookup``, ``use_violation_index``,
+``constraint_aware_sampling``) enter the key at their defaults, so a
+retry that differs only in them resumes.  ``params_override`` is a
 callable and cannot be digested — only its presence is recorded, so
 resuming under a *different* override with the same config is the
 caller's responsibility (the restored params already reflect the
@@ -79,10 +82,16 @@ def table_digest(table) -> str:
     return digest.hexdigest()
 
 
+#: Config fields only the draw reads, hashed at their defaults: a retry
+#: that changes how it will sample resumes instead of re-spending.
+_DRAW_FIELDS = {"use_fd_lookup": False, "use_violation_index": True,
+                "constraint_aware_sampling": True}
+
+
 def fit_key(config, table, known_weights=None) -> str:
     """The identity a checkpoint must match to be resumable."""
     payload = {
-        "config": persisted_config(config),
+        "config": {**persisted_config(config), **_DRAW_FIELDS},
         "params_override_used": config.params_override is not None,
         "table": table_digest(table),
         "known_weights": (None if known_weights is None

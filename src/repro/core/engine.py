@@ -114,7 +114,8 @@ _LOG = logging.getLogger("repro.engine")
 #: chunking they were made with.
 NOISE_CHUNK = 2048
 
-#: Default cap on conflict-free block length (bounds peak probe width).
+#: Cap on conflict-free block and window length (bounds peak probe
+#: width); pure scheduling — any value draws the same table.
 MAX_BLOCK_ROWS = 512
 
 #: Smallest window of the numerical FD lane, which otherwise sizes each
@@ -1711,14 +1712,14 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
                       use_fd_lookup: bool = False,
                       use_violation_index: bool = True,
                       workers: int = 1, pool: str = "thread",
-                      max_block_rows: int = MAX_BLOCK_ROWS,
                       noise_chunk: int = NOISE_CHUNK,
                       trace=None) -> Table:
     """Algorithm 3: draw a synthetic instance of ``n`` rows.
 
     The output is a deterministic function of the arguments — in
-    particular it does **not** depend on ``workers``, ``pool``, or
-    ``max_block_rows`` (scheduling knobs only).  ``seed`` keys every
+    particular it does **not** depend on ``workers`` or ``pool``
+    (scheduling knobs only), nor on the block cap
+    :data:`MAX_BLOCK_ROWS`.  ``seed`` keys every
     per-cell noise stream; ``noise_chunk`` is the persisted chunking of
     those streams (model format v2 records it so reloaded models replay
     their draws).
@@ -1819,7 +1820,7 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
                     try:
                         _run_sharded(sampler, j, base, layout, noise_key,
                                      cols, wcols, specs, shards,
-                                     max_block_rows, tpool, ppool,
+                                     MAX_BLOCK_ROWS, tpool, ppool,
                                      tracer=col_trace)
                     except BrokenProcessPool:
                         if ppool is None:
@@ -1829,13 +1830,13 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
                         ppool = None
                         _run_sharded(sampler, j, base, layout, noise_key,
                                      cols, wcols, specs, shards,
-                                     max_block_rows, tpool, None,
+                                     MAX_BLOCK_ROWS, tpool, None,
                                      tracer=col_trace)
                 else:
                     _ColumnPass(sampler, j, base, layout,
                                 _CellNoise(*noise_key), cols, wcols,
                                 fd_indexes, tracer=col_trace,
-                                ).fill(n, specs, max_block_rows)
+                                ).fill(n, specs, MAX_BLOCK_ROWS)
             if col_trace is not None:
                 col_trace.finish(time.perf_counter() - col_start, n)
             if params.mcmc_m > 0:
@@ -1861,7 +1862,6 @@ def synthesize_stream(model, relation, dcs, weights, n: int, params,
                       use_fd_lookup: bool = False,
                       use_violation_index: bool = True,
                       chunk_rows: int = STREAM_CHUNK_ROWS,
-                      max_block_rows: int = MAX_BLOCK_ROWS,
                       noise_chunk: int = NOISE_CHUNK):
     """Yield the blocked-engine draw of ``n`` rows in bounded chunks.
 
@@ -1927,5 +1927,5 @@ def synthesize_stream(model, relation, dcs, weights, n: int, params,
             else:
                 _ColumnPass(sampler, j, base, layout, noise, cols, wcols,
                             state=states[j], strict=True, row_offset=off,
-                            ).fill(m, specs_of[j], max_block_rows)
+                            ).fill(m, specs_of[j], MAX_BLOCK_ROWS)
         yield Table(relation, cols, validate=False)

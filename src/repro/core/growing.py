@@ -155,10 +155,6 @@ class GrowingSynthesizer:
         Noisy-TVD above which the generative process is re-run.
     ledger:
         Budget ledger to record spends into (one is created if omitted).
-    sample_workers:
-        Thread workers handed to every :meth:`FittedKamino.sample` call
-        (the blocked engine's sharded draws); output is bit-identical
-        for any worker count.
     kamino_kwargs:
         Extra keyword arguments forwarded to :class:`Kamino` (e.g.
         ``params_override`` for small-scale runs, or ``use_fd_lookup``
@@ -169,7 +165,6 @@ class GrowingSynthesizer:
                  fingerprint_epsilon: float = 0.1,
                  shift_threshold: float = 0.05,
                  ledger: PrivacyLedger | None = None, seed: int = 0,
-                 sample_workers: int = 1,
                  **kamino_kwargs):
         if fingerprint_epsilon <= 0:
             raise ValueError("fingerprint_epsilon must be positive")
@@ -183,9 +178,6 @@ class GrowingSynthesizer:
         self.shift_threshold = float(shift_threshold)
         self.ledger = ledger if ledger is not None else PrivacyLedger(delta)
         self.seed = seed
-        if sample_workers < 1:
-            raise ValueError("sample_workers must be >= 1")
-        self.sample_workers = int(sample_workers)
         self.kamino_kwargs = kamino_kwargs
         self._fingerprint: list[np.ndarray] | None = None
         self._fingerprint_cell_std = 0.0
@@ -248,8 +240,7 @@ class GrowingSynthesizer:
         # Post-processing: sample a fresh instance from the fitted
         # model — a pure FittedKamino.sample, no privacy spend.
         result = self._fitted.sample(n=table.n,
-                                     seed=self.seed + 101 + self._runs,
-                                     workers=self.sample_workers)
+                                     seed=self.seed + 101 + self._runs)
         return UpdateDecision(
             action=RESAMPLE,
             reason=f"shift {shift:.3f} within threshold "
@@ -279,7 +270,7 @@ class GrowingSynthesizer:
                   reason: str) -> UpdateDecision:
         kamino = self._make_kamino()
         fitted = kamino.fit(table)
-        result = fitted.sample(workers=self.sample_workers)
+        result = fitted.sample()
         rng = np.random.default_rng(self.seed + 7919 + self._runs)
         self._fingerprint = noisy_fingerprint(
             table, self._fingerprint_sigma, rng)

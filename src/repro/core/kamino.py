@@ -51,7 +51,8 @@ from typing import Callable
 import numpy as np
 
 from repro.core.engine import (
-    ENGINE_RNG_SPEC, NOISE_CHUNK, synthesize_engine, synthesize_stream,
+    ENGINE_RNG_SPEC, NOISE_CHUNK, STREAM_CHUNK_ROWS, synthesize_engine,
+    synthesize_stream,
 )
 from repro.core.hyper import HyperSpec
 from repro.core.params import KaminoParams, search_dp_params
@@ -148,33 +149,10 @@ class KaminoConfig:
         literal Algorithm 5) or ``"capped"`` (log-odds over capped
         violation indicators — better when the budget affords an
         informative release); see :mod:`repro.core.weights`.
-    workers:
-        Default worker count for :meth:`FittedKamino.sample` (the
-        per-call ``workers=`` argument overrides it).  ``0`` means
-        "auto": resolve from ``os.cpu_count()`` at draw time — the
-        literal ``0`` is what persists in model v2, never a
-        machine-specific count.  The engine shards on it —
-        unconstrained passes over contiguous spans, constrained passes
-        over group-disjoint sub-schedules — and the drawn instance is
-        bit-identical for any worker count (a scheduling knob, never a
-        semantics knob).
-    pool:
-        Execution lane for ``workers > 1``: ``"thread"`` (default,
-        shared-memory, GIL-bound) or ``"process"`` (worker processes
-        holding their own sampler; shards travel as compact picklable
-        specs and stitch back bit-identically).  Pure scheduling: never
-        changes a cell.
-    stream_chunk_rows:
-        Default chunk size of :meth:`FittedKamino.sample_stream` (rows
-        per yielded table; the per-call ``chunk_rows=`` argument
-        overrides it).  Pure scheduling — concatenated chunks are
-        bit-identical to the single-shot draw at any value.
-    max_block_rows:
-        Cap on the blocked engine's conflict-free block length.  Larger
-        blocks amortise more Python per probe but widen the peak
-        penalty matrices (memory ~ ``max_block_rows x domain``).  Like
-        ``workers`` this is pure scheduling: any value yields the same
-        draw.  Default 512 (:data:`repro.core.engine.MAX_BLOCK_ROWS`).
+
+    Draw scheduling (worker count, pool, stream chunking) is not model
+    state: it is an argument of each :meth:`FittedKamino.sample` /
+    :meth:`~FittedKamino.sample_stream` call and never changes a cell.
     """
 
     epsilon: float
@@ -189,10 +167,6 @@ class KaminoConfig:
     random_sequence: bool = False
     constraint_aware_sampling: bool = True
     weight_estimator: str = "matrix"
-    workers: int = 1
-    pool: str = "thread"
-    max_block_rows: int = 512
-    stream_chunk_rows: int = 65536
 
     def __post_init__(self):
         try:
@@ -221,17 +195,6 @@ class KaminoConfig:
             raise ValueError(
                 f"weight_estimator must be one of {_WEIGHT_ESTIMATORS}, "
                 f"got {self.weight_estimator!r}")
-        object.__setattr__(self, "workers",
-                           _non_negative_int(self.workers, "workers"))
-        if self.pool not in _POOLS:
-            raise ValueError(
-                f"pool must be one of {_POOLS}, got {self.pool!r}")
-        object.__setattr__(self, "max_block_rows",
-                           _positive_int(self.max_block_rows,
-                                         "max_block_rows"))
-        object.__setattr__(self, "stream_chunk_rows",
-                           _positive_int(self.stream_chunk_rows,
-                                         "stream_chunk_rows"))
 
     @property
     def private(self) -> bool:
@@ -240,12 +203,6 @@ class KaminoConfig:
     def replace(self, **changes) -> "KaminoConfig":
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
-
-
-#: Sentinel distinguishing "knob not passed" from any real value, so
-#: ``Kamino(..., config=cfg, seed=5)`` can be rejected instead of
-#: silently dropping ``seed``.
-_UNSET = object()
 
 
 @dataclass
@@ -348,17 +305,17 @@ class FittedKamino:
         with the fitted config's seed, so repeated default draws are
         identical — pass distinct seeds for distinct draws.
 
-        ``workers`` (default: ``config.workers``; ``0`` = auto from
-        ``os.cpu_count()``) shards the engine's column passes —
+        ``workers`` (default 1; ``0`` = auto from ``os.cpu_count()``,
+        chosen per call) shards the engine's column passes —
         unconstrained ones over contiguous spans, constrained ones over
-        group-disjoint sub-schedules — and ``pool`` (default:
-        ``config.pool``) picks the ``"thread"`` or ``"process"`` lane.
+        group-disjoint sub-schedules — and ``pool`` (default
+        ``"thread"``) picks the ``"thread"`` or ``"process"`` lane.
 
         **Determinism guarantees.**  For a given fitted model, the drawn
         instance is a pure function of ``(n, seed)``:
 
         * the engine keys every cell's noise off counter-based Philox
-          streams, so ``workers``, ``pool``, ``config.max_block_rows``,
+          streams, so ``workers``, ``pool``, the engine's block size
           and ``config.use_violation_index`` are pure scheduling knobs
           — any combination yields bit-identical output;
         * passing a ``trace`` (see below) never touches any rng: a
@@ -372,15 +329,13 @@ class FittedKamino:
         n_out = _draw_size(n, self.default_n)
         seed = _draw_seed(seed)
         cfg = self.config
-        pool = cfg.pool if pool is None else pool
-        workers = (cfg.workers if workers is None
-                   else _non_negative_int(workers, "workers"))
+        pool = "thread" if pool is None else pool
+        workers = (1 if workers is None
+                   else _non_negative_int(workers, "workers")
+                   or os.cpu_count() or 1)
         if pool not in _POOLS:
             raise ValueError(f"pool must be one of {_POOLS}, "
                              f"got {pool!r}")
-        # 0 means "auto", resolved here: configs persist the literal 0,
-        # so an artifact never bakes in one machine's core count.
-        workers = workers or os.cpu_count() or 1
         master, chunk = self._noise_key(seed)
         sampled_dcs = self.dcs if cfg.constraint_aware_sampling else []
         run_trace = None
@@ -393,9 +348,8 @@ class FittedKamino:
             n_out, self.params, master, hyper=self.hyper,
             use_fd_lookup=cfg.use_fd_lookup,
             use_violation_index=cfg.use_violation_index,
-            workers=workers, pool=pool,
-            max_block_rows=cfg.max_block_rows,
-            noise_chunk=chunk, trace=run_trace)
+            workers=workers, pool=pool, noise_chunk=chunk,
+            trace=run_trace)
         seconds = time.perf_counter() - start
         if run_trace is not None:
             run_trace.finish(seconds)
@@ -408,7 +362,7 @@ class FittedKamino:
         Concatenating the yielded :class:`Table` chunks in order is
         bit-identical to ``sample(n, seed).table`` — chunking is pure
         scheduling (see :func:`repro.core.engine.synthesize_stream`).
-        ``chunk_rows`` defaults to ``config.stream_chunk_rows``.  Peak
+        ``chunk_rows`` defaults to ``STREAM_CHUNK_ROWS`` (65,536).  Peak
         memory holds one chunk plus the per-column constraint-index
         state, never the full ``n`` rows — this is the lane behind
         ``repro-kamino sample --out`` streaming n=10M draws straight to
@@ -422,7 +376,7 @@ class FittedKamino:
         n_out = _draw_size(n, self.default_n)
         seed = _draw_seed(seed)
         cfg = self.config
-        chunk = (cfg.stream_chunk_rows if chunk_rows is None
+        chunk = (STREAM_CHUNK_ROWS if chunk_rows is None
                  else _positive_int(chunk_rows, "chunk_rows"))
         master, noise_chunk = self._noise_key(seed)
         sampled_dcs = self.dcs if cfg.constraint_aware_sampling else []
@@ -431,8 +385,7 @@ class FittedKamino:
             n_out, self.params, master, hyper=self.hyper,
             use_fd_lookup=cfg.use_fd_lookup,
             use_violation_index=cfg.use_violation_index,
-            chunk_rows=chunk, max_block_rows=cfg.max_block_rows,
-            noise_chunk=noise_chunk)
+            chunk_rows=chunk, noise_chunk=noise_chunk)
 
     def sample_ar(self, n: int | None = None, seed: int | None = None,
                   max_tries: int = 300, trace=None) -> KaminoResult:
@@ -537,7 +490,8 @@ class Kamino:
         Kamino(relation, dcs, config=KaminoConfig(epsilon=1.0, seed=3))
         Kamino(relation, dcs, 1.0, seed=3)     # keyword knobs
 
-    The second forwards the keyword knobs into a ``KaminoConfig``.
+    The second forwards the keyword knobs into a ``KaminoConfig``,
+    which rejects an unknown one with a ``TypeError``.
     Either way the knobs live on the frozen ``kamino.config``; derive a
     changed one with ``config.replace(...)``.
 
@@ -550,38 +504,10 @@ class Kamino:
     __slots__ = ("relation", "dcs", "config")
 
     def __init__(self, relation, dcs, epsilon: float | None = None,
-                 delta: float = _UNSET, seed: int = _UNSET,
-                 group_max_domain: int | None = _UNSET,
-                 large_domain_threshold: int | None = _UNSET,
-                 use_fd_lookup: bool = _UNSET,
-                 use_violation_index: bool = _UNSET,
-                 parallel_training: bool = _UNSET,
-                 params_override=_UNSET,
-                 random_sequence: bool = _UNSET,
-                 constraint_aware_sampling: bool = _UNSET,
-                 weight_estimator: str = _UNSET,
-                 workers: int = _UNSET,
-                 pool: str = _UNSET,
-                 max_block_rows: int = _UNSET,
-                 stream_chunk_rows: int = _UNSET,
-                 config: KaminoConfig | None = None):
-        knobs = {
-            name: value for name, value in (
-                ("delta", delta), ("seed", seed),
-                ("group_max_domain", group_max_domain),
-                ("large_domain_threshold", large_domain_threshold),
-                ("use_fd_lookup", use_fd_lookup),
-                ("use_violation_index", use_violation_index),
-                ("parallel_training", parallel_training),
-                ("params_override", params_override),
-                ("random_sequence", random_sequence),
-                ("constraint_aware_sampling", constraint_aware_sampling),
-                ("weight_estimator", weight_estimator),
-                ("workers", workers),
-                ("pool", pool),
-                ("max_block_rows", max_block_rows),
-                ("stream_chunk_rows", stream_chunk_rows),
-            ) if value is not _UNSET}
+                 delta: float | None = None, *,
+                 config: KaminoConfig | None = None, **knobs):
+        if delta is not None:
+            knobs["delta"] = delta
         if config is None:
             if epsilon is None:
                 raise TypeError(
@@ -831,8 +757,3 @@ class Kamino:
             else:
                 groups.append(group)
         return HyperSpec(self.relation, groups)
-
-
-def make_kamino(relation, dcs, epsilon: float, **kwargs) -> Kamino:
-    """Convenience constructor mirroring the paper's defaults."""
-    return Kamino(relation, dcs, epsilon, **kwargs)

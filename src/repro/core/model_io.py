@@ -26,7 +26,8 @@ the post-fit sampler randomness state, and the engine's counter-rng spec
 (Philox scheme + noise chunking), so grouped and large-domain-fallback
 models round-trip and a reloaded model reproduces the original draws bit
 for bit.  The config's ``engine`` entry is written as ``"blocked"``, the
-only engine, and ignored on load.
+only engine, and its four draw-scheduling entries as the defaults they
+always held; all five are ignored on load.
 
 Version 1 files and v2 files whose ``engine`` entry reads ``"row"`` or
 is missing were fitted for a retired per-row sampler.  They still load,
@@ -100,9 +101,16 @@ def atomic_savez(path: str, arrays: dict) -> None:
 _SAMPLING_PARAMS = ("epsilon", "delta", "num_candidates", "mcmc_m",
                     "quant_bins", "n", "k")
 
+#: Retired config entries and the constants they are written as: the
+#: engine choice and the draw-scheduling defaults, which are now
+#: per-call arguments.  Writing them keeps ``meta.json``, artifact
+#: digests and checkpoint keys unchanged; loading ignores them.
+_RETIRED_CONFIG = {"engine": "blocked", "workers": 1, "pool": "thread",
+                   "max_block_rows": 512, "stream_chunk_rows": 65536}
+
 #: The persisted config fields, in their order in ``meta.json``: every
 #: KaminoConfig field but ``params_override`` (a callable consumed during
-#: fit), plus ``engine``, written as the constant ``"blocked"``.
+#: fit), plus the :data:`_RETIRED_CONFIG` entries.
 _PERSISTED_CONFIG = ("epsilon", "delta", "seed", "group_max_domain",
                      "large_domain_threshold", "use_fd_lookup",
                      "use_violation_index", "parallel_training",
@@ -114,8 +122,8 @@ _PERSISTED_CONFIG = ("epsilon", "delta", "seed", "group_max_domain",
 def persisted_config(config) -> dict:
     """The ``meta.json`` record of ``config``: the
     :data:`_PERSISTED_CONFIG` fields, in order."""
-    return {f: "blocked" if f == "engine" else getattr(config, f)
-            for f in _PERSISTED_CONFIG}
+    return {f: _RETIRED_CONFIG[f] if f in _RETIRED_CONFIG
+            else getattr(config, f) for f in _PERSISTED_CONFIG}
 
 
 def _histogram_meta(hist: HistogramModel) -> dict:
@@ -376,10 +384,11 @@ def load_fitted(path: str, relation) -> dict:
                                f"missing member {exc}") from exc
     if hyper is None:
         hyper = HyperSpec.trivial(relation, fitted_meta["sequence"])
-    config_meta = dict(fitted_meta["config"])
     # Every artifact draws on the blocked engine, whichever engine (or
-    # none, before the entry existed) it records.
-    config_meta.pop("engine", None)
+    # none, before the entry existed) it records, and schedules each
+    # draw per call, whatever scheduling it records.
+    config_meta = {k: v for k, v in fitted_meta["config"].items()
+                   if k not in _RETIRED_CONFIG}
     config = KaminoConfig(params_override=None, **config_meta)
     return {
         "model": model,

@@ -37,9 +37,6 @@ class Dataset:
     def hard_dcs(self) -> list[DenialConstraint]:
         return [dc for dc in self.dcs if dc.hard]
 
-    def soft_dcs(self) -> list[DenialConstraint]:
-        return [dc for dc in self.dcs if not dc.hard]
-
     def summary(self) -> str:
         """One-line description in the style of Table 1."""
         log_dom = self.relation.log2_domain_size()

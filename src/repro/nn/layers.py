@@ -55,9 +55,6 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def num_parameters(self) -> int:
-        return sum(p.value.size for p in self.parameters())
-
 
 class Linear(Module):
     """Affine map ``y = x W + b`` for 2-D inputs ``(batch, fan_in)``."""

@@ -88,9 +88,10 @@ class ServeConfig:
         self.cache_max_bytes = int(cache_max_bytes)
         self.max_pending = int(max_pending)
         self.timeout = float(timeout)
-        #: Worker count for Kamino draws (None: the fitted config's own;
-        #: 0: auto from cpu_count) — pure scheduling, never changes a
-        #: drawn byte, so cached and fresh responses always agree.
+        #: Worker count for Kamino draws (None: render through
+        #: ``sample_stream`` on one worker; 0: auto from cpu_count) —
+        #: pure scheduling, never changes a drawn byte, so cached and
+        #: fresh responses always agree.
         self.workers = None if workers is None else int(workers)
         self.pool = pool
         self.chunk_rows = None if chunk_rows is None else int(chunk_rows)

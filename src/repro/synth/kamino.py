@@ -54,8 +54,9 @@ class FittedKaminoSynthesizer(FittedSynthesizer):
     def sample(self, n=None, seed=None, *, trace=None):
         """Delegates to :meth:`FittedKamino.sample`; returns the table.
 
-        All of Kamino's own draw knobs (workers, pool, streaming) stay available on ``self.fitted`` — the protocol
-        surface is the portable subset.
+        Kamino's own per-call draw arguments (``workers``, ``pool``)
+        stay available on ``self.fitted`` — the protocol surface is the
+        portable subset.
         """
         return self.fitted.sample(n=n, seed=seed, trace=trace).table
 
@@ -99,8 +100,8 @@ class KaminoSynthesizer(Synthesizer):
     """The Kamino pipeline as a registry backend.
 
     Extra keyword arguments are :class:`KaminoConfig` knobs
-    (``workers``, ``params_override``, ``group_max_domain``, ...), so
-    harness- and CLI-level construction stays one call.
+    (``params_override``, ``group_max_domain``, ``use_fd_lookup``, ...),
+    so harness- and CLI-level construction stays one call.
     """
 
     name = "kamino"

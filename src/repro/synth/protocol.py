@@ -41,8 +41,8 @@ from repro.synth.ledger import BudgetLedger
 
 
 #: Default rows per yielded chunk of the protocol-level
-#: :meth:`FittedSynthesizer.sample_stream` fallback (matches
-#: ``KaminoConfig.stream_chunk_rows``).
+#: :meth:`FittedSynthesizer.sample_stream` fallback (matches Kamino's
+#: ``STREAM_CHUNK_ROWS``).
 DEFAULT_STREAM_CHUNK_ROWS = 65536
 
 

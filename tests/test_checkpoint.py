@@ -28,9 +28,9 @@ def _cap(params):
     params.iterations = min(params.iterations, 6)
 
 
-def _make(ds, epsilon=1.0):
+def _make(ds, epsilon=1.0, **knobs):
     return Kamino(ds.relation, ds.dcs, epsilon=epsilon, seed=0,
-                  params_override=_cap)
+                  params_override=_cap, **knobs)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,32 @@ def test_checkpoint_from_other_config_never_resumes(ds, tmp_path):
     assert fitted.resumed_from is None
     assert fitted.ledger.fresh_epsilon() == \
         pytest.approx(fitted.ledger.total_epsilon())
+
+
+@pytest.mark.parametrize("knob, value, resumes", [
+    ("use_fd_lookup", True, True),
+    ("use_violation_index", False, True),
+    ("constraint_aware_sampling", False, True),
+    ("weight_estimator", "capped", False),
+])
+def test_retry_resumes_across_draw_side_changes_only(ds, tmp_path, knob,
+                                                     value, resumes):
+    """The fit phases never read the sampler's switches, so a retry
+    that changes only one of them resumes without spending epsilon
+    again; a retry that changes a fit field starts fresh."""
+    ckdir = str(tmp_path / "ck")
+    with faults.injected("fit.dp_sgd=error"):
+        with pytest.raises(FaultInjected):
+            _make(ds).fit(ds.table, checkpoint_dir=ckdir)
+    fitted = _make(ds, **{knob: value}).fit(ds.table, checkpoint_dir=ckdir)
+    assert getattr(fitted.config, knob) == value
+    if resumes:
+        assert fitted.resumed_from == "dp_sgd"
+        assert fitted.ledger.fresh_epsilon() == 0.0
+    else:
+        assert fitted.resumed_from is None
+        assert fitted.ledger.fresh_epsilon() == \
+            pytest.approx(fitted.ledger.total_epsilon())
 
 
 def test_corrupted_checkpoint_falls_back_to_older_stage(ds, reference,

@@ -68,16 +68,24 @@ def fitted(request):
 # ----------------------------------------------------------------------
 # Scheduling invariance
 # ----------------------------------------------------------------------
-def test_block_size_invariance(fitted):
+def test_block_size_invariance(fitted, monkeypatch):
     ds, model = fitted
     args = (model.model, ds.relation, model.dcs, model.weights, 120,
             model.params, 11)
-    singleton = synthesize_engine(*args, hyper=model.hyper,
-                                  max_block_rows=1)
-    small = synthesize_engine(*args, hyper=model.hyper, max_block_rows=17)
-    default = synthesize_engine(*args, hyper=model.hyper)
-    _assert_tables_equal(singleton, default, "singleton-vs-default")
-    _assert_tables_equal(small, default, "17-vs-default")
+
+    def draw():
+        trace = RunTrace().begin_sample("blocked", 120, 11)
+        table = synthesize_engine(*args, hyper=model.hyper, trace=trace)
+        return table, trace.aggregate_counters().get("blocks", 0)
+
+    default, default_blocks = draw()
+    for cap in (1, 17):
+        monkeypatch.setattr(engine_mod, "MAX_BLOCK_ROWS", cap)
+        table, blocks = draw()
+        # The patched cap really schedules smaller blocks...
+        assert blocks > default_blocks
+        # ...and never changes a cell.
+        _assert_tables_equal(table, default, f"{cap}-vs-default")
 
 
 def test_probe_mechanism_invariance(fitted):
@@ -168,20 +176,33 @@ def test_model_io_persists_engine_and_rng_spec(tmp_path):
     reloaded = FittedKamino.load(path, ds.relation, ds.dcs)
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta.json"]))
-    assert meta["fitted"]["config"]["engine"] == "blocked"
+    # The record feeds every artifact digest and checkpoint key: the
+    # retired entries (engine, then draw scheduling) keep their places
+    # as the constants they always held.
+    assert list(meta["fitted"]["config"].items()) == [
+        ("epsilon", 1.0), ("delta", 1e-06), ("seed", 0),
+        ("group_max_domain", None), ("large_domain_threshold", 1000),
+        ("use_fd_lookup", False), ("use_violation_index", True),
+        ("parallel_training", False), ("random_sequence", False),
+        ("constraint_aware_sampling", True),
+        ("weight_estimator", "matrix"), ("engine", "blocked"),
+        ("workers", 1), ("pool", "thread"), ("max_block_rows", 512),
+        ("stream_chunk_rows", 65536)]
     assert reloaded.rng_spec == model.rng_spec
     assert reloaded.rng_spec["scheme"] == "philox-cell"
     _assert_tables_equal(model.sample(n=70, seed=4).table,
                          reloaded.sample(n=70, seed=4).table, "roundtrip")
 
 
-@pytest.mark.parametrize("written_for", ["no-engine-entry", "row"])
+@pytest.mark.parametrize("written_for",
+                         ["no-engine-entry", "row", "scheduling"])
 def test_legacy_model_files_draw_on_the_blocked_engine(tmp_path,
                                                        written_for):
     """Files written for the retired row engine — an ``engine`` entry
     reading ``"row"``, or none at all (written before the entry
-    existed, with no rng spec either) — load and draw what the fresh
-    artifact draws, seeded and at the default seed."""
+    existed, with no rng spec either) — and files recording draw
+    scheduling in their config load and draw what the fresh artifact
+    draws: seeded, at the default seed, and streamed."""
     ds = load("tpch", n=80, seed=0)
     cfg = KaminoConfig(epsilon=1.0, seed=0, params_override=_cap)
     model = Kamino(ds.relation, ds.dcs, config=cfg).fit(ds.table)
@@ -192,6 +213,10 @@ def test_legacy_model_files_draw_on_the_blocked_engine(tmp_path,
     meta = json.loads(str(arrays["meta.json"]))
     if written_for == "row":
         meta["fitted"]["config"]["engine"] = "row"
+    elif written_for == "scheduling":
+        meta["fitted"]["config"].update(workers=4, pool="process",
+                                        max_block_rows=64,
+                                        stream_chunk_rows=1000)
     else:
         del meta["fitted"]["config"]["engine"]
         del meta["fitted"]["rng_spec"]
@@ -203,6 +228,10 @@ def test_legacy_model_files_draw_on_the_blocked_engine(tmp_path,
                          legacy.sample(n=70, seed=4).table, "seeded")
     _assert_tables_equal(model.sample().table, legacy.sample().table,
                          "default-seed")
+    fresh = list(model.sample_stream(n=2500, seed=4))
+    old = list(legacy.sample_stream(n=2500, seed=4))
+    assert len(old) == len(fresh) == 1
+    _assert_tables_equal(fresh[0], old[0], "streamed")
 
 
 # ----------------------------------------------------------------------
@@ -282,8 +311,6 @@ def test_pool_knob_validated(fitted):
     ds, model = fitted
     with pytest.raises(ValueError, match="pool"):
         model.sample(n=10, seed=0, pool="fiber")
-    with pytest.raises(ValueError, match="pool"):
-        KaminoConfig(epsilon=1.0, pool="fiber")
 
 
 def test_stream_rejects_mcmc(fitted):

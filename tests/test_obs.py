@@ -154,36 +154,6 @@ def test_sample_ar_records_run_level_trace(fitted_traced):
     assert st.engine == "ar" and st.n == 30 and not st.columns
 
 
-def test_workers_knob_resolves_from_config():
-    ds = load("tpch", n=120, seed=0)
-    cfg = KaminoConfig(epsilon=1.0, seed=0, params_override=_cap,
-                       workers=2, max_block_rows=64)
-    fitted = Kamino(ds.relation, ds.dcs, config=cfg).fit(ds.table)
-    trace = RunTrace()
-    t1 = fitted.sample(n=100, seed=4, trace=trace).table
-    assert trace.samples[0].workers == 2
-    # Scheduling knobs never change the draw.
-    base = Kamino(ds.relation, ds.dcs,
-                  config=cfg.replace(workers=1, max_block_rows=512)
-                  ).fit(ds.table).sample(n=100, seed=4).table
-    for attr in t1.relation.names:
-        np.testing.assert_array_equal(t1.column(attr), base.column(attr),
-                                      err_msg=attr)
-
-
-def test_config_validates_new_knobs():
-    with pytest.raises(ValueError, match="workers"):
-        KaminoConfig(epsilon=1.0, workers=-1)
-    with pytest.raises(ValueError, match="max_block_rows"):
-        KaminoConfig(epsilon=1.0, max_block_rows=0)
-    with pytest.raises(ValueError, match="pool"):
-        KaminoConfig(epsilon=1.0, pool="fiber")
-    with pytest.raises(ValueError, match="stream_chunk_rows"):
-        KaminoConfig(epsilon=1.0, stream_chunk_rows=0)
-    # 0 is the validated "auto" sentinel, resolved at draw time.
-    assert KaminoConfig(epsilon=1.0, workers=0).workers == 0
-
-
 # ----------------------------------------------------------------------
 # Serialisation
 # ----------------------------------------------------------------------

@@ -99,6 +99,9 @@ def test_kamino_kwargs_shim_builds_config():
     kam = Kamino(ds.relation, ds.dcs, 1.0, seed=3, use_fd_lookup=True)
     assert kam.config == KaminoConfig(epsilon=1.0, seed=3,
                                       use_fd_lookup=True)
+    # delta is the one knob that may also come positionally.
+    assert Kamino(ds.relation, ds.dcs, 1.0, 1e-5).config == \
+        KaminoConfig(epsilon=1.0, delta=1e-5)
 
 
 def test_kamino_rejects_epsilon_and_config_together():
@@ -118,6 +121,24 @@ def test_kamino_rejects_knobs_alongside_config():
         Kamino(ds.relation, ds.dcs, config=cfg, seed=5)
     with pytest.raises(TypeError, match="use_fd_lookup"):
         Kamino(ds.relation, ds.dcs, config=cfg, use_fd_lookup=True)
+    with pytest.raises(TypeError, match="delta"):
+        Kamino(ds.relation, ds.dcs, None, 1e-5, config=cfg)
+
+
+@pytest.mark.parametrize("knob, value", [
+    ("workers", 2),
+    ("pool", "process"),
+    ("max_block_rows", 64),
+    ("stream_chunk_rows", 1000),
+])
+def test_scheduling_is_not_a_config_knob(knob, value):
+    """Draw scheduling is an argument of each draw, not model state:
+    the config and the constructor reject it as an unknown knob."""
+    ds = load("tpch", n=20, seed=0)
+    with pytest.raises(TypeError, match=knob):
+        KaminoConfig(epsilon=1.0, **{knob: value})
+    with pytest.raises(TypeError, match=knob):
+        Kamino(ds.relation, ds.dcs, 1.0, **{knob: value})
 
 
 def test_kamino_attribute_writes_raise():
@@ -319,25 +340,6 @@ def test_seeds_accept_none_and_integral_values(fitted_tpch, entry):
 def test_config_rejects_malformed_seeds(seed):
     with pytest.raises(ConfigError, match="seed must be a non-negative"):
         KaminoConfig(epsilon=1.0, seed=seed)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("workers", 1.5),
-    ("workers", "x"),
-    ("max_block_rows", 2.5),
-    ("stream_chunk_rows", 1.5),
-])
-def test_config_rejects_malformed_integer_knobs(field, value):
-    with pytest.raises(ConfigError, match=rf"\b{field} must be"):
-        KaminoConfig(epsilon=1.0, **{field: value})
-
-
-def test_config_integer_knobs_accept_integral_values():
-    cfg = KaminoConfig(epsilon=1.0, workers=np.int64(2), max_block_rows=8.0,
-                       stream_chunk_rows=np.int32(16))
-    assert (cfg.workers, cfg.max_block_rows, cfg.stream_chunk_rows) \
-        == (2, 8, 16)
-    assert type(cfg.workers) is int and type(cfg.max_block_rows) is int
 
 
 _INTEGER_ARGS = {
