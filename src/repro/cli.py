@@ -69,7 +69,6 @@ from repro.constraints.parser import DCParseError
 from repro.core.engine import STREAM_CHUNK_ROWS
 from repro.core.kamino import ConfigError, FittedKamino, Kamino, KaminoConfig
 from repro.core.model_io import ModelFormatError
-from repro.core.sampling import PrefixScanRequired
 from repro.constraints.violations import violating_pairs
 from repro.evaluation.marginals import marginal_distances
 from repro.evaluation.violations import dc_violation_report
@@ -229,6 +228,15 @@ def _finish_trace(args, trace: RunTrace | None) -> None:
     print(f"wrote run trace to {args.trace}")
 
 
+def _warn_ignored(args, flags, reason: str) -> None:
+    """One ``warning:`` line for each of ``flags`` the command line set
+    but the chosen path ignores, saying why (``reason``)."""
+    for flag in flags:
+        if getattr(args, flag, None) is not None:
+            print(f"warning: --{flag.replace('_', '-')} {reason}; "
+                  f"ignoring it", file=sys.stderr)
+
+
 def _resolve_method(args, bundle) -> str:
     """The backend a ``fit``/``synthesize`` run targets.
 
@@ -280,6 +288,8 @@ def _synthesize_backend(args, bundle, method: str) -> int:
     """``synthesize`` for a registry backend: staged fit + one draw."""
     trace = RunTrace(label=f"synthesize:{args.bundle}") \
         if args.trace else None
+    _warn_ignored(args, ("workers", "pool"),
+                  f"applies to Kamino only, not {method}")
     try:
         synth = _make_backend(method, args, bundle.dcs)
     except BackendUnavailable as exc:
@@ -306,11 +316,9 @@ def _sample_backend(args, method: str) -> int:
 
     relation = load_relation(args.schema)
     dcs = load_dcs(args.dcs, relation=relation) if args.dcs else []
-    for flag in ("workers", "pool", "chunk_rows"):
-        if getattr(args, flag, None) is not None:
-            print(f"warning: --{flag.replace('_', '-')} applies to "
-                  f"Kamino models only; ignoring it for this {method} "
-                  f"model", file=sys.stderr)
+    _warn_ignored(args, ("workers", "pool", "chunk_rows"),
+                  f"applies to Kamino models only, not this {method} "
+                  f"model")
     try:
         fitted = load_fitted(args.model, relation, dcs=dcs)
     except BackendUnavailable as exc:
@@ -393,9 +401,9 @@ def cmd_sample(args) -> int:
               f"from the fit-time draw)", file=sys.stderr)
     stream_fmt = stream_format_for(args.out)
     if stream_fmt is not None:
-        if args.trace:
-            print("warning: --trace is not recorded for streamed draws; "
-                  "ignoring it", file=sys.stderr)
+        _warn_ignored(args, ("workers", "pool", "trace"),
+                      "does not apply to a streamed draw (--out is a "
+                      "table file)")
         start = time.perf_counter()
         chunks = fitted.sample_stream(n=args.n, seed=args.seed,
                                       chunk_rows=args.chunk_rows)
@@ -411,6 +419,8 @@ def cmd_sample(args) -> int:
               f"{time.perf_counter() - start:.1f}s via the blocked "
               f"engine, no privacy spend)")
         return 0
+    _warn_ignored(args, ("chunk_rows",),
+                  "applies to streamed draws (--out a table file) only")
     trace = RunTrace(label=f"sample:{args.model}") if args.trace else None
     result = fitted.sample(n=args.n, seed=args.seed,
                            workers=args.workers, pool=args.pool, trace=trace)
@@ -835,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: Errors that describe bad input, not a bug: ``main`` reports them as
 #: one ``error:`` line and exit status 2 instead of a traceback.
 _INPUT_ERRORS = (FileNotFoundError, DCParseError, ModelFormatError,
-                 ConfigError, PrefixScanRequired)
+                 ConfigError)
 
 
 def main(argv=None) -> int:

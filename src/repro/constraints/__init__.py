@@ -21,9 +21,9 @@ Two counting engines share these conventions: the scan engine of
 against the instance) and the incremental indexes of
 :mod:`repro.constraints.index` (per-DC state updated as tuples are
 appended/removed/rewritten; O(group) probes, bit-identical counts).
-The hot paths — Algorithm 3's sampler, repair passes, Algorithm 5's
-violation matrix — run on the indexes and fall back to scans for
-shapes without exploitable structure.
+Algorithm 3's sampler and the repair passes run on the indexes, which
+serve every DC shape; Algorithm 5's violation matrix counts by group
+arithmetic or blocked scans.
 """
 
 from repro.constraints.predicate import Operator, Predicate
@@ -50,9 +50,7 @@ from repro.constraints.fd import FDIndex, extract_fds
 from repro.constraints.index import (
     ArrayFDViolationIndex,
     FDViolationIndex,
-    GenericViolationIndex,
     GridViolationIndex,
-    OrderViolationIndex,
     UnaryViolationIndex,
     ViolationIndex,
     build_grid_index,
@@ -65,9 +63,7 @@ __all__ = [
     "DenialConstraint",
     "FDIndex",
     "FDViolationIndex",
-    "GenericViolationIndex",
     "GridViolationIndex",
-    "OrderViolationIndex",
     "UnaryViolationIndex",
     "ViolationIndex",
     "build_grid_index",

@@ -133,8 +133,10 @@ class DenialConstraint:
         Matches binary DCs of the form
         ``not(ti.E1 = tj.E1 and ... and ti.A > tj.A and ti.B < tj.B)``
         — equality predicates on a (possibly empty) condition set plus
-        exactly one strictly-increasing/strictly-decreasing pair (the
-        paper's cap_gain/cap_loss and salary/rate constraints).  Returns
+        exactly one strictly-increasing/strictly-decreasing pair on two
+        attributes outside it (the paper's cap_gain/cap_loss and
+        salary/rate constraints; with ``A = B``, or ``A`` or ``B`` among
+        the ``E``, the predicates contradict and no pair violates).  Returns
         ``(eq_attrs, greater_attr, less_attr)`` or None.
 
         The shape powers the sampler's feasible-interval candidate
@@ -165,7 +167,8 @@ class DenialConstraint:
                 less.append(p.lhs_attr)
             else:
                 return None
-        if len(greater) != 1 or len(less) != 1:
+        if (len(greater) != 1 or len(less) != 1 or greater == less
+                or {greater[0], less[0]} & set(eq_attrs)):
             return None
         return sorted(eq_attrs), greater[0], less[0]
 

@@ -24,21 +24,17 @@ O(group) instead of O(prefix):
   code, numerical dependents by rank on their value grid), so block
   probes and folds are array operations (the sampler's FDs over
   categorical determinants).
-* :class:`OrderViolationIndex` — sorted-structure index for
-  conditional-order DCs (``not(E= and A> and B<)``).  Per equality
-  group it keeps the (A, B) points; a probe splits the group on the
-  fixed partner value and binary-searches the sorted target values, so
-  ``d`` candidates cost O(g log g + d log g).
-* :class:`GridViolationIndex` — count tables over the value grid of a
-  binary DC whose predicates each read one attribute (order DCs and
-  generic ones alike), one pair per equality group: a probe is one
-  gather, a fold a few slice adds (the sampler's order and generic
-  DCs, whose values lie on known code ranges and snap grids).
+* :class:`GridViolationIndex` — every other binary DC, per equality
+  group.  Where the DC's predicates each read one attribute and the
+  attributes take known values (the sampler's code ranges and snap
+  grids), a group counts in tables over that value grid: a probe is one
+  gather, a fold a few slice adds.  Other groups count from their
+  point arrays: the conditional-order shape (``not(E= and A> and B<)``)
+  splits the group on the fixed partner value and binary-searches the
+  sorted target values, so ``d`` candidates cost O(g log g + d log g);
+  any other DC runs the scan engine over the group.
 * :class:`UnaryViolationIndex` — violations depend only on the tuple
   itself; the index just maintains the running total.
-* :class:`GenericViolationIndex` — cached blocked-numpy fallback for
-  arbitrary binary DCs: it references the live column arrays, caches
-  the full blocked O(n^2) count, and invalidates the cache on change.
 
 All indexes produce counts **bit-identical** to the scan-based
 functions (``count_violations``, ``multi_candidate_violation_counts``,
@@ -77,12 +73,6 @@ class ViolationIndex:
     (tuples for unary DCs, unordered pairs for binary DCs).
     """
 
-    #: Whether :meth:`candidate_counts` can answer probes (otherwise the
-    #: caller falls back to the scan engine).
-    supports_candidates = False
-    #: Whether :meth:`remove_from` is implemented.
-    supports_removal = False
-
     def __init__(self, dc: DenialConstraint):
         self.dc = dc
         #: Optional telemetry hook: a mutable mapping (e.g. the
@@ -109,11 +99,11 @@ class ViolationIndex:
 
     def append_from(self, cols: dict, i: int) -> None:
         """Add row ``i`` of ``cols`` to the indexed instance."""
-        raise NotImplementedError
+        self._add_row({a: cols[a][i] for a in self.dc.attributes})
 
     def remove_from(self, cols: dict, i: int) -> None:
         """Remove row ``i`` (its *current* values) from the instance."""
-        raise NotImplementedError
+        self._remove_row({a: cols[a][i] for a in self.dc.attributes})
 
     def rewrite_cell(self, cols: dict, i: int, attr: str, old_value) -> None:
         """Row ``i``'s cell ``attr`` changed from ``old_value`` to its
@@ -126,47 +116,43 @@ class ViolationIndex:
 
     # -- queries -------------------------------------------------------
     def total(self) -> int:
-        raise NotImplementedError
+        return self._total
+
+    def __len__(self) -> int:
+        """Indexed tuples."""
+        return self._n
 
     def candidate_counts(self, target_values: dict | None,
-                         context: dict) -> np.ndarray | None:
+                         context: dict) -> np.ndarray:
         """New-violation counts per candidate against the indexed rows.
 
         Same contract as
         :func:`~repro.constraints.violations.multi_candidate_violation_counts`
-        (the indexed rows play the role of ``prefix_cols``).  Returns
-        None when this index cannot answer the probe exactly — the
-        caller must then fall back to the scan engine.
+        (the indexed rows play the role of ``prefix_cols``).
         """
-        return None
+        raise NotImplementedError
 
-    def probe_many(self, target_values, contexts) -> np.ndarray | None:
+    def probe_many(self, target_values, contexts) -> np.ndarray:
         """Batched :meth:`candidate_counts` over a block of rows.
 
         ``target_values`` is either a single dict shared by every row
         (the categorical full-domain case) or a sequence of per-row
         dicts; ``contexts`` is a sequence of per-row context dicts.  All
         rows must probe the same candidate count ``d``.  Returns a
-        ``(len(contexts), d)`` count matrix, or None as soon as any row
-        cannot be answered exactly (the caller falls back to the scan
-        engine for the whole block).
+        ``(len(contexts), d)`` count matrix.
 
         The base implementation loops; shape-specific subclasses
         vectorize the hot layouts (see
         :meth:`FDViolationIndex.probe_block_codes`).
         """
         self._bump("probe_many")
-        shared = isinstance(target_values, dict)
-        out = []
-        for r, context in enumerate(contexts):
-            tv = target_values if shared else target_values[r]
-            counts = self.candidate_counts(tv, context)
-            if counts is None:
-                return None
-            out.append(counts)
-        if not out:
+        if not contexts:
             return np.zeros((0, 0), dtype=np.int64)
-        return np.vstack(out)
+        shared = isinstance(target_values, dict)
+        return np.vstack([
+            self.candidate_counts(target_values if shared
+                                  else target_values[r], context)
+            for r, context in enumerate(contexts)])
 
     # -- internals -----------------------------------------------------
     def _add_row(self, row: dict) -> None:
@@ -189,9 +175,6 @@ class FDViolationIndex(ViolationIndex):
     pair violates an FD iff the determinants agree and the dependents
     differ (both orientations coincide).
     """
-
-    supports_candidates = True
-    supports_removal = True
 
     def __init__(self, dc: DenialConstraint):
         super().__init__(dc)
@@ -217,12 +200,6 @@ class FDViolationIndex(ViolationIndex):
 
     def _key(self, row: dict) -> tuple:
         return tuple(_item(row[a]) for a in self.determinant)
-
-    def append_from(self, cols: dict, i: int) -> None:
-        self._add_row({a: cols[a][i] for a in self.dc.attributes})
-
-    def remove_from(self, cols: dict, i: int) -> None:
-        self._remove_row({a: cols[a][i] for a in self.dc.attributes})
 
     # -- det-major cache -----------------------------------------------
     def _det_cache_update(self, key: tuple, dep, delta: int) -> None:
@@ -342,14 +319,8 @@ class FDViolationIndex(ViolationIndex):
         self._det_cache_update(key, dep, -1)
         self._n -= 1
 
-    def total(self) -> int:
-        return self._total
-
-    def __len__(self) -> int:
-        return self._n
-
     def candidate_counts(self, target_values: dict | None,
-                         context: dict) -> np.ndarray | None:
+                         context: dict) -> np.ndarray:
         self._bump("candidate_counts")
         if not target_values:
             row = {a: context[a] for a in self.dc.attributes}
@@ -438,7 +409,7 @@ class FDViolationIndex(ViolationIndex):
                 row[idx] -= vals
         return out
 
-    def probe_many(self, target_values, contexts) -> np.ndarray | None:
+    def probe_many(self, target_values, contexts) -> np.ndarray:
         if (isinstance(target_values, dict)
                 and set(target_values) == {self.dependent}):
             deps = target_values[self.dependent]
@@ -817,151 +788,13 @@ class _Points:
 
 
 # ----------------------------------------------------------------------
-# Conditional-order DCs (sort path)
-# ----------------------------------------------------------------------
-class OrderViolationIndex(ViolationIndex):
-    """Sorted-structure index for ``not(E= and A> and B<)`` DCs.
-
-    A pair violates iff the equality attributes agree and (A, B) are
-    strictly discordant.  Per equality group the index stores the
-    (A, B) points; a probe for candidates of one order attribute with
-    the partner fixed splits the group into partner-below / partner-
-    above halves, sorts the target values of each half once, and
-    answers every candidate with two binary searches.  This is the
-    index of repair, cleaning and unbounded value universes; the
-    sampler counts order DCs over known universes in a
-    :class:`GridViolationIndex`.
-    """
-
-    supports_candidates = True
-    supports_removal = True
-
-    def __init__(self, dc: DenialConstraint):
-        super().__init__(dc)
-        shape = dc.as_conditional_order()
-        if shape is None:
-            raise ValueError(f"DC {dc.name} is not conditional-order-shaped")
-        self.eq_attrs, self.greater_attr, self.less_attr = shape
-        self.reset()
-
-    def reset(self) -> None:
-        self._groups: dict[tuple, _Points] = {}
-        self._total = 0
-        self._n = 0
-
-    def _key(self, row: dict) -> tuple:
-        return tuple(_item(row[a]) for a in self.eq_attrs)
-
-    def _arrays(self, group: _Points):
-        cols = group.columns()
-        return cols[self.greater_attr], cols[self.less_attr]
-
-    def _discordant(self, group: _Points, a, b) -> int:
-        """Strictly discordant pairs between (a, b) and the group."""
-        a_arr, b_arr = self._arrays(group)
-        lo = int(np.count_nonzero((a_arr < a) & (b_arr > b)))
-        hi = int(np.count_nonzero((a_arr > a) & (b_arr < b)))
-        return lo + hi
-
-    def append_from(self, cols: dict, i: int) -> None:
-        self._add_row({a: cols[a][i] for a in self.dc.attributes})
-
-    def remove_from(self, cols: dict, i: int) -> None:
-        self._remove_row({a: cols[a][i] for a in self.dc.attributes})
-
-    def _point(self, row: dict) -> dict:
-        return {self.greater_attr: _item(row[self.greater_attr]),
-                self.less_attr: _item(row[self.less_attr])}
-
-    def _add_row(self, row: dict) -> None:
-        key = self._key(row)
-        group = self._groups.get(key)
-        if group is None:
-            group = _Points()
-            self._groups[key] = group
-        point = self._point(row)
-        if group.n:
-            self._total += self._discordant(
-                group, point[self.greater_attr], point[self.less_attr])
-        group.add(point)
-        self._n += 1
-
-    def _remove_row(self, row: dict) -> None:
-        key = self._key(row)
-        group = self._groups[key]
-        point = self._point(row)
-        group.remove(point)
-        if group.n:
-            self._total -= self._discordant(
-                group, point[self.greater_attr], point[self.less_attr])
-        else:
-            del self._groups[key]
-        self._n -= 1
-
-    def total(self) -> int:
-        return self._total
-
-    def __len__(self) -> int:
-        return self._n
-
-    def candidate_counts(self, target_values: dict | None,
-                         context: dict) -> np.ndarray | None:
-        self._bump("candidate_counts")
-        if target_values:
-            if any(a in target_values for a in self.eq_attrs):
-                return None  # group varies per candidate: fall back
-            in_targets = [a for a in (self.greater_attr, self.less_attr)
-                          if a in target_values]
-            if len(in_targets) != 1:
-                return None  # both order attrs vary: fall back
-            target = in_targets[0]
-            cands = target_values[target]
-            d = cands.shape[0]
-        else:
-            target = self.greater_attr
-            cands = np.asarray([context[self.greater_attr]])
-            d = 1
-
-        row = {a: context[a] for a in self.eq_attrs}
-        group = self._groups.get(self._key(row))
-        if group is None:
-            return np.zeros(d, dtype=np.int64)
-        a_arr, b_arr = self._arrays(group)
-
-        if target == self.greater_attr:
-            partner = context[self.less_attr]
-            # p violates with candidate a_c iff
-            # (a_p < a_c and b_p > partner) or (a_p > a_c and b_p < partner)
-            below_t = np.sort(a_arr[b_arr > partner])
-            above_t = np.sort(a_arr[b_arr < partner])
-        else:
-            partner = context[self.greater_attr]
-            # p violates with candidate b_c iff
-            # (b_p > b_c and a_p < partner) or (b_p < b_c and a_p > partner)
-            below_t = np.sort(b_arr[a_arr > partner])
-            above_t = np.sort(b_arr[a_arr < partner])
-        counts = np.searchsorted(below_t, cands, side="left")
-        counts = counts + (above_t.size
-                           - np.searchsorted(above_t, cands, side="right"))
-        return counts.astype(np.int64)
-
-    def group_points(self, key_row: dict):
-        """The indexed (A, B) point arrays of ``key_row``'s equality
-        group, or None if the group is empty (views — do not mutate)."""
-        group = self._groups.get(self._key(key_row))
-        if group is None:
-            return None
-        return self._arrays(group)
-
-
-# ----------------------------------------------------------------------
-# Value-grid count tables (order and generic binary DCs)
+# Binary DCs that are not FDs: equality groups, value-grid count tables
 # ----------------------------------------------------------------------
 #: Group size at which a group builds its count tables (smaller groups
 #: answer probes faster from their point arrays).
 _GRID_MIN_GROUP = 8
 #: Largest value grid (cells) a DC gets count tables over; larger ones
-#: stay on :func:`build_index`'s indexes.  Two int64 tables per group.
+#: count from point arrays.  Two int64 tables per group.
 MAX_GRID_CELLS = 1 << 16
 #: Universe values beyond this magnitude are not exact as float64.
 _GRID_MAX_ABS = float(2 ** 52)
@@ -970,36 +803,40 @@ _GRID_MAX_ABS = float(2 ** 52)
 _REGION_CACHE_CELLS = 4096
 
 
-def _grid_layout(dc: DenialConstraint) -> tuple[tuple, tuple] | None:
-    """``(eq_attrs, axes)`` of a DC the value grid can count, or None.
+def _group_key(dc: DenialConstraint) -> tuple:
+    """The attributes that key a binary DC's equality groups.
 
-    The DC must be binary, not FD-shaped (FDs have their own indexes),
-    and every predicate must read a single attribute (``ti.A op tj.A``
-    or ``ti.A op c``).  Attributes that appear only in ``ti.E = tj.E``
-    predicates key the groups; the others span the grid.
+    The conditional-order shape's equality attributes; otherwise the
+    attributes that occur only in ``ti.E = tj.E`` predicates.  Two
+    tuples that differ on one of them fail its predicate, so no pair
+    across groups violates.
     """
-    if dc.is_unary or dc.as_fd() is not None:
-        return None
-    eq_attrs, axes = set(), set()
-    for p in dc.predicates:
-        if len(p.attributes) != 1:
-            return None
-        (attr,) = p.attributes
-        if (not p.is_constant and p.op is Operator.EQ
-                and p.lhs_var != p.rhs_var):
-            eq_attrs.add(attr)
-        else:
-            axes.add(attr)
-    eq_attrs = tuple(sorted(eq_attrs - axes))
     order = dc.as_conditional_order()
-    if not axes or (order is not None
-                    and (tuple(order[0]) != eq_attrs
-                         or axes != {order[1], order[2]}
-                         or order[1] == order[2])):
-        # (An order shape whose group key or order pair differs from the
-        # grid's would split the sampler's interval scans differently.)
+    if order is not None:
+        return tuple(order[0])
+    eq_attrs, other = set(), set()
+    for p in dc.predicates:
+        if (p.op is Operator.EQ and not p.is_constant
+                and p.lhs_var != p.rhs_var and p.lhs_attr == p.rhs_attr):
+            eq_attrs.add(p.lhs_attr)
+        else:
+            other |= p.attributes
+    return tuple(sorted(eq_attrs - other))
+
+
+def _grid_layout(dc: DenialConstraint) -> tuple[tuple, tuple] | None:
+    """``(eq_attrs, axes)`` of a binary DC the value grid can count, or
+    None.
+
+    Every predicate must read a single attribute (``ti.A op tj.A`` or
+    ``ti.A op c``).  The group key (:func:`_group_key`) keys the groups;
+    the other attributes span the grid.
+    """
+    if any(len(p.attributes) != 1 for p in dc.predicates):
         return None
-    return eq_attrs, tuple(sorted(axes))
+    eq_attrs = _group_key(dc)
+    axes = tuple(sorted(dc.attributes - set(eq_attrs)))
+    return (eq_attrs, axes) if axes else None
 
 
 def _indexer(mask: np.ndarray):
@@ -1021,13 +858,19 @@ class _GridGroup:
     ``hist``, for good.  Order-shape tables also keep ``ends``: for each
     axis ``t`` and each rank ``r`` of the other axis, the smallest and
     largest axis-``t`` rank among the tuples at ``r`` (the interval
-    endpoints of :meth:`GridViolationIndex.hint_values`).
+    endpoints of :meth:`GridViolationIndex.hint_values`).  ``total``
+    counts the group's violating pairs.  Tables and the order shape's
+    point arrays keep it current; other point arrays count it when
+    asked after a change (None until then), so draws, which never ask,
+    skip a scan per tuple.
     """
 
-    __slots__ = ("n", "points", "hist", "pen", "ends", "off_universe")
+    __slots__ = ("n", "total", "points", "hist", "pen", "ends",
+                 "off_universe")
 
     def __init__(self):
         self.n = 0
+        self.total: int | None = 0
         self.points: _Points | None = _Points()
         self.hist: np.ndarray | None = None
         self.pen: np.ndarray | None = None
@@ -1036,59 +879,69 @@ class _GridGroup:
 
 
 class GridViolationIndex(ViolationIndex):
-    """Count tables over a binary DC's value grid, one per equality group.
+    """Per-equality-group violation counts for a binary DC that is not
+    an FD.
 
-    Covers the conditional-order shape ``not(E= and A> and B<)`` and
-    generic binary DCs alike, as long as every predicate reads one
-    attribute.  The attributes outside the equality predicates (the
-    *axes*) take their values from known universes — the sampler's code
-    ranges and snap grids — and per equality group the index keeps two
-    int64 arrays over the product of those universes:
+    Tuples group on the DC's equality attributes (:func:`_group_key`),
+    and no pair across groups violates, so every count is a count
+    within one group.  A group counts in one of two ways.
+
+    *Count tables.*  When every predicate reads one attribute and the
+    other attributes (the *axes*) take their values from known
+    universes — the sampler's code ranges and snap grids — a group of
+    at least ``_GRID_MIN_GROUP`` tuples keeps two int64 arrays over the
+    product of those universes:
 
     * ``hist[c]`` counts the indexed tuples in cell ``c``;
     * ``pen[c]`` counts the violations a tuple in cell ``c`` would add
       against the group, in either orientation.
 
-    Appending a tuple in cell ``c0`` adds ``pen[c0]`` to the total and
-    its violation region to ``pen``.  Each predicate constrains one
-    attribute of the new tuple, so the region of each orientation is a
-    product of per-axis masks, and their union is ``I + J - (I and J)``
-    with ``I and J`` a product too.  For the order shape ``I and J`` is
-    empty and ``I``, ``J`` are rectangles: a fold is two slice adds.
-    Removal subtracts.  A probe is one gather of ``pen`` along the
-    target's axis at the row's other ranks.
+    Appending a tuple in cell ``c0`` adds ``pen[c0]`` to the group's
+    total and its violation region to ``pen``.  Each predicate
+    constrains one attribute of the new tuple, so the region of each
+    orientation is a product of per-axis masks, and their union is
+    ``I + J - (I and J)`` with ``I and J`` a product too.  For the order
+    shape ``I and J`` is empty and ``I``, ``J`` are rectangles: a fold
+    is two slice adds.  Removal subtracts.  A probe is one gather of
+    ``pen`` along the target's axis at the row's other ranks.
 
-    Groups below ``_GRID_MIN_GROUP`` tuples, and groups that ever index
-    a value off the universe, count from their point arrays with the
-    scan engine.  Every count is the scan engine's, exactly.
+    *Point arrays.*  Smaller groups, groups that ever index a value off
+    the universe, and every group of an index without universes (or
+    without a value-grid layout, or past :data:`MAX_GRID_CELLS`) keep
+    their tuples as arrays.  The conditional-order shape answers a probe
+    of one order attribute by splitting the group on the partner value
+    and binary-searching the sorted target values, and a full tuple by
+    two discordance counts; any other probe runs the scan engine over
+    the group.  Every count is the scan engine's, exactly.
     """
 
-    supports_candidates = True
-    supports_removal = True
-
-    def __init__(self, dc: DenialConstraint, universes: dict):
+    def __init__(self, dc: DenialConstraint, universes: dict | None = None):
         super().__init__(dc)
-        layout = _grid_layout(dc)
-        if layout is None:
-            raise ValueError(f"DC {dc.name} has no value-grid layout")
-        self.eq_attrs, self.axes = layout
-        #: Sorted-distinct universe per axis, and value -> rank maps.
-        self._values = [np.unique(np.asarray(universes[a], dtype=np.float64))
-                        for a in self.axes]
-        self._ranks = [{v: r for r, v in enumerate(values.tolist())}
-                       for values in self._values]
-        self._value_lists = [values.tolist() for values in self._values]
-        self._shape = tuple(values.shape[0] for values in self._values)
-        self._terms = self._region_terms()
+        if dc.is_unary or dc.as_fd() is not None:
+            raise ValueError(f"DC {dc.name} is unary or FD-shaped")
+        self.eq_attrs = _group_key(dc)
+        self.axes = tuple(sorted(dc.attributes - set(self.eq_attrs)))
         shape = dc.as_conditional_order()
         #: ``(greater_attr, less_attr)`` for the order shape, else None.
         self.order = shape[1:] if shape is not None else None
+        #: Value -> rank map per axis when groups build count tables,
+        #: else None.
+        self._ranks = None
+        if universes is not None and _grid_layout(dc) is not None:
+            #: Sorted-distinct universe per axis.
+            self._values = [np.unique(np.asarray(universes[a],
+                                                 dtype=np.float64))
+                            for a in self.axes]
+            self._ranks = [{v: r for r, v in enumerate(values.tolist())}
+                           for values in self._values]
+            self._value_lists = [values.tolist() for values in self._values]
+            self._shape = tuple(values.shape[0] for values in self._values)
+            self._terms = self._region_terms()
         self.reset()
 
     def reset(self) -> None:
         self._groups: dict[tuple, _GridGroup] = {}
         self._regions: dict[tuple, list] = {}
-        self._total = 0
         self._n = 0
 
     def _region_terms(self) -> list:
@@ -1125,7 +978,10 @@ class GridViolationIndex(ViolationIndex):
         return tuple(_item(row[a]) for a in self.eq_attrs)
 
     def _cell(self, row: dict) -> tuple | None:
-        """``row``'s grid ranks, or None when a value is off the grid."""
+        """``row``'s grid ranks, or None when a value is off the grid
+        (always, without count tables)."""
+        if self._ranks is None:
+            return None
         cell = []
         for attr, ranks in zip(self.axes, self._ranks):
             r = ranks.get(row[attr])
@@ -1202,7 +1058,9 @@ class GridViolationIndex(ViolationIndex):
             group.ends = (([m0] * m1, [-1] * m1), ([m1] * m0, [-1] * m0))
         ranks = [np.searchsorted(values, cols[a]).tolist()
                  for a, values in zip(self.axes, self._values)]
+        group.total = 0
         for cell in zip(*ranks):
+            group.total += int(group.pen[cell])
             self._fold(group, cell, 1)
         group.points = None
 
@@ -1212,12 +1070,6 @@ class GridViolationIndex(ViolationIndex):
         group.off_universe = True
 
     # -- multiset updates ----------------------------------------------
-    def append_from(self, cols: dict, i: int) -> None:
-        self._add_row({a: cols[a][i] for a in self.dc.attributes})
-
-    def remove_from(self, cols: dict, i: int) -> None:
-        self._remove_row({a: cols[a][i] for a in self.dc.attributes})
-
     def _add_row(self, row: dict) -> None:
         key = self._key(row)
         group = self._groups.get(key)
@@ -1227,13 +1079,12 @@ class GridViolationIndex(ViolationIndex):
         if group.pen is not None and cell is None:
             self._to_points(group, key)
         if group.pen is not None:
-            self._total += int(group.pen[cell])
+            group.total += int(group.pen[cell])
             self._fold(group, cell, 1)
         else:
             points = group.points
             if points.n:
-                self._total += int(multi_candidate_violation_counts(
-                    self.dc, None, row, points.columns())[0])
+                group.total = self._points_total(group, row, 1)
             points.add(row)
             group.off_universe |= cell is None
             if not group.off_universe and points.n >= _GRID_MIN_GROUP:
@@ -1249,21 +1100,34 @@ class GridViolationIndex(ViolationIndex):
             if cell is None or not group.hist[cell]:
                 raise KeyError(tuple(_item(v) for v in row.values()))
             self._fold(group, cell, -1)
-            self._total -= int(group.pen[cell])
+            group.total -= int(group.pen[cell])
         else:
             group.points.remove(row)
-            self._total -= int(multi_candidate_violation_counts(
-                self.dc, None, row, group.points.columns())[0])
+            group.total = self._points_total(group, row, -1)
         group.n -= 1
         if not group.n:
             del self._groups[key]
         self._n -= 1
 
-    def total(self) -> int:
-        return self._total
+    def _points_total(self, group: _GridGroup, row: dict,
+                      sign: int) -> int | None:
+        """A point group's total once ``row`` joins (``sign=1``, before
+        it is added) or has left (-1): the order shape's two discordance
+        counts keep it current; any other DC counts its pairs when
+        :meth:`total` asks (None)."""
+        if self.order is None:
+            return None
+        return group.total + sign * int(
+            self._point_counts(group.points.columns(), {}, row)[0])
 
-    def __len__(self) -> int:
-        return self._n
+    def total(self) -> int:
+        out = 0
+        for group in self._groups.values():
+            if group.total is None:
+                group.total = _blocked_pair_count(self.dc,
+                                                  group.points.columns())
+            out += group.total
+        return out
 
     # -- probes --------------------------------------------------------
     def _probe_index(self, target_values: dict, context: dict):
@@ -1302,8 +1166,40 @@ class GridViolationIndex(ViolationIndex):
             cols = self._hist_columns(group, key)
         else:
             cols = group.points.columns()
-        return multi_candidate_violation_counts(
-            self.dc, target_values or None, context, cols)
+        return self._point_counts(cols, target_values, context)
+
+    def _point_counts(self, cols: dict, target_values: dict,
+                      context: dict) -> np.ndarray:
+        """Counts against one group's tuples, given as point columns.
+
+        The order shape with at most one order attribute varying counts
+        without the scan engine: a full tuple by its two discordance
+        counts, candidates for one order attribute by splitting the
+        group on the partner value and binary-searching both halves.
+        """
+        if self.order is None or len(target_values) > 1:
+            return multi_candidate_violation_counts(
+                self.dc, target_values or None, context, cols)
+        greater, less = self.order
+        if not target_values:
+            a_arr, b_arr = cols[greater], cols[less]
+            a, b = context[greater], context[less]
+            return np.array([np.count_nonzero((a_arr < a) & (b_arr > b))
+                             + np.count_nonzero((a_arr > a) & (b_arr < b))],
+                            dtype=np.int64)
+        ((target, cands),) = target_values.items()
+        partner = less if target == greater else greater
+        t_arr, p_arr = cols[target], cols[partner]
+        p = context[partner]
+        # A tuple violates with candidate c iff its target value lies
+        # below c with its partner above p, or above c with it below p
+        # (either order attribute, by the symmetry of the shape).
+        below = np.sort(t_arr[p_arr > p])
+        above = np.sort(t_arr[p_arr < p])
+        counts = np.searchsorted(below, cands, side="left")
+        counts = counts + (above.size
+                           - np.searchsorted(above, cands, side="right"))
+        return counts.astype(np.int64)
 
     def _counts_by_key(self, target_values: dict, context: dict,
                        d: int) -> np.ndarray:
@@ -1338,7 +1234,8 @@ class GridViolationIndex(ViolationIndex):
         tvs = ([target_values] * len(contexts)
                if isinstance(target_values, dict) else target_values)
         attrs = tuple(tvs[0])
-        if (len(attrs) != 1 or attrs[0] not in self.axes
+        if (self._ranks is None or len(attrs) != 1
+                or attrs[0] not in self.axes
                 or any(tuple(tv) != attrs for tv in tvs)):
             return np.vstack([self._counts(tv, context)
                               for tv, context in zip(tvs, contexts)])
@@ -1458,14 +1355,14 @@ class GridViolationIndex(ViolationIndex):
         return sorted(found)[:limit]
 
 
-def build_grid_index(dc: DenialConstraint,
-                     universe_of) -> GridViolationIndex | None:
-    """A :class:`GridViolationIndex` for ``dc``, or None.
+def _grid_universes(dc: DenialConstraint, universe_of) -> dict | None:
+    """The axes' universes of ``dc``'s count tables, or None when its
+    groups cannot build them.
 
     ``universe_of(attr)`` returns every value ``attr`` can take (codes
-    for categoricals, the snap grid for DC numericals) or None.  The DC
-    qualifies when it has a value-grid layout (:func:`_grid_layout`) and
-    its axes' universes are known, exact as float64 and span at most
+    for categoricals, the snap grid for DC numericals) or None.  Tables
+    need a value-grid layout (:func:`_grid_layout`) and axes' universes
+    that are known, exact as float64 and span at most
     :data:`MAX_GRID_CELLS` cells.
     """
     layout = _grid_layout(dc)
@@ -1481,18 +1378,22 @@ def build_grid_index(dc: DenialConstraint,
             return None
         universes[attr] = values
         cells *= values.size
-    if cells > MAX_GRID_CELLS:
-        return None
-    return GridViolationIndex(dc, universes)
+    return universes if cells <= MAX_GRID_CELLS else None
+
+
+def build_grid_index(dc: DenialConstraint,
+                     universe_of) -> GridViolationIndex:
+    """A :class:`GridViolationIndex` for ``dc`` whose groups count in
+    tables over the universes :func:`_grid_universes` finds, and from
+    point arrays without them."""
+    return GridViolationIndex(dc, _grid_universes(dc, universe_of))
+
 
 # ----------------------------------------------------------------------
 # Unary DCs
 # ----------------------------------------------------------------------
 class UnaryViolationIndex(ViolationIndex):
     """Running total for a unary DC (violations are per-tuple)."""
-
-    supports_candidates = True
-    supports_removal = True
 
     def __init__(self, dc: DenialConstraint):
         super().__init__(dc)
@@ -1510,12 +1411,6 @@ class UnaryViolationIndex(ViolationIndex):
                 return False
         return True
 
-    def append_from(self, cols: dict, i: int) -> None:
-        self._add_row({a: cols[a][i] for a in self.dc.attributes})
-
-    def remove_from(self, cols: dict, i: int) -> None:
-        self._remove_row({a: cols[a][i] for a in self.dc.attributes})
-
     def _add_row(self, row: dict) -> None:
         self._total += int(self._violates(row))
         self._n += 1
@@ -1524,17 +1419,8 @@ class UnaryViolationIndex(ViolationIndex):
         self._total -= int(self._violates(row))
         self._n -= 1
 
-    def total(self) -> int:
-        return self._total
-
-    def __len__(self) -> int:
-        return self._n
-
     def candidate_counts(self, target_values: dict | None,
-                         context: dict) -> np.ndarray | None:
-        from repro.constraints.violations import (
-            multi_candidate_violation_counts,
-        )
+                         context: dict) -> np.ndarray:
         # Unary violations ignore the indexed rows entirely; delegate to
         # the (cheap, O(d)) scan evaluation for exact agreement.
         return multi_candidate_violation_counts(self.dc, target_values,
@@ -1542,53 +1428,8 @@ class UnaryViolationIndex(ViolationIndex):
 
 
 # ----------------------------------------------------------------------
-# Generic binary DCs
+# Blocked pair counting (the scan engine's full-instance kernels)
 # ----------------------------------------------------------------------
-class GenericViolationIndex(ViolationIndex):
-    """Cached blocked-numpy fallback for arbitrary binary DCs.
-
-    Holds references to the live column arrays plus a row count; the
-    full blocked O(n^2) total is computed lazily and cached until the
-    instance changes.  Candidate probes delegate to the scan engine over
-    the referenced prefix (there is no exploitable group structure), so
-    results match the scan path exactly.
-    """
-
-    def __init__(self, dc: DenialConstraint):
-        super().__init__(dc)
-        self._cols: dict | None = None
-        self.reset()
-
-    def reset(self) -> None:
-        self._n = 0
-        self._cached_total: int | None = None
-
-    def build(self, cols: dict, n: int) -> None:
-        self.reset()
-        self._cols = cols
-        self._n = n
-
-    def append_from(self, cols: dict, i: int) -> None:
-        if self._cols is None:
-            self._cols = cols
-        self._n = max(self._n, i + 1)
-        self._cached_total = None
-
-    def rewrite_cell(self, cols: dict, i: int, attr: str, old_value) -> None:
-        self._cached_total = None
-
-    def total(self) -> int:
-        if self._n == 0 or self._cols is None:
-            return 0
-        if self._cached_total is None:
-            cols = {a: self._cols[a][:self._n] for a in self.dc.attributes}
-            self._cached_total = _blocked_pair_count(self.dc, cols)
-        return self._cached_total
-
-    def __len__(self) -> int:
-        return self._n
-
-
 def _blocked_pair_count(dc: DenialConstraint, cols: dict) -> int:
     """Blocked O(n^2) unordered-pair count over a column dict.
 
@@ -1639,14 +1480,14 @@ def _blocked_row_counts(dc: DenialConstraint, cols: dict) -> np.ndarray:
 # Factory + per-row counting (Algorithm 5)
 # ----------------------------------------------------------------------
 def build_index(dc: DenialConstraint) -> ViolationIndex:
-    """The most specific index for a DC's structural shape."""
+    """The index for a DC's structural shape when no value universes
+    are known (repair, cleaning): unary, the dict-backed FD index, or a
+    :class:`GridViolationIndex` on point arrays."""
     if dc.is_unary:
         return UnaryViolationIndex(dc)
     if dc.as_fd() is not None:
         return FDViolationIndex(dc)
-    if dc.as_conditional_order() is not None:
-        return OrderViolationIndex(dc)
-    return GenericViolationIndex(dc)
+    return GridViolationIndex(dc)
 
 
 def per_row_violation_counts(dc: DenialConstraint, table) -> np.ndarray:

@@ -27,13 +27,12 @@ The **fit key** binds a checkpoint to the fit that wrote it: a sha256
 over the persisted config fields, the private table's content digest,
 and any caller-supplied known weights.  A checkpoint from a different
 table, budget, or fit config never resumes.  The fields only the draw
-reads (``use_fd_lookup``, ``use_violation_index``,
-``constraint_aware_sampling``) enter the key at their defaults, so a
-retry that differs only in them resumes.  ``params_override`` is a
-callable and cannot be digested — only its presence is recorded, so
-resuming under a *different* override with the same config is the
-caller's responsibility (the restored params already reflect the
-original override).
+reads (``use_fd_lookup``, ``constraint_aware_sampling``) enter the
+key at their defaults, so a retry that differs only in them resumes.
+``params_override`` is a callable and cannot be digested — only its
+presence is recorded, so resuming under a *different* override with
+the same config is the caller's responsibility (the restored params
+already reflect the original override).
 
 Checkpoint files are keyed by stage, not run: re-fitting over the same
 directory overwrites stage by stage, and :meth:`FitCheckpoint.clear`
@@ -84,7 +83,7 @@ def table_digest(table) -> str:
 
 #: Config fields only the draw reads, hashed at their defaults: a retry
 #: that changes how it will sample resumes instead of re-spending.
-_DRAW_FIELDS = {"use_fd_lookup": False, "use_violation_index": True,
+_DRAW_FIELDS = {"use_fd_lookup": False,
                 "constraint_aware_sampling": True}
 
 

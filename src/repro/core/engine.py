@@ -65,10 +65,9 @@ bit-identical to the plain single-worker draw, pinned by
     column passes run chunk-major with per-column state (violation
     indexes, FD lookups, used-value sets, noise streams) persisting
     across chunks, yielding bounded-memory row chunks whose
-    concatenation equals the single-shot draw bit for bit.  DC shapes
-    that would need the full sampled prefix raise
-    :class:`~repro.core.sampling.PrefixScanRequired` instead of
-    silently degrading.
+    concatenation equals the single-shot draw bit for bit.  Every DC
+    shape streams: each binary DC counts in its violation index, never
+    in a scan of the sampled prefix.
 
 Entry points: :func:`synthesize_engine`, behind
 :meth:`repro.core.kamino.FittedKamino.sample`, and
@@ -92,7 +91,6 @@ from repro.core.hyper import HyperSpec
 from repro.faults import fault_point
 from repro.core.sampling import (
     CONSISTENT_LIMIT,
-    PrefixScanRequired,
     _allocate_columns,
     _allocate_working,
     _append_row,
@@ -101,9 +99,7 @@ from repro.core.sampling import (
     _mcmc_resample,
     _record_fd,
 )
-from repro.constraints.index import (
-    MAX_GRID_CELLS, ArrayFDViolationIndex, FDViolationIndex,
-)
+from repro.constraints.index import ArrayFDViolationIndex, FDViolationIndex
 from repro.constraints.violations import multi_candidate_violation_counts
 from repro.schema.table import Table
 
@@ -610,11 +606,10 @@ class _ColumnPass:
     """Shared state of one constrained column pass.
 
     ``state`` carries persistent per-column indexes across streaming
-    chunks (None builds fresh ones — the single-shot case).  ``strict``
-    raises :class:`PrefixScanRequired` instead of scanning the local
-    prefix (which, in a chunk, is not the global prefix).
-    ``row_offset`` is the global index of local row 0, used only for
-    the "is the global prefix empty" guards of the candidate
+    chunks (None builds fresh ones — the single-shot case).  Every
+    binary DC counts in its index, so a chunk never needs the rows
+    before it.  ``row_offset`` is the global index of local row 0, used
+    only for the "is the global prefix empty" guards of the candidate
     augmentation — never for array indexing.
     """
 
@@ -622,7 +617,7 @@ class _ColumnPass:
                  layout: _Layout, noise, cols: dict,
                  wcols: dict, fd_indexes: list | None = None,
                  tracer=None, state: _PassState | None = None,
-                 strict: bool = False, row_offset: int = 0):
+                 row_offset: int = 0):
         self.sampler = sampler
         self.j = j
         self.base = base
@@ -630,7 +625,6 @@ class _ColumnPass:
         self.noise = noise
         self.cols = cols
         self.wcols = wcols
-        self.strict = strict
         self.row_offset = int(row_offset)
         self.w = sampler.wseq[j]
         if state is not None:
@@ -670,18 +664,14 @@ class _ColumnPass:
 
     # -- penalties -----------------------------------------------------
     def _penalty(self, rows: np.ndarray, target_values,
-                 per_row_tv: list | None,
-                 prefix_upto: int | None = None) -> np.ndarray:
+                 per_row_tv: list | None) -> np.ndarray:
         """(B, width) weighted violation counts for the scored rows.
 
         ``target_values`` is the shared candidate decode (categorical)
         or None; ``per_row_tv`` lists per-row candidate dicts
-        (numerical).  Probes go through the violation indexes
-        (``probe_many``); DCs without one fall back to the scan engine
-        — over the prefix ``[:prefix_upto]`` (the block start, matching
-        the index state) or each row's own prefix when None.  Counts
-        agree bit for bit, so ``use_violation_index`` never changes the
-        draw.
+        (numerical).  Binary DCs probe their violation indexes
+        (``probe_many``), whose state is the block start; unary DCs
+        count on each row alone.
         """
         cols = self.cols
         width = (next(iter(target_values.values())).shape[0]
@@ -706,38 +696,16 @@ class _ColumnPass:
                 tv = tv_arg[0]
             ctx_attrs = [a for a in dc.attributes if a not in tv]
             contexts = [{a: cols[a][i] for a in ctx_attrs} for i in rows]
-            counts = None
-            index = self.vio.get(dc.name)
-            if index is not None:
-                counts = index.probe_many(tv_arg, contexts)
-            if counts is None:
-                self._check_scan_allowed(dc)
+            if dc.is_unary:
                 counts = np.vstack([
                     multi_candidate_violation_counts(
-                        dc,
-                        tv_arg if isinstance(tv_arg, dict) else tv_arg[r],
-                        contexts[r],
-                        {a: cols[a][:(prefix_upto if prefix_upto
-                                      is not None else i)]
-                         for a in dc.attributes})
-                    for r, i in enumerate(rows)])
+                        dc, tv_arg if isinstance(tv_arg, dict)
+                        else tv_arg[r], context, {})
+                    for r, context in enumerate(contexts)])
+            else:
+                counts = self.vio[dc.name].probe_many(tv_arg, contexts)
             penalty += weight * counts
         return penalty
-
-    def _check_scan_allowed(self, dc) -> None:
-        """Strict mode refuses prefix scans for non-unary DCs.
-
-        A streaming chunk's local prefix is not the global one, so a
-        scan would silently change the draw; unary penalties ignore the
-        prefix entirely and always scan safely.
-        """
-        if self.strict and not dc.is_unary:
-            raise PrefixScanRequired(
-                f"DC {dc.name!r} needs a prefix scan at column "
-                f"{self.w!r}; streaming draws require an index-served "
-                f"probe path (use_violation_index=True, and a DC whose "
-                f"predicates each compare one attribute over a value "
-                f"grid of at most {MAX_GRID_CELLS} cells)")
 
     def _fd_block_counts(self, dc, tattrs: tuple, rows: np.ndarray,
                          target_values: dict) -> np.ndarray | None:
@@ -788,18 +756,9 @@ class _ColumnPass:
             row = {a: cols[a][i] for a in dc.attributes if a not in tattrs}
             for a in tattrs:
                 row[a] = self.decoded[a][pick]
-            counts = None
-            index = self.vio.get(dc.name)
-            if index is not None:
-                counts = index.candidate_counts(None, row)
-            if counts is None:
-                self._check_scan_allowed(dc)
-                tv = {a: self.decoded[a][pick:pick + 1] for a in tattrs}
-                context = {a: row[a] for a in dc.attributes
-                           if a not in tattrs}
-                counts = multi_candidate_violation_counts(
-                    dc, tv, context,
-                    {a: cols[a][:i] for a in dc.attributes})
+            counts = (multi_candidate_violation_counts(dc, None, row, {})
+                      if dc.is_unary
+                      else self.vio[dc.name].candidate_counts(None, row))
             total += weight * counts[0]
         return total
 
@@ -856,8 +815,7 @@ class _ColumnPass:
             u = self.noise.rows(lo, hi)
             logp = self.base[1][lo:hi]
             g = _gumbel(u[:, :V])
-            penalty = self._penalty(rows, self.decoded, None,
-                                    prefix_upto=lo)
+            penalty = self._penalty(rows, self.decoded, None)
             picks = np.argmax(logp - penalty + g, axis=1)
             for i in range(lo, hi):
                 r = i - lo
@@ -1163,7 +1121,6 @@ class _ColumnPass:
             for r, i in enumerate(rows):
                 extra = sampler._consistent_values(
                     self.j, w, cols, int(i), indexes=self.vio,
-                    strict=self.strict,
                     prefix_rows=self.row_offset + int(i))
                 fresh = np.empty(0)
                 if layout.fresh_off >= 0:
@@ -1185,7 +1142,7 @@ class _ColumnPass:
                     lpm[r, d:d + k] = hist.log_prob_codes()[
                         hist.quantizer.encode(added)]
         per_row_tv = [{w: cmat[r]} for r in range(B)]
-        penalty = self._penalty(rows, None, per_row_tv, prefix_upto=lo)
+        penalty = self._penalty(rows, None, per_row_tv)
         g = _gumbel(u[sel][:, layout.gumbel_off:layout.gumbel_off + width])
         pick = np.argmax(lpm - penalty + g, axis=1)
         self.wcols[w][rows] = cmat[np.arange(B), pick]
@@ -1363,7 +1320,7 @@ class _ColumnPass:
             u_row = self.noise.rows(i, i + 1)[0]
             if layout.extras:
                 extra = sampler._consistent_values(
-                    j, w, cols, i, indexes=self.vio, strict=self.strict,
+                    j, w, cols, i, indexes=self.vio,
                     prefix_rows=self.row_offset + i)
                 fresh = _EMPTY
                 if fresh_off >= 0:
@@ -1386,15 +1343,11 @@ class _ColumnPass:
             for dc, weight, _ in self._active_specs:
                 tv = {w: cand}
                 context = {a: cols[a][i] for a in dc.attributes if a != w}
-                counts = None
-                index = self.vio.get(dc.name)
-                if index is not None:
-                    counts = index.candidate_counts(tv, context)
-                if counts is None:
-                    self._check_scan_allowed(dc)
-                    counts = multi_candidate_violation_counts(
-                        dc, tv, context,
-                        {a: cols[a][:i] for a in dc.attributes})
+                counts = (multi_candidate_violation_counts(dc, tv, context,
+                                                           {})
+                          if dc.is_unary
+                          else self.vio[dc.name].candidate_counts(tv,
+                                                                  context))
                 pen = (weight * counts if pen is None
                        else pen + weight * counts)
             g = _gumbel(u_row[gum_off:gum_off + k])
@@ -1549,12 +1502,11 @@ def _pool_context():
 
 
 def _pool_init(model, relation, dcs, weights, params, hyper,
-               use_fd_lookup: bool, use_violation_index: bool) -> None:
+               use_fd_lookup: bool) -> None:
     global _POOL_SAMPLER
     _POOL_SAMPLER = _ColumnSampler(
         model, relation, hyper, dcs, weights, params,
-        rng=np.random.default_rng(0), use_fd_lookup=use_fd_lookup,
-        use_violation_index=use_violation_index)
+        rng=np.random.default_rng(0), use_fd_lookup=use_fd_lookup)
 
 
 def _pool_unconstrained(j: int, lo: int, hi: int, noise_key: tuple,
@@ -1710,7 +1662,6 @@ def _run_sharded(sampler: _ColumnSampler, j: int, base, layout,
 def synthesize_engine(model, relation, dcs, weights, n: int, params,
                       seed: int, hyper: HyperSpec | None = None,
                       use_fd_lookup: bool = False,
-                      use_violation_index: bool = True,
                       workers: int = 1, pool: str = "thread",
                       noise_chunk: int = NOISE_CHUNK,
                       trace=None) -> Table:
@@ -1755,8 +1706,7 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
     master = int(seed)
     sampler = _ColumnSampler(
         model, relation, hyper, dcs, weights, params,
-        rng=np.random.default_rng(0), use_fd_lookup=use_fd_lookup,
-        use_violation_index=use_violation_index)
+        rng=np.random.default_rng(0), use_fd_lookup=use_fd_lookup)
     cols = _allocate_columns(relation, n)
     wcols = _allocate_working(sampler, cols, n)
 
@@ -1770,7 +1720,7 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
                 max_workers=workers, mp_context=_pool_context(),
                 initializer=_pool_init,
                 initargs=(model, relation, dcs, weights, params, hyper,
-                          use_fd_lookup, use_violation_index))
+                          use_fd_lookup))
         else:
             tpool = ThreadPoolExecutor(max_workers=workers)
     try:
@@ -1860,7 +1810,6 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
 def synthesize_stream(model, relation, dcs, weights, n: int, params,
                       seed: int, hyper: HyperSpec | None = None,
                       use_fd_lookup: bool = False,
-                      use_violation_index: bool = True,
                       chunk_rows: int = STREAM_CHUNK_ROWS,
                       noise_chunk: int = NOISE_CHUNK):
     """Yield the blocked-engine draw of ``n`` rows in bounded chunks.
@@ -1873,14 +1822,10 @@ def synthesize_stream(model, relation, dcs, weights, n: int, params,
     (:class:`_PassState`: violation indexes, FD lookups, used-value
     sets) persists across chunks exactly as one long pass would build
     it.  Peak memory holds one ``chunk_rows``-row table plus that
-    per-column index state — never the full ``n`` rows.
-
-    Columns run in ``strict`` mode: a DC whose exact answer would need
-    the full sampled prefix (no violation index, non-unary) raises
-    :class:`~repro.core.sampling.PrefixScanRequired` instead of
-    silently answering from the chunk-local prefix — streaming never
-    trades exactness for memory.  ``mcmc_m > 0`` is rejected for the
-    same reason (the refinement re-reads the whole instance).
+    per-column index state — never the full ``n`` rows.  Every DC shape
+    streams: binary DCs count in their indexes, unary ones on the row
+    alone.  ``mcmc_m > 0`` is rejected: the refinement re-reads the
+    whole instance.
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -1893,8 +1838,7 @@ def synthesize_stream(model, relation, dcs, weights, n: int, params,
     master = int(seed)
     sampler = _ColumnSampler(
         model, relation, hyper, dcs, weights, params,
-        rng=np.random.default_rng(0), use_fd_lookup=use_fd_lookup,
-        use_violation_index=use_violation_index)
+        rng=np.random.default_rng(0), use_fd_lookup=use_fd_lookup)
     ncols = len(sampler.wseq)
     states: list[_PassState | None] = []
     for j in range(ncols):
@@ -1926,6 +1870,6 @@ def synthesize_stream(model, relation, dcs, weights, n: int, params,
                                     cols, wcols, 0, m)
             else:
                 _ColumnPass(sampler, j, base, layout, noise, cols, wcols,
-                            state=states[j], strict=True, row_offset=off,
+                            state=states[j], row_offset=off,
                             ).fill(m, specs_of[j], MAX_BLOCK_ROWS)
         yield Table(relation, cols, validate=False)

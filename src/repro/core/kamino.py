@@ -125,11 +125,6 @@ class KaminoConfig:
         independent histogram (``None`` disables the fallback).
     use_fd_lookup:
         Hard-FD lookup fast path in the sampler (Experiment 10).
-    use_violation_index:
-        Probe sampler violation counts through the incremental
-        violation indexes (:mod:`repro.constraints.index`) instead of
-        rescanning the sampled prefix per cell.  On by default; counts
-        (and hence outputs) are bit-identical either way.
     parallel_training:
         Train sub-models without embedding reuse (Experiment 10).
     params_override:
@@ -161,7 +156,6 @@ class KaminoConfig:
     group_max_domain: int | None = None
     large_domain_threshold: int | None = 1000
     use_fd_lookup: bool = False
-    use_violation_index: bool = True
     parallel_training: bool = False
     params_override: Callable[[KaminoParams], None] | None = None
     random_sequence: bool = False
@@ -315,9 +309,9 @@ class FittedKamino:
         instance is a pure function of ``(n, seed)``:
 
         * the engine keys every cell's noise off counter-based Philox
-          streams, so ``workers``, ``pool``, the engine's block size
-          and ``config.use_violation_index`` are pure scheduling knobs
-          — any combination yields bit-identical output;
+          streams, so ``workers``, ``pool`` and the engine's block size
+          are pure scheduling knobs — any combination yields
+          bit-identical output;
         * passing a ``trace`` (see below) never touches any rng: a
           traced draw is bit-identical to an untraced one.
 
@@ -347,7 +341,6 @@ class FittedKamino:
             self.model, self.relation, sampled_dcs, self.weights,
             n_out, self.params, master, hyper=self.hyper,
             use_fd_lookup=cfg.use_fd_lookup,
-            use_violation_index=cfg.use_violation_index,
             workers=workers, pool=pool, noise_chunk=chunk,
             trace=run_trace)
         seconds = time.perf_counter() - start
@@ -369,9 +362,7 @@ class FittedKamino:
         disk.
 
         Requires ``mcmc_m == 0`` (the refinement re-reads the whole
-        instance); a DC that cannot be answered from the violation
-        indexes raises :class:`~repro.core.sampling.PrefixScanRequired`
-        rather than silently answering from a partial prefix.
+        instance); every DC shape streams.
         """
         n_out = _draw_size(n, self.default_n)
         seed = _draw_seed(seed)
@@ -384,7 +375,6 @@ class FittedKamino:
             self.model, self.relation, sampled_dcs, self.weights,
             n_out, self.params, master, hyper=self.hyper,
             use_fd_lookup=cfg.use_fd_lookup,
-            use_violation_index=cfg.use_violation_index,
             chunk_rows=chunk, noise_chunk=noise_chunk)
 
     def sample_ar(self, n: int | None = None, seed: int | None = None,
@@ -408,8 +398,7 @@ class FittedKamino:
         start = time.perf_counter()
         synthetic = ar_sample(
             self.model, self.relation, sampled_dcs, self.weights, n_out,
-            self.params, rng, hyper=self.hyper, max_tries=max_tries,
-            use_violation_index=cfg.use_violation_index)
+            self.params, rng, hyper=self.hyper, max_tries=max_tries)
         seconds = time.perf_counter() - start
         if run_trace is not None:
             run_trace.finish(seconds)

@@ -26,8 +26,10 @@ the post-fit sampler randomness state, and the engine's counter-rng spec
 (Philox scheme + noise chunking), so grouped and large-domain-fallback
 models round-trip and a reloaded model reproduces the original draws bit
 for bit.  The config's ``engine`` entry is written as ``"blocked"``, the
-only engine, and its four draw-scheduling entries as the defaults they
-always held; all five are ignored on load.
+only engine, its four draw-scheduling entries as the defaults they
+always held, and the retired switch between prefix scans and violation
+indexes as ``true`` (every DC is index-served); all six are ignored on
+load.
 
 Version 1 files and v2 files whose ``engine`` entry reads ``"row"`` or
 is missing were fitted for a retired per-row sampler.  They still load,
@@ -102,11 +104,13 @@ _SAMPLING_PARAMS = ("epsilon", "delta", "num_candidates", "mcmc_m",
                     "quant_bins", "n", "k")
 
 #: Retired config entries and the constants they are written as: the
-#: engine choice and the draw-scheduling defaults, which are now
-#: per-call arguments.  Writing them keeps ``meta.json``, artifact
+#: engine choice, the draw-scheduling defaults (now per-call
+#: arguments) and the scan-or-index probe switch (every DC is
+#: index-served).  Writing them keeps ``meta.json``, artifact
 #: digests and checkpoint keys unchanged; loading ignores them.
-_RETIRED_CONFIG = {"engine": "blocked", "workers": 1, "pool": "thread",
-                   "max_block_rows": 512, "stream_chunk_rows": 65536}
+_RETIRED_CONFIG = {"use_violation_index": True, "engine": "blocked",
+                   "workers": 1, "pool": "thread", "max_block_rows": 512,
+                   "stream_chunk_rows": 65536}
 
 #: The persisted config fields, in their order in ``meta.json``: every
 #: KaminoConfig field but ``params_override`` (a callable consumed during
@@ -385,8 +389,9 @@ def load_fitted(path: str, relation) -> dict:
     if hyper is None:
         hyper = HyperSpec.trivial(relation, fitted_meta["sequence"])
     # Every artifact draws on the blocked engine, whichever engine (or
-    # none, before the entry existed) it records, and schedules each
-    # draw per call, whatever scheduling it records.
+    # none, before the entry existed) it records, schedules each draw
+    # per call, whatever scheduling it records, and probes the
+    # violation indexes, whatever probe switch it records.
     config_meta = {k: v for k, v in fitted_meta["config"].items()
                    if k not in _RETIRED_CONFIG}
     config = KaminoConfig(params_override=None, **config_meta)

@@ -35,12 +35,11 @@ Also implemented here:
   instead of scanning the prefix.
 
 The violation counts themselves come from the incremental violation
-indexes of :mod:`repro.constraints.index` (``use_violation_index``,
-default on): as each row is sampled it is folded into a per-DC index,
-and the per-candidate count at line 8 becomes an O(group) probe instead
-of an O(prefix) broadcast rescan.  DC shapes without an indexable
-structure fall back to the scan engine; counts are bit-identical in
-both modes.
+indexes of :mod:`repro.constraints.index`: as each row is sampled it is
+folded into a per-DC index, and the per-candidate count at line 8
+becomes an O(group) probe instead of an O(prefix) broadcast rescan.
+Every binary DC has an index; unary DCs count on the row alone.  The
+counts are the scan engine's, bit for bit.
 
 Every draw is pure post-processing over a trained model: it reads only
 the model, the (public) DCs and weights, and an rng.  Each draw builds
@@ -58,8 +57,8 @@ import numpy as np
 
 from repro.constraints.fd import FDIndex, extract_fds
 from repro.constraints.index import (
-    FDViolationIndex, GridViolationIndex, OrderViolationIndex,
-    ViolationIndex, build_fd_table_index, build_grid_index, build_index,
+    FDViolationIndex, ViolationIndex, build_fd_table_index,
+    build_grid_index, build_index,
 )
 from repro.constraints.violations import multi_candidate_violation_counts
 from repro.core.hyper import HyperSpec
@@ -72,16 +71,6 @@ HARD_WEIGHT = 1e9
 #: Prefix values per hard DC that :meth:`_ColumnSampler._consistent_values`
 #: adds to a numerical target's candidates.
 CONSISTENT_LIMIT = 4
-
-
-class PrefixScanRequired(RuntimeError):
-    """An exact answer would need the full sampled prefix arrays.
-
-    Raised in *strict* mode (streaming chunked draws, which retain only
-    the incremental violation indexes — not the prefix itself) when a
-    DC shape has no index-served path.  Single-shot draws never strict
-    and simply scan.
-    """
 
 
 def _log_normalise_sample(log_p: np.ndarray, rng: np.random.Generator) -> int:
@@ -107,8 +96,7 @@ class _ColumnSampler:
     and accept-reject."""
 
     def __init__(self, model, relation, hyper: HyperSpec, dcs, weights,
-                 params, rng, use_fd_lookup: bool = False,
-                 use_violation_index: bool = True):
+                 params, rng, use_fd_lookup: bool = False):
         self.model = model
         self.relation = relation
         self.hyper = hyper
@@ -117,7 +105,6 @@ class _ColumnSampler:
         self.params = params
         self.rng = rng
         self.use_fd_lookup = use_fd_lookup
-        self.use_violation_index = use_violation_index
 
         self.wseq = hyper.working_sequence
         self.wrel = hyper.working_relation
@@ -274,20 +261,19 @@ class _ColumnSampler:
     def _consistent_values(self, j: int, target: str, cols: dict,
                            i: int, limit: int = CONSISTENT_LIMIT,
                            indexes: dict[str, ViolationIndex] | None = None,
-                           strict: bool = False,
                            prefix_rows: int | None = None) -> np.ndarray:
         """Target values of prefix rows matching row ``i`` on the other
         attributes of each active hard DC (always violation-free for
-        two-tuple DCs against those rows).
+        two-tuple DCs against those rows), plus the feasible-interval
+        endpoints of conditional-order DCs.
 
-        When a violation index covering the prefix is available it
-        replaces the scan exactly: an FD determinant group (or its
-        reverse histogram lookup when the target sits *inside* the
-        determinant), a value-grid group's ``hist`` and an order
-        group's point arrays yield the same sorted-distinct sets as
-        ``np.unique`` over the prefix.  In ``strict`` mode (streaming —
-        the prefix arrays are gone) a DC with no index-served path
-        raises :class:`PrefixScanRequired`.
+        ``indexes`` — every active binary DC's violation index, covering
+        the prefix — answers exactly what the prefix scans return: an FD
+        determinant group (or its reverse histogram lookup when the
+        target sits *inside* the determinant), or a
+        :class:`~repro.constraints.index.GridViolationIndex` group's
+        ``hint_values``.  Without indexes (the MCMC refinement) the
+        rows ``[:i]`` of ``cols`` are scanned as the prefix.
         ``prefix_rows`` is the number of rows already sampled *globally*
         when it differs from ``i`` (chunked draws).
         """
@@ -299,52 +285,22 @@ class _ColumnSampler:
             others = [a for a in dc.attributes if a != target]
             if not others or hist == 0:
                 continue
-            index = indexes.get(dc.name) if indexes else None
-            if isinstance(index, GridViolationIndex):
-                # The matched values and (order shape) the interval
-                # endpoints, identical to the scans below.
-                values.extend(index.hint_values(
-                    target, {a: cols[a][i] for a in dc.attributes}, limit))
-                continue
-            matched: list | None = None
-            if (isinstance(index, OrderViolationIndex)
-                    and target in (index.greater_attr, index.less_attr)):
-                partner = (index.less_attr
-                           if target == index.greater_attr
-                           else index.greater_attr)
-                points = index.group_points(
-                    {a: cols[a][i] for a in index.eq_attrs})
-                if points is None:
-                    matched = []  # empty group == empty scan mask
-                else:
-                    t_vals, p_vals = ((points[0], points[1])
-                                      if target == index.greater_attr
-                                      else (points[1], points[0]))
-                    sel = np.asarray(p_vals) == cols[partner][i]
-                    matched = np.unique(
-                        np.asarray(t_vals)[sel])[:limit].tolist()
-            elif isinstance(index, FDViolationIndex):
-                if index.dependent == target:
-                    key_row = {a: cols[a][i] for a in index.determinant}
-                    matched = index.dependents_of(key_row)[:limit]
-                else:
-                    row = {a: cols[a][i] for a in dc.attributes}
-                    matched = index.matched_det_values(target,
-                                                       row)[:limit]
-            if matched is None:
-                if strict:
-                    raise PrefixScanRequired(
-                        f"DC {dc.name!r} (target {target!r}) has no "
-                        f"index-served consistent-value path")
+            if indexes is None:
                 mask = np.ones(i, dtype=bool)
                 for a in others:
                     mask &= cols[a][:i] == cols[a][i]
-                matched = np.unique(
-                    cols[target][:i][mask])[:limit].tolist()
-            values.extend(matched)
-            values.extend(self._order_interval(dc, target, cols, i,
-                                               index=index,
-                                               strict=strict))
+                values.extend(np.unique(
+                    cols[target][:i][mask])[:limit].tolist())
+                values.extend(self._order_interval(dc, target, cols, i))
+                continue
+            index = indexes[dc.name]
+            row = {a: cols[a][i] for a in dc.attributes}
+            if not isinstance(index, FDViolationIndex):
+                values.extend(index.hint_values(target, row, limit))
+            elif index.dependent == target:
+                values.extend(index.dependents_of(row)[:limit])
+            else:
+                values.extend(index.matched_det_values(target, row)[:limit])
         if not values:
             return np.empty(0, dtype=np.float64)
         # sorted-distinct == np.unique, without the array machinery
@@ -431,9 +387,8 @@ class _ColumnSampler:
                 drawn.add(v)
         return np.asarray(out, dtype=np.float64)
 
-    def _order_interval(self, dc, target: str, cols: dict, i: int,
-                        index: ViolationIndex | None = None,
-                        strict: bool = False) -> list[float]:
+    def _order_interval(self, dc, target: str, cols: dict,
+                        i: int) -> list[float]:
         """Feasible-interval endpoints for conditional-order hard DCs.
 
         For ``not(E= and A> and B<)`` with the prefix consistent, the
@@ -441,9 +396,7 @@ class _ColumnSampler:
         partner attribute form the closed interval
         ``[max{t_p : partner_p "below"}, min{t_p : partner_p "above"}]``
         within the equality group, and both endpoints are feasible.
-
-        With an order violation index covering the prefix the group's
-        point arrays replace the O(prefix) equality scan.
+        Scans the rows ``[:i]`` of ``cols``.
         """
         shape = dc.as_conditional_order()
         if shape is None:
@@ -456,26 +409,13 @@ class _ColumnSampler:
         else:
             return []
         p_now = cols[partner][i]
-        if isinstance(index, OrderViolationIndex):
-            points = index.group_points(
-                {a: cols[a][i] for a in eq_attrs})
-            if points is None:
-                return []
-            a_vals, b_vals = points
-            t_vals = a_vals if target == greater_attr else b_vals
-            p_vals = b_vals if target == greater_attr else a_vals
-        else:
-            if strict:
-                raise PrefixScanRequired(
-                    f"DC {dc.name!r} (target {target!r}) has no order "
-                    f"index covering the prefix")
-            mask = np.ones(i, dtype=bool)
-            for a in eq_attrs:
-                mask &= cols[a][:i] == cols[a][i]
-            if not mask.any():
-                return []
-            t_vals = cols[target][:i][mask]
-            p_vals = cols[partner][:i][mask]
+        mask = np.ones(i, dtype=bool)
+        for a in eq_attrs:
+            mask &= cols[a][:i] == cols[a][i]
+        if not mask.any():
+            return []
+        t_vals = cols[target][:i][mask]
+        p_vals = cols[partner][:i][mask]
         # For target = greater_attr (A), partner below means B_p < b_i
         # under orientation "new as i"; for target = less_attr the
         # inequalities mirror, and the same below/above split applies.
@@ -491,18 +431,15 @@ class _ColumnSampler:
             out.append(float(above.min()))
         return out
 
-    def violation_penalty(self, j: int, decode: dict, cols: dict,
-                          i: int, exclude_self: bool = False,
-                          indexes: dict[str, ViolationIndex] | None = None,
-                          ) -> np.ndarray:
+    def violation_penalty(self, j: int, decode: dict, cols: dict, i: int,
+                          indexes: dict[str, ViolationIndex]) -> np.ndarray:
         """Weighted violation counts per candidate (Algorithm 3 line 8).
 
-        ``exclude_self`` switches from prefix counting (rows < i) to
-        all-other-rows counting (the MCMC re-sampling conditional).
-        ``indexes`` maps DC names to incremental violation indexes whose
-        state covers exactly the rows the probe should count against;
-        DCs without an index (or probes an index cannot answer) fall
-        back to the O(prefix) scan engine.
+        ``indexes`` maps every active binary DC to an incremental
+        violation index whose state covers exactly the rows the probe
+        should count against (the prefix, or every other row for the
+        MCMC re-sampling conditional); unary DCs count on the row
+        alone.
         """
         d = next(iter(decode.values())).shape[0]
         penalty = np.zeros(d)
@@ -511,40 +448,27 @@ class _ColumnSampler:
                              if a in decode}
             context = {a: cols[a][i] for a in dc.attributes
                        if a not in target_values}
-            counts = None
-            if indexes is not None:
-                index = indexes.get(dc.name)
-                if index is not None:
-                    counts = index.candidate_counts(target_values, context)
-            if counts is None:
-                if exclude_self:
-                    prefix = {a: np.concatenate([cols[a][:i],
-                                                 cols[a][i + 1:]])
-                              for a in dc.attributes}
-                else:
-                    prefix = {a: cols[a][:i] for a in dc.attributes}
+            if dc.is_unary:
                 counts = multi_candidate_violation_counts(
-                    dc, target_values, context, prefix)
+                    dc, target_values, context, {})
+            else:
+                counts = indexes[dc.name].candidate_counts(target_values,
+                                                           context)
             penalty = penalty + self.weight_of(dc) * counts
         return penalty
 
-    def violation_indexes_for(self, j: int,
-                              removable: bool = False,
-                              ) -> dict[str, ViolationIndex]:
+    def violation_indexes_for(self, j: int) -> dict[str, ViolationIndex]:
         """Fresh (empty) incremental indexes for the DCs active at ``j``.
 
-        Only shapes with a probe are indexed: unary probes are already
-        O(d) without a prefix.  FDs over categorical determinants count
-        in a dense table (a numerical dependent, when it is the target,
-        by rank on its snap grid), other binary DCs whose predicates
-        each read one attribute in value-grid tables over the
-        attributes' known universes (:meth:`value_universe`); the rest
-        keep the FD, order and generic indexes of :func:`build_index`.
-        ``removable`` additionally requires remove support (the MCMC
-        all-but-one conditional).
+        Every binary DC is indexed; unary probes are already O(d)
+        without a prefix.  FDs over categorical determinants count in a
+        dense table (a numerical dependent, when it is the target, by
+        rank on its snap grid), other FDs in the dict-backed index, and
+        every other binary DC in a
+        :class:`~repro.constraints.index.GridViolationIndex`, with
+        value-grid tables where the attributes' universes
+        (:meth:`value_universe`) allow.
         """
-        if not self.use_violation_index:
-            return {}
         # A target that takes fresh values (:meth:`_fresh_values`, not
         # snapped) keeps its FDs on the dict index: they fall off the
         # grid.
@@ -554,18 +478,13 @@ class _ColumnSampler:
         for dc in self.active_at[j]:
             if dc.is_unary:
                 continue
+            if dc.as_fd() is None:
+                out[dc.name] = build_grid_index(dc, self.value_universe)
+                continue
             index = build_fd_table_index(dc, self.code_sizes,
                                          target=self.wseq[j],
                                          universe=universe)
-            if index is None:
-                index = build_grid_index(dc, self.value_universe)
-            if index is None:
-                index = build_index(dc)
-            if not index.supports_candidates:
-                continue
-            if removable and not index.supports_removal:
-                continue
-            out[dc.name] = index
+            out[dc.name] = build_index(dc) if index is None else index
         return out
 
     def value_universe(self, name: str) -> np.ndarray | None:
@@ -681,7 +600,7 @@ def _mcmc_resample(sampler: _ColumnSampler, j: int, cols: dict, wcols: dict,
     cells of column ``j`` conditioned on every other cell."""
     rng = sampler.rng
     base = sampler.base_distribution(j, wcols, n)
-    vio_indexes = sampler.violation_indexes_for(j, removable=True)
+    vio_indexes = sampler.violation_indexes_for(j)
     for index in vio_indexes.values():
         index.build(cols, n)
     for _ in range(m):
@@ -692,7 +611,6 @@ def _mcmc_resample(sampler: _ColumnSampler, j: int, cols: dict, wcols: dict,
             index.remove_from(cols, i)
         cand, decode, logp = sampler.candidates_for_row(j, base, i, cols)
         penalty = sampler.violation_penalty(j, decode, cols, i,
-                                            exclude_self=True,
                                             indexes=vio_indexes)
         choice = _log_normalise_sample(logp - penalty, rng)
         _write_cell(sampler, j, i, choice, cand, decode, cols, wcols)
@@ -701,8 +619,7 @@ def _mcmc_resample(sampler: _ColumnSampler, j: int, cols: dict, wcols: dict,
 
 def ar_sample(model, relation, dcs, weights, n: int, params,
               rng: np.random.Generator, hyper: HyperSpec | None = None,
-              max_tries: int = 300,
-              use_violation_index: bool = True) -> Table:
+              max_tries: int = 300) -> Table:
     """Experiment 6's accept-reject sampler.
 
     Each cell repeatedly draws a value from the base conditional and
@@ -713,7 +630,7 @@ def ar_sample(model, relation, dcs, weights, n: int, params,
     if hyper is None:
         hyper = HyperSpec.trivial(relation, model.sequence)
     sampler = _ColumnSampler(model, relation, hyper, dcs, weights, params,
-                             rng, use_violation_index=use_violation_index)
+                             rng)
     cols = _allocate_columns(relation, n)
     wcols = _allocate_working(sampler, cols, n)
 

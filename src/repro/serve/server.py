@@ -344,8 +344,7 @@ class _Handler(BaseHTTPRequestHandler):
                                  model=model)
                 return
             except RuntimeError as exc:
-                # e.g. a columnar format without pyarrow installed, or
-                # a stream path the engine declines (PrefixScanRequired)
+                # e.g. a columnar format without pyarrow installed
                 self._send_error(501, str(exc), model=model)
                 return
             except Exception as exc:

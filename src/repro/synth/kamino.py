@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core.kamino import FittedKamino, Kamino, KaminoConfig
+from repro.core.kamino import FittedKamino, Kamino, KaminoConfig, _draw_size
 from repro.synth.ledger import BudgetLedger
 from repro.synth.protocol import FittedSynthesizer, Synthesizer
 
@@ -71,7 +71,7 @@ class FittedKaminoSynthesizer(FittedSynthesizer):
         drain (the underlying stream has no per-column hook); it never
         touches an rng.
         """
-        n_out = self.fitted.default_n if n is None else int(n)
+        n_out = _draw_size(n, self.fitted.default_n)
         chunks = self.fitted.sample_stream(n=n_out, seed=seed,
                                            chunk_rows=chunk_rows)
         if trace is None:

@@ -35,6 +35,7 @@ import time
 
 import numpy as np
 
+from repro.core.kamino import _draw_seed, _draw_size, _positive_int
 from repro.schema.table import Table
 from repro.synth.io import load_payload, save_payload
 from repro.synth.ledger import BudgetLedger
@@ -142,9 +143,9 @@ class FittedSynthesizer:
         self.rng_state = rng_state
 
     # -- drawing -------------------------------------------------------
-    def _sampling_rng(self, seed) -> np.random.Generator:
+    def _sampling_rng(self, seed: int | None) -> np.random.Generator:
         if seed is not None:
-            return np.random.default_rng(int(seed))
+            return np.random.default_rng(seed)
         if self.rng_state is not None:
             rng = np.random.default_rng(0)
             rng.bit_generator.state = self.rng_state
@@ -161,11 +162,11 @@ class FittedSynthesizer:
         draws are identical to each other and to the fused
         ``fit_sample``).  ``trace`` appends one
         :class:`~repro.obs.trace.SampleTrace` under the backend name
-        and never changes the output.
+        and never changes the output.  ``n`` and ``seed`` must be
+        non-negative integers, as for every backend's draw.
         """
-        n_out = self.default_n if n is None else int(n)
-        if n_out < 0:
-            raise ValueError(f"n must be >= 0, got {n_out}")
+        n_out = _draw_size(n, self.default_n)
+        seed = _draw_seed(seed)
         run = None
         if trace is not None:
             run = trace.begin_sample(self.method, n_out, seed)
@@ -191,13 +192,10 @@ class FittedSynthesizer:
         engine streams at flat memory).  ``chunk_rows`` defaults to
         :data:`DEFAULT_STREAM_CHUNK_ROWS`.
         """
-        n_out = self.default_n if n is None else int(n)
-        if n_out < 0:
-            raise ValueError(f"n must be >= 0, got {n_out}")
-        chunk = DEFAULT_STREAM_CHUNK_ROWS if chunk_rows is None \
-            else int(chunk_rows)
-        if chunk < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk}")
+        n_out = _draw_size(n, self.default_n)
+        seed = _draw_seed(seed)
+        chunk = (DEFAULT_STREAM_CHUNK_ROWS if chunk_rows is None
+                 else _positive_int(chunk_rows, "chunk_rows"))
         table = self.sample(n_out, seed, trace=trace)
         return sliced_chunks(table, self.relation, n_out, chunk)
 

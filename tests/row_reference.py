@@ -27,24 +27,19 @@ from repro.schema.table import Table
 
 def synthesize(model, relation, dcs, weights, n: int, params,
                rng: np.random.Generator, hyper: HyperSpec | None = None,
-               use_fd_lookup: bool = False,
-               use_violation_index: bool = True) -> Table:
+               use_fd_lookup: bool = False) -> Table:
     """Algorithm 3: sample a synthetic instance of ``n`` rows.
 
     ``dcs``/``weights`` are the bound denial constraints and their
     weights (hard DCs are enforced regardless of their entry);
     ``params`` supplies the candidate counts and the MCMC budget
     ``mcmc_m``; ``hyper`` defaults to the trivial grouping.
-    ``use_fd_lookup`` enables the hard-FD lookup fast path and
-    ``use_violation_index`` probes the incremental violation indexes
-    instead of re-scanning the prefix; counts are bit-identical either
-    way.
+    ``use_fd_lookup`` enables the hard-FD lookup fast path.
     """
     if hyper is None:
         hyper = HyperSpec.trivial(relation, model.sequence)
     sampler = _ColumnSampler(model, relation, hyper, dcs, weights, params,
-                             rng, use_fd_lookup,
-                             use_violation_index=use_violation_index)
+                             rng, use_fd_lookup)
     cols = _allocate_columns(relation, n)
     wcols = _allocate_working(sampler, cols, n)
     for j in range(len(sampler.wseq)):
@@ -62,8 +57,7 @@ def sample_rows(fitted, n: int, seed: int) -> Table:
         fitted.model, fitted.relation,
         fitted.dcs if cfg.constraint_aware_sampling else [],
         fitted.weights, n, fitted.params, np.random.default_rng(seed),
-        hyper=fitted.hyper, use_fd_lookup=cfg.use_fd_lookup,
-        use_violation_index=cfg.use_violation_index)
+        hyper=fitted.hyper, use_fd_lookup=cfg.use_fd_lookup)
 
 
 def _fill_column(sampler: _ColumnSampler, j: int, cols: dict, wcols: dict,

@@ -112,7 +112,6 @@ def test_checkpoint_from_other_config_never_resumes(ds, tmp_path):
 
 @pytest.mark.parametrize("knob, value, resumes", [
     ("use_fd_lookup", True, True),
-    ("use_violation_index", False, True),
     ("constraint_aware_sampling", False, True),
     ("weight_estimator", "capped", False),
 ])

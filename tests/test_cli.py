@@ -326,6 +326,51 @@ def test_cmd_fit_sample_round_trip_backend(tpch_bundle, tmp_path, capsys):
                                       err_msg=attr)
 
 
+def _ignored_flags(capsys) -> list:
+    """The flags named by the ``warning: --flag ...; ignoring it`` lines
+    on stderr, in order."""
+    lines = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("warning: ") and line.endswith("ignoring it")
+               for line in lines), lines
+    return [line.split()[1] for line in lines]
+
+
+@pytest.mark.parametrize("out, flags", [
+    ("draw.csv", ["--workers", "2", "--pool", "process"]),
+    ("bundle", ["--chunk-rows", "16"]),
+])
+def test_cmd_sample_warns_about_flags_its_path_ignores(tpch_bundle, tmp_path,
+                                                       capsys, out, flags):
+    """A streamed draw runs on one worker; a bundle draw never streams."""
+    model = tmp_path / "model.npz"
+    assert main(["fit", tpch_bundle, "--epsilon", "inf",
+                 "--max-iterations", "2", "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["sample", str(model),
+                 "--schema", f"{tpch_bundle}/schema.json",
+                 "--dcs", f"{tpch_bundle}/dcs.txt", "--n", "20",
+                 "--out", str(tmp_path / out)] + flags) == 0
+    assert _ignored_flags(capsys) == flags[::2]
+
+
+def test_backend_paths_warn_about_kamino_only_flags(tpch_bundle, tmp_path,
+                                                    capsys):
+    assert main(["synthesize", tpch_bundle, "--method", "privbayes",
+                 "--epsilon", "1.0", "--n", "20", "--out",
+                 str(tmp_path / "synth"), "--workers", "2",
+                 "--pool", "process"]) == 0
+    assert _ignored_flags(capsys) == ["--workers", "--pool"]
+    model = tmp_path / "pb.npz"
+    assert main(["fit", tpch_bundle, "--method", "privbayes",
+                 "--epsilon", "1.0", "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["sample", str(model),
+                 "--schema", f"{tpch_bundle}/schema.json", "--n", "20",
+                 "--out", str(tmp_path / "draw.csv"), "--workers", "2",
+                 "--chunk-rows", "8"]) == 0
+    assert _ignored_flags(capsys) == ["--workers", "--chunk-rows"]
+
+
 def test_cmd_sample_method_mismatch_fails(tpch_bundle, tmp_path, capsys):
     model = tmp_path / "mst.npz"
     assert main(["fit", tpch_bundle, "--method", "nist_mst",
@@ -466,12 +511,15 @@ def test_corrupt_model_is_an_error_line(tpch_bundle, tmp_path, capsys):
     assert str(model) in _error_line(capsys)
 
 
-def test_prefix_scan_required_is_an_error_line(tmp_path, capsys):
+def test_cross_attribute_dc_streams_to_csv(tmp_path, capsys):
+    """A DC comparing two attributes counts in its violation index, so
+    the draw streams in chunks (it once needed the sampled prefix) and
+    the file equals the single-shot draw's export."""
     from repro.constraints import parse_dc
+    from repro.core import FittedKamino
+    from repro.io.stream import write_table_stream
 
     ds = load("adult", n=80, seed=0)
-    # Compares two attributes: no index counts it, so a stream (which
-    # keeps no prefix) cannot draw it exactly.
     cross = parse_dc("not(ti.age < tj.hours and ti.hours < tj.age)",
                      name="cross", hard=False, relation=ds.relation)
     bundle = tmp_path / "bundle"
@@ -480,11 +528,18 @@ def test_prefix_scan_required_is_an_error_line(tmp_path, capsys):
     assert main(["fit", str(bundle), "--epsilon", "inf",
                  "--max-iterations", "2", "--out", str(model)]) == 0
     capsys.readouterr()
+    out = tmp_path / "draw.csv"
     assert main(["sample", str(model), "--schema", f"{bundle}/schema.json",
-                 "--dcs", f"{bundle}/dcs.txt", "--n", "50",
-                 "--out", str(tmp_path / "draw.csv")]) == 2
-    assert "'cross' needs a prefix scan" in _error_line(capsys)
-    assert not (tmp_path / "draw.csv").exists()
+                 "--dcs", f"{bundle}/dcs.txt", "--n", "300", "--seed", "3",
+                 "--chunk-rows", "64", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    loaded = load_bundle(str(bundle))
+    fitted = FittedKamino.load(str(model), loaded.relation, loaded.dcs)
+    direct = tmp_path / "direct.csv"
+    write_table_stream(str(direct), loaded.relation,
+                       iter([fitted.sample(n=300, seed=3).table]),
+                       fmt="csv")
+    assert out.read_bytes() == direct.read_bytes()
 
 
 def test_br2000_streams_to_csv(tmp_path, capsys):

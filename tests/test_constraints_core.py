@@ -111,6 +111,15 @@ class TestDenialConstraint:
         dc = parse_dc("not(ti.a >= tj.a and ti.b < tj.b)")
         assert dc.as_conditional_order() is None
 
+    def test_as_conditional_order_rejects_contradictions(self):
+        """An order attribute that is also an equality attribute, or
+        one attribute both increasing and decreasing: no pair can
+        violate, and the interval hints would key on the cell being
+        drawn."""
+        for text in ("not(ti.a == tj.a and ti.a > tj.a and ti.b < tj.b)",
+                     "not(ti.s == tj.s and ti.a > tj.a and ti.a < tj.a)"):
+            assert parse_dc(text).as_conditional_order() is None, text
+
     def test_attributes(self):
         dc = DenialConstraint.fd("f", ["x"], "y")
         assert dc.attributes == {"x", "y"}

@@ -3,8 +3,8 @@
 Pins the engine's contract:
 
 * scheduling invariance — the draw is a pure function of
-  ``(model, DCs, weights, n, seed)``: block size, worker count, and
-  the ``use_violation_index`` probe mechanism never change a cell;
+  ``(model, DCs, weights, n, seed)``: block size and worker count
+  never change a cell;
 * statistical equivalence with the per-row reference loop
   (``row_reference``) — same marginals and violation behaviour (they
   share a sampling law and differ only in rng scheme);
@@ -35,8 +35,7 @@ from repro.core.engine import (
 )
 from repro.core.hyper import HyperSpec
 from repro.core.sampling import (
-    PrefixScanRequired, _allocate_columns, _allocate_working,
-    _ColumnSampler,
+    _allocate_columns, _allocate_working, _ColumnSampler,
 )
 from repro.obs.trace import RunTrace
 from repro.datasets import load
@@ -86,17 +85,6 @@ def test_block_size_invariance(fitted, monkeypatch):
         assert blocks > default_blocks
         # ...and never changes a cell.
         _assert_tables_equal(table, default, f"{cap}-vs-default")
-
-
-def test_probe_mechanism_invariance(fitted):
-    """Scan probes and index probes must yield the same draw."""
-    ds, model = fitted
-    args = (model.model, ds.relation, model.dcs, model.weights, 120,
-            model.params, 11)
-    indexed = synthesize_engine(*args, hyper=model.hyper)
-    scanned = synthesize_engine(*args, hyper=model.hyper,
-                                use_violation_index=False)
-    _assert_tables_equal(indexed, scanned, "index-vs-scan")
 
 
 def test_workers_bit_identical(fitted):
@@ -195,14 +183,16 @@ def test_model_io_persists_engine_and_rng_spec(tmp_path):
 
 
 @pytest.mark.parametrize("written_for",
-                         ["no-engine-entry", "row", "scheduling"])
+                         ["no-engine-entry", "row", "scheduling",
+                          "scan-probes"])
 def test_legacy_model_files_draw_on_the_blocked_engine(tmp_path,
                                                        written_for):
     """Files written for the retired row engine — an ``engine`` entry
     reading ``"row"``, or none at all (written before the entry
     existed, with no rng spec either) — and files recording draw
-    scheduling in their config load and draw what the fresh artifact
-    draws: seeded, at the default seed, and streamed."""
+    scheduling, or prefix-scan probes, in their config load and draw
+    what the fresh artifact draws: seeded, at the default seed, and
+    streamed."""
     ds = load("tpch", n=80, seed=0)
     cfg = KaminoConfig(epsilon=1.0, seed=0, params_override=_cap)
     model = Kamino(ds.relation, ds.dcs, config=cfg).fit(ds.table)
@@ -217,6 +207,8 @@ def test_legacy_model_files_draw_on_the_blocked_engine(tmp_path,
         meta["fitted"]["config"].update(workers=4, pool="process",
                                         max_block_rows=64,
                                         stream_chunk_rows=1000)
+    elif written_for == "scan-probes":
+        meta["fitted"]["config"]["use_violation_index"] = False
     else:
         del meta["fitted"]["config"]["engine"]
         del meta["fitted"]["rng_spec"]
@@ -321,19 +313,6 @@ def test_stream_rejects_mcmc(fitted):
         list(synthesize_stream(model.model, ds.relation, model.dcs,
                                model.weights, 10, params, 3,
                                hyper=model.hyper))
-
-
-def test_stream_strict_raises_instead_of_prefix_scan(fitted):
-    """Without the violation indexes, a constrained chunk would need
-    the full sampled prefix; streaming refuses rather than silently
-    answering from the chunk-local one."""
-    ds, model = fitted
-    with pytest.raises(PrefixScanRequired):
-        list(synthesize_stream(model.model, ds.relation, model.dcs,
-                               model.weights, 200, model.params, 3,
-                               hyper=model.hyper,
-                               use_violation_index=False,
-                               chunk_rows=64))
 
 
 @pytest.mark.slow

@@ -25,7 +25,6 @@ import pytest
 import repro.faults as faults
 from repro.core.kamino import FittedKamino, Kamino
 from repro.core.model_io import ModelFormatError, atomic_savez
-from repro.core.sampling import PrefixScanRequired
 from repro.datasets import load
 from repro.faults import FaultInjected, FaultSpec, parse_spec
 from repro.io.dc_text import save_dcs
@@ -163,17 +162,17 @@ def test_stream_write_failure_leaves_no_partial_file(artifacts, tmp_path):
 
 
 def test_prefix_scan_refusal_leaves_no_partial_file(artifacts, tmp_path):
-    """The engine declining a stream (PrefixScanRequired) after a chunk
-    already landed still never publishes a truncated file."""
+    """A stream that fails after a chunk already landed still never
+    publishes a truncated file."""
     ds, model = artifacts["dataset"], artifacts["fitted"]
     chunk = model.sample(n=8, seed=0).table
 
     def declining():
         yield chunk
-        raise PrefixScanRequired("this draw needs the sampled prefix")
+        raise RuntimeError("the draw failed after its first chunk")
 
     out = tmp_path / "draw.csv"
-    with pytest.raises(PrefixScanRequired):
+    with pytest.raises(RuntimeError, match="first chunk"):
         write_table_stream(str(out), ds.relation, declining())
     assert not out.exists()
     assert list(tmp_path.iterdir()) == []

@@ -1,17 +1,22 @@
-"""The value-grid count tables against the scan engine.
+"""The equality-group index of binary non-FD DCs against the scan
+engine.
 
-:class:`~repro.constraints.index.GridViolationIndex` counts binary DCs
-whose predicates each read one attribute — the conditional-order shape
-and generic soft DCs — in per-group ``hist``/``pen`` tables over the
-attributes' value universes.  Every count must equal the scan engine's
+:class:`~repro.constraints.index.GridViolationIndex` counts every binary
+DC that is not an FD per equality group: in ``hist``/``pen`` tables over
+the attributes' value universes where the predicates each read one
+attribute and the grid fits, and from point arrays otherwise (no
+universe, a predicate comparing two attributes, a grid past
+``MAX_GRID_CELLS``).  Every count must equal the scan engine's
 (``multi_candidate_violation_counts``, ``count_violations``), and the
 hard-DC hints must equal the sampler's prefix scans, on random DCs
-mixing ``=``, ``!=``, order and constant predicates, with and without
-equality attributes, through appends, removals, off-universe values and
-universes past the old 4,096-cell dense-grid cap.
+mixing ``=``, ``!=``, order, constant and two-attribute predicates,
+with and without equality attributes, through appends, removals,
+off-universe values and universes past the old 4,096-cell dense-grid
+cap.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -66,7 +71,15 @@ def _predicates(draw):
     for _ in range(draw(st.integers(1, 3))):
         attr = draw(st.sampled_from(["c", "x", "y", "e"]))
         op = draw(st.sampled_from(_OPS))
-        if draw(st.integers(0, 3)) == 0:
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            # Compares two attributes: no value grid counts it.
+            other = draw(st.sampled_from(
+                [a for a in ("c", "x", "y") if a != attr]))
+            preds.append(Predicate(
+                draw(st.sampled_from([TUPLE_I, TUPLE_J])), attr, op,
+                draw(st.sampled_from([TUPLE_I, TUPLE_J])), other))
+        elif kind == 1:
             var = draw(st.sampled_from([TUPLE_I, TUPLE_J]))
             const = draw(st.integers(0, 4))
             if attr in ("x", "y"):
@@ -102,7 +115,8 @@ def grid_scenarios(draw):
     removed = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n,
                             unique=True)) if n else []
     return {"relation": relation, "dc": dc, "n": n, "cols": cols,
-            "removed": removed, "block": draw(st.integers(1, 6))}
+            "removed": removed, "block": draw(st.integers(1, 6)),
+            "known": draw(st.integers(0, 3)) > 0}
 
 
 def _candidates(relation: Relation, attr: str) -> np.ndarray:
@@ -138,13 +152,15 @@ def test_grid_index_matches_scan_engine(sc):
     relation, dc, n, cols = sc["relation"], sc["dc"], sc["n"], sc["cols"]
     attrs = sorted(dc.attributes)
     layout = index_mod._grid_layout(dc)
-    assume(layout is not None)   # e.g. equality-only DCs have no grid
-    index = build_grid_index(dc, lambda a: _universe(relation, a))
-    cells = np.prod([_universe(relation, a).size for a in layout[1]])
-    assert (index is None) == (cells > index_mod.MAX_GRID_CELLS)
-    if index is None:
-        return
+    index = build_grid_index(dc, lambda a: (_universe(relation, a)
+                                            if sc["known"] else None))
     assert isinstance(index, GridViolationIndex)
+    # Tables need a layout, known universes and a grid that fits; every
+    # other group counts from its point arrays.
+    tables = layout is not None and sc["known"] and np.prod(
+        [_universe(relation, a).size for a in layout[1]]
+    ) <= index_mod.MAX_GRID_CELLS
+    assert (index._ranks is not None) == tables
     sampler, j = _sampler_for(sc)
 
     block = sc["block"]
@@ -175,8 +191,7 @@ def test_grid_index_matches_scan_engine(sc):
                 if i:
                     np.testing.assert_array_equal(
                         sampler._consistent_values(
-                            j, target, cols, i,
-                            indexes={dc.name: index}, strict=True),
+                            j, target, cols, i, indexes={dc.name: index}),
                         sampler._consistent_values(j, target, cols, i))
             np.testing.assert_array_equal(
                 index.candidate_counts(None, row),
@@ -202,25 +217,31 @@ def test_grid_index_matches_scan_engine(sc):
 
 
 def test_grid_layout_declines_other_shapes():
+    """FDs and unary DCs have indexes of their own; the other shapes
+    without a value grid, or without known universes that fit, count
+    from point arrays."""
     rel = _relation(False)
     universe = lambda a: _universe(rel, a)  # noqa: E731
-    fd = DenialConstraint.fd("fd", "e", "c")
+    for dc in (DenialConstraint.fd("fd", "e", "c"),
+               DenialConstraint("un", [Predicate(TUPLE_I, "x", Operator.GT,
+                                                 CONST, const=3.0)])):
+        with pytest.raises(ValueError, match="unary or FD-shaped"):
+            build_grid_index(dc, universe)
     two_attrs = DenialConstraint("two", [
         Predicate(TUPLE_I, "x", Operator.LT, TUPLE_J, "y")])
     eq_only = DenialConstraint("key", [
         Predicate(TUPLE_I, "c", Operator.EQ, TUPLE_J, "c")])
-    unary = DenialConstraint("un", [
-        Predicate(TUPLE_I, "x", Operator.GT, CONST, const=3.0)])
-    for dc in (fd, two_attrs, eq_only, unary):
-        assert build_grid_index(dc, universe) is None, dc.name
+    for dc in (two_attrs, eq_only):
+        assert build_grid_index(dc, universe)._ranks is None, dc.name
+    assert build_grid_index(eq_only, universe).eq_attrs == ("c",)
     order = DenialConstraint("ord", [
         Predicate(TUPLE_I, "e", Operator.EQ, TUPLE_J, "e"),
         Predicate(TUPLE_I, "x", Operator.GT, TUPLE_J, "x"),
         Predicate(TUPLE_I, "y", Operator.LT, TUPLE_J, "y")])
     index = build_grid_index(order, universe)
     assert index.eq_attrs == ("e",) and index.axes == ("x", "y")
-    assert index.order == ("x", "y")
+    assert index.order == ("x", "y") and index._ranks is not None
     # A universe that is not enumerable, or too big, gets no tables.
-    assert build_grid_index(order, lambda a: None) is None
+    assert build_grid_index(order, lambda a: None)._ranks is None
     big = lambda a: np.arange(300, dtype=np.float64)  # noqa: E731
-    assert build_grid_index(order, big) is None
+    assert build_grid_index(order, big)._ranks is None

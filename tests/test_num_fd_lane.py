@@ -335,7 +335,7 @@ def test_window_lane_equals_conflict_free_blocks(sc):
         cwcols = _allocate_working(sampler, ccols, m)
         _ColumnPass(sampler, j, _rows(base, off, off + m), layout,
                     _OffsetNoise(noise, off), ccols, cwcols, state=state,
-                    strict=True, row_offset=h + off).fill(
+                    row_offset=h + off).fill(
                         m, specs, sc["max_block"])
         out.append(ccols["y"])
     np.testing.assert_array_equal(np.concatenate(out), ref.cols["y"])
@@ -513,9 +513,8 @@ def test_fresh_valued_dependent_keeps_the_dict_index(fresh_fit):
     sampler = _fitted_sampler(fresh_fit)
     j = sampler.wseq.index("y")
     assert sampler.fresh_value_tracker(j) is not None
-    for removable in (False, True):
-        index = sampler.violation_indexes_for(j, removable)["fd_xy"]
-        assert type(index) is FDViolationIndex
+    index = sampler.violation_indexes_for(j)["fd_xy"]
+    assert type(index) is FDViolationIndex
 
 
 def _mcmc(fitted, m: int = 200):
@@ -554,14 +553,9 @@ _FRESH_DRAWS = {
 def test_fresh_valued_dependent_draws_like_the_dict_index(fresh_fit, path,
                                                          digest):
     """Each draw picks fresh ``y`` values and equals the digest
-    recorded while ``x -> y`` was on the dict index, and the scan
-    engine's draw (streams need the indexes)."""
+    recorded while ``x -> y`` was on the dict index."""
     draw = _FRESH_DRAWS[path]
     table = draw(fresh_fit)
     grid = _fitted_sampler(fresh_fit).value_universe("y")
     assert not np.isin(table.column("y"), grid).all()
     assert _table_digest(table) == digest
-    if path != "stream":
-        scan = dataclasses.replace(fresh_fit, config=fresh_fit.config
-                                   .replace(use_violation_index=False))
-        assert _table_digest(draw(scan)) == digest

@@ -499,6 +499,37 @@ def test_serve_renders_br2000(client, tmp_path):
     assert served.body == direct.read_bytes()
 
 
+def test_serve_renders_a_cross_attribute_dc(client, tmp_path):
+    """A DC comparing two attributes counts in its violation index, so
+    the served (streamed) render works — it needed the sampled prefix
+    once, and answered 501 — and equals the direct export."""
+    from repro.constraints import parse_dc
+
+    ds = load("adult", n=80, seed=0)
+    dcs = ds.dcs + [parse_dc("not(ti.age < tj.hours and ti.hours < tj.age)",
+                             name="cross", hard=False, relation=ds.relation)]
+
+    def cap(params):
+        params.iterations = min(params.iterations, 6)
+
+    fitted = Kamino(ds.relation, dcs, epsilon=1.0, seed=0,
+                    params_override=cap).fit(ds.table)
+    paths = {name: str(tmp_path / name)
+             for name in ("model.npz", "schema.json", "dcs.txt")}
+    fitted.save(paths["model.npz"])
+    save_relation(ds.relation, paths["schema.json"])
+    save_dcs(dcs, paths["dcs.txt"], relation=ds.relation)
+    client.register("cross", paths["model.npz"], paths["schema.json"],
+                    dcs=paths["dcs.txt"])
+    served = client.sample("cross", n=300, seed=3)
+    assert served.status == 200
+    direct = tmp_path / "direct.csv"
+    write_table_stream(str(direct), ds.relation,
+                       iter([fitted.sample(n=300, seed=3).table]),
+                       fmt="csv")
+    assert served.body == direct.read_bytes()
+
+
 def test_serve_distinct_requests_differ(client):
     a = client.sample("tpch", n=30, seed=1)
     b = client.sample("tpch", n=30, seed=2)

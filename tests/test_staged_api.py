@@ -7,6 +7,7 @@ bit-identical to the fused ``fit_sample`` across private / non-private
 (any size, any seed, no retraining).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -45,7 +46,7 @@ def test_config_defaults_match_paper():
     assert cfg.delta == 1e-6
     assert cfg.large_domain_threshold == 1000
     assert cfg.group_max_domain is None
-    assert cfg.use_violation_index and not cfg.use_fd_lookup
+    assert not cfg.use_fd_lookup
     assert cfg.constraint_aware_sampling
     assert cfg.weight_estimator == "matrix"
     assert cfg.private
@@ -139,6 +140,14 @@ def test_scheduling_is_not_a_config_knob(knob, value):
         KaminoConfig(epsilon=1.0, **{knob: value})
     with pytest.raises(TypeError, match=knob):
         Kamino(ds.relation, ds.dcs, 1.0, **{knob: value})
+
+
+def test_probe_switch_is_not_a_config_knob():
+    """Every DC counts in a violation index, so the switch that could
+    replace the indexes with prefix scans is gone: an unknown knob."""
+    assert len(dataclasses.fields(KaminoConfig)) == 11
+    with pytest.raises(TypeError, match="use_violation_index"):
+        KaminoConfig(epsilon=1.0, use_violation_index=False)
 
 
 def test_kamino_attribute_writes_raise():

@@ -155,6 +155,20 @@ class TestConformance:
             == table_digest(fitted.sample(30))
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
+    @pytest.mark.parametrize("draw", ["sample", "sample_stream"])
+    @pytest.mark.parametrize("arg, value", [
+        ("n", 2.5), ("n", "3"), ("n", -1), ("seed", 1.5), ("seed", -2)])
+    def test_draws_reject_a_non_integral_n_or_seed(self, name, draw, arg,
+                                                   value,
+                                                   fitted_by_backend):
+        """Every backend raises the same error naming ``n`` or ``seed``
+        instead of truncating ``2.5`` to 2 or parsing ``"3"``."""
+        fitted = fitted_by_backend[name]
+        with pytest.raises(ValueError,
+                           match=f"{arg} must be a non-negative integer"):
+            getattr(fitted, draw)(**{"n": 5, arg: value})
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_ledger_total_equals_budget(self, name, fitted_by_backend):
         ledger = fitted_by_backend[name].ledger
         assert len(ledger) >= 1

@@ -10,6 +10,7 @@ regressions the engine unlocked (FD chains, shared-dependent FDs,
 all-violating unary DCs, exact-dtype group keys).
 """
 
+import hashlib
 import math
 from unittest import mock
 
@@ -22,9 +23,7 @@ from repro.baselines import repair_violations
 from repro.constraints import (
     ArrayFDViolationIndex,
     FDViolationIndex,
-    GenericViolationIndex,
     GridViolationIndex,
-    OrderViolationIndex,
     UnaryViolationIndex,
     build_index,
     count_violations,
@@ -87,10 +86,10 @@ def test_factory_dispatches_on_shape():
     _, dcs = _dcs()
     assert isinstance(build_index(dcs["fd"]), FDViolationIndex)
     assert isinstance(build_index(dcs["fd2"]), FDViolationIndex)
-    assert isinstance(build_index(dcs["ord"]), OrderViolationIndex)
-    assert isinstance(build_index(dcs["ord0"]), OrderViolationIndex)
+    assert isinstance(build_index(dcs["ord"]), GridViolationIndex)
+    assert isinstance(build_index(dcs["ord0"]), GridViolationIndex)
     assert isinstance(build_index(dcs["un"]), UnaryViolationIndex)
-    assert isinstance(build_index(dcs["gen"]), GenericViolationIndex)
+    assert isinstance(build_index(dcs["gen"]), GridViolationIndex)
 
 
 # ----------------------------------------------------------------------
@@ -132,8 +131,6 @@ def test_candidate_counts_match_scan_engine(data):
                 context = {a: cols[a][i] for a in dc.attributes
                            if a != target}
                 got = index.candidate_counts(target_values, context)
-                if got is None:
-                    continue  # the scan fallback path; nothing to pin
                 prefix = {a: cols[a][:i] for a in dc.attributes}
                 ref = multi_candidate_violation_counts(
                     dc, target_values, context, prefix)
@@ -153,8 +150,6 @@ def test_removal_and_rewrite_keep_totals_exact(data):
     i = data.draw(st.integers(0, table.n - 1))
     for dc in dcs.values():
         index = build_index(dc)
-        if not index.supports_removal:
-            continue
         index.build(cols, table.n)
         index.remove_from(cols, i)
         rest = table.take([j for j in range(table.n) if j != i])
@@ -209,11 +204,13 @@ def test_violation_matrix_matches_brute_force(data):
 
 
 # ----------------------------------------------------------------------
-# The sampler produces identical output with the index on or off: the
-# per-row reference loop drives ``violation_penalty`` (which MCMC and
-# accept-reject share) through both
+# The sampler draws what it drew when prefix scans could still replace
+# the indexes: the per-row reference loop drives ``violation_penalty``
+# (which MCMC and accept-reject share) through the indexes
 # ----------------------------------------------------------------------
 def test_sampler_bit_identical_with_and_without_index():
+    """The digest was recorded with the index on and off (both drew
+    it) before every DC became index-served."""
     relation = Relation([
         Attribute("g", CategoricalDomain(["x", "y", "z"])),
         Attribute("h", CategoricalDomain(["p", "q", "r", "s"])),
@@ -237,15 +234,14 @@ def test_sampler_bit_identical_with_and_without_index():
     model = train_model(table, relation, sequence, params,
                         np.random.default_rng(1), private=False)
     weights = {"g_h": math.inf, "cord": 1.5}
-    outs = {}
-    for flag in (True, False):
-        outs[flag] = synthesize(model, relation, dcs, weights, table.n,
-                                params, np.random.default_rng(7),
-                                use_violation_index=flag)
+    out = synthesize(model, relation, dcs, weights, table.n, params,
+                     np.random.default_rng(7))
+    digest = hashlib.sha256()
     for name in relation.names:
-        np.testing.assert_array_equal(outs[True].column(name),
-                                      outs[False].column(name),
-                                      err_msg=name)
+        column = np.ascontiguousarray(out.column(name))
+        digest.update(name.encode() + str(column.dtype).encode()
+                      + column.tobytes())
+    assert digest.hexdigest()[:16] == "1bee048bfb708835"
 
 
 # ----------------------------------------------------------------------
@@ -599,14 +595,6 @@ def test_probe_det_codes_matches_general_path():
         dep = int(cols["b"][i])
         group = index._groups[key]
         assert index.probe_pair(key, dep) == group[0] - group[1].get(dep, 0)
-
-
-def test_probe_many_falls_back_to_none_on_unanswerable_rows():
-    _, dcs = _dcs()
-    dc = dcs["gen"]
-    index = build_index(dc)
-    assert index.probe_many({"u": np.arange(3, dtype=np.float64)},
-                            [{"a": np.int64(0)}]) is None
 
 
 # ----------------------------------------------------------------------
