@@ -73,8 +73,9 @@ def main() -> None:
           f"(budget {config.epsilon}), alpha={fitted.params.best_alpha}")
 
     # Serve many: draws are free post-processing.  They run on the
-    # block-scheduled engine: conflict-free row blocks are scored and drawn vectorized, and all
-    # randomness comes from counter-based per-cell streams, so a draw
+    # block-scheduled engine: row blocks are scored and drawn
+    # vectorized, and all randomness comes from counter-based per-cell
+    # streams, so a draw
     # is a pure function of (model, DCs, n, seed) — block size and
     # worker count never change a single cell.  That determinism is
     # what makes `workers=` safe: unconstrained column passes shard

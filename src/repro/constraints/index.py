@@ -132,27 +132,22 @@ class ViolationIndex:
         """
         raise NotImplementedError
 
-    def probe_many(self, target_values, contexts) -> np.ndarray:
+    def probe_many(self, target_values: dict, contexts) -> np.ndarray:
         """Batched :meth:`candidate_counts` over a block of rows.
 
-        ``target_values`` is either a single dict shared by every row
-        (the categorical full-domain case) or a sequence of per-row
-        dicts; ``contexts`` is a sequence of per-row context dicts.  All
-        rows must probe the same candidate count ``d``.  Returns a
-        ``(len(contexts), d)`` count matrix.
+        ``target_values`` holds the ``d`` candidates every row shares
+        (the categorical full-domain case); ``contexts`` is a sequence
+        of per-row context dicts.  Returns a ``(len(contexts), d)``
+        count matrix.
 
-        The base implementation loops; shape-specific subclasses
-        vectorize the hot layouts (see
-        :meth:`FDViolationIndex.probe_block_codes`).
+        The base implementation loops; :class:`GridViolationIndex`
+        looks the candidates up once.
         """
         self._bump("probe_many")
         if not contexts:
             return np.zeros((0, 0), dtype=np.int64)
-        shared = isinstance(target_values, dict)
-        return np.vstack([
-            self.candidate_counts(target_values if shared
-                                  else target_values[r], context)
-            for r, context in enumerate(contexts)])
+        return np.vstack([self.candidate_counts(target_values, context)
+                          for context in contexts])
 
     # -- internals -----------------------------------------------------
     def _add_row(self, row: dict) -> None:
@@ -408,20 +403,6 @@ class FDViolationIndex(ViolationIndex):
                                    count=len(counts))
                 row[idx] -= vals
         return out
-
-    def probe_many(self, target_values, contexts) -> np.ndarray:
-        if (isinstance(target_values, dict)
-                and set(target_values) == {self.dependent}):
-            deps = target_values[self.dependent]
-            if (deps.dtype.kind in "iu" and deps.shape[0] > 0
-                    and np.array_equal(
-                        deps, np.arange(deps.shape[0], dtype=deps.dtype))):
-                # Full-domain categorical candidates: one vectorized
-                # histogram subtraction per row.
-                keys = [tuple(_item(ctx[a]) for a in self.determinant)
-                        for ctx in contexts]
-                return self.probe_block_codes(keys, deps.shape[0])
-        return super().probe_many(target_values, contexts)
 
     def dependents_of(self, key_row: dict) -> list:
         """Sorted distinct dependent values already bound to the
@@ -1224,31 +1205,26 @@ class GridViolationIndex(ViolationIndex):
         self._bump("candidate_counts")
         return self._counts(target_values or {}, context)
 
-    def probe_many(self, target_values, contexts) -> np.ndarray:
-        """Batched probe: the rank lookup of every row's candidates is
-        one vectorized search, then each row is one gather from its
-        group's ``pen``."""
+    def probe_many(self, target_values: dict, contexts) -> np.ndarray:
+        """Batched probe: the shared candidates' ranks are looked up
+        once, then each row is one gather from its group's ``pen``."""
         self._bump("probe_many")
         if not contexts:
             return np.zeros((0, 0), dtype=np.int64)
-        tvs = ([target_values] * len(contexts)
-               if isinstance(target_values, dict) else target_values)
-        attrs = tuple(tvs[0])
-        if (self._ranks is None or len(attrs) != 1
-                or attrs[0] not in self.axes
-                or any(tuple(tv) != attrs for tv in tvs)):
-            return np.vstack([self._counts(tv, context)
-                              for tv, context in zip(tvs, contexts)])
-        k = self.axes.index(attrs[0])
+        if (self._ranks is None or len(target_values) != 1
+                or next(iter(target_values)) not in self.axes):
+            return np.vstack([self._counts(target_values, context)
+                              for context in contexts])
+        ((attr, cands),) = target_values.items()
+        k = self.axes.index(attr)
         values = self._values[k]
-        cands = np.vstack([tv[attrs[0]] for tv in tvs])
         ranks = values.searchsorted(cands)
-        on_grid = (values.take(ranks, mode="clip") == cands).all(axis=1)
-        out = np.empty(cands.shape, dtype=np.int64)
-        for r, (context, ok) in enumerate(zip(contexts, on_grid.tolist())):
-            counts = self._gather(context, k, ranks[r]) if ok else None
-            out[r] = (self._counts(tvs[r], context) if counts is None
-                      else counts)
+        on_grid = bool((values.take(ranks, mode="clip") == cands).all())
+        out = np.empty((len(contexts), cands.shape[0]), dtype=np.int64)
+        for r, context in enumerate(contexts):
+            counts = self._gather(context, k, ranks) if on_grid else None
+            out[r] = (self._counts(target_values, context)
+                      if counts is None else counts)
         return out
 
     def _gather(self, context: dict, k: int, ranks: np.ndarray):

@@ -7,22 +7,19 @@ Python loop per constrained cell, and at production ``n`` the sampler
 is bounded by interpreter overhead, not by the index math.  This module
 restructures the same computation around two observations:
 
-1.  **Conflict-free blocks.**  Within one column pass, a row's penalty
-    only depends on prefix rows in the *same* constraint group (an FD's
-    determinant group, an order DC's equality group) — groups whose
-    keys are fully determined by earlier columns.  Consecutive rows
-    whose group keys are pairwise disjoint cannot influence each
-    other's penalties, so an entire block can be scored and drawn in
-    one shot: batched candidate matrices, batched index probes
-    (``probe_many`` / ``probe_block_codes`` on the violation indexes),
-    and a single gumbel-argmax per block.  Columns where a group key
-    cannot be determined up front (the target feeds a determinant, an
-    eq-less order DC, a generic binary DC) degrade to singleton blocks
-    — exactly the sequential semantics, minus the per-row rng calls.
-    Columns whose DCs are all FDs counted in dense tables go further:
-    a block of rows that may share groups is scored in one shot, and
-    the prefix a row-at-a-time pass would keep folds in bulk
-    (:meth:`_ColumnPass.fill_cat`, :meth:`_ColumnPass._fill_num_fd_lane`).
+1.  **Blocks and windows.**  A categorical column scores a block of
+    rows in one shot against the block-start index state (batched
+    index probes, one gumbel-argmax per block) and then keeps each
+    row's pick exactly when a row-at-a-time pass would, re-scoring the
+    rest (:meth:`_ColumnPass.fill_cat`).  A numerical column whose DCs
+    are FDs onto it counted on its value grid (or unary DCs alone)
+    works in windows the same way (:meth:`_ColumnPass._fill_num_fd_lane`).
+    Over dense FD tables the kept prefix of a block or window folds in
+    bulk.  Every other numerical column runs the per-row pass
+    (:meth:`_ColumnPass.fill_numeric_sequential`): base candidates and
+    noise come a chunk at a time, and only the extras, the probes and
+    the argmax run per row — the sequential semantics, minus the
+    per-row rng calls.
 
 2.  **Counter-based per-cell noise.**  All randomness comes from
     :class:`numpy.random.Philox` streams keyed by ``(seed, column,
@@ -110,8 +107,9 @@ _LOG = logging.getLogger("repro.engine")
 #: chunking they were made with.
 NOISE_CHUNK = 2048
 
-#: Cap on conflict-free block and window length (bounds peak probe
-#: width); pure scheduling — any value draws the same table.
+#: Cap on the length of a categorical block and a numerical FD window
+#: (bounds peak probe width); pure scheduling — any value draws the
+#: same table.
 MAX_BLOCK_ROWS = 512
 
 #: Smallest window of the numerical FD lane, which otherwise sizes each
@@ -404,13 +402,14 @@ def _fill_unconstrained(sampler: _ColumnSampler, j: int, base,
 
 
 # ----------------------------------------------------------------------
-# Constrained columns: conflict-aware blocks
+# Constrained columns: group keys (for sharding) and the FD-lane helpers
 # ----------------------------------------------------------------------
 def _conflict_keys(sampler: _ColumnSampler, j: int) -> list | None:
     """Per-DC group-key attribute tuples, or None for conflict-all.
 
-    A column can be block-scheduled only when every active non-unary DC
-    has a group key (FD determinant / order equality attributes) fully
+    Only sharding reads these (:func:`_shard_rows`): a column can split
+    into group-closed shards only when every active non-unary DC has a
+    group key (FD determinant / order equality attributes) fully
     determined by earlier positions and untouched by the target —
     otherwise any candidate could move a row into any group and every
     pair of rows potentially interacts.
@@ -437,32 +436,6 @@ def _conflict_keys(sampler: _ColumnSampler, j: int) -> list | None:
             return None
         specs.append(key)
     return specs
-
-
-def _conflict_blocks(specs: list, cols: dict, n: int, max_block: int):
-    """Greedy partition of 0..n into conflict-free consecutive blocks."""
-    if not specs:
-        # Only unary DCs: rows never interact; cap block width anyway to
-        # bound the penalty-matrix memory.
-        for lo in range(0, n, max_block):
-            yield (lo, min(lo + max_block, n))
-        return
-    key_rows = []
-    for s, key in enumerate(specs):
-        columns = [cols[a].tolist() for a in key]
-        key_rows.append(list(zip(*columns)) if len(columns) > 1
-                        else columns[0])
-    seen: set = set()
-    start = 0
-    for i in range(n):
-        row_keys = [(s, key_rows[s][i]) for s in range(len(specs))]
-        if (i - start) >= max_block or any(k in seen for k in row_keys):
-            yield (start, i)
-            seen.clear()
-            start = i
-        seen.update(row_keys)
-    if n > start:
-        yield (start, n)
 
 
 def _python_keys(mode: str, side) -> list:
@@ -662,53 +635,36 @@ class _ColumnPass:
         self._chunk_cache = _LRU(_BASE_CACHE_CHUNKS)
         self._n_rows = next(iter(cols.values())).shape[0]
 
-    # -- penalties -----------------------------------------------------
-    def _penalty(self, rows: np.ndarray, target_values,
-                 per_row_tv: list | None) -> np.ndarray:
-        """(B, width) weighted violation counts for the scored rows.
+    # -- penalties (categorical targets) ---------------------------------
+    def _penalty(self, rows: np.ndarray) -> np.ndarray:
+        """(B, V) weighted violation counts of every code for the
+        scored rows.
 
-        ``target_values`` is the shared candidate decode (categorical)
-        or None; ``per_row_tv`` lists per-row candidate dicts
-        (numerical).  Binary DCs probe their violation indexes
-        (``probe_many``), whose state is the block start; unary DCs
+        Binary DCs probe their violation indexes (an FD's block probes,
+        else ``probe_many``), whose state is the block start; unary DCs
         count on each row alone.
         """
         cols = self.cols
-        width = (next(iter(target_values.values())).shape[0]
-                 if target_values is not None
-                 else per_row_tv[0][self.w].shape[0])
-        penalty = np.zeros((rows.shape[0], width))
+        penalty = np.zeros((rows.shape[0], self.layout.d))
         for dc, weight, tattrs in self._active_specs:
-            fast = None
-            if target_values is not None:
-                fast = self._fd_block_counts(dc, tattrs, rows,
-                                             target_values)
-            if fast is not None:
-                penalty += weight * fast
-                continue
-            if target_values is not None:
-                tv = {a: target_values[a] for a in tattrs}
-                tv_arg = tv
-            else:
-                tv_arg = [{a: v for a, v in row_tv.items()
-                           if a in dc.attributes}
-                          for row_tv in per_row_tv]
-                tv = tv_arg[0]
-            ctx_attrs = [a for a in dc.attributes if a not in tv]
-            contexts = [{a: cols[a][i] for a in ctx_attrs} for i in rows]
-            if dc.is_unary:
-                counts = np.vstack([
-                    multi_candidate_violation_counts(
-                        dc, tv_arg if isinstance(tv_arg, dict)
-                        else tv_arg[r], context, {})
-                    for r, context in enumerate(contexts)])
-            else:
-                counts = self.vio[dc.name].probe_many(tv_arg, contexts)
+            counts = self._fd_block_counts(dc, tattrs, rows)
+            if counts is None:
+                tv = {a: self.decoded[a] for a in tattrs}
+                ctx_attrs = [a for a in dc.attributes if a not in tv]
+                contexts = [{a: cols[a][i] for a in ctx_attrs}
+                            for i in rows]
+                if dc.is_unary:
+                    counts = np.vstack([
+                        multi_candidate_violation_counts(dc, tv, context,
+                                                         {})
+                        for context in contexts])
+                else:
+                    counts = self.vio[dc.name].probe_many(tv, contexts)
             penalty += weight * counts
         return penalty
 
-    def _fd_block_counts(self, dc, tattrs: tuple, rows: np.ndarray,
-                         target_values: dict) -> np.ndarray | None:
+    def _fd_block_counts(self, dc, tattrs: tuple,
+                         rows: np.ndarray) -> np.ndarray | None:
         """Vectorized block counts for the two hot FD probe layouts.
 
         Dependent-target (determinant known): one histogram subtraction
@@ -766,7 +722,7 @@ class _ColumnPass:
                          g_row: np.ndarray) -> int:
         """Sequential-exact re-score of one row against the live state."""
         rows = np.asarray([i], dtype=np.int64)
-        penalty = self._penalty(rows, self.decoded, None)[0]
+        penalty = self._penalty(rows)[0]
         return int(np.argmax(logp_row - penalty + g_row))
 
     def _write_cat(self, i: int, pick: int) -> None:
@@ -815,7 +771,7 @@ class _ColumnPass:
             u = self.noise.rows(lo, hi)
             logp = self.base[1][lo:hi]
             g = _gumbel(u[:, :V])
-            penalty = self._penalty(rows, self.decoded, None)
+            penalty = self._penalty(rows)
             picks = np.argmax(logp - penalty + g, axis=1)
             for i in range(lo, hi):
                 r = i - lo
@@ -1101,58 +1057,12 @@ class _ColumnPass:
         self._chunk_cache.put(c, (cand, logp))
         return cand, logp
 
-    def _score_numeric(self, rows: np.ndarray, u: np.ndarray,
-                       lo: int) -> None:
-        sampler, layout = self.sampler, self.layout
-        w, cols = self.w, self.cols
-        d, width = layout.d, layout.width
-        sel = rows - lo
-        B = rows.shape[0]
-        hi = int(rows[-1]) + 1
-        cand_all, logp_all = self._base_candidates(lo, hi)
-        cand, logp = cand_all[sel], logp_all[sel]
-        cmat = np.empty((B, width))
-        cmat[:, :d] = cand
-        if width > d:
-            cmat[:, d:] = cand[:, :1]  # valid pad, masked by -inf below
-        lpm = np.full((B, width), -np.inf)
-        lpm[:, :d] = logp
-        if layout.extras:
-            for r, i in enumerate(rows):
-                extra = sampler._consistent_values(
-                    self.j, w, cols, int(i), indexes=self.vio,
-                    prefix_rows=self.row_offset + int(i))
-                fresh = np.empty(0)
-                if layout.fresh_off >= 0:
-                    fresh = sampler._fresh_values(
-                        self.j, w, cols, int(i), used=self.used,
-                        uniforms=u[i - lo][layout.fresh_off:
-                                           layout.fresh_off + _FRESH_TRIES],
-                        prefix_rows=self.row_offset + int(i))
-                added = np.concatenate([extra, fresh])
-                k = added.shape[0]
-                if not k:
-                    continue
-                cmat[r, d:d + k] = added
-                if layout.kind == "num":
-                    lpm[r, d:d + k] = (-0.5 * ((added - self.base[1][i])
-                                               / self.base[2][i]) ** 2)
-                else:
-                    hist = self.base[1]
-                    lpm[r, d:d + k] = hist.log_prob_codes()[
-                        hist.quantizer.encode(added)]
-        per_row_tv = [{w: cmat[r]} for r in range(B)]
-        penalty = self._penalty(rows, None, per_row_tv)
-        g = _gumbel(u[sel][:, layout.gumbel_off:layout.gumbel_off + width])
-        pick = np.argmax(lpm - penalty + g, axis=1)
-        self.wcols[w][rows] = cmat[np.arange(B), pick]
-
     # -- numerical FD window lane ----------------------------------------
     def _num_fd_specs(self) -> list | None:
         """``(dc, weight, index)`` per active DC (``index`` None for a
         unary DC) when every non-unary one is an FD onto this numerical
         target counted in an :class:`ArrayFDViolationIndex` over its
-        value grid; else None."""
+        value grid, else None.  Unary DCs alone qualify too."""
         if self.layout.kind == "cat" or self.used is not None:
             return None
         specs = []
@@ -1174,9 +1084,8 @@ class _ColumnPass:
         A window gathers each row's base candidates, its hard FDs' first
         prefix dependents (the extras of ``_consistent_values``), their
         log-probabilities, the penalties ``weight * (size - count)`` in
-        :meth:`_penalty`'s DC order and the gumbel slots, and takes one
-        argmax — the conflict-free block computation, over rows that may
-        share groups.  A row keeps its pick unless an earlier row of the
+        the DC order of the per-row pass and the gumbel slots, and takes
+        one argmax.  A row keeps its pick unless an earlier row of the
         window in one of its FD groups picked another value, or (hard
         FDs, whose groups feed the extras) a value its group did not
         hold at the window start: otherwise its candidates and the
@@ -1185,7 +1094,9 @@ class _ColumnPass:
         of :meth:`fill_cat`).  The kept prefix folds with one
         ``add_codes`` per DC and the next window starts at the first row
         not kept, sized from the prefix just kept.  FD-lookup forced
-        rows end the prefix and are written one at a time.
+        rows end the prefix and are written one at a time.  With no FD
+        (unary DCs only) rows never interact, and every window keeps all
+        its rows.
 
         Traced, each window counts as a block, its scored rows beyond
         the kept prefix as ``rescored_rows``, and the violating pairs
@@ -1197,7 +1108,7 @@ class _ColumnPass:
         gum = layout.gumbel_off
         fds = [index for _, _, index in specs if index is not None]
         hard = [s for s, index in enumerate(fds) if index.dc.hard]
-        grid = fds[0].dep_universe
+        grid = fds[0].dep_universe if fds else None
         window, lo = max_block, 0
         while lo < n:
             if self.fd_indexes:
@@ -1234,7 +1145,7 @@ class _ColumnPass:
                     hist = base[1]
                     lpm[r_idx, pos] = hist.log_prob_codes()[
                         hist.quantizer.encode(added)]
-            ranks = fds[0].dep_ranks(cmat)
+            ranks = fds[0].dep_ranks(cmat) if fds else None
             penalty = np.zeros((B, width))
             per_dc = []
             fd_groups = iter(groups)
@@ -1254,7 +1165,8 @@ class _ColumnPass:
             u = self.noise.rows(lo, hi)
             g = _gumbel(u[:, gum:gum + width])
             picks = np.argmax(lpm - penalty + g, axis=1)
-            pick_ranks = ranks[rows, picks]
+            # With no FD to fold, the picks only size the kept prefix.
+            pick_ranks = ranks[rows, picks] if fds else picks
             fresh = [~holds[s][rows, pick_ranks] if s in holds else None
                      for s in range(len(fds))]
             stop = self._fold_kept_prefix(per_dc, pick_ranks, lo,
@@ -1288,124 +1200,121 @@ class _ColumnPass:
             if pairs:
                 tracer.count("hard_violation_pairs", pairs)
 
-    # -- sequential numeric driver (conflict-all columns) --------------
+    # -- the per-row pass ------------------------------------------------
     def fill_numeric_sequential(self, n: int) -> None:
-        """Per-row pass for columns whose rows all potentially interact
-        (eq-less order DCs, determinant-feeding targets, generic binary
-        DCs).  Candidates and noise still come from the vectorized
-        chunk machinery; only extras, penalty probes, and the argmax
-        run per row — strictly less per-row Python than the reference
-        loop (no per-row rng, no normalise-and-choice).
+        """The per-row pass: every numerical column the window lane does
+        not take (order and generic DCs, FDs on the dict index, targets
+        that take fresh values).  Base candidates and uniforms come a
+        noise chunk at a time from the vectorized machinery; only
+        extras, penalty probes, and the argmax run per row — strictly
+        less per-row Python than the reference loop (no per-row rng, no
+        normalise-and-choice).
+
+        Traced, the pass counts ``hard_violation_pairs``: the violating
+        pairs its rows add under hard binary DCs, forced rows included.
         """
         sampler, layout = self.sampler, self.layout
-        w, cols = self.w, self.cols
+        w, cols, j = self.w, self.cols, self.j
         tracer = self.tracer
         if tracer is not None:
             tracer.count("sequential_rows", n)
-        d = layout.d
-        j = self.j
         gum_off, fresh_off = layout.gumbel_off, layout.fresh_off
         hist = self.base[1] if layout.kind == "numhist" else None
-        for i in range(n):
-            if self.fd_indexes:
-                forced = _forced_value(self.fd_indexes, cols, i)
-                if forced is not None:
-                    if tracer is not None:
-                        tracer.count("forced_rows")
-                    self.wcols[w][i] = forced
-                    self._fold_row(i)
-                    continue
-            cand_base, logp_base = self._base_candidates(i, i + 1)
-            cand, logp = cand_base[0], logp_base[0]
-            u_row = self.noise.rows(i, i + 1)[0]
-            if layout.extras:
-                extra = sampler._consistent_values(
-                    j, w, cols, i, indexes=self.vio,
-                    prefix_rows=self.row_offset + i)
-                fresh = _EMPTY
-                if fresh_off >= 0:
-                    fresh = sampler._fresh_values(
-                        j, w, cols, i, used=self.used,
-                        uniforms=u_row[fresh_off:fresh_off + _FRESH_TRIES],
+        # (dc, weight, index or None if unary, context attrs, counted)
+        probes = [(dc, weight, None if dc.is_unary else self.vio[dc.name],
+                   [a for a in dc.attributes if a != w],
+                   tracer is not None and dc.hard and not dc.is_unary)
+                  for dc, weight, _ in self._active_specs]
+        hard_pairs = 0
+        chunk = self.noise.chunk
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            cand_rows, logp_rows = self._base_candidates(lo, hi)
+            u_rows = self.noise.rows(lo, hi)
+            g_rows = _gumbel(u_rows[:, gum_off:gum_off + layout.width])
+            for r in range(hi - lo):
+                i = lo + r
+                if self.fd_indexes:
+                    forced = _forced_value(self.fd_indexes, cols, i)
+                    if forced is not None:
+                        self.wcols[w][i] = forced
+                        if tracer is not None:
+                            tracer.count("forced_rows")
+                            hard_pairs += sum(
+                                int(index.candidate_counts(None, {
+                                    a: cols[a][i]
+                                    for a in dc.attributes})[0])
+                                for dc, _, index, _, counted in probes
+                                if counted)
+                        self._fold_row(i)
+                        continue
+                cand, logp = cand_rows[r], logp_rows[r]
+                if layout.extras:
+                    extra = sampler._consistent_values(
+                        j, w, cols, i, indexes=self.vio,
                         prefix_rows=self.row_offset + i)
-                if extra.size or fresh.size:
-                    added = np.concatenate([extra, fresh])
-                    cand = np.concatenate([cand, added])
-                    if layout.kind == "num":
-                        added_lp = (-0.5 * ((added - self.base[1][i])
-                                            / self.base[2][i]) ** 2)
-                    else:
-                        added_lp = hist.log_prob_codes()[
-                            hist.quantizer.encode(added)]
-                    logp = np.concatenate([logp, added_lp])
-            k = cand.shape[0]
-            pen = None
-            for dc, weight, _ in self._active_specs:
-                tv = {w: cand}
-                context = {a: cols[a][i] for a in dc.attributes if a != w}
-                counts = (multi_candidate_violation_counts(dc, tv, context,
-                                                           {})
-                          if dc.is_unary
-                          else self.vio[dc.name].candidate_counts(tv,
-                                                                  context))
-                pen = (weight * counts if pen is None
-                       else pen + weight * counts)
-            g = _gumbel(u_row[gum_off:gum_off + k])
-            scores = logp + g if pen is None else logp - pen + g
-            pick = int(np.argmax(scores))
-            self.wcols[w][i] = cand[pick]
-            self._fold_row(i)
+                    fresh = _EMPTY
+                    if fresh_off >= 0:
+                        fresh = sampler._fresh_values(
+                            j, w, cols, i, used=self.used,
+                            uniforms=u_rows[r, fresh_off:
+                                            fresh_off + _FRESH_TRIES],
+                            prefix_rows=self.row_offset + i)
+                    if extra.size or fresh.size:
+                        added = np.concatenate([extra, fresh])
+                        cand = np.concatenate([cand, added])
+                        if layout.kind == "num":
+                            added_lp = (-0.5 * ((added - self.base[1][i])
+                                                / self.base[2][i]) ** 2)
+                        else:
+                            added_lp = hist.log_prob_codes()[
+                                hist.quantizer.encode(added)]
+                        logp = np.concatenate([logp, added_lp])
+                pen = None
+                hard_counts = []
+                for dc, weight, index, ctx_attrs, counted in probes:
+                    tv = {w: cand}
+                    context = {a: cols[a][i] for a in ctx_attrs}
+                    counts = (multi_candidate_violation_counts(dc, tv,
+                                                               context, {})
+                              if index is None
+                              else index.candidate_counts(tv, context))
+                    pen = (weight * counts if pen is None
+                           else pen + weight * counts)
+                    if counted:
+                        hard_counts.append(counts)
+                g = g_rows[r, :cand.shape[0]]
+                scores = logp + g if pen is None else logp - pen + g
+                pick = int(np.argmax(scores))
+                self.wcols[w][i] = cand[pick]
+                for counts in hard_counts:
+                    hard_pairs += int(counts[pick])
+                self._fold_row(i)
+        if hard_pairs:
+            tracer.count("hard_violation_pairs", hard_pairs)
 
     # -- lane dispatch ---------------------------------------------------
-    def fill(self, n: int, specs: list | None, max_block: int) -> None:
+    def fill(self, n: int, max_block: int) -> None:
         """Draw rows ``0..n`` of this constrained column on its lane.
 
-        ``specs`` are the column's group keys (:func:`_conflict_keys`).
-        A categorical target scores fixed blocks (:meth:`fill_cat`); a
-        numerical one runs per row when its rows all interact
-        (``specs`` None), in windows when its DCs are FDs counted on
-        its value grid, else in conflict-free blocks.  The numerical
-        lanes trace as ``num-sequential`` and ``num-blocked``.
+        A categorical target scores blocks of up to ``max_block`` rows
+        (:meth:`fill_cat`).  A numerical one runs in windows of up to
+        ``max_block`` rows when its DCs are FDs counted on its value
+        grid or unary DCs alone (:meth:`_fill_num_fd_lane`, traced as
+        ``num-blocked``), and per row otherwise
+        (:meth:`fill_numeric_sequential`, ``num-sequential``).
         """
         if self.layout.kind == "cat":
             self.fill_cat(n, max_block)
             return
+        specs = self._num_fd_specs()
         if self.tracer is not None:
             self.tracer.mode = ("num-sequential" if specs is None
                                 else "num-blocked")
-        fd_specs = self._num_fd_specs() if specs is not None else None
         if specs is None:
             self.fill_numeric_sequential(n)
-        elif fd_specs is not None:
-            self._fill_num_fd_lane(n, max_block, fd_specs)
         else:
-            for lo, hi in _conflict_blocks(specs, self.cols, n, max_block):
-                self.process_block(lo, hi)
-
-    # -- block driver (numerical targets) ------------------------------
-    def process_block(self, lo: int, hi: int) -> None:
-        cols, w = self.cols, self.w
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.observe_block(hi - lo)
-        score_rows = []
-        if self.fd_indexes:
-            for i in range(lo, hi):
-                forced = _forced_value(self.fd_indexes, cols, i)
-                if forced is not None:
-                    if tracer is not None:
-                        tracer.count("forced_rows")
-                    self.wcols[w][i] = forced
-                else:
-                    score_rows.append(i)
-        else:
-            score_rows = list(range(lo, hi))
-        if score_rows:
-            rows = np.asarray(score_rows, dtype=np.int64)
-            u = self.noise.rows(lo, hi)
-            self._score_numeric(rows, u, lo)
-        for i in range(lo, hi):
-            self._fold_row(i)
+            self._fill_num_fd_lane(n, max_block, specs)
 
 
 # ----------------------------------------------------------------------
@@ -1464,7 +1373,7 @@ def _gather_base(base, rows):
 
 def _run_shard_pass(sampler: _ColumnSampler, j: int, base, layout,
                     noise, gcols: dict, gw: np.ndarray,
-                    specs: list, m: int, max_block: int) -> None:
+                    m: int, max_block: int) -> None:
     """One gathered constrained sub-schedule, writing ``gw``/``gcols``.
 
     The pass builds its own (shard-local) violation and FD-lookup
@@ -1474,7 +1383,7 @@ def _run_shard_pass(sampler: _ColumnSampler, j: int, base, layout,
     """
     wcols_g = {sampler.wseq[j]: gw}
     _ColumnPass(sampler, j, base, layout, noise, gcols,
-                wcols_g).fill(m, specs, max_block)
+                wcols_g).fill(m, max_block)
 
 
 def _context_attrs(sampler: _ColumnSampler, j: int) -> list:
@@ -1532,8 +1441,7 @@ def _pool_unconstrained(j: int, lo: int, hi: int, noise_key: tuple,
 
 
 def _pool_constrained(j: int, rows: np.ndarray, noise_key: tuple,
-                      wctx: dict, gctx: dict, specs: list,
-                      max_block: int):
+                      wctx: dict, gctx: dict, max_block: int):
     """Worker-side group-closed constrained shard (compact spec in,
     target column slices out)."""
     fault_point("engine.worker")
@@ -1545,8 +1453,7 @@ def _pool_constrained(j: int, rows: np.ndarray, noise_key: tuple,
     gcols = dict(gctx)
     gcols.update(tcols)
     noise = _GatherNoise(_CellNoise(*noise_key), rows)
-    _run_shard_pass(s, j, base, layout, noise, gcols, gw, specs, m,
-                    max_block)
+    _run_shard_pass(s, j, base, layout, noise, gcols, gw, m, max_block)
     w = s.wseq[j]
     members = ({a: tcols[a] for a in tcols if a != w}
                if s.hyper.is_hyper(w) else {})
@@ -1616,7 +1523,7 @@ def _fill_unconstrained_process(sampler: _ColumnSampler, j: int,
 
 
 def _run_sharded(sampler: _ColumnSampler, j: int, base, layout,
-                 noise_key: tuple, cols: dict, wcols: dict, specs: list,
+                 noise_key: tuple, cols: dict, wcols: dict,
                  shards: list, max_block: int, tpool, ppool,
                  tracer=None) -> None:
     """Group-closed constrained shards on the thread or process lane.
@@ -1631,7 +1538,7 @@ def _run_sharded(sampler: _ColumnSampler, j: int, base, layout,
         futs = [ppool.submit(_pool_constrained, j, rows, noise_key,
                              {a: wcols[a][rows] for a in ctx},
                              {a: cols[a][rows] for a in need},
-                             specs, max_block)
+                             max_block)
                 for rows in shards]
         results = [f.result() for f in futs]
     else:
@@ -1642,8 +1549,7 @@ def _run_sharded(sampler: _ColumnSampler, j: int, base, layout,
             gcols.update(tcols)
             noise = _GatherNoise(_CellNoise(*noise_key), rows)
             _run_shard_pass(sampler, j, _gather_base(base, rows),
-                            layout, noise, gcols, gw, specs, m,
-                            max_block)
+                            layout, noise, gcols, gw, m, max_block)
             return gw, {a: v for a, v in tcols.items() if a != w}
 
         results = list(tpool.map(run, shards))
@@ -1769,7 +1675,7 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
                         col_trace.count("shards", len(shards))
                     try:
                         _run_sharded(sampler, j, base, layout, noise_key,
-                                     cols, wcols, specs, shards,
+                                     cols, wcols, shards,
                                      MAX_BLOCK_ROWS, tpool, ppool,
                                      tracer=col_trace)
                     except BrokenProcessPool:
@@ -1779,14 +1685,14 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
                                            tracer=col_trace)
                         ppool = None
                         _run_sharded(sampler, j, base, layout, noise_key,
-                                     cols, wcols, specs, shards,
+                                     cols, wcols, shards,
                                      MAX_BLOCK_ROWS, tpool, None,
                                      tracer=col_trace)
                 else:
                     _ColumnPass(sampler, j, base, layout,
                                 _CellNoise(*noise_key), cols, wcols,
                                 fd_indexes, tracer=col_trace,
-                                ).fill(n, specs, MAX_BLOCK_ROWS)
+                                ).fill(n, MAX_BLOCK_ROWS)
             if col_trace is not None:
                 col_trace.finish(time.perf_counter() - col_start, n)
             if params.mcmc_m > 0:
@@ -1850,7 +1756,6 @@ def synthesize_stream(model, relation, dcs, weights, n: int, params,
                 used=sampler.fresh_value_tracker(j)))
         else:
             states.append(None)
-    specs_of = [_conflict_keys(sampler, j) for j in range(ncols)]
     layouts: list[_Layout | None] = [None] * ncols
     noises: list[_CellNoise | None] = [None] * ncols
     for off in range(0, n, chunk_rows):
@@ -1871,5 +1776,5 @@ def synthesize_stream(model, relation, dcs, weights, n: int, params,
             else:
                 _ColumnPass(sampler, j, base, layout, noise, cols, wcols,
                             state=states[j], row_offset=off,
-                            ).fill(m, specs_of[j], MAX_BLOCK_ROWS)
+                            ).fill(m, MAX_BLOCK_ROWS)
         yield Table(relation, cols, validate=False)

@@ -99,6 +99,9 @@ class ServeConfig:
             raise ValueError(f"workers must be >= 0, got {workers!r}")
         if self.chunk_rows is not None and self.chunk_rows < 1:
             raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows!r}")
+        if pool not in (None, "thread", "process"):
+            raise ValueError(
+                f"pool must be None, 'thread' or 'process', got {pool!r}")
         self.quiet = bool(quiet)
 
 

@@ -176,9 +176,6 @@ def test_grid_index_matches_scan_engine(sc):
                 dc, {target: cands}, ctx, prefix) for ctx in contexts])
             np.testing.assert_array_equal(
                 index.probe_many({target: cands}, contexts), want)
-            np.testing.assert_array_equal(
-                index.probe_many([{target: cands}] * len(contexts),
-                                 contexts), want)
         for i in range(lo, hi):
             prefix = {a: cols[a][:i] for a in attrs}
             row = {a: cols[a][i] for a in attrs}

@@ -15,7 +15,12 @@ br2000's generic soft DCs (``phi_b2``, ``phi_b3``) count in
   hard), an order DC over a categorical grid past ``MAX_GRID_CELLS``,
   hyper-attribute targets carrying an order DC and a two-attribute DC:
   single-shot, accept-reject and MCMC digests recorded before, and
-  streams equal to the single-shot draw.
+  streams equal to the single-shot draw;
+* the engine's schedule: per constrained column of a traced draw of
+  each dataset, its lane and scheduling counters;
+* the per-row pass counts ``hard_violation_pairs`` when traced: the
+  count equals the rise of the hard DCs' index totals, on random
+  relations under order and two-attribute DCs with violating history.
 """
 
 import dataclasses
@@ -23,12 +28,24 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.constraints import GridViolationIndex, parse_dc
+from repro.constraints import GridViolationIndex, count_violations, parse_dc
 from repro.core import Kamino
-from repro.core.sampling import _ColumnSampler
+from repro.core.engine import (
+    MAX_BLOCK_ROWS, _CellNoise, _ColumnPass, _layout_for,
+)
+from repro.core.hyper import HyperSpec
+from repro.core.params import KaminoParams
+from repro.core.sampling import (
+    _allocate_columns, _allocate_working, _ColumnSampler,
+)
 from repro.datasets import load
-from repro.schema import Table
+from repro.obs.trace import ColumnTrace, RunTrace
+from repro.schema import (
+    Attribute, CategoricalDomain, NumericalDomain, Relation, Table,
+)
 
 
 def _digest(relation, columns: dict) -> str:
@@ -250,3 +267,137 @@ def test_index_served_shapes_take_the_retired_paths(shapes):
                       "wide": ("city", True),
                       "ord_h": ("a12+a10", False),
                       "cross_h": ("a1+a2+a4+a6+a7+a8+a9", True)}
+
+
+# ----------------------------------------------------------------------
+# The engine's schedule
+# ----------------------------------------------------------------------
+_SCHEDULE_KEYS = ("blocks", "rescored_rows", "sequential_rows",
+                  "forced_rows", "hard_violation_pairs")
+
+#: Per constrained column of a traced n=1,500 draw at seed 1,000: the
+#: lane, then the counters of ``_SCHEDULE_KEYS``.
+_SCHEDULES = {
+    "adult": {"edu_num": ("num-blocked", 13, 670, 0, 0, 0),
+              "cap_gain": ("num-sequential", 0, 0, 1500, 0, 0)},
+    "tax": {"child_exemp": ("num-blocked", 17, 1003, 0, 0, 0),
+            "single_exemp": ("num-blocked", 27, 1272, 0, 0, 0),
+            "areacode": ("cat-fd-lane", 3, 441, 0, 0, 59),
+            "zip": ("cat-fd-lane", 3, 612, 0, 0, 0),
+            "city": ("cat-fd-lane", 3, 46, 0, 0, 0),
+            "salary": ("num-sequential", 0, 0, 1500, 0, 0)},
+    "tpch": {"n_name": ("cat-fd-lane", 3, 436, 0, 0, 0),
+             "n_regionkey": ("cat-fd-lane", 3, 368, 0, 0, 0),
+             "c_mktsegment": ("cat-fd-lane", 3, 343, 0, 0, 0),
+             "c_nationkey": ("cat-fd-lane", 3, 435, 0, 0, 0)},
+    "br2000": {"a11": ("num-sequential", 0, 0, 1500, 0, 0),
+               "a5": ("num-sequential", 0, 0, 1500, 0, 0)},
+}
+
+#: The untraced draws' digests, pinned in ``test_draw_digests_pinned``.
+_SEED_1000_DIGESTS = {"adult": "c82b7343b709a030",
+                      "tax": "4c4ef9d65c8826c8",
+                      "tpch": "bf54c77759fc3f05",
+                      "br2000": "9c83c70dfbf6fe80"}
+
+
+@pytest.mark.parametrize("name", sorted(_SCHEDULES))
+def test_engine_schedule_pinned(fits, name):
+    """Lanes and scheduling counters are pure functions of the model, n
+    and seed.  Every lane's ``hard_violation_pairs`` equals the scan
+    engine's count of its column's hard binary DCs in the drawn table
+    (each pass starts from empty indexes), and the traced draw is the
+    untraced one."""
+    fitted = fits(name)
+    trace = RunTrace()
+    table = fitted.sample(n=1500, seed=1000, trace=trace).table
+    assert _table_digest(table) == _SEED_1000_DIGESTS[name]
+    sampler = _ColumnSampler(
+        fitted.model, fitted.relation, fitted.hyper, fitted.dcs,
+        fitted.weights, fitted.params, np.random.default_rng(0))
+    got = {}
+    for col in trace.samples[0].columns:
+        if col.mode == "unconstrained":
+            continue
+        got[col.name] = (col.mode,) + tuple(
+            col.counters.get(key, 0) for key in _SCHEDULE_KEYS)
+        active = sampler.active_at[sampler.wseq.index(col.name)]
+        assert col.counters.get("hard_violation_pairs", 0) == sum(
+            count_violations(dc, table) for dc in active
+            if dc.hard and not dc.is_unary), col.name
+    assert got == _SCHEDULES[name]
+
+
+# ----------------------------------------------------------------------
+# The per-row pass counts hard_violation_pairs
+# ----------------------------------------------------------------------
+_PER_ROW_DCS = {
+    "ord": "not(ti.e == tj.e and ti.y > tj.y and ti.p < tj.p)",
+    "ord0": "not(ti.y > tj.y and ti.p < tj.p)",
+    "cross": "not(ti.y < tj.p and ti.p < tj.y)",
+    "un": "not(ti.y > 20)",
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_per_row_pass_counts_hard_violation_pairs(data):
+    """Traced, the per-row pass counts the violating pairs its rows add
+    under hard binary DCs — the rise of their index totals over the
+    pass — and draws what the untraced pass draws."""
+    names = data.draw(st.lists(st.sampled_from(["cross", "ord", "ord0"]),
+                               min_size=1, max_size=3, unique=True),
+                      label="binary dcs")
+    if data.draw(st.booleans(), label="unary"):
+        names.append("un")
+    hard = {name: data.draw(st.booleans(), label=f"{name} hard")
+            for name in names}
+    width = data.draw(st.integers(1, 40), label="width")
+    n = data.draw(st.integers(1, 80), label="rows")
+    h = data.draw(st.integers(0, 30), label="history")
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    relation = Relation([
+        Attribute("e", CategoricalDomain(["a", "b", "c"])),
+        Attribute("p", NumericalDomain(0, width, integer=True)),
+        Attribute("y", NumericalDomain(0, width, integer=True))])
+    dcs = [parse_dc(_PER_ROW_DCS[name], name=name, hard=hard[name],
+                    relation=relation) for name in names]
+    params = KaminoParams(epsilon=1.0, delta=1e-6, num_candidates=data.draw(
+        st.integers(1, 6), label="candidates"))
+    hyper = HyperSpec.trivial(relation, ["e", "p", "y"])
+    rng = np.random.default_rng(seed)
+    cols0 = _allocate_columns(relation, n)
+    cols0["e"][:] = rng.integers(0, 3, n)
+    cols0["p"][:] = rng.integers(0, width + 1, n)
+    base = ("num", rng.uniform(0, width, n),
+            rng.uniform(0.05, 0.5, n) * width)
+    # Earlier rows with random values, violations included.
+    hist = {"e": rng.integers(0, 3, h), "p": rng.integers(0, width + 1, h),
+            "y": rng.integers(0, width + 1, h).astype(np.float64)}
+
+    def run(tracer):
+        sampler = _ColumnSampler(None, relation, hyper, dcs,
+                                 {name: 1.5 for name in names}, params,
+                                 np.random.default_rng(0))
+        cols = {a: c.copy() for a, c in cols0.items()}
+        wcols = _allocate_working(sampler, cols, n)
+        layout = _layout_for(sampler, 2, base)
+        col = _ColumnPass(sampler, 2, base, layout,
+                          _CellNoise(seed, 4, layout.stride, 16, n),
+                          cols, wcols, tracer=tracer, row_offset=h)
+        for i in range(h):
+            for index in col.vio.values():
+                index.append_from(hist, i)
+        before = {name: index.total() for name, index in col.vio.items()}
+        col.fill(n, MAX_BLOCK_ROWS)
+        rise = sum(index.total() - before[name]
+                   for name, index in col.vio.items() if hard[name])
+        return cols["y"], rise
+
+    trace = ColumnTrace("y")
+    drawn, rise = run(trace)
+    assert trace.mode == "num-sequential"
+    assert trace.counters["sequential_rows"] == n
+    assert trace.counters.get("hard_violation_pairs", 0) == rise
+    untraced, _ = run(None)
+    np.testing.assert_array_equal(drawn, untraced)

@@ -5,16 +5,18 @@ Pins four things:
 * the extended :class:`ArrayFDViolationIndex` (composite determinants
   by mixed-radix code, numerical dependents by rank on their value
   grid) answers like the dict-backed index and the scan engine;
-* the window lane draws the same column as the conflict-free-block
-  path over dict-backed indexes (kept below as the reference), in one
-  pass and across streamed ``_PassState`` chunks, on random relations
-  with hard and soft FDs, FD-lookup forced rows, a unary DC and groups
-  already holding several values;
+* the window lane draws the same column as the per-row pass over
+  dict-backed indexes (the reference), in one pass and across streamed
+  ``_PassState`` chunks, on random relations with hard and soft FDs,
+  FD-lookup forced rows, a unary DC and groups already holding several
+  values, and both count ``hard_violation_pairs`` when traced;
 * draw digests recorded before the lane replaced those blocks (adult
   ``edu_num``, tax ``child_exemp``/``single_exemp``): single-shot,
   sharded, FD-lookup, MCMC, accept-reject and per-row reference-loop
   (``row_reference``) draws; large shapes are ``slow``;
 * adult and tax streams in full chunks equal their single-shot draws;
+* a numerical column under unary DCs alone runs the window lane with no
+  FD table, and draws what the per-row pass draws;
 * a numerical dependent that also takes fresh values (the determinant
   of a hard FD) keeps its FDs on the dict index, and draws through
   every path as it did there.
@@ -39,8 +41,7 @@ from repro.constraints.violations import multi_candidate_violation_counts
 from repro.core import Kamino
 from repro.core import sampling as sampling_mod
 from repro.core.engine import (
-    _CellNoise, _ColumnPass, _conflict_blocks, _conflict_keys, _layout_for,
-    _OffsetNoise, _PassState,
+    _CellNoise, _ColumnPass, _layout_for, _OffsetNoise, _PassState,
 )
 from repro.core.hyper import HyperSpec
 from repro.core.params import KaminoParams
@@ -49,7 +50,7 @@ from repro.core.sampling import (
 )
 from repro.core.training import HistogramModel
 from repro.datasets import load
-from repro.obs.trace import ColumnTrace
+from repro.obs.trace import ColumnTrace, RunTrace
 from repro.schema import (
     Attribute, CategoricalDomain, NumericalDomain, Relation, Table,
 )
@@ -149,10 +150,6 @@ def test_fd_table_matches_dict_index_and_scan(data):
         ranks = index.dep_ranks(cands)
         np.testing.assert_array_equal(
             index.counts_at(group, ranks[None, :])[0], want)
-    per_row = [{"y": cands} for _ in contexts]
-    np.testing.assert_array_equal(
-        index.probe_many(per_row, contexts),
-        dict_index.probe_many(per_row, contexts))
     if off.size:
         bad = {a: np.array([0]) for a in dets}
         bad["y"] = off[:1]
@@ -164,17 +161,9 @@ def test_fd_table_matches_dict_index_and_scan(data):
 
 
 # ----------------------------------------------------------------------
-# Reference: the conflict-free-block path over dict-backed indexes
+# The window lane against its reference: the per-row pass over
+# dict-backed indexes
 # ----------------------------------------------------------------------
-def reference_blocks(col: _ColumnPass, n: int, max_block: int) -> None:
-    """Conflict-free blocks (no two rows of a block share an FD group),
-    each scored in one shot by ``process_block`` — the numerical lane
-    before the window lane."""
-    specs = _conflict_keys(col.sampler, col.j)
-    for lo, hi in _conflict_blocks(specs, col.cols, n, max_block):
-        col.process_block(lo, hi)
-
-
 @st.composite
 def num_fd_scenarios(draw):
     det_sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
@@ -272,9 +261,15 @@ def _fold_history(sc, sampler, vio: dict, fd_indexes: list) -> int:
     return h
 
 
+def _hard_pairs_added(specs, before: dict) -> int:
+    """The rise of the hard FDs' index totals since ``before``."""
+    return sum(index.total() - before[dc.name]
+               for dc, _, index in specs if index is not None and dc.hard)
+
+
 @settings(max_examples=80, deadline=None)
 @given(sc=num_fd_scenarios())
-def test_window_lane_equals_conflict_free_blocks(sc):
+def test_window_lane_equals_the_per_row_pass(sc):
     case = _num_fd_case(sc)
     relation, cols0, base = case[0], case[5], case[6]
     n, j = sc["n"], len(sc["det_sizes"])
@@ -296,23 +291,31 @@ def test_window_lane_equals_conflict_free_blocks(sc):
     specs = lane._num_fd_specs()
     assert specs is not None
     before = {name: index.total() for name, index in lane.vio.items()}
-    lane.fill(n, _conflict_keys(lane.sampler, j), sc["max_block"])
+    lane.fill(n, sc["max_block"])
     assert trace.mode == "num-blocked"
 
+    ref_trace = ColumnTrace("y")
     with mock.patch.object(sampling_mod, "build_fd_table_index",
                            return_value=None):
-        ref = fresh_pass()
+        ref = fresh_pass(ref_trace)
     assert all(type(index) is FDViolationIndex for index in ref.vio.values())
     assert ref._num_fd_specs() is None
-    reference_blocks(ref, n, sc["max_block"])
+    ref_specs = [(dc, weight, ref.vio.get(dc.name))
+                 for dc, weight, _ in specs]
+    ref_before = {name: index.total() for name, index in ref.vio.items()}
+    ref.fill(n, sc["max_block"])
+    assert ref_trace.mode == "num-sequential"
     np.testing.assert_array_equal(lane.cols["y"], ref.cols["y"])
     for name, index in lane.vio.items():
         assert index.total() == ref.vio[name].total()
         assert len(index) == len(ref.vio[name]) == n + sc["history"]
-    hard_pairs = sum(index.total() - before[dc.name]
-                     for dc, _, index in specs
-                     if index is not None and dc.hard)
+    hard_pairs = _hard_pairs_added(specs, before)
+    assert _hard_pairs_added(ref_specs, ref_before) == hard_pairs
     assert trace.counters.get("hard_violation_pairs", 0) == hard_pairs
+    assert ref_trace.counters.get("hard_violation_pairs", 0) == hard_pairs
+    assert ref_trace.counters["sequential_rows"] == n
+    assert ref_trace.counters.get("forced_rows", 0) == \
+        trace.counters.get("forced_rows", 0)
     assert trace.counters.get("block_rows", 0) == \
         n + trace.counters.get("rescored_rows", 0) \
         - trace.counters.get("forced_rows", 0)
@@ -324,7 +327,6 @@ def test_window_lane_equals_conflict_free_blocks(sc):
     state = _PassState(vio=sampler.violation_indexes_for(j),
                        fd_indexes=sampler.fd_indexes_for(j), used=None)
     h = _fold_history(sc, sampler, state.vio, state.fd_indexes)
-    specs = _conflict_keys(sampler, j)
     out = []
     for off in range(0, n, sc["chunk"]):
         m = min(sc["chunk"], n - off)
@@ -335,8 +337,7 @@ def test_window_lane_equals_conflict_free_blocks(sc):
         cwcols = _allocate_working(sampler, ccols, m)
         _ColumnPass(sampler, j, _rows(base, off, off + m), layout,
                     _OffsetNoise(noise, off), ccols, cwcols, state=state,
-                    row_offset=h + off).fill(
-                        m, specs, sc["max_block"])
+                    row_offset=h + off).fill(m, sc["max_block"])
         out.append(ccols["y"])
     np.testing.assert_array_equal(np.concatenate(out), ref.cols["y"])
 
@@ -482,6 +483,50 @@ def test_streams_in_full_chunks_equal_the_single_shot_draw(fits, name,
     columns = {a: np.concatenate([c.column(a) for c in chunks])
                for a in fitted.relation.names}
     assert _digest(fitted.relation, columns) == digest
+
+
+# ----------------------------------------------------------------------
+# Unary DCs alone: the window lane with no FD
+# ----------------------------------------------------------------------
+def _hours_column_trace(trace: RunTrace):
+    (col,) = [c for c in trace.samples[0].columns if c.name == "hours"]
+    return col
+
+
+@pytest.mark.parametrize("hard", [True, False])
+def test_unary_only_numerical_column_runs_full_windows(fits, hard):
+    """Adult ``hours`` under one unary DC: every window keeps all its
+    rows, a 777-row-chunk stream equals the single-shot draw, the
+    per-row pass draws the same column, and the hard DC holds."""
+    fitted = fits("adult")
+    dc = parse_dc("not(ti.hours > 60)", name="u_hours", hard=hard,
+                  relation=fitted.relation)
+    unary = dataclasses.replace(fitted, dcs=[*fitted.dcs, dc],
+                                weights={**fitted.weights, "u_hours": 2.0})
+    trace = RunTrace()
+    table = unary.sample(n=3000, seed=5, trace=trace).table
+    col = _hours_column_trace(trace)
+    assert col.mode == "num-blocked"
+    assert col.counters == {"blocks": 6, "block_rows": 3000,
+                            "block_rows_max": 512}
+    digest = _table_digest(table)
+    chunks = list(unary.sample_stream(n=3000, seed=5, chunk_rows=777))
+    assert _digest(unary.relation, {
+        a: np.concatenate([c.column(a) for c in chunks])
+        for a in unary.relation.names}) == digest
+
+    window_specs = _ColumnPass._num_fd_specs
+
+    def per_row_hours(self):
+        return None if self.w == "hours" else window_specs(self)
+
+    ref_trace = RunTrace()
+    with mock.patch.object(_ColumnPass, "_num_fd_specs", per_row_hours):
+        ref = unary.sample(n=3000, seed=5, trace=ref_trace).table
+    assert _hours_column_trace(ref_trace).mode == "num-sequential"
+    assert _table_digest(ref) == digest
+    violations = count_violations(dc, table)
+    assert violations == 0 if hard else violations > 0
 
 
 # ----------------------------------------------------------------------

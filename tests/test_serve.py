@@ -701,7 +701,8 @@ def test_registry_quarantines_load_failure(tmp_path, tpch):
 
 
 @pytest.mark.parametrize("knob, value", [("workers", -1),
-                                         ("chunk_rows", 0)])
+                                         ("chunk_rows", 0),
+                                         ("pool", "fiber")])
 def test_serve_config_rejects_bad_draw_knobs(tmp_path, knob, value):
     """Caught when the server is configured, not as a 500 per render."""
     with pytest.raises(ValueError, match=rf"{knob} must be"):
