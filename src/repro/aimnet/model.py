@@ -13,7 +13,10 @@ Architecture (§2.3, following AimNet):
   decodes predictions back to raw units.
 
 The full forward/backward is hand-derived and covered by gradcheck
-tests; backward supports per-sample gradients for DP-SGD.
+tests; backward supports per-sample gradients for DP-SGD.  Inference
+(:meth:`AimNet.predict_proba`, :meth:`AimNet.predict_gaussian`) runs
+one :data:`INFERENCE_TILE` of rows at a time, so its scratch arrays
+stay tile-sized whatever the batch.
 """
 
 from __future__ import annotations
@@ -26,6 +29,12 @@ from repro.nn.attention import Attention
 from repro.nn.losses import cross_entropy_loss, gaussian_nll_loss
 from repro.nn.parameter import Parameter
 from repro.aimnet.store import EmbeddingStore
+
+#: Rows per inference tile.  Pure scheduling: the embedding gathers,
+#: the per-example attention products and the encoder and logit
+#: products give every row the same bits in any batch of two or more
+#: rows (``tests/test_aimnet.py`` pins this).
+INFERENCE_TILE = 2048
 
 
 class AimNet(Module):
@@ -98,23 +107,25 @@ class AimNet(Module):
 
         Returns logits ``(batch, |y|)`` for categorical targets or
         ``(mu_std, log_sigma_std)`` (standardized space) for numerical
-        targets.  ``cache=False`` is the inference forward: no layer
-        keeps the batch arrays :meth:`backward` would need, so a model
-        that has drawn holds no copy of its last batch.
+        targets.  ``cache=False`` keeps none of the batch arrays
+        :meth:`backward` would need.
         """
         context = self._encode_context(batch_cols, cache)
         ctx = self.attention.forward(context, cache)
         if self.target_is_categorical:
-            table = self.target_embedding.table.value
-            scale = 1.0 / np.sqrt(self.dim)
-            logits = ctx @ table.T * scale + self.out_bias.value
             if cache:
-                self._cache = ("cat", ctx, scale)
-            return logits
+                self._cache = ("cat", ctx, 1.0 / np.sqrt(self.dim))
+            return self._logits(ctx)
         out = self.head.forward(ctx, cache)
         if cache:
             self._cache = ("num", ctx)
         return out[:, 0], out[:, 1]
+
+    def _logits(self, ctx: np.ndarray) -> np.ndarray:
+        """Scaled dot products of the context vectors with the target
+        embeddings, plus the bias: (batch, |y|)."""
+        table = self.target_embedding.table.value
+        return ctx @ table.T * (1.0 / np.sqrt(self.dim)) + self.out_bias.value
 
     # ------------------------------------------------------------------
     # Backward
@@ -171,20 +182,53 @@ class AimNet(Module):
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
+    def _context_tiles(self, batch_cols: dict, n: int):
+        """Yield ``(lo, hi, ctx)``: the context vectors of rows
+        ``[lo, hi)`` of the ``n``-row batch, one :data:`INFERENCE_TILE`
+        at a time, cache-free.
+
+        BLAS routes a 1-row product through another kernel (gemv) whose
+        reduction order can drift an ulp from the gemm of a larger
+        batch, so a 1-row tile (``n = 1``, or the last tile of
+        ``n = 2049``) runs duplicated: ``ctx`` then has two rows, and a
+        caller keeps the first ``hi - lo`` rows of its products.
+        """
+        for lo in range(0, n, INFERENCE_TILE):
+            hi = min(lo + INFERENCE_TILE, n)
+            rows = slice(lo, hi) if hi - lo > 1 else [lo, lo]
+            tile = {a: np.asarray(batch_cols[a])[rows]
+                    for a in self.context_attrs}
+            context = self._encode_context(tile, cache=False)
+            yield lo, hi, self.attention.forward(context, cache=False)
+
     def predict_proba(self, batch_cols: dict) -> np.ndarray:
         """Conditional distribution over the categorical target domain."""
         if not self.target_is_categorical:
             raise ValueError("predict_proba requires a categorical target")
-        logits = self.forward(batch_cols, cache=False)
-        return softmax(logits, axis=1)
+        n = len(batch_cols[self.context_attrs[0]])
+        probs = np.empty((n, self.out_bias.value.shape[0]))
+        for lo, hi, ctx in self._context_tiles(batch_cols, n):
+            probs[lo:hi] = softmax(self._logits(ctx), axis=1)[:hi - lo]
+        return probs
 
     def predict_gaussian(self, batch_cols: dict) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row (mu, sigma) of the numerical target, in raw units."""
+        """Per-row (mu, sigma) of the numerical target, in raw units.
+
+        The context vectors are computed tile by tile, but the ``d x 2``
+        head runs once over all of them: its last bits depend on the
+        batch size, so a tiled head could move draws.  It too runs a
+        1-row batch duplicated.
+        """
         if self.target_is_categorical:
             raise ValueError("predict_gaussian requires a numerical target")
-        mu_std, log_sigma_std = self.forward(batch_cols, cache=False)
-        log_sigma_std = np.clip(log_sigma_std, -6.0, 6.0)
-        mu = mu_std * self._t_scale + self._t_mid
+        n = len(batch_cols[self.context_attrs[0]])
+        ctx = np.empty((n, self.dim))
+        for lo, hi, tile in self._context_tiles(batch_cols, n):
+            ctx[lo:hi] = tile[:hi - lo]
+        out = self.head.forward(ctx if n != 1 else ctx[[0, 0]],
+                                cache=False)[:n]
+        log_sigma_std = np.clip(out[:, 1], -6.0, 6.0)
+        mu = out[:, 0] * self._t_scale + self._t_mid
         sigma = np.exp(log_sigma_std) * self._t_scale
         return mu, sigma
 

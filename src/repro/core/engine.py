@@ -54,9 +54,13 @@ bit-identical to the plain single-worker draw, pinned by
     processes as compact picklable specs (row indices + gathered
     context slices + the noise key); each worker holds one
     :class:`_ColumnSampler` built from the model payload at pool init
-    and recomputes its base conditional locally (the conditional is
-    row-pure).  Outputs stitch back by row index — bit-identical to
-    ``workers=1`` because every cell's noise is position-pure.
+    and recomputes its base conditional locally.  The conditional is
+    row-pure with one exception: a numerical target's ``d x 2`` head,
+    whose last bits can depend on the batch size (the same cause as a
+    partial stream chunk's drift), so a numerical shard's base can
+    differ from the parent's in the last ulp.  Outputs stitch back by
+    row index — bit-identical to ``workers=1`` (pinned) because every
+    cell's noise is position-pure.
 
 5.  **Streaming chunked draws** (:func:`synthesize_stream`): the same
     column passes run chunk-major with per-column state (violation
@@ -126,8 +130,9 @@ STREAM_CHUNK_ROWS = 65536
 
 #: Bounds on the per-column chunk caches (noise matrices and base
 #: candidate matrices).  Small LRUs: a streaming n=10M draw touches
-#: thousands of chunks but only ever needs the last few.
-_NOISE_CACHE_CHUNKS = 4
+#: thousands of chunks, but lanes walk rows forward, and a contiguous
+#: tile, block or window spans at most two chunks.
+_NOISE_CACHE_CHUNKS = 2
 _BASE_CACHE_CHUNKS = 2
 
 #: The rng spec persisted with every fitted model.
@@ -204,6 +209,9 @@ class _CellNoise:
     chunk)``.  Chunks are fixed, so any row range regenerates the same
     values regardless of block boundaries or which worker asks.
     """
+
+    #: Global row of local row 0 (:class:`_OffsetNoise` shifts it).
+    offset = 0
 
     def __init__(self, seed: int, tag: int, stride: int,
                  chunk: int = NOISE_CHUNK, n_rows: int | None = None):
@@ -340,8 +348,27 @@ def _layout_for(sampler: _ColumnSampler, j: int, base) -> _Layout:
 # Unconstrained columns: fully vectorized, shardable across workers
 # ----------------------------------------------------------------------
 def _draw_unconstrained(sampler: _ColumnSampler, j: int, base,
-                        layout: _Layout, noise: _CellNoise, cols: dict,
+                        layout: _Layout, noise, cols: dict,
                         wcols: dict, lo: int, hi: int) -> None:
+    """Draw rows [lo, hi) of an unconstrained column, one noise chunk
+    at a time.
+
+    Tiles end where the noise stream's chunks do (in global rows), so a
+    tile reads one cached chunk as a view and every scratch array is
+    tile-sized; each cell reads its own noise, so the tiling never
+    changes one.
+    """
+    step = noise.chunk
+    while lo < hi:
+        end = min(hi, lo + step - (lo + noise.offset) % step)
+        _draw_unconstrained_tile(sampler, j, base, layout, noise, cols,
+                                 wcols, lo, end)
+        lo = end
+
+
+def _draw_unconstrained_tile(sampler: _ColumnSampler, j: int, base,
+                             layout: _Layout, noise, cols: dict,
+                             wcols: dict, lo: int, hi: int) -> None:
     w = sampler.wseq[j]
     wattr = sampler.wrel[w]
     u = noise.rows(lo, hi)
@@ -1423,8 +1450,10 @@ def _pool_unconstrained(j: int, lo: int, hi: int, noise_key: tuple,
     """Worker-side contiguous unconstrained shard.
 
     The base conditional is row-pure, so recomputing it over the
-    gathered context slices equals the parent's full-table slice; the
-    noise key addresses global rows, so the draw is position-exact.
+    gathered context slices equals the parent's full-table slice —
+    except a numerical target's head, whose last bits can depend on the
+    batch size; the noise key addresses global rows, so the draw is
+    position-exact.
     """
     fault_point("engine.worker")
     s = _POOL_SAMPLER
@@ -1727,11 +1756,14 @@ def synthesize_stream(model, relation, dcs, weights, n: int, params,
     boundaries are pure scheduling, and the per-column constraint state
     (:class:`_PassState`: violation indexes, FD lookups, used-value
     sets) persists across chunks exactly as one long pass would build
-    it.  Peak memory holds one ``chunk_rows``-row table plus that
-    per-column index state — never the full ``n`` rows.  Every DC shape
-    streams: binary DCs count in their indexes, unary ones on the row
-    alone.  ``mcmc_m > 0`` is rejected: the refinement re-reads the
-    whole instance.
+    it.  Peak memory holds one ``chunk_rows``-row table, each
+    categorical column's (chunk_rows, V) base, a numerical target's
+    (chunk_rows, d) context vectors and that per-column index state;
+    every other scratch array is one inference tile or noise chunk —
+    never the full ``n`` rows.  Every DC shape streams: binary DCs
+    count in their indexes, unary ones on the row alone.
+    ``mcmc_m > 0`` is rejected: the refinement re-reads the whole
+    instance.
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")

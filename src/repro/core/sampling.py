@@ -5,8 +5,9 @@ Algorithm 3 walks the working schema sequence attribute by attribute and
 tuple by tuple.  For each cell it combines
 
 * the learned conditional ``p_{v|c}`` from the probabilistic data model
-  (batched over all rows — the conditional does not depend on the DC
-  state, so one forward pass per attribute suffices), and
+  (it does not depend on the DC state, so each attribute's sub-model
+  runs once per draw or stream chunk, over every row, one inference
+  tile at a time — :data:`repro.aimnet.model.INFERENCE_TILE`), and
 * the violation penalty ``exp(- sum_phi w_phi * vio_phi,v)`` against the
   already-sampled prefix (Algorithm 3, lines 7-10),
 
@@ -174,32 +175,24 @@ class _ColumnSampler:
         Returns ``("cat", logp)`` with ``logp`` of shape (n, V), or
         ``("num", mu, sigma)`` for numerical sub-model targets, or
         ``("numhist", hist)`` for histogram-modeled numerical targets.
+        A first or independent categorical column's ``logp`` is a
+        read-only broadcast view of its one histogram row, so no lane
+        may write into a base: lanes score into arrays of their own.
         """
         w = self.wseq[j]
         wattr = self.wrel[w]
         if j == 0 or w in self.model.independent:
             hist = self.model.first if j == 0 else self.model.independent[w]
             if wattr.is_categorical:
-                logp = np.tile(hist.log_prob_codes(), (n, 1))
-                return ("cat", logp)
+                row = hist.log_prob_codes()
+                return ("cat", np.broadcast_to(row, (n, row.shape[0])))
             return ("numhist", hist)
         batch_cols = {a: wcols[a] for a in self.model.context_attrs[w]}
-        # BLAS routes a 1-row batch through a different kernel (gemv)
-        # whose reduction order can drift an ulp from the row-sliced
-        # gemm of a larger batch.  Duplicate the row so every schedule
-        # (single-shot, sharded, streamed) sees the same row-pure gemm.
-        pad = n == 1
-        if pad:
-            batch_cols = {a: np.repeat(c[:1], 2)
-                          for a, c in batch_cols.items()}
         if wattr.is_categorical:
-            probs = self.model.conditional(w, batch_cols)
-            if pad:
-                probs = probs[:1]
-            return ("cat", np.log(np.maximum(probs, 1e-300)))
+            logp = self.model.conditional(w, batch_cols)
+            np.maximum(logp, 1e-300, out=logp)
+            return ("cat", np.log(logp, out=logp))
         mu, sigma = self.model.conditional(w, batch_cols)
-        if pad:
-            mu, sigma = mu[:1], sigma[:1]
         return ("num", mu, np.maximum(sigma, 1e-9))
 
     def candidates_for_row(self, j: int, base, i: int,

@@ -1,10 +1,21 @@
-"""AimNet discriminative model tests."""
+"""AimNet discriminative model tests.
+
+Besides shapes, gradients and training, the module pins the row-purity
+the tiled inference relies on: :meth:`AimNet.predict_proba` and
+:meth:`AimNet.predict_gaussian` of every sub-model of the four
+benchmark datasets' fits equal, bit for bit, the whole-batch forward
+they replaced, at batch sizes around the inference tile.
+"""
 
 import numpy as np
 import pytest
 
 from repro.aimnet import AimNet, EmbeddingStore
+from repro.aimnet.model import INFERENCE_TILE
+from repro.core import Kamino
+from repro.datasets import load
 from repro.nn import gradcheck
+from repro.nn.functional import softmax
 from repro.nn.losses import cross_entropy_loss
 from repro.schema import (
     Attribute, CategoricalDomain, NumericalDomain, Relation,
@@ -117,3 +128,107 @@ class TestAimNet:
                                      "x1": np.array([5.0])})
         assert w.shape == (1, 2)
         np.testing.assert_allclose(w.sum(), 1.0)
+
+
+# ----------------------------------------------------------------------
+# Tiled inference against the whole-batch forward
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def fits():
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            ds = load(name, n=800, seed=1)
+            cache[name] = Kamino(ds.relation, ds.dcs, epsilon=1.0,
+                                 delta=1e-6, seed=1).fit(ds.table)
+        return cache[name]
+    return get
+
+
+def _random_column(attr, n: int, rng) -> np.ndarray:
+    if attr.is_categorical:
+        return rng.integers(0, attr.domain.size, n)
+    return rng.uniform(attr.domain.low, attr.domain.high, n)
+
+
+def _whole_batch(model: AimNet, batch: dict) -> tuple:
+    """Inference as one untiled ``forward``: every product over the
+    whole batch, a 1-row batch run duplicated."""
+    n = len(batch[model.context_attrs[0]])
+    if n == 1:
+        batch = {a: np.repeat(c, 2) for a, c in batch.items()}
+    if model.target_is_categorical:
+        return (softmax(model.forward(batch, cache=False), axis=1)[:n],)
+    mu_std, log_sigma_std = model.forward(batch, cache=False)
+    log_sigma_std = np.clip(log_sigma_std, -6.0, 6.0)
+    mu = mu_std * model._t_scale + model._t_mid
+    sigma = np.exp(log_sigma_std) * model._t_scale
+    return mu[:n], sigma[:n]
+
+
+def _products(model: AimNet, batch: dict) -> dict:
+    """The named products a tile runs, over one (padded) batch."""
+    n = len(batch[model.context_attrs[0]])
+    if n == 1:
+        batch = {a: np.repeat(c, 2) for a, c in batch.items()}
+    out = {f"encoder {a}": model.encoders[a].forward(batch[a], cache=False)
+           for a in model.context_attrs}
+    context = np.stack(list(out.values()), axis=1)
+    out["attention"] = model.attention.forward(context, cache=False)
+    if model.target_is_categorical:
+        out["logits"] = model.forward(batch, cache=False)
+        out["softmax"] = softmax(out["logits"], axis=1)
+    return {name: value[:n] for name, value in out.items()}
+
+
+def _drifting_product(model: AimNet, batch: dict) -> str:
+    """Name the first product whose tiled rows differ from its
+    whole-batch rows."""
+    n = len(batch[model.context_attrs[0]])
+    whole = _products(model, batch)
+    tiles = [_products(model, {a: c[lo:lo + INFERENCE_TILE]
+                               for a, c in batch.items()})
+             for lo in range(0, n, INFERENCE_TILE)]
+    for name, value in whole.items():
+        tiled = np.concatenate([t[name] for t in tiles])
+        if tiled.tobytes() != value.tobytes():
+            return f"the {name} product is not row-pure"
+    return "every tiled product is row-pure, so the tiling is at fault"
+
+
+@pytest.mark.parametrize("name", ["adult", "tax", "tpch", "br2000"])
+def test_tiled_inference_matches_the_whole_batch(fits, name, monkeypatch):
+    """Every product a tile runs is row-pure for batches of two or more
+    rows, so tiles (a 1-row last tile included) and the whole batch
+    give the same bits; a numerical target's head, whose last bits
+    depend on the batch size, still sees the whole batch.  A failure
+    names the product that drifted."""
+    assert INFERENCE_TILE == 2048
+    fitted = fits(name)
+    wrel = fitted.hyper.working_relation
+    rng = np.random.default_rng(0)
+    sizes = (0, 1, 2, 7, 2047, 2048, 2049, 4097)
+    for target, sub in fitted.model.submodels.items():
+        cols = {a: _random_column(wrel[a], sizes[-1], rng)
+                for a in sub.context_attrs}
+        for n in sizes:
+            batch = {a: c[:n] for a, c in cols.items()}
+            head_rows = []
+            if not sub.target_is_categorical:
+                head = sub.head.forward
+                monkeypatch.setattr(
+                    sub.head, "forward",
+                    lambda x, cache=True: (head_rows.append(x.shape[0]),
+                                           head(x, cache))[1])
+                got = sub.predict_gaussian(batch)
+                monkeypatch.undo()
+                assert head_rows == [2 if n == 1 else n]
+            else:
+                got = (sub.predict_proba(batch),)
+            want = _whole_batch(sub, batch)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == (n,) + w.shape[1:]
+                assert g.tobytes() == w.tobytes(), (
+                    f"{name} {target} n={n}: "
+                    f"{_drifting_product(sub, batch)}")

@@ -8,6 +8,9 @@ br2000's generic soft DCs (``phi_b2``, ``phi_b3``) count in
   Fenwick order groups and the generic DCs' prefix scans: the four
   benchmark datasets at two seeds, a ``workers=2`` process-pool draw and
   MCMC draws over order and generic DCs (large shapes are ``slow``);
+* draws of 2,049 and 4,097 rows, whose last inference and noise tiles
+  hold one row, recorded before those tiles existed, at ``workers=1``
+  and ``2``;
 * br2000 streams — its generic DCs needed the sampled prefix before —
   and the streamed draw equals the single-shot one;
 * the shapes a prefix scan or the sorted order index answered before
@@ -124,6 +127,31 @@ _SLOW = pytest.mark.slow
 ])
 def test_draw_digests_pinned(fits, name, n, seed, digest):
     assert _table_digest(fits(name).sample(n=n, seed=seed).table) == digest
+
+
+@pytest.mark.parametrize("name, n, digest", [
+    ("adult", 2049, "441aa80ec242d29c"),
+    ("adult", 4097, "5b74efff9b35c07b"),
+    ("tax", 2049, "df3b5c277e01956e"),
+    ("tax", 4097, "d9e747ae3d80c29b"),
+    ("tpch", 2049, "1a7cd2eb3ee1cf74"),
+    ("tpch", 4097, "7073ab099c66e45b"),
+    ("br2000", 2049, "aeca64f7f9460de6"),
+    ("br2000", 4097, "5fc53f676be69c7d"),
+])
+def test_one_row_last_tile_pinned(fits, name, n, digest):
+    """Draws whose last inference tile and last noise tile hold one row
+    (at ``workers=2`` a process shard of 2,049 rows ends in one too),
+    pinned before the forward and the unconstrained lane were tiled.
+    Run unpadded, adult's 1-row last tile moves the 4,097-row draw."""
+    fitted = fits(name)
+    assert _table_digest(fitted.sample(n=n, seed=1004).table) == digest
+    table = fitted.sample(n=n, seed=1004, workers=2, pool="thread").table
+    assert _table_digest(table) == digest
+    if n == 4097:
+        table = fitted.sample(n=n, seed=1004, workers=2,
+                              pool="process").table
+        assert _table_digest(table) == digest
 
 
 @pytest.mark.parametrize("n, digest", [
