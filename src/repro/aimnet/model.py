@@ -16,7 +16,10 @@ The full forward/backward is hand-derived and covered by gradcheck
 tests; backward supports per-sample gradients for DP-SGD.  Inference
 (:meth:`AimNet.predict_proba`, :meth:`AimNet.predict_gaussian`) runs
 one :data:`INFERENCE_TILE` of rows at a time, so its scratch arrays
-stay tile-sized whatever the batch.
+stay tile-sized whatever the batch.  Rows with equal context values
+share one conditional, so a caller may run the encoders and the
+attention once per distinct context tuple (:meth:`AimNet.distinct_rows`)
+and gather the results back to every row.
 """
 
 from __future__ import annotations
@@ -201,6 +204,43 @@ class AimNet(Module):
             context = self._encode_context(tile, cache=False)
             yield lo, hi, self.attention.forward(context, cache=False)
 
+    def distinct_rows(self, batch_cols: dict):
+        """``(rows, inverse)`` over the batch's distinct context tuples:
+        ``rows`` holds one row index per distinct tuple and ``inverse``
+        maps every row to its tuple's position in ``rows``.  ``None``
+        when more than half the rows are distinct, where gathering
+        would cost more than it saves.
+
+        The key reads exactly what the encoders read: categorical codes
+        in mixed radix by embedding size, numerical values by their
+        float64 bit patterns (so ``0.0`` and ``-0.0`` stay apart),
+        re-densified before the key would overflow int64.
+        """
+        n = len(batch_cols[self.context_attrs[0]])
+        key = np.zeros(n, dtype=np.int64)
+        radix = 1
+        for a in self.context_attrs:
+            encoder = self.encoders[a]
+            if isinstance(encoder, Embedding):
+                codes = np.asarray(batch_cols[a], dtype=np.int64)
+                size = encoder.num_values
+            else:
+                values = np.asarray(batch_cols[a], dtype=np.float64)
+                seen, codes = np.unique(values.view(np.int64),
+                                        return_inverse=True)
+                size = seen.shape[0]
+            if radix * size > 2 ** 62:
+                seen, key = np.unique(key, return_inverse=True)
+                radix = seen.shape[0]
+            key = key * size + codes
+            radix *= size
+        seen, inverse = np.unique(key, return_inverse=True)
+        if 2 * seen.shape[0] > n:
+            return None
+        rows = np.empty(seen.shape[0], dtype=np.int64)
+        rows[inverse] = np.arange(n)
+        return rows, inverse
+
     def predict_proba(self, batch_cols: dict) -> np.ndarray:
         """Conditional distribution over the categorical target domain."""
         if not self.target_is_categorical:
@@ -211,20 +251,28 @@ class AimNet(Module):
             probs[lo:hi] = softmax(self._logits(ctx), axis=1)[:hi - lo]
         return probs
 
-    def predict_gaussian(self, batch_cols: dict) -> tuple[np.ndarray, np.ndarray]:
+    def predict_gaussian(self, batch_cols: dict,
+                         inverse: np.ndarray | None = None,
+                         ) -> tuple[np.ndarray, np.ndarray]:
         """Per-row (mu, sigma) of the numerical target, in raw units.
 
-        The context vectors are computed tile by tile, but the ``d x 2``
-        head runs once over all of them: its last bits depend on the
-        batch size, so a tiled head could move draws.  It too runs a
-        1-row batch duplicated.
+        With ``inverse`` (from :meth:`distinct_rows`), ``batch_cols``
+        holds the distinct context tuples and the output has one row per
+        entry of ``inverse``: the context vectors are computed once per
+        tuple and gathered.  They are computed tile by tile, but the
+        ``d x 2`` head runs once over all ``n`` gathered rows: its last
+        bits depend on the batch size, so a tiled or deduplicated head
+        could move draws.  It too runs a 1-row batch duplicated.
         """
         if self.target_is_categorical:
             raise ValueError("predict_gaussian requires a numerical target")
-        n = len(batch_cols[self.context_attrs[0]])
-        ctx = np.empty((n, self.dim))
-        for lo, hi, tile in self._context_tiles(batch_cols, n):
+        k = len(batch_cols[self.context_attrs[0]])
+        ctx = np.empty((k, self.dim))
+        for lo, hi, tile in self._context_tiles(batch_cols, k):
             ctx[lo:hi] = tile[:hi - lo]
+        if inverse is not None:
+            ctx = ctx[inverse]
+        n = ctx.shape[0]
         out = self.head.forward(ctx if n != 1 else ctx[[0, 0]],
                                 cache=False)[:n]
         log_sigma_std = np.clip(out[:, 1], -6.0, 6.0)

@@ -54,13 +54,13 @@ bit-identical to the plain single-worker draw, pinned by
     processes as compact picklable specs (row indices + gathered
     context slices + the noise key); each worker holds one
     :class:`_ColumnSampler` built from the model payload at pool init
-    and recomputes its base conditional locally.  The conditional is
-    row-pure with one exception: a numerical target's ``d x 2`` head,
-    whose last bits can depend on the batch size (the same cause as a
-    partial stream chunk's drift), so a numerical shard's base can
-    differ from the parent's in the last ulp.  Outputs stitch back by
-    row index — bit-identical to ``workers=1`` (pinned) because every
-    cell's noise is position-pure.
+    and recomputes a categorical base conditional locally, which is
+    row-pure.  A numerical target's base ships as the parent's rows
+    of ``(mu, sigma)`` instead: its ``d x 2`` head's last bits depend
+    on the batch size (the same cause as a partial stream chunk's
+    drift), so a worker's shard-sized head could move cells.  Outputs
+    stitch back by row index — bit-identical to ``workers=1`` (pinned)
+    because every cell's noise is position-pure.
 
 5.  **Streaming chunked draws** (:func:`synthesize_stream`): the same
     column passes run chunk-major with per-column state (violation
@@ -1413,12 +1413,22 @@ def _run_shard_pass(sampler: _ColumnSampler, j: int, base, layout,
                 wcols_g).fill(m, max_block)
 
 
-def _context_attrs(sampler: _ColumnSampler, j: int) -> list:
-    """Working attributes the base conditional of position ``j`` reads."""
+def _shard_base(sampler: _ColumnSampler, j: int, base, wcols: dict,
+                rows) -> tuple:
+    """What a worker needs for a shard's base: ``(wctx, shipped)``.
+
+    A numerical base ships as its rows (``wctx`` empty): its head's last
+    bits depend on the batch size, so a worker must not recompute it.
+    Every other base is row-pure and cheaper to recompute than to ship,
+    so it ships as the context slices its sub-model reads (none for a
+    histogram).
+    """
+    if base[0] == "num":
+        return {}, _gather_base(base, rows)
     w = sampler.wseq[j]
     if j == 0 or w in sampler.model.independent:
-        return []
-    return list(sampler.model.context_attrs[w])
+        return {}, None
+    return {a: wcols[a][rows] for a in sampler.model.context_attrs[w]}, None
 
 
 # ----------------------------------------------------------------------
@@ -1446,19 +1456,20 @@ def _pool_init(model, relation, dcs, weights, params, hyper,
 
 
 def _pool_unconstrained(j: int, lo: int, hi: int, noise_key: tuple,
-                        wctx: dict):
+                        wctx: dict, shipped):
     """Worker-side contiguous unconstrained shard.
 
-    The base conditional is row-pure, so recomputing it over the
-    gathered context slices equals the parent's full-table slice —
-    except a numerical target's head, whose last bits can depend on the
-    batch size; the noise key addresses global rows, so the draw is
-    position-exact.
+    A categorical base is row-pure, so recomputing it over the gathered
+    context slices equals the parent's full-table slice; a numerical
+    base arrives as the parent's rows (``shipped``), because its head's
+    last bits depend on the batch size.  The noise key addresses global
+    rows, so the draw is position-exact.
     """
     fault_point("engine.worker")
     s = _POOL_SAMPLER
     m = hi - lo
-    base = s.base_distribution(j, wctx, m)
+    base = (shipped if shipped is not None
+            else s.base_distribution(j, wctx, m))
     layout = _layout_for(s, j, base)
     tcols, gw = _shard_buffers(s, j, m)
     noise = _OffsetNoise(_CellNoise(*noise_key), lo)
@@ -1470,13 +1481,15 @@ def _pool_unconstrained(j: int, lo: int, hi: int, noise_key: tuple,
 
 
 def _pool_constrained(j: int, rows: np.ndarray, noise_key: tuple,
-                      wctx: dict, gctx: dict, max_block: int):
+                      wctx: dict, shipped, gctx: dict, max_block: int):
     """Worker-side group-closed constrained shard (compact spec in,
-    target column slices out)."""
+    target column slices out); the base arrives or is recomputed as in
+    :func:`_pool_unconstrained`."""
     fault_point("engine.worker")
     s = _POOL_SAMPLER
     m = rows.shape[0]
-    base = s.base_distribution(j, wctx, m)
+    base = (shipped if shipped is not None
+            else s.base_distribution(j, wctx, m))
     layout = _layout_for(s, j, base)
     tcols, gw = _shard_buffers(s, j, m)
     gcols = dict(gctx)
@@ -1526,17 +1539,17 @@ def _fd_shard_closed(specs: list, fd_indexes: list) -> bool:
         for fdx in fd_indexes)
 
 
-def _fill_unconstrained_process(sampler: _ColumnSampler, j: int,
+def _fill_unconstrained_process(sampler: _ColumnSampler, j: int, base,
                                 noise_key: tuple, cols: dict,
                                 wcols: dict, n: int, ppool, workers: int,
                                 tracer=None) -> None:
     """Contiguous unconstrained shards dispatched to worker processes."""
-    ctx = _context_attrs(sampler, j)
     bounds = np.linspace(0, n, workers + 1).astype(int)
     spans = [(int(bounds[k]), int(bounds[k + 1]))
              for k in range(workers) if bounds[k] < bounds[k + 1]]
     futs = [ppool.submit(_pool_unconstrained, j, lo, hi, noise_key,
-                         {a: wcols[a][lo:hi] for a in ctx})
+                         *_shard_base(sampler, j, base, wcols,
+                                      slice(lo, hi)))
             for lo, hi in spans]
     if tracer is not None:
         tracer.count("shards", len(spans))
@@ -1562,10 +1575,9 @@ def _run_sharded(sampler: _ColumnSampler, j: int, base, layout,
     """
     w = sampler.wseq[j]
     need = _shard_attrs(sampler, j)
-    ctx = _context_attrs(sampler, j)
     if ppool is not None:
         futs = [ppool.submit(_pool_constrained, j, rows, noise_key,
-                             {a: wcols[a][rows] for a in ctx},
+                             *_shard_base(sampler, j, base, wcols, rows),
                              {a: cols[a][rows] for a in need},
                              max_block)
                 for rows in shards]
@@ -1664,7 +1676,7 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
             if trace is not None:
                 col_trace = trace.column(sampler.wseq[j])
                 col_start = time.perf_counter()
-            base = sampler.base_distribution(j, wcols, n)
+            base = sampler.base_distribution(j, wcols, n, tracer=col_trace)
             layout = _layout_for(sampler, j, base)
             noise_key = (master, 2 * j, layout.stride, noise_chunk, n)
             active = sampler.active_at[j]
@@ -1675,8 +1687,8 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
                 if ppool is not None:
                     try:
                         _fill_unconstrained_process(
-                            sampler, j, noise_key, cols, wcols, n, ppool,
-                            workers, tracer=col_trace)
+                            sampler, j, base, noise_key, cols, wcols, n,
+                            ppool, workers, tracer=col_trace)
                     except BrokenProcessPool:
                         tpool = _heal_pool(ppool, workers, tpool,
                                            tracer=col_trace)
@@ -1757,13 +1769,14 @@ def synthesize_stream(model, relation, dcs, weights, n: int, params,
     (:class:`_PassState`: violation indexes, FD lookups, used-value
     sets) persists across chunks exactly as one long pass would build
     it.  Peak memory holds one ``chunk_rows``-row table, each
-    categorical column's (chunk_rows, V) base, a numerical target's
-    (chunk_rows, d) context vectors and that per-column index state;
-    every other scratch array is one inference tile or noise chunk —
-    never the full ``n`` rows.  Every DC shape streams: binary DCs
-    count in their indexes, unary ones on the row alone.
-    ``mcmc_m > 0`` is rejected: the refinement re-reads the whole
-    instance.
+    categorical column's (chunk_rows, V) base and the (k, V) rows of
+    its chunk's k distinct context tuples it is gathered from (k is at
+    most half the chunk), a numerical target's (chunk_rows, d) context
+    vectors and that per-column index state; every other scratch
+    array is one inference tile or noise chunk — never the full ``n``
+    rows.  Every DC shape streams: binary DCs count in their indexes,
+    unary ones on the row alone.  ``mcmc_m > 0`` is rejected: the
+    refinement re-reads the whole instance.
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")

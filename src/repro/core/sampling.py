@@ -6,8 +6,9 @@ tuple by tuple.  For each cell it combines
 
 * the learned conditional ``p_{v|c}`` from the probabilistic data model
   (it does not depend on the DC state, so each attribute's sub-model
-  runs once per draw or stream chunk, over every row, one inference
-  tile at a time — :data:`repro.aimnet.model.INFERENCE_TILE`), and
+  runs once per draw or stream chunk, over one row per distinct
+  context tuple, one inference tile at a time —
+  :data:`repro.aimnet.model.INFERENCE_TILE`), and
 * the violation penalty ``exp(- sum_phi w_phi * vio_phi,v)`` against the
   already-sampled prefix (Algorithm 3, lines 7-10),
 
@@ -169,7 +170,8 @@ class _ColumnSampler:
         w = self.weights.get(dc.name, 0.0)
         return HARD_WEIGHT if math.isinf(w) else float(w)
 
-    def base_distribution(self, j: int, wcols: dict, n: int):
+    def base_distribution(self, j: int, wcols: dict, n: int,
+                          tracer=None):
         """Per-row base conditional for working position ``j``.
 
         Returns ``("cat", logp)`` with ``logp`` of shape (n, V), or
@@ -178,6 +180,12 @@ class _ColumnSampler:
         A first or independent categorical column's ``logp`` is a
         read-only broadcast view of its one histogram row, so no lane
         may write into a base: lanes score into arrays of their own.
+
+        A sub-model runs once per distinct context tuple
+        (:meth:`~repro.aimnet.AimNet.distinct_rows`) and its output is
+        gathered back to the ``n`` rows, except a numerical head, which
+        runs over all ``n`` gathered context vectors.  A ``tracer``
+        counts the rows the forward ran as ``forward_rows``.
         """
         w = self.wseq[j]
         wattr = self.wrel[w]
@@ -187,12 +195,20 @@ class _ColumnSampler:
                 row = hist.log_prob_codes()
                 return ("cat", np.broadcast_to(row, (n, row.shape[0])))
             return ("numhist", hist)
+        sub = self.model.submodels[w]
         batch_cols = {a: wcols[a] for a in self.model.context_attrs[w]}
+        rows, inverse = sub.distinct_rows(batch_cols) or (None, None)
+        if rows is not None:
+            batch_cols = {a: c[rows] for a, c in batch_cols.items()}
+        if tracer is not None:
+            tracer.count("forward_rows",
+                         n if rows is None else rows.shape[0])
         if wattr.is_categorical:
-            logp = self.model.conditional(w, batch_cols)
+            logp = sub.predict_proba(batch_cols)
             np.maximum(logp, 1e-300, out=logp)
-            return ("cat", np.log(logp, out=logp))
-        mu, sigma = self.model.conditional(w, batch_cols)
+            np.log(logp, out=logp)
+            return ("cat", logp if inverse is None else logp[inverse])
+        mu, sigma = sub.predict_gaussian(batch_cols, inverse)
         return ("num", mu, np.maximum(sigma, 1e-9))
 
     def candidates_for_row(self, j: int, base, i: int,

@@ -62,8 +62,11 @@ class ColumnTrace:
         self.rows = 0
         #: Scheduling counters: ``blocks``, ``block_rows_max``,
         #: ``rescored_rows``, ``forced_rows``, ``sequential_rows``,
-        #: ``shards`` — whichever the lane produces — and the
-        #: ``hard_violation_pairs`` of the FD lanes and the per-row pass.
+        #: ``shards`` — whichever the lane produces — the
+        #: ``hard_violation_pairs`` of the FD lanes and the per-row pass,
+        #: and ``forward_rows``, the rows the column's sub-model ran
+        #: (one per distinct context tuple, or every row; none for a
+        #: histogram column).
         self.counters: dict[str, int] = {}
         #: Violation-index probe counts, keyed by probe method name
         #: (``probe_block_codes``, ``probe_det_codes``, ``probe_pair``,

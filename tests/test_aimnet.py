@@ -1,11 +1,19 @@
 """AimNet discriminative model tests.
 
 Besides shapes, gradients and training, the module pins the row-purity
-the tiled inference relies on: :meth:`AimNet.predict_proba` and
-:meth:`AimNet.predict_gaussian` of every sub-model of the four
-benchmark datasets' fits equal, bit for bit, the whole-batch forward
-they replaced, at batch sizes around the inference tile.
+the tiled and deduplicated inference relies on, on every sub-model of
+the four benchmark datasets' fits:
+
+* :meth:`AimNet.predict_proba` and :meth:`AimNet.predict_gaussian`
+  equal, bit for bit, the whole-batch forward they replaced, at batch
+  sizes around the inference tile;
+* the sampler's base conditional, whose forward runs once per distinct
+  context tuple (:meth:`AimNet.distinct_rows`), equals that whole-batch
+  forward on shuffled batches with few and many distinct tuples, and
+  runs the encoders on exactly the rows it should.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +21,7 @@ import pytest
 from repro.aimnet import AimNet, EmbeddingStore
 from repro.aimnet.model import INFERENCE_TILE
 from repro.core import Kamino
+from repro.core.sampling import _ColumnSampler
 from repro.datasets import load
 from repro.nn import gradcheck
 from repro.nn.functional import softmax
@@ -121,6 +130,47 @@ class TestAimNet:
         with pytest.raises(ValueError):
             num.predict_proba({"c1": np.array([0])})
 
+    def test_distinct_rows_key_what_the_encoders_read(self, relation):
+        """Rows group by their categorical codes and the bit patterns of
+        their numerical values, so ``0.0`` and ``-0.0`` stay apart."""
+        rng = np.random.default_rng(6)
+        model = AimNet(relation, ["c1", "x1"], "y_cat", 4, rng)
+        batch = {"c1": np.array([0, 2, 0, 0, 2, 0, 0, 0]),
+                 "x1": np.array([1.5, 1.5, 1.5, 0.0, 1.5, -0.0, 0.0, 1.5])}
+        rows, inverse = model.distinct_rows(batch)
+        groups = {frozenset(np.flatnonzero(inverse == g).tolist())
+                  for g in range(rows.shape[0])}
+        assert groups == {frozenset({0, 2, 7}), frozenset({1, 4}),
+                          frozenset({3, 6}), frozenset({5})}
+        for c in batch.values():
+            assert c[rows][inverse].tobytes() == c.tobytes()
+        # Five distinct tuples in eight rows: gathering does not pay.
+        batch["c1"][7] = 1
+        assert model.distinct_rows(batch) is None
+
+    def test_distinct_rows_redensify_past_int64(self):
+        """Five 2**14-value context attributes span 2**70 tuples; the
+        key re-densifies instead of overflowing, and groups the rows
+        exactly as the tuples do.  Half the tuples differ from the other
+        half only by 256 in the first code, which a wrapped key
+        (256 * 2**56 = 2**64) would merge."""
+        names = [f"c{i}" for i in range(5)]
+        rel = Relation(
+            [Attribute(a, CategoricalDomain([str(v) for v in range(2 ** 14)]))
+             for a in names]
+            + [Attribute("y", CategoricalDomain(["p", "q"]))])
+        model = AimNet(rel, names, "y", 2, np.random.default_rng(7))
+        rng = np.random.default_rng(8)
+        tuples = rng.integers(0, 2 ** 13, (40, 5))
+        tuples[20:, 1:] = tuples[:20, 1:]
+        tuples[20:, 0] = tuples[:20, 0] + 256
+        rows = tuples[rng.integers(0, 40, 100)]
+        picks, inverse = model.distinct_rows(
+            {a: rows[:, i] for i, a in enumerate(names)})
+        want = np.unique(rows, axis=0, return_inverse=True)[1]
+        assert (rows[picks][inverse] == rows).all()
+        assert picks.shape[0] == want.max() + 1
+
     def test_attention_weights_expose(self, relation):
         rng = np.random.default_rng(5)
         model = AimNet(relation, ["c1", "x1"], "y_cat", 4, rng)
@@ -165,6 +215,13 @@ def _whole_batch(model: AimNet, batch: dict) -> tuple:
     mu = mu_std * model._t_scale + model._t_mid
     sigma = np.exp(log_sigma_std) * model._t_scale
     return mu[:n], sigma[:n]
+
+
+def _spy_rows(monkeypatch, layer, log: list) -> None:
+    """Record the rows of every ``layer.forward`` call in ``log``."""
+    forward = layer.forward
+    monkeypatch.setattr(layer, "forward", lambda x, cache=True: (
+        log.append(len(x)), forward(x, cache))[1])
 
 
 def _products(model: AimNet, batch: dict) -> dict:
@@ -216,11 +273,7 @@ def test_tiled_inference_matches_the_whole_batch(fits, name, monkeypatch):
             batch = {a: c[:n] for a, c in cols.items()}
             head_rows = []
             if not sub.target_is_categorical:
-                head = sub.head.forward
-                monkeypatch.setattr(
-                    sub.head, "forward",
-                    lambda x, cache=True: (head_rows.append(x.shape[0]),
-                                           head(x, cache))[1])
+                _spy_rows(monkeypatch, sub.head, head_rows)
                 got = sub.predict_gaussian(batch)
                 monkeypatch.undo()
                 assert head_rows == [2 if n == 1 else n]
@@ -232,3 +285,93 @@ def test_tiled_inference_matches_the_whole_batch(fits, name, monkeypatch):
                 assert g.tobytes() == w.tobytes(), (
                     f"{name} {target} n={n}: "
                     f"{_drifting_product(sub, batch)}")
+
+
+# ----------------------------------------------------------------------
+# One forward per distinct context against the whole batch
+# ----------------------------------------------------------------------
+def _distinct_tuples(wrel, attrs: list, k: int, rng):
+    """``k`` distinct context tuples as ``{attr: (k,) column}``, or None
+    when the context domain holds fewer.  Where a numerical domain
+    contains 0, two of them differ only by ``0.0`` against ``-0.0``."""
+    numerical = [a for a in attrs if not wrel[a].is_categorical]
+    if numerical:
+        cols = {a: _random_column(wrel[a], k, rng) for a in attrs}
+    else:
+        sizes = [wrel[a].domain.size for a in attrs]
+        span = math.prod(sizes)
+        if span < k:
+            return None
+        picks = rng.choice(min(span, 2 ** 62), size=k, replace=False)
+        cols, stride = {}, 1
+        for a, size in zip(attrs, sizes):
+            cols[a] = (picks // stride) % size
+            stride = min(stride * size, 2 ** 62)
+    zero = next((a for a in numerical
+                 if wrel[a].domain.low <= 0.0 <= wrel[a].domain.high), None)
+    if zero is not None and k >= 2:
+        for a in attrs:
+            cols[a][1] = cols[a][0]
+        cols[zero][0], cols[zero][1] = 0.0, -0.0
+    return cols
+
+
+def _tile_rows(m: int) -> list:
+    """The rows of each encoder call over an ``m``-row batch, a 1-row
+    tile run duplicated."""
+    return [max(min(INFERENCE_TILE, m - lo), 2)
+            for lo in range(0, m, INFERENCE_TILE)]
+
+
+@pytest.mark.parametrize("name", ["adult", "tax", "tpch", "br2000"])
+def test_distinct_context_forward_matches_the_whole_batch(
+        fits, name, monkeypatch):
+    """``base_distribution`` runs each sub-model's encoders and
+    attention on the k distinct context tuples of a shuffled n-row
+    batch (on all n rows once k > n/2), a numerical head still once
+    over all n rows, and its output equals the whole-batch forward's
+    byte for byte."""
+    fitted = fits(name)
+    wrel = fitted.hyper.working_relation
+    sampler = _ColumnSampler(
+        fitted.model, fitted.relation, fitted.hyper, fitted.dcs,
+        fitted.weights, fitted.params, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    signed_zeros = 0
+    for target, sub in fitted.model.submodels.items():
+        j = sampler.wseq.index(target)
+        for n in (1, 2, 7, 2049, 4097):
+            for k in sorted({k for k in (1, 2, n // 2, n // 2 + 1, n)
+                             if 1 <= k <= n}):
+                tuples = _distinct_tuples(wrel, sub.context_attrs, k, rng)
+                if tuples is None:
+                    continue
+                signed_zeros += k >= 2 and any(
+                    c.dtype.kind == "f" and c[0] == c[1] == 0
+                    and np.signbit(c[1]) for c in tuples.values())
+                rows = rng.permutation(np.concatenate(
+                    [np.arange(k), rng.integers(0, k, n - k)]))
+                batch = {a: c[rows] for a, c in tuples.items()}
+                encoded = {a: [] for a in sub.context_attrs}
+                for a in sub.context_attrs:
+                    _spy_rows(monkeypatch, sub.encoders[a], encoded[a])
+                head_rows = []
+                if not sub.target_is_categorical:
+                    _spy_rows(monkeypatch, sub.head, head_rows)
+                got = sampler.base_distribution(j, batch, n)[1:]
+                monkeypatch.undo()
+                ran = k if 2 * k <= n else n
+                where = f"{name} {target} n={n} k={k}"
+                assert encoded == {a: _tile_rows(ran)
+                                   for a in sub.context_attrs}, where
+                if sub.target_is_categorical:
+                    (probs,) = _whole_batch(sub, batch)
+                    want = (np.log(np.maximum(probs, 1e-300)),)
+                else:
+                    assert head_rows == [max(n, 2)], where
+                    mu, sigma = _whole_batch(sub, batch)
+                    want = (mu, np.maximum(sigma, 1e-9))
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape == (n,) + w.shape[1:], where
+                    assert g.tobytes() == w.tobytes(), where
+    assert signed_zeros > 0

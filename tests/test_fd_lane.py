@@ -10,7 +10,8 @@ Pins three things:
 * the ``hard_violation_pairs`` trace counter equals the hard-FD
   violations of the drawn table;
 * draw digests (single-shot, process pool, streamed) recorded before
-  the lane was rewritten.
+  the lane was rewritten, and tpch process-pool draws equal to the
+  single-worker draw at sizes where a worker's numerical head drifted.
 """
 
 import hashlib
@@ -299,6 +300,19 @@ def test_draw_digests_pinned(fits, name, n, workers, digest):
     table = fits(name).sample(n=n, seed=1000, workers=workers,
                               pool="process").table
     assert _table_digest(table) == digest
+
+
+@pytest.mark.parametrize("n", [32_768, pytest.param(50_000, marks=_SLOW)])
+def test_process_pool_draw_equals_one_worker(fits, n):
+    """Process workers take a numerical base's rows from the parent: a
+    shard-sized ``o_totalprice`` head moved thousands of cells at these
+    sizes, so the workers=2 process draw differed from workers=1."""
+    fitted = fits("tpch")
+    one = fitted.sample(n=n, seed=1000).table
+    two = fitted.sample(n=n, seed=1000, workers=2, pool="process").table
+    for a in fitted.relation.names:
+        np.testing.assert_array_equal(one.column(a), two.column(a),
+                                      err_msg=a)
 
 
 @pytest.mark.parametrize("n, chunk_rows, digest", [

@@ -20,7 +20,8 @@ br2000's generic soft DCs (``phi_b2``, ``phi_b3``) count in
   single-shot, accept-reject and MCMC digests recorded before, and
   streams equal to the single-shot draw;
 * the engine's schedule: per constrained column of a traced draw of
-  each dataset, its lane and scheduling counters;
+  each dataset, its lane and scheduling counters, and per column the
+  rows its sub-model's forward ran;
 * the per-row pass counts ``hard_violation_pairs`` when traced: the
   count equals the rise of the hard DCs' index totals, on random
   relations under order and two-attribute DCs with violating history.
@@ -322,6 +323,29 @@ _SCHEDULES = {
                "a5": ("num-sequential", 0, 0, 1500, 0, 0)},
 }
 
+#: Per working column of the same draws: the rows its sub-model's
+#: encoders and attention ran (``forward_rows``) — one per distinct
+#: context tuple, or all 1,500 once more than half are distinct — and
+#: None for a histogram column, which runs no forward.
+_FORWARD_ROWS = {
+    "adult": {"edu": None, "edu_num": 16, "income": 16, "sex": 32,
+              "race": 64, "relationship": 289, "marital": 1500,
+              "workclass": 1500, "country": 1500, "occupation": 1500,
+              "cap_loss": 1500, "hours": 1500, "age": 1500,
+              "cap_gain": 1500, "fnlwgt": 1500},
+    "tax": {"has_child": None, "state": 2, "child_exemp": 100,
+            "marital": 100, "single_exemp": 389, "areacode": 389,
+            "zip": None, "city": 1500, "gender": 1500, "occupation": 1500,
+            "rate": 1500, "salary": 1500},
+    "tpch": {"c_custkey": None, "n_name": 71, "n_regionkey": 71,
+             "c_mktsegment": 71, "c_nationkey": 71, "o_orderstatus": 71,
+             "o_orderpriority": 194, "o_orderdate": 554,
+             "o_totalprice": 1500},
+    "br2000": {"a1": None, "a2": 2, "a4": 4, "a6": 8, "a7": 16, "a8": 32,
+               "a9": 64, "a12": 128, "a10": 365, "a3": 1500, "a13": 1500,
+               "a14": 1500, "a11": 1500, "a5": 1500},
+}
+
 #: The untraced draws' digests, pinned in ``test_draw_digests_pinned``.
 _SEED_1000_DIGESTS = {"adult": "c82b7343b709a030",
                       "tax": "4c4ef9d65c8826c8",
@@ -334,8 +358,10 @@ def test_engine_schedule_pinned(fits, name):
     """Lanes and scheduling counters are pure functions of the model, n
     and seed.  Every lane's ``hard_violation_pairs`` equals the scan
     engine's count of its column's hard binary DCs in the drawn table
-    (each pass starts from empty indexes), and the traced draw is the
-    untraced one."""
+    (each pass starts from empty indexes); every column's
+    ``forward_rows``, unconstrained ones included, is the count of
+    distinct context tuples in the drawn table (n when more than half
+    are distinct); and the traced draw is the untraced one."""
     fitted = fits(name)
     trace = RunTrace()
     table = fitted.sample(n=1500, seed=1000, trace=trace).table
@@ -354,6 +380,13 @@ def test_engine_schedule_pinned(fits, name):
             count_violations(dc, table) for dc in active
             if dc.hard and not dc.is_unary), col.name
     assert got == _SCHEDULES[name]
+    forward = {col.name: col.counters.get("forward_rows")
+               for col in trace.samples[0].columns}
+    assert forward == _FORWARD_ROWS[name]
+    for w, context in fitted.model.context_attrs.items():
+        k = np.unique(np.stack([table.column(a).astype(np.float64)
+                                for a in context], axis=1), axis=0).shape[0]
+        assert forward[w] == (k if 2 * k <= 1500 else 1500), w
 
 
 # ----------------------------------------------------------------------

@@ -508,7 +508,7 @@ def test_unary_only_numerical_column_runs_full_windows(fits, hard):
     col = _hours_column_trace(trace)
     assert col.mode == "num-blocked"
     assert col.counters == {"blocks": 6, "block_rows": 3000,
-                            "block_rows_max": 512}
+                            "block_rows_max": 512, "forward_rows": 3000}
     digest = _table_digest(table)
     chunks = list(unary.sample_stream(n=3000, seed=5, chunk_rows=777))
     assert _digest(unary.relation, {
