@@ -28,9 +28,9 @@
 
        PYTHONPATH=src python benchmarks/bench_exp10_optimizations.py \
            --n 5000 --out BENCH_exp10.json
-6. *Process-pool scaling + streaming* (``--scaling``): draws across a
-   (pool, workers) grid — every point asserted bit-identical to the
-   workers=1 baseline — plus streamed-draw throughput and, with
+6. *Process-pool scaling + streaming* (``--scaling``): draws at each
+   worker count — every point asserted bit-identical to the workers=1
+   baseline — plus streamed-draw throughput and, with
    ``--stream-rows N``, one large bounded-memory streamed draw.  The
    payload lands in its own ``exp10f_scaling`` JSON section (the
    ``exp10_engines`` regression gate is unaffected) and records the
@@ -274,7 +274,7 @@ def test_exp10_blocked_engine(benchmark):
     print(f"wrote {path}")
 
 
-#: Worker counts the scaling experiment sweeps, per pool.
+#: Worker counts the scaling experiment sweeps.
 SCALING_WORKERS = (1, 2, 4)
 
 
@@ -284,8 +284,8 @@ def run_scaling_experiment(n_rows: dict | None = None, repeats: int = 2,
                            stream_dataset: str = "tpch") -> dict:
     """Experiment 10f: worker scaling + streaming throughput.
 
-    Per dataset: one fit, then timed draws across the (pool, workers)
-    grid — every draw is asserted bit-identical to the workers=1
+    Per dataset: one fit, then timed draws at each worker count —
+    every draw is asserted bit-identical to the workers=1
     baseline, so the numbers measure pure scheduling cost — plus a
     streamed draw's end-to-end throughput.  ``stream_rows > 0`` adds a
     single large streamed draw (the n>=1M bounded-memory run) on
@@ -309,28 +309,25 @@ def run_scaling_experiment(n_rows: dict | None = None, repeats: int = 2,
                      delta=1e-6, seed=0, params_override=cap)
         fitted = kam.fit(dataset.table)
         baseline = fitted.sample(seed=3).table
-        entry: dict = {"n": n, "pools": {}}
-        for pool in ("thread", "process"):
-            grid: dict = {}
-            for workers in SCALING_WORKERS:
-                draws = []
-                seconds = min(timeit.timeit(
-                    lambda: draws.append(fitted.sample(
-                        seed=3, workers=workers, pool=pool)),
-                    number=1) for _ in range(repeats))
-                table = draws[-1].table
-                for attr in dataset.relation.names:
-                    np.testing.assert_array_equal(
-                        table.column(attr), baseline.column(attr),
-                        err_msg=f"{name}/{pool}/workers={workers}/{attr}")
-                grid[str(workers)] = {
-                    "seconds": round(seconds, 4),
-                    "rows_per_sec": round(n / max(seconds, 1e-9), 1),
-                }
-            entry["pools"][pool] = grid
-        proc = entry["pools"]["process"]
-        entry["speedup_process4_vs_1"] = round(
-            proc["1"]["seconds"] / max(proc["4"]["seconds"], 1e-9), 2)
+        grid: dict = {}
+        for workers in SCALING_WORKERS:
+            draws = []
+            seconds = min(timeit.timeit(
+                lambda: draws.append(fitted.sample(seed=3,
+                                                   workers=workers)),
+                number=1) for _ in range(repeats))
+            table = draws[-1].table
+            for attr in dataset.relation.names:
+                np.testing.assert_array_equal(
+                    table.column(attr), baseline.column(attr),
+                    err_msg=f"{name}/workers={workers}/{attr}")
+            grid[str(workers)] = {
+                "seconds": round(seconds, 4),
+                "rows_per_sec": round(n / max(seconds, 1e-9), 1),
+            }
+        entry: dict = {"n": n, "workers": grid}
+        entry["speedup_4_vs_1"] = round(
+            grid["1"]["seconds"] / max(grid["4"]["seconds"], 1e-9), 2)
 
         n_stream = 4 * n
         chunk = max(n, 1)
@@ -379,19 +376,16 @@ def run_scaling_experiment(n_rows: dict | None = None, repeats: int = 2,
 def _print_scaling_table(results: dict) -> None:
     print(f"cpu_count={results['cpu_count']}")
     print(f"{'dataset':>8s} {'n':>7s} "
-          f"{'thr1 s':>8s} {'thr2 s':>8s} {'thr4 s':>8s} "
-          f"{'prc1 s':>8s} {'prc2 s':>8s} {'prc4 s':>8s} "
-          f"{'p4/p1':>6s} {'stream r/s':>11s}")
+          f"{'w1 s':>8s} {'w2 s':>8s} {'w4 s':>8s} "
+          f"{'w4/w1':>6s} {'stream r/s':>11s}")
     for name, entry in results.items():
-        if not isinstance(entry, dict) or "pools" not in entry:
+        if not isinstance(entry, dict) or "workers" not in entry:
             continue
-        thr, prc = entry["pools"]["thread"], entry["pools"]["process"]
+        grid = entry["workers"]
         print(f"{name:>8s} {entry['n']:7d} "
-              f"{thr['1']['seconds']:8.2f} {thr['2']['seconds']:8.2f} "
-              f"{thr['4']['seconds']:8.2f} "
-              f"{prc['1']['seconds']:8.2f} {prc['2']['seconds']:8.2f} "
-              f"{prc['4']['seconds']:8.2f} "
-              f"{entry['speedup_process4_vs_1']:5.2f}x "
+              f"{grid['1']['seconds']:8.2f} {grid['2']['seconds']:8.2f} "
+              f"{grid['4']['seconds']:8.2f} "
+              f"{entry['speedup_4_vs_1']:5.2f}x "
               f"{entry['stream']['rows_per_sec']:11,.0f}")
     large = results.get("stream_large")
     if large:
@@ -418,9 +412,9 @@ def test_exp10_worker_scaling(benchmark):
     path = _write_bench_json("exp10f_scaling", results)
     print(f"wrote {path}")
     if results["cpu_count"] >= 4:
-        best = max(entry["speedup_process4_vs_1"]
+        best = max(entry["speedup_4_vs_1"]
                    for name, entry in results.items()
-                   if isinstance(entry, dict) and "pools" in entry)
+                   if isinstance(entry, dict) and "workers" in entry)
         assert best > 1.5, f"4-worker process pool only {best}x"
 
 

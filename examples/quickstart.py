@@ -11,7 +11,7 @@ private "true" instance, and walks the staged API:
    seed, as many as wanted — as free post-processing, on the
    block-scheduled vectorized engine whose counter-based per-cell rng
    makes every draw deterministic per seed and lets ``workers=k``
-   shard it across threads bit-identically;
+   shard it across worker processes bit-identically;
 4. ``save``/``load`` persist the fitted model (including its rng spec)
    so later draws never touch the private data again;
 5. a ``RunTrace`` records where the time went — fit phases, per-column
@@ -78,8 +78,9 @@ def main() -> None:
     # streams, so a draw
     # is a pure function of (model, DCs, n, seed) — block size and
     # worker count never change a single cell.  That determinism is
-    # what makes `workers=` safe: unconstrained column passes shard
-    # across threads and stitch bit-identically to workers=1.
+    # what makes `workers=` safe: from n=4,096 rows, constrained column
+    # passes shard across worker processes and stitch bit-identically
+    # to workers=1 (this 2,000-row draw stays inline).
     result = fitted.sample(trace=trace)
     extra = fitted.sample(n=2000, seed=1, workers=4)
     assert_same = fitted.sample(n=2000, seed=1)  # workers=1, same draw

@@ -58,6 +58,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -288,7 +289,7 @@ def _synthesize_backend(args, bundle, method: str) -> int:
     """``synthesize`` for a registry backend: staged fit + one draw."""
     trace = RunTrace(label=f"synthesize:{args.bundle}") \
         if args.trace else None
-    _warn_ignored(args, ("workers", "pool"),
+    _warn_ignored(args, ("workers",),
                   f"applies to Kamino only, not {method}")
     try:
         synth = _make_backend(method, args, bundle.dcs)
@@ -316,7 +317,7 @@ def _sample_backend(args, method: str) -> int:
 
     relation = load_relation(args.schema)
     dcs = load_dcs(args.dcs, relation=relation) if args.dcs else []
-    _warn_ignored(args, ("workers", "pool", "chunk_rows"),
+    _warn_ignored(args, ("workers", "chunk_rows"),
                   f"applies to Kamino models only, not this {method} "
                   f"model")
     try:
@@ -401,7 +402,7 @@ def cmd_sample(args) -> int:
               f"from the fit-time draw)", file=sys.stderr)
     stream_fmt = stream_format_for(args.out)
     if stream_fmt is not None:
-        _warn_ignored(args, ("workers", "pool", "trace"),
+        _warn_ignored(args, ("workers", "trace"),
                       "does not apply to a streamed draw (--out is a "
                       "table file)")
         start = time.perf_counter()
@@ -423,9 +424,9 @@ def cmd_sample(args) -> int:
                   "applies to streamed draws (--out a table file) only")
     trace = RunTrace(label=f"sample:{args.model}") if args.trace else None
     result = fitted.sample(n=args.n, seed=args.seed,
-                           workers=args.workers, pool=args.pool, trace=trace)
+                           workers=args.workers, trace=trace)
     save_bundle(args.out, result.table, fitted.dcs)
-    workers = (f", workers={args.workers} ({args.pool or 'thread'} pool)"
+    workers = (f", workers={args.workers}"
                if args.workers not in (None, 1) else "")
     print(f"wrote synthetic bundle to {args.out} "
           f"(n={result.table.n}, sampling "
@@ -446,8 +447,7 @@ def cmd_synthesize(args) -> int:
         if args.trace else None
     kamino = Kamino(bundle.relation, bundle.dcs, config=config)
     fitted = kamino.fit(bundle.table, trace=trace)
-    result = fitted.sample(n=args.n, workers=args.workers, pool=args.pool,
-                           trace=trace)
+    result = fitted.sample(n=args.n, workers=args.workers, trace=trace)
     if args.save_model:
         fitted.save(args.save_model)
         print(f"wrote fitted model to {args.save_model} "
@@ -557,7 +557,6 @@ def cmd_serve(args) -> int:
         host=args.host, port=args.port, hot_limit=args.hot_limit,
         cache_max_bytes=args.cache_max_bytes,
         max_pending=args.max_pending, timeout=args.timeout,
-        workers=args.workers, pool=args.pool,
         chunk_rows=args.chunk_rows, quiet=args.quiet)
     server = KaminoServer(config)
     for parts in specs:
@@ -602,24 +601,39 @@ def _epsilon(text: str) -> float:
     return value
 
 
-def _non_negative_int(text: str) -> int:
-    """``--seed``, ``--n``, ``--workers``, ``--max-iterations``: a
-    non-negative integer."""
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """``--seed``, ``--n``, ``--workers``, ``--max-iterations``,
+    ``--cache-max-bytes``: a non-negative integer."""
+    return _int_at_least(text, 0)
+
+
 def _positive_int(text: str) -> int:
-    """``--chunk-rows``: an integer >= 1."""
-    value = _non_negative_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    """``--chunk-rows``, ``--hot-limit``, ``--max-pending``, ``--alpha``,
+    ``--max-sets``: an integer >= 1."""
+    return _int_at_least(text, 1)
+
+
+def _positive_float(text: str) -> float:
+    """``--timeout``: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a number: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}")
     return value
 
 
@@ -735,14 +749,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draw seed (default: reproduce the fit-time "
                         "draw, given the same --dcs)")
     p.add_argument("--workers", type=_non_negative_int, default=None,
-                   help="shard the blocked engine's column passes over "
-                        "N workers; 0 resolves from os.cpu_count() at "
-                        "draw time (output is bit-identical for any "
-                        "worker count; default: 1)")
-    p.add_argument("--pool", choices=("thread", "process"), default=None,
-                   help="execution lane for --workers > 1: shared-"
-                        "memory threads or worker processes (default: "
-                        "thread; either is bit-identical to workers=1)")
+                   help="run the group-closed shards of constrained "
+                        "columns on N worker processes; 0 resolves from "
+                        "os.cpu_count() at draw time (output is "
+                        "bit-identical for any worker count; default: 1)")
     p.add_argument("--chunk-rows", type=_positive_int, default=None,
                    help="rows per streamed chunk when --out is a table "
                         "file (default: 65536; pure scheduling)")
@@ -760,11 +770,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also persist the fitted model for later "
                         "'sample' runs")
     p.add_argument("--workers", type=_non_negative_int, default=None,
-                   help="workers for the blocked engine's sampling "
-                        "pass; 0 = auto from os.cpu_count() (default: 1)")
-    p.add_argument("--pool", choices=("thread", "process"), default=None,
-                   help="execution lane for --workers > 1 (default: "
-                        "thread)")
+                   help="worker processes for the blocked engine's "
+                        "sampling pass; 0 = auto from os.cpu_count() "
+                        "(default: 1)")
     _add_budget_arguments(p)
     _add_trace_argument(p)
     p.set_defaults(fn=cmd_synthesize)
@@ -773,10 +781,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare a synthetic bundle against the truth")
     p.add_argument("true_bundle")
     p.add_argument("synth_bundle")
-    p.add_argument("--alpha", type=int, action=_AppendOverDefault,
+    p.add_argument("--alpha", type=_positive_int, action=_AppendOverDefault,
                    default=(1, 2), metavar="K",
                    help="marginal order(s); repeatable (default: 1 2)")
-    p.add_argument("--max-sets", type=int, default=30)
+    p.add_argument("--max-sets", type=_positive_int, default=30)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(fn=cmd_evaluate)
 
@@ -800,20 +808,15 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="register an artifact at startup as "
                         "NAME:MODEL:SCHEMA[:DCS] (repeatable)")
-    p.add_argument("--hot-limit", type=int, default=8,
+    p.add_argument("--hot-limit", type=_positive_int, default=8,
                    help="max fitted models held in memory (LRU beyond)")
-    p.add_argument("--cache-max-bytes", type=int, default=256 << 20,
+    p.add_argument("--cache-max-bytes", type=_non_negative_int,
+                   default=256 << 20,
                    help="draw-cache size bound in bytes (default 256MiB)")
-    p.add_argument("--max-pending", type=int, default=16,
+    p.add_argument("--max-pending", type=_positive_int, default=16,
                    help="max distinct renders in flight before 429s")
-    p.add_argument("--timeout", type=float, default=120.0,
+    p.add_argument("--timeout", type=_positive_float, default=120.0,
                    help="per-request render wait in seconds before 503s")
-    p.add_argument("--workers", type=_non_negative_int, default=None,
-                   help="shard Kamino draws over N workers (0 = auto "
-                        "from cpu_count; bit-identical to any other "
-                        "count — the cache stays coherent)")
-    p.add_argument("--pool", choices=("thread", "process"), default=None,
-                   help="execution lane for --workers > 1")
     p.add_argument("--chunk-rows", type=_positive_int, default=None,
                    help="rows per streamed render chunk (default: "
                         "65536)")

@@ -28,9 +28,8 @@ restructures the same computation around two observations:
     sharded across workers.  The drawn instance is a pure function of
     ``(model, DCs, weights, n, seed)`` — block size and worker count
     are scheduling details.  That property is what makes **sharded
-    parallel draws** safe: ``workers=k`` fans the unconstrained-column
-    row ranges out over a thread pool and stitches shards bit-identical
-    to ``workers=1``.
+    parallel draws** safe (items 3 and 4): shards stitch back
+    bit-identical to ``workers=1``.
 
 Selection itself uses the Gumbel-max trick: ``argmax(logp - penalty +
 gumbel)`` draws from exactly the normalised-product distribution of
@@ -50,9 +49,9 @@ bit-identical to the plain single-worker draw, pinned by
     sub-schedule with shard-local violation indexes — the same pass,
     gathered onto the shard's rows.
 
-4.  **A process-pool lane** (``pool="process"``): shards ship to worker
-    processes as compact picklable specs (row indices + gathered
-    context slices + the noise key); each worker holds one
+4.  **A process-pool lane** (``workers > 1``): those shards ship to
+    worker processes as compact picklable specs (row indices +
+    gathered context slices + the noise key); each worker holds one
     :class:`_ColumnSampler` built from the model payload at pool init
     and recomputes a categorical base conditional locally, which is
     row-pure.  A numerical target's base ships as the parent's rows
@@ -60,7 +59,9 @@ bit-identical to the plain single-worker draw, pinned by
     on the batch size (the same cause as a partial stream chunk's
     drift), so a worker's shard-sized head could move cells.  Outputs
     stitch back by row index — bit-identical to ``workers=1`` (pinned)
-    because every cell's noise is position-pure.
+    because every cell's noise is position-pure.  Unconstrained
+    columns always draw in the parent, one noise tile at a time: they
+    cost less inline than shipped.
 
 5.  **Streaming chunked draws** (:func:`synthesize_stream`): the same
     column passes run chunk-major with per-column state (violation
@@ -82,7 +83,7 @@ import logging
 import multiprocessing
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -120,8 +121,9 @@ MAX_BLOCK_ROWS = 512
 #: window at twice the rows the last one kept (capped at the block cap).
 _MIN_WINDOW_ROWS = 32
 
-#: Rows below which sharding an unconstrained column is not worth the
-#: thread handoff.
+#: A draw starts worker processes only at ``n >= 2 * _MIN_SHARD_ROWS``,
+#: and a constrained column shards only when no group component holds
+#: more than ``n - _MIN_SHARD_ROWS`` rows.
 _MIN_SHARD_ROWS = 2048
 
 #: Default row-chunk of a streaming draw (``sample_stream``); a pure
@@ -257,9 +259,9 @@ class _CellNoise:
 class _OffsetNoise:
     """A noise view shifted by a fixed global row offset.
 
-    Streaming chunks (and contiguous shard specs) work on chunk-local
-    arrays but every cell must read the uniforms of its *global* row —
-    local row ``r`` maps to ``offset + r`` of the inner stream.
+    Streaming chunks work on chunk-local arrays but every cell must
+    read the uniforms of its *global* row — local row ``r`` maps to
+    ``offset + r`` of the inner stream.
     """
 
     __slots__ = ("inner", "offset", "stride", "chunk")
@@ -345,7 +347,7 @@ def _layout_for(sampler: _ColumnSampler, j: int, base) -> _Layout:
 
 
 # ----------------------------------------------------------------------
-# Unconstrained columns: fully vectorized, shardable across workers
+# Unconstrained columns: fully vectorized, one noise tile at a time
 # ----------------------------------------------------------------------
 def _draw_unconstrained(sampler: _ColumnSampler, j: int, base,
                         layout: _Layout, noise, cols: dict,
@@ -401,31 +403,6 @@ def _draw_unconstrained_tile(sampler: _ColumnSampler, j: int, base,
         values = edges[bins] + dec * (edges[bins + 1] - edges[bins])
         wcols[w][lo:hi] = sampler.snap(
             w, hist.quantizer.domain.clip(values))
-
-
-def _fill_unconstrained(sampler: _ColumnSampler, j: int, base,
-                        layout: _Layout, noise_key: tuple, cols: dict,
-                        wcols: dict, n: int,
-                        pool: ThreadPoolExecutor | None,
-                        workers: int, tracer=None) -> None:
-    def run(lo: int, hi: int) -> None:
-        # Each shard builds its own noise view: streams are keyed by
-        # fixed chunks, so regeneration is bit-identical and the shard
-        # split never shows in the output.
-        _draw_unconstrained(sampler, j, base, layout,
-                            _CellNoise(*noise_key), cols, wcols, lo, hi)
-
-    if pool is None or n < max(2 * _MIN_SHARD_ROWS, workers):
-        if tracer is not None:
-            tracer.count("shards")
-        run(0, n)
-        return
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    spans = [(int(bounds[k]), int(bounds[k + 1]))
-             for k in range(workers) if bounds[k] < bounds[k + 1]]
-    if tracer is not None:
-        tracer.count("shards", len(spans))
-    list(pool.map(lambda se: run(se[0], se[1]), spans))
 
 
 # ----------------------------------------------------------------------
@@ -560,10 +537,11 @@ def _shard_rows(specs: list | None, cols: dict, n: int,
     exact same penalties as the sequential pass — the partition is pure
     scheduling.  Components are balanced greedily (largest first onto
     the lightest shard; deterministic tie-breaks).  Returns None when
-    sharding cannot pay off: too few rows, a single dominating
-    component, or no spec structure at all (``specs is None``).
+    sharding cannot pay off: a single dominating component, or no spec
+    structure at all (``specs is None``).  Callers shard only past the
+    pool floor (``n >= 2 * _MIN_SHARD_ROWS``, ``k >= 2``).
     """
-    if specs is None or k <= 1 or n < max(2 * _MIN_SHARD_ROWS, k):
+    if specs is None:
         return None
     if not specs:
         # Unary-only column: every row is its own component.
@@ -638,9 +616,7 @@ class _ColumnPass:
             self.used = sampler.fresh_value_tracker(j)
         self.tracer = tracer
         if tracer is not None:
-            # Route every index probe into the column's probe counters;
-            # constrained passes are single-threaded, so a plain dict
-            # is race-free.
+            # Route every index probe into the column's probe counters.
             for index in self.vio.values():
                 index.counters = tracer.probes
         self.active = sampler.active_at[j]
@@ -1345,7 +1321,7 @@ class _ColumnPass:
 
 
 # ----------------------------------------------------------------------
-# Shard execution: gathered sub-schedules (thread and process lanes)
+# Process-pool lane: group-closed constrained shards
 # ----------------------------------------------------------------------
 def _shard_attrs(sampler: _ColumnSampler, j: int) -> list[str]:
     """Earlier-column attributes a constrained shard must gather: every
@@ -1389,30 +1365,6 @@ def _shard_buffers(sampler: _ColumnSampler, j: int, m: int):
     return tcols, gw
 
 
-def _gather_base(base, rows):
-    """Row-select a base conditional (numhist bases carry no rows)."""
-    if base[0] == "cat":
-        return ("cat", base[1][rows])
-    if base[0] == "num":
-        return ("num", base[1][rows], base[2][rows])
-    return base
-
-
-def _run_shard_pass(sampler: _ColumnSampler, j: int, base, layout,
-                    noise, gcols: dict, gw: np.ndarray,
-                    m: int, max_block: int) -> None:
-    """One gathered constrained sub-schedule, writing ``gw``/``gcols``.
-
-    The pass builds its own (shard-local) violation and FD-lookup
-    indexes: rows outside the shard share no group with rows inside it,
-    so the local indexes answer every probe with exactly the global
-    counts.
-    """
-    wcols_g = {sampler.wseq[j]: gw}
-    _ColumnPass(sampler, j, base, layout, noise, gcols,
-                wcols_g).fill(m, max_block)
-
-
 def _shard_base(sampler: _ColumnSampler, j: int, base, wcols: dict,
                 rows) -> tuple:
     """What a worker needs for a shard's base: ``(wctx, shipped)``.
@@ -1424,16 +1376,13 @@ def _shard_base(sampler: _ColumnSampler, j: int, base, wcols: dict,
     histogram).
     """
     if base[0] == "num":
-        return {}, _gather_base(base, rows)
+        return {}, ("num", base[1][rows], base[2][rows])
     w = sampler.wseq[j]
     if j == 0 or w in sampler.model.independent:
         return {}, None
     return {a: wcols[a][rows] for a in sampler.model.context_attrs[w]}, None
 
 
-# ----------------------------------------------------------------------
-# Process-pool lane
-# ----------------------------------------------------------------------
 #: The per-process sampler, built once per worker from the pickled
 #: model payload by :func:`_pool_init`.
 _POOL_SAMPLER: _ColumnSampler | None = None
@@ -1455,75 +1404,32 @@ def _pool_init(model, relation, dcs, weights, params, hyper,
         rng=np.random.default_rng(0), use_fd_lookup=use_fd_lookup)
 
 
-def _pool_unconstrained(j: int, lo: int, hi: int, noise_key: tuple,
-                        wctx: dict, shipped):
-    """Worker-side contiguous unconstrained shard.
-
-    A categorical base is row-pure, so recomputing it over the gathered
-    context slices equals the parent's full-table slice; a numerical
-    base arrives as the parent's rows (``shipped``), because its head's
-    last bits depend on the batch size.  The noise key addresses global
-    rows, so the draw is position-exact.
-    """
-    fault_point("engine.worker")
-    s = _POOL_SAMPLER
-    m = hi - lo
-    base = (shipped if shipped is not None
-            else s.base_distribution(j, wctx, m))
-    layout = _layout_for(s, j, base)
-    tcols, gw = _shard_buffers(s, j, m)
-    noise = _OffsetNoise(_CellNoise(*noise_key), lo)
-    _draw_unconstrained(s, j, base, layout, noise, tcols,
-                        {s.wseq[j]: gw}, 0, m)
-    w = s.wseq[j]
-    members = tcols if s.hyper.is_hyper(w) else {}
-    return gw, members
-
-
 def _pool_constrained(j: int, rows: np.ndarray, noise_key: tuple,
                       wctx: dict, shipped, gctx: dict, max_block: int):
-    """Worker-side group-closed constrained shard (compact spec in,
-    target column slices out); the base arrives or is recomputed as in
-    :func:`_pool_unconstrained`."""
+    """Worker-side group-closed constrained shard: compact spec in,
+    target column slices out.
+
+    A categorical base is row-pure, so recomputing it over the gathered
+    context slices equals the parent's rows; a numerical base arrives
+    as the parent's rows (``shipped``).  The noise view addresses
+    global rows, so the draw is position-exact.  The pass builds its
+    own (shard-local) violation and FD-lookup indexes: rows outside the
+    shard share no group with rows inside it, so the local indexes
+    answer every probe with exactly the global counts.
+    """
     fault_point("engine.worker")
     s = _POOL_SAMPLER
     m = rows.shape[0]
     base = (shipped if shipped is not None
             else s.base_distribution(j, wctx, m))
-    layout = _layout_for(s, j, base)
     tcols, gw = _shard_buffers(s, j, m)
     gcols = dict(gctx)
     gcols.update(tcols)
-    noise = _GatherNoise(_CellNoise(*noise_key), rows)
-    _run_shard_pass(s, j, base, layout, noise, gcols, gw, m, max_block)
     w = s.wseq[j]
-    members = ({a: tcols[a] for a in tcols if a != w}
-               if s.hyper.is_hyper(w) else {})
-    return gw, members
-
-
-# ----------------------------------------------------------------------
-# Sharded dispatch (parent side)
-# ----------------------------------------------------------------------
-def _heal_pool(ppool, workers: int, tpool, tracer=None):
-    """Retire a broken process pool; return the thread-pool fallback.
-
-    Safe to call mid-draw: both process dispatchers collect *every*
-    shard future before stitching a single byte, so a worker death
-    leaves the output columns untouched and the whole column pass can
-    re-run on the surviving lane — bit-identical, because the draw is a
-    pure function of ``(model, n, seed)`` and the lane is scheduling.
-    The degrade is recorded on the column trace (``pool_broken``) and
-    the ``repro.engine`` logger.
-    """
-    _LOG.warning("process-pool worker died; degrading this draw to the "
-                 "thread pool (output unchanged)")
-    ppool.shutdown(wait=False)
-    if tracer is not None:
-        tracer.count("pool_broken", 1)
-    if tpool is None:
-        tpool = ThreadPoolExecutor(max_workers=workers)
-    return tpool
+    noise = _GatherNoise(_CellNoise(*noise_key), rows)
+    _ColumnPass(s, j, base, _layout_for(s, j, base), noise, gcols,
+                {w: gw}).fill(m, max_block)
+    return gw, {a: vals for a, vals in tcols.items() if a != w}
 
 
 def _fd_shard_closed(specs: list, fd_indexes: list) -> bool:
@@ -1539,61 +1445,23 @@ def _fd_shard_closed(specs: list, fd_indexes: list) -> bool:
         for fdx in fd_indexes)
 
 
-def _fill_unconstrained_process(sampler: _ColumnSampler, j: int, base,
-                                noise_key: tuple, cols: dict,
-                                wcols: dict, n: int, ppool, workers: int,
-                                tracer=None) -> None:
-    """Contiguous unconstrained shards dispatched to worker processes."""
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    spans = [(int(bounds[k]), int(bounds[k + 1]))
-             for k in range(workers) if bounds[k] < bounds[k + 1]]
-    futs = [ppool.submit(_pool_unconstrained, j, lo, hi, noise_key,
-                         *_shard_base(sampler, j, base, wcols,
-                                      slice(lo, hi)))
-            for lo, hi in spans]
-    if tracer is not None:
-        tracer.count("shards", len(spans))
+def _run_sharded(sampler: _ColumnSampler, j: int, base, noise_key: tuple,
+                 cols: dict, wcols: dict, shards: list, max_block: int,
+                 ppool, tracer=None) -> None:
+    """Group-closed constrained shards on the worker processes.
+
+    Every shard's result is collected before a byte is stitched, so a
+    dead worker leaves the output columns untouched.  Shard outputs
+    stitch back by their (disjoint) global row indices; completion
+    order cannot matter.
+    """
+    need = _shard_attrs(sampler, j)
+    futs = [ppool.submit(_pool_constrained, j, rows, noise_key,
+                         *_shard_base(sampler, j, base, wcols, rows),
+                         {a: cols[a][rows] for a in need}, max_block)
+            for rows in shards]
     results = [f.result() for f in futs]
     w = sampler.wseq[j]
-    t0 = time.perf_counter()
-    for (lo, hi), (gw, members) in zip(spans, results):
-        wcols[w][lo:hi] = gw
-        for a, vals in members.items():
-            cols[a][lo:hi] = vals
-    if tracer is not None:
-        tracer.count("stitch_us", int((time.perf_counter() - t0) * 1e6))
-
-
-def _run_sharded(sampler: _ColumnSampler, j: int, base, layout,
-                 noise_key: tuple, cols: dict, wcols: dict,
-                 shards: list, max_block: int, tpool, ppool,
-                 tracer=None) -> None:
-    """Group-closed constrained shards on the thread or process lane.
-
-    Shard outputs are stitched back by their (disjoint) global row
-    indices; completion order cannot matter.
-    """
-    w = sampler.wseq[j]
-    need = _shard_attrs(sampler, j)
-    if ppool is not None:
-        futs = [ppool.submit(_pool_constrained, j, rows, noise_key,
-                             *_shard_base(sampler, j, base, wcols, rows),
-                             {a: cols[a][rows] for a in need},
-                             max_block)
-                for rows in shards]
-        results = [f.result() for f in futs]
-    else:
-        def run(rows: np.ndarray):
-            m = rows.shape[0]
-            gcols = {a: cols[a][rows] for a in need}
-            tcols, gw = _shard_buffers(sampler, j, m)
-            gcols.update(tcols)
-            noise = _GatherNoise(_CellNoise(*noise_key), rows)
-            _run_shard_pass(sampler, j, _gather_base(base, rows),
-                            layout, noise, gcols, gw, m, max_block)
-            return gw, {a: v for a, v in tcols.items() if a != w}
-
-        results = list(tpool.map(run, shards))
     t0 = time.perf_counter()
     for rows, (gw, members) in zip(shards, results):
         wcols[w][rows] = gw
@@ -1603,37 +1471,52 @@ def _run_sharded(sampler: _ColumnSampler, j: int, base, layout,
         tracer.count("stitch_us", int((time.perf_counter() - t0) * 1e6))
 
 
+def _heal_pool(ppool, tracer=None) -> None:
+    """Retire a broken process pool: the rest of the draw runs inline.
+
+    Safe to call mid-draw: :func:`_run_sharded` collects *every* shard
+    future before stitching a single byte, so a worker death leaves the
+    output columns untouched and the column re-runs inline —
+    bit-identical, because the draw is a pure function of ``(model, n,
+    seed)`` and sharding is scheduling.  The degrade is recorded on the
+    column trace (``pool_broken``) and the ``repro.engine`` logger.
+    """
+    _LOG.warning("process-pool worker died; drawing the rest of this "
+                 "draw inline (output unchanged)")
+    ppool.shutdown(wait=False)
+    if tracer is not None:
+        tracer.count("pool_broken", 1)
+
+
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
 def synthesize_engine(model, relation, dcs, weights, n: int, params,
                       seed: int, hyper: HyperSpec | None = None,
-                      use_fd_lookup: bool = False,
-                      workers: int = 1, pool: str = "thread",
+                      use_fd_lookup: bool = False, workers: int = 1,
                       noise_chunk: int = NOISE_CHUNK,
                       trace=None) -> Table:
     """Algorithm 3: draw a synthetic instance of ``n`` rows.
 
     The output is a deterministic function of the arguments — in
-    particular it does **not** depend on ``workers`` or ``pool``
-    (scheduling knobs only), nor on the block cap
-    :data:`MAX_BLOCK_ROWS`.  ``seed`` keys every
-    per-cell noise stream; ``noise_chunk`` is the persisted chunking of
-    those streams (model format v2 records it so reloaded models replay
-    their draws).
+    particular it does **not** depend on ``workers`` (a scheduling knob
+    only), nor on the block cap :data:`MAX_BLOCK_ROWS`.  ``seed`` keys
+    every per-cell noise stream; ``noise_chunk`` is the persisted
+    chunking of those streams (model format v2 records it so reloaded
+    models replay their draws).
 
-    ``pool`` selects the execution lane for ``workers > 1``:
-    ``"thread"`` shares the parent's arrays (GIL-bound, cheap to start)
-    while ``"process"`` ships each shard as a compact picklable spec to
-    a :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
-    hold their own ``_ColumnSampler`` (built once per worker by
-    :func:`_pool_init`).  Constrained columns additionally shard when
-    their active DCs expose group keys: :func:`_shard_rows` partitions
-    rows into group-closed components, each shard runs a gathered
-    sub-schedule with shard-local indexes, and outputs stitch back by
-    row index — bit-identical to ``workers=1`` because no two rows in
-    different shards can interact and every cell's noise is addressed
-    by its global position.
+    ``workers > 1`` (at ``n >= 2 * _MIN_SHARD_ROWS``, without MCMC)
+    starts a :class:`~concurrent.futures.ProcessPoolExecutor` whose
+    workers hold their own ``_ColumnSampler`` (built once per worker
+    by :func:`_pool_init`).  A constrained column shards when its active
+    DCs expose group keys: :func:`_shard_rows` partitions rows into
+    group-closed components, each shard ships to a worker as a compact
+    spec and runs a gathered sub-schedule with shard-local indexes, and
+    outputs stitch back by row index — bit-identical to ``workers=1``
+    because no two rows in different shards can interact and every
+    cell's noise is addressed by its global position.  Every other
+    column draws inline.  If a worker dies, its column re-runs inline
+    and so does the rest of the draw (:func:`_heal_pool`).
 
     ``trace`` (a :class:`repro.obs.trace.SampleTrace`) records one
     :class:`~repro.obs.trace.ColumnTrace` per working column: wall
@@ -1646,8 +1529,6 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if pool not in ("thread", "process"):
-        raise ValueError(f"pool must be 'thread' or 'process', got {pool!r}")
     if hyper is None:
         hyper = HyperSpec.trivial(relation, model.sequence)
     master = int(seed)
@@ -1657,19 +1538,16 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
     cols = _allocate_columns(relation, n)
     wcols = _allocate_working(sampler, cols, n)
 
-    # Pools only pay off past the sharding floor; below it every column
-    # runs inline regardless of ``workers``.
-    pooled = workers > 1 and n >= max(2 * _MIN_SHARD_ROWS, workers)
-    tpool = ppool = None
-    if pooled:
-        if pool == "process":
-            ppool = ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context(),
-                initializer=_pool_init,
-                initargs=(model, relation, dcs, weights, params, hyper,
-                          use_fd_lookup))
-        else:
-            tpool = ThreadPoolExecutor(max_workers=workers)
+    # Workers only pay off past the sharding floor; below it, and under
+    # the (sequential) MCMC refinement, every column runs inline.
+    ppool = None
+    if (workers > 1 and params.mcmc_m == 0
+            and n >= max(2 * _MIN_SHARD_ROWS, workers)):
+        ppool = ProcessPoolExecutor(
+            max_workers=workers, mp_context=_pool_context(),
+            initializer=_pool_init,
+            initargs=(model, relation, dcs, weights, params, hyper,
+                      use_fd_lookup))
     try:
         for j in range(len(sampler.wseq)):
             col_trace = None
@@ -1679,35 +1557,22 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
             base = sampler.base_distribution(j, wcols, n, tracer=col_trace)
             layout = _layout_for(sampler, j, base)
             noise_key = (master, 2 * j, layout.stride, noise_chunk, n)
-            active = sampler.active_at[j]
             fd_indexes = sampler.fd_indexes_for(j)
-            if not active and not fd_indexes:
+            if not sampler.active_at[j] and not fd_indexes:
                 if col_trace is not None:
                     col_trace.mode = "unconstrained"
-                if ppool is not None:
-                    try:
-                        _fill_unconstrained_process(
-                            sampler, j, base, noise_key, cols, wcols, n,
-                            ppool, workers, tracer=col_trace)
-                    except BrokenProcessPool:
-                        tpool = _heal_pool(ppool, workers, tpool,
-                                           tracer=col_trace)
-                        ppool = None
-                        _fill_unconstrained(sampler, j, base, layout,
-                                            noise_key, cols, wcols, n,
-                                            tpool, workers,
-                                            tracer=col_trace)
-                else:
-                    _fill_unconstrained(sampler, j, base, layout,
-                                        noise_key, cols, wcols, n,
-                                        tpool, workers, tracer=col_trace)
+                    col_trace.count("shards")
+                _draw_unconstrained(sampler, j, base, layout,
+                                    _CellNoise(*noise_key), cols, wcols,
+                                    0, n)
             elif n > 0:
-                specs = _conflict_keys(sampler, j)
                 shards = None
-                if (pooled and params.mcmc_m == 0 and specs is not None
-                        and sampler.fresh_value_tracker(j) is None
-                        and _fd_shard_closed(specs, fd_indexes)):
-                    shards = _shard_rows(specs, cols, n, workers)
+                if ppool is not None:
+                    specs = _conflict_keys(sampler, j)
+                    if (specs is not None
+                            and sampler.fresh_value_tracker(j) is None
+                            and _fd_shard_closed(specs, fd_indexes)):
+                        shards = _shard_rows(specs, cols, n, workers)
                 if shards is not None:
                     if col_trace is not None:
                         col_trace.mode = (
@@ -1715,21 +1580,13 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
                             else "num-sharded")
                         col_trace.count("shards", len(shards))
                     try:
-                        _run_sharded(sampler, j, base, layout, noise_key,
-                                     cols, wcols, shards,
-                                     MAX_BLOCK_ROWS, tpool, ppool,
+                        _run_sharded(sampler, j, base, noise_key, cols,
+                                     wcols, shards, MAX_BLOCK_ROWS, ppool,
                                      tracer=col_trace)
                     except BrokenProcessPool:
-                        if ppool is None:
-                            raise
-                        tpool = _heal_pool(ppool, workers, tpool,
-                                           tracer=col_trace)
-                        ppool = None
-                        _run_sharded(sampler, j, base, layout, noise_key,
-                                     cols, wcols, shards,
-                                     MAX_BLOCK_ROWS, tpool, None,
-                                     tracer=col_trace)
-                else:
+                        _heal_pool(ppool, tracer=col_trace)
+                        ppool = shards = None
+                if shards is None:
                     _ColumnPass(sampler, j, base, layout,
                                 _CellNoise(*noise_key), cols, wcols,
                                 fd_indexes, tracer=col_trace,
@@ -1744,8 +1601,6 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
                     np.random.SeedSequence([master, 2 * j + 1])))
                 _mcmc_resample(sampler, j, cols, wcols, n, params.mcmc_m)
     finally:
-        if tpool is not None:
-            tpool.shutdown(wait=True)
         if ppool is not None:
             ppool.shutdown(wait=True)
     return Table(relation, cols, validate=False)

@@ -68,7 +68,6 @@ from repro.faults import fault_point
 from repro.schema.table import Table
 
 _WEIGHT_ESTIMATORS = ("matrix", "capped")
-_POOLS = ("thread", "process")
 
 
 def _non_negative_int(value, name: str) -> int:
@@ -145,7 +144,7 @@ class KaminoConfig:
         violation indicators — better when the budget affords an
         informative release); see :mod:`repro.core.weights`.
 
-    Draw scheduling (worker count, pool, stream chunking) is not model
+    Draw scheduling (worker count, stream chunking) is not model
     state: it is an argument of each :meth:`FittedKamino.sample` /
     :meth:`~FittedKamino.sample_stream` call and never changes a cell.
     """
@@ -300,18 +299,19 @@ class FittedKamino:
         identical — pass distinct seeds for distinct draws.
 
         ``workers`` (default 1; ``0`` = auto from ``os.cpu_count()``,
-        chosen per call) shards the engine's column passes —
-        unconstrained ones over contiguous spans, constrained ones over
-        group-disjoint sub-schedules — and ``pool`` (default
-        ``"thread"``) picks the ``"thread"`` or ``"process"`` lane.
+        chosen per call) runs the group-disjoint sub-schedules of
+        constrained columns in that many worker processes; every other
+        column draws inline.  ``pool`` accepts ``None`` or
+        ``"process"``, the one lane; the retired ``"thread"`` lane
+        raises a :class:`ValueError`.
 
         **Determinism guarantees.**  For a given fitted model, the drawn
         instance is a pure function of ``(n, seed)``:
 
         * the engine keys every cell's noise off counter-based Philox
-          streams, so ``workers``, ``pool`` and the engine's block size
-          are pure scheduling knobs — any combination yields
-          bit-identical output;
+          streams, so ``workers`` and the engine's block size are pure
+          scheduling knobs — any combination yields bit-identical
+          output;
         * passing a ``trace`` (see below) never touches any rng: a
           traced draw is bit-identical to an untraced one.
 
@@ -323,25 +323,26 @@ class FittedKamino:
         n_out = _draw_size(n, self.default_n)
         seed = _draw_seed(seed)
         cfg = self.config
-        pool = "thread" if pool is None else pool
         workers = (1 if workers is None
                    else _non_negative_int(workers, "workers")
                    or os.cpu_count() or 1)
-        if pool not in _POOLS:
-            raise ValueError(f"pool must be one of {_POOLS}, "
-                             f"got {pool!r}")
+        if pool not in (None, "process"):
+            retired = ("; the thread lane is retired"
+                       if pool == "thread" else "")
+            raise ValueError(f"pool must be None or 'process', got "
+                             f"{pool!r}{retired}")
         master, chunk = self._noise_key(seed)
         sampled_dcs = self.dcs if cfg.constraint_aware_sampling else []
         run_trace = None
         if trace is not None:
             run_trace = trace.begin_sample("blocked", n_out, seed,
-                                           workers=workers, pool=pool)
+                                           workers=workers)
         start = time.perf_counter()
         synthetic = synthesize_engine(
             self.model, self.relation, sampled_dcs, self.weights,
             n_out, self.params, master, hyper=self.hyper,
             use_fd_lookup=cfg.use_fd_lookup,
-            workers=workers, pool=pool, noise_chunk=chunk,
+            workers=workers, noise_chunk=chunk,
             trace=run_trace)
         seconds = time.perf_counter() - start
         if run_trace is not None:

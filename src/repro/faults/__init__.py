@@ -35,10 +35,10 @@ Actions:
 ``@after`` (default 1) is the 1-based hit index at which the fault
 starts firing; ``xTIMES`` (default 1) is how many consecutive hits
 fire; ``x*`` fires forever.  Counters are per-injector and guarded by
-a lock, so multi-threaded draws hit deterministic indices.  Forked
-pool workers inherit a *copy* of the counters, which gives "first hit
-in any worker" semantics for ``kill`` — exactly what the self-healing
-tests need.
+a lock, so concurrent server threads hit deterministic indices.
+Forked pool workers inherit a *copy* of the counters, which gives
+"first hit in any worker" semantics for ``kill`` — exactly what the
+self-healing tests need.
 
 Known sites (grep for ``fault_point(`` to confirm):
 

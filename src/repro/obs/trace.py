@@ -60,13 +60,15 @@ class ColumnTrace:
         self.mode = ""
         self.seconds = 0.0
         self.rows = 0
-        #: Scheduling counters: ``blocks``, ``block_rows_max``,
-        #: ``rescored_rows``, ``forced_rows``, ``sequential_rows``,
-        #: ``shards`` — whichever the lane produces — the
-        #: ``hard_violation_pairs`` of the FD lanes and the per-row pass,
-        #: and ``forward_rows``, the rows the column's sub-model ran
-        #: (one per distinct context tuple, or every row; none for a
-        #: histogram column).
+        #: Scheduling counters, whichever the lane produces:
+        #: ``blocks``, ``block_rows_max``, ``rescored_rows``,
+        #: ``forced_rows``, ``sequential_rows``; ``shards`` (1 for an
+        #: unconstrained column, which always draws inline, else the
+        #: worker shards of a sharded lane) with ``stitch_us`` and, if
+        #: a worker died, ``pool_broken``; the ``hard_violation_pairs``
+        #: of the FD lanes and the per-row pass; and ``forward_rows``,
+        #: the rows the column's sub-model ran (one per distinct context
+        #: tuple, or every row; none for a histogram column).
         self.counters: dict[str, int] = {}
         #: Violation-index probe counts, keyed by probe method name
         #: (``probe_block_codes``, ``probe_det_codes``, ``probe_pair``,
@@ -119,13 +121,11 @@ class SampleTrace:
     """Telemetry of one :meth:`FittedKamino.sample` (or ``sample_ar``)
     run: draw parameters, total wall-clock, and per-column passes."""
 
-    def __init__(self, engine: str, n: int, seed, workers: int = 1,
-                 pool: str = "thread"):
+    def __init__(self, engine: str, n: int, seed, workers: int = 1):
         self.engine = engine
         self.n = int(n)
         self.seed = None if seed is None else int(seed)
         self.workers = int(workers)
-        self.pool = pool
         self.seconds = 0.0
         self.columns: list[ColumnTrace] = []
 
@@ -156,7 +156,6 @@ class SampleTrace:
             "n": self.n,
             "seed": self.seed,
             "workers": self.workers,
-            "pool": self.pool,
             "seconds": round(self.seconds, 6),
             "rows_per_sec": _rps(self.n, self.seconds),
             "columns": [col.to_dict() for col in self.columns],
@@ -190,9 +189,9 @@ class RunTrace:
             elapsed = time.perf_counter() - start
             self.fit_phases[name] = self.fit_phases.get(name, 0.0) + elapsed
 
-    def begin_sample(self, engine: str, n: int, seed, workers: int = 1,
-                     pool: str = "thread") -> SampleTrace:
-        run = SampleTrace(engine, n, seed, workers, pool=pool)
+    def begin_sample(self, engine: str, n: int, seed,
+                     workers: int = 1) -> SampleTrace:
+        run = SampleTrace(engine, n, seed, workers)
         self.samples.append(run)
         return run
 
@@ -235,7 +234,7 @@ class RunTrace:
             seed = "-" if run.seed is None else run.seed
             lines.append(
                 f"  sample[{k}]: engine={run.engine} n={run.n} "
-                f"seed={seed} workers={run.workers} pool={run.pool} — "
+                f"seed={seed} workers={run.workers} — "
                 f"{run.seconds:.2f}s ({_rps(run.n, run.seconds):,.0f} "
                 f"rows/s)")
             if not run.columns:

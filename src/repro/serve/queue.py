@@ -11,8 +11,7 @@ actually drive the engine:
   share the result.  The engine never renders the same response twice
   concurrently.
 * **Per-model serialization.**  One render at a time per
-  ``(name, version)``: the engine already shards a single draw across
-  ``pool``/``workers``, so stacking concurrent draws of one model
+  ``(name, version)``: stacking concurrent draws of one model
   multiplies memory for zero throughput.  Distinct models render in
   parallel.
 * **Backpressure.**  ``max_pending`` bounds how many distinct renders

@@ -34,11 +34,13 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
+from repro.core.kamino import _non_negative_int, _positive_int
 from repro.faults import FaultInjected
 from repro.io.stream import (
     STREAM_SUFFIXES, decode_columns, write_table_stream,
@@ -52,7 +54,6 @@ from repro.serve.queue import (
 from repro.serve.registry import (
     ModelRegistry, QuarantinedModelError, UnknownModelError,
 )
-from repro.synth.protocol import sliced_chunks
 from repro.synth.registry import BackendUnavailable
 
 #: Response formats the ``format=`` query accepts, with content types.
@@ -71,37 +72,38 @@ _SEND_CHUNK = 1 << 16
 
 
 class ServeConfig:
-    """Validated knobs of one server instance."""
+    """Validated knobs of one server instance.
+
+    Every knob is checked here, before the server touches the disk; a
+    bad value raises a :class:`ValueError` naming the field.
+    """
 
     def __init__(self, models_dir: str, cache_dir: str | None = None,
                  host: str = "127.0.0.1", port: int = 8765,
                  hot_limit: int = 8,
                  cache_max_bytes: int = DEFAULT_MAX_BYTES,
                  max_pending: int = 16, timeout: float = 120.0,
-                 workers: int | None = None, pool: str | None = None,
                  chunk_rows: int | None = None, quiet: bool = False):
         self.models_dir = models_dir
         self.cache_dir = cache_dir or os.path.join(models_dir, "_cache")
         self.host = host
         self.port = int(port)
-        self.hot_limit = int(hot_limit)
-        self.cache_max_bytes = int(cache_max_bytes)
-        self.max_pending = int(max_pending)
-        self.timeout = float(timeout)
-        #: Worker count for Kamino draws (None: render through
-        #: ``sample_stream`` on one worker; 0: auto from cpu_count) —
+        self.hot_limit = _positive_int(hot_limit, "hot_limit")
+        self.cache_max_bytes = _non_negative_int(cache_max_bytes,
+                                                 "cache_max_bytes")
+        self.max_pending = _positive_int(max_pending, "max_pending")
+        try:
+            self.timeout = float(timeout)
+        except (TypeError, ValueError):
+            self.timeout = math.nan
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(
+                f"timeout must be a finite number > 0, got {timeout!r}")
+        #: Rows per streamed render chunk (None: the engine default) —
         #: pure scheduling, never changes a drawn byte, so cached and
         #: fresh responses always agree.
-        self.workers = None if workers is None else int(workers)
-        self.pool = pool
-        self.chunk_rows = None if chunk_rows is None else int(chunk_rows)
-        if self.workers is not None and self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers!r}")
-        if self.chunk_rows is not None and self.chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows!r}")
-        if pool not in (None, "thread", "process"):
-            raise ValueError(
-                f"pool must be None, 'thread' or 'process', got {pool!r}")
+        self.chunk_rows = (None if chunk_rows is None
+                           else _positive_int(chunk_rows, "chunk_rows"))
         self.quiet = bool(quiet)
 
 
@@ -155,29 +157,12 @@ class KaminoServer(ThreadingHTTPServer):
         return entry
 
     def _draw_chunks(self, loaded, n, seed, trace):
-        """The table chunks of one draw, honoring the server's
-        scheduling config.
-
-        Default: the backend's ``sample_stream`` (bounded memory on
-        native streamers).  With ``workers`` configured, Kamino models
-        draw single-shot through the sharded blocked engine instead —
-        bit-identical either way (scheduling knobs never change a
-        cell), so the cache stays coherent across configs.
-        """
-        cfg = self.config
-        fitted = loaded.fitted
-        native = getattr(fitted, "fitted", None)
-        if (cfg.workers is not None and cfg.workers != 1
-                and loaded.record.method == "kamino" and native is not None):
-            result = native.sample(n=n, seed=seed, workers=cfg.workers,
-                                   pool=cfg.pool, trace=trace)
-            n_out = result.table.n
-            chunk = cfg.chunk_rows or n_out or 1
-            return sliced_chunks(result.table, loaded.relation, n_out,
-                                 chunk)
-        return fitted.sample_stream(n=n, seed=seed,
-                                    chunk_rows=cfg.chunk_rows,
-                                    trace=trace)
+        """The table chunks of one draw: the backend's ``sample_stream``
+        (bounded memory on native streamers), the one render path.
+        ``chunk_rows`` is scheduling, so every served body is the
+        single-shot draw's bytes."""
+        return loaded.fitted.sample_stream(
+            n=n, seed=seed, chunk_rows=self.config.chunk_rows, trace=trace)
 
     def _deadline_chunks(self, chunks, started: float, label: str):
         """Bound one render by the request timeout.

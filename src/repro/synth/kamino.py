@@ -54,8 +54,8 @@ class FittedKaminoSynthesizer(FittedSynthesizer):
     def sample(self, n=None, seed=None, *, trace=None):
         """Delegates to :meth:`FittedKamino.sample`; returns the table.
 
-        Kamino's own per-call draw arguments (``workers``, ``pool``)
-        stay available on ``self.fitted`` — the protocol surface is the
+        Kamino's own per-call draw argument (``workers``) stays
+        available on ``self.fitted`` — the protocol surface is the
         portable subset.
         """
         return self.fitted.sample(n=n, seed=seed, trace=trace).table

@@ -336,7 +336,7 @@ def _ignored_flags(capsys) -> list:
 
 
 @pytest.mark.parametrize("out, flags", [
-    ("draw.csv", ["--workers", "2", "--pool", "process"]),
+    ("draw.csv", ["--workers", "2"]),
     ("bundle", ["--chunk-rows", "16"]),
 ])
 def test_cmd_sample_warns_about_flags_its_path_ignores(tpch_bundle, tmp_path,
@@ -357,9 +357,8 @@ def test_backend_paths_warn_about_kamino_only_flags(tpch_bundle, tmp_path,
                                                     capsys):
     assert main(["synthesize", tpch_bundle, "--method", "privbayes",
                  "--epsilon", "1.0", "--n", "20", "--out",
-                 str(tmp_path / "synth"), "--workers", "2",
-                 "--pool", "process"]) == 0
-    assert _ignored_flags(capsys) == ["--workers", "--pool"]
+                 str(tmp_path / "synth"), "--workers", "2"]) == 0
+    assert _ignored_flags(capsys) == ["--workers"]
     model = tmp_path / "pb.npz"
     assert main(["fit", tpch_bundle, "--method", "privbayes",
                  "--epsilon", "1.0", "--out", str(model)]) == 0
@@ -451,8 +450,16 @@ def test_bad_seed_is_a_usage_error(capsys, argv, value, message):
     ("synthesize", "--workers", "-2", "must be >= 0"),
     ("synthesize", "--max-iterations", "-1", "must be >= 0"),
     ("fit", "--max-iterations", "1.5", "not an integer"),
-    ("serve", "--workers", "-1", "must be >= 0"),
     ("serve", "--chunk-rows", "0", "must be >= 1"),
+    ("serve", "--hot-limit", "0", "must be >= 1"),
+    ("serve", "--max-pending", "0", "must be >= 1"),
+    ("serve", "--cache-max-bytes", "-5", "must be >= 0"),
+    ("serve", "--timeout", "0", "must be a finite number > 0"),
+    ("serve", "--timeout", "inf", "must be a finite number > 0"),
+    ("evaluate", "--alpha", "-1", "must be >= 1"),
+    ("evaluate", "--alpha", "0", "must be >= 1"),
+    ("evaluate", "--max-sets", "0", "must be >= 1"),
+    ("evaluate", "--max-sets", "-3", "must be >= 1"),
 ])
 def test_bad_integer_flag_is_a_usage_error(tpch_bundle, tmp_path, capsys,
                                            monkeypatch, command, flag,
@@ -469,6 +476,7 @@ def test_bad_integer_flag_is_a_usage_error(tpch_bundle, tmp_path, capsys,
         "synthesize": ["synthesize", tpch_bundle, "--out", str(out)],
         "fit": ["fit", tpch_bundle, "--out", str(out)],
         "serve": ["serve", "--models-dir", str(out)],
+        "evaluate": ["evaluate", tpch_bundle, str(out)],
     }[command]
     with pytest.raises(SystemExit) as exc:
         main(argv + [flag, value])

@@ -241,26 +241,25 @@ def test_process_pool_bit_identical(fitted):
     _assert_tables_equal(one.table, proc.table, "process-pool")
 
 
-def test_thread_pool_sharded_bit_identical(fitted):
-    ds, model = fitted
-    one = model.sample(n=_SHARD_N, seed=6, workers=1)
-    thr = model.sample(n=_SHARD_N, seed=6, workers=3, pool="thread")
-    _assert_tables_equal(one.table, thr.table, "thread-sharded")
-
-
 def test_sharded_lanes_engage_and_stitch(fitted):
     """Every benchmark dataset has >= 1 constrained column that splits
     into group-disjoint sub-schedules at this n, and the stitch timer
-    records the scatter."""
+    records the scatter; unconstrained columns draw inline, one shard
+    each."""
     ds, model = fitted
     trace = RunTrace()
     model.sample(n=_SHARD_N, seed=6, workers=4, trace=trace)
-    sharded = [c for c in trace.samples[0].columns
+    columns = trace.samples[0].columns
+    sharded = [c for c in columns
                if c.mode in ("cat-sharded", "num-sharded")]
-    assert sharded, [c.mode for c in trace.samples[0].columns]
+    assert sharded, [c.mode for c in columns]
     for col in sharded:
         assert col.counters.get("shards", 0) >= 2
         assert "stitch_us" in col.counters
+    for col in columns:
+        if col.mode == "unconstrained":
+            assert col.counters["shards"] == 1, (col.name, col.counters)
+            assert "stitch_us" not in col.counters
 
 
 def test_stream_concat_bit_identical(fitted):
@@ -300,9 +299,17 @@ def test_workers_auto_resolves_at_draw_time(fitted):
 
 
 def test_pool_knob_validated(fitted):
+    """``pool`` names the one lane: ``None`` and ``"process"`` draw the
+    ``workers=1`` table; the retired thread lane raises."""
     ds, model = fitted
+    with pytest.raises(ValueError, match="thread lane is retired"):
+        model.sample(n=10, seed=0, pool="thread")
     with pytest.raises(ValueError, match="pool"):
         model.sample(n=10, seed=0, pool="fiber")
+    one = model.sample(n=_SHARD_N, seed=6, workers=1).table
+    for pool in (None, "process"):
+        table = model.sample(n=_SHARD_N, seed=6, workers=3, pool=pool).table
+        _assert_tables_equal(one, table, f"pool={pool}")
 
 
 def test_stream_rejects_mcmc(fitted):

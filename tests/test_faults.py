@@ -4,8 +4,9 @@ The :mod:`repro.faults` injector turns "what if the worker dies / the
 disk fills / the artifact rots" into deterministic, assertable events.
 This suite proves each recovery path the ISSUE names:
 
-* a killed process-pool worker degrades the draw to the thread pool —
-  bit-identical output, a ``pool_broken`` trace counter, a warning;
+* a killed process-pool worker re-runs its column inline, and the rest
+  of the draw runs inline too — bit-identical output, a
+  ``pool_broken`` trace counter, a warning;
 * an interrupted streamed draw (in-process error or a killed CLI
   subprocess) never leaves a truncated file at ``--out``;
 * corrupt or truncated model artifacts raise a typed
@@ -127,8 +128,9 @@ def test_env_var_arms_injection_in_subprocess():
 # Self-healing parallel draws
 # ----------------------------------------------------------------------
 def test_pool_worker_death_heals_bit_identical(artifacts, caplog):
-    """A killed process-pool worker degrades the draw to the thread
-    pool: same bytes as workers=1, a pool_broken counter, a warning."""
+    """A killed process-pool worker re-runs its column inline and the
+    rest of the draw runs inline: same bytes as workers=1, a
+    pool_broken counter, a warning, and no sharded column after it."""
     ds, model = artifacts["dataset"], artifacts["fitted"]
     reference = model.sample(n=4096, seed=9, workers=1)
     trace = RunTrace(label="chaos")
@@ -140,10 +142,15 @@ def test_pool_worker_death_heals_bit_identical(artifacts, caplog):
         np.testing.assert_array_equal(healed.table.column(name),
                                       reference.table.column(name),
                                       err_msg=name)
-    broken = sum(col.counters.get("pool_broken", 0)
-                 for sample in trace.samples for col in sample.columns)
+    columns = [col for sample in trace.samples for col in sample.columns]
+    broken = sum(col.counters.get("pool_broken", 0) for col in columns)
     assert broken >= 1
     assert any("worker" in rec.message for rec in caplog.records)
+    first = next(k for k, col in enumerate(columns)
+                 if col.counters.get("pool_broken"))
+    assert all(col.mode not in ("cat-sharded", "num-sharded")
+               for col in columns[first + 1:]), \
+        [(col.name, col.mode) for col in columns]
 
 
 # ----------------------------------------------------------------------

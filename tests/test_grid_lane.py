@@ -141,18 +141,14 @@ def test_draw_digests_pinned(fits, name, n, seed, digest):
     ("br2000", 4097, "5fc53f676be69c7d"),
 ])
 def test_one_row_last_tile_pinned(fits, name, n, digest):
-    """Draws whose last inference tile and last noise tile hold one row
-    (at ``workers=2`` a process shard of 2,049 rows ends in one too),
+    """Draws whose last inference tile and last noise tile hold one row,
     pinned before the forward and the unconstrained lane were tiled.
-    Run unpadded, adult's 1-row last tile moves the 4,097-row draw."""
+    Run unpadded, adult's 1-row last tile moves the 4,097-row draw; at
+    ``workers=2`` it runs on worker processes."""
     fitted = fits(name)
     assert _table_digest(fitted.sample(n=n, seed=1004).table) == digest
-    table = fitted.sample(n=n, seed=1004, workers=2, pool="thread").table
+    table = fitted.sample(n=n, seed=1004, workers=2).table
     assert _table_digest(table) == digest
-    if n == 4097:
-        table = fitted.sample(n=n, seed=1004, workers=2,
-                              pool="process").table
-        assert _table_digest(table) == digest
 
 
 @pytest.mark.parametrize("n, digest", [

@@ -418,13 +418,12 @@ def test_draw_digests_pinned(fits, name, n, seed, digest):
     assert _table_digest(fits(name).sample(n=n, seed=seed).table) == digest
 
 
-@pytest.mark.parametrize("pool", ["process", "thread"])
 @pytest.mark.parametrize("n, digest", [
     (5_000, "76680655ed738b06"),
     pytest.param(10_000, "1ccc470d3323bc67", marks=_SLOW),
 ])
-def test_sharded_draws_pinned(fits, pool, n, digest):
-    table = fits("tax").sample(n=n, seed=3000, workers=2, pool=pool).table
+def test_sharded_draws_pinned(fits, n, digest):
+    table = fits("tax").sample(n=n, seed=3000, workers=2).table
     assert _table_digest(table) == digest
 
 
@@ -576,8 +575,7 @@ def _streamed(fitted, n: int, seed: int) -> Table:
 
 _FRESH_DRAWS = {
     "blocked": lambda f: f.sample(n=600, seed=3).table,
-    "thread": lambda f: f.sample(n=600, seed=3, workers=2,
-                                 pool="thread").table,
+    "workers2": lambda f: f.sample(n=600, seed=3, workers=2).table,
     "stream": lambda f: _streamed(f, 600, 3),
     "row": lambda f: sample_rows(f, 600, 2),
     "ar": lambda f: f.sample_ar(n=200, seed=3).table,
@@ -588,7 +586,7 @@ _FRESH_DRAWS = {
 
 @pytest.mark.parametrize("path, digest", [
     ("blocked", "36785e85bf8f491b"),
-    ("thread", "36785e85bf8f491b"),
+    ("workers2", "36785e85bf8f491b"),
     ("stream", "36785e85bf8f491b"),
     ("row", "57375aef4a14f87d"),
     ("ar", "a4d951b8093d3f15"),

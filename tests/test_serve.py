@@ -700,13 +700,26 @@ def test_registry_quarantines_load_failure(tmp_path, tpch):
             registry.get("m")
 
 
-@pytest.mark.parametrize("knob, value", [("workers", -1),
-                                         ("chunk_rows", 0),
-                                         ("pool", "fiber")])
+@pytest.mark.parametrize("knob, value", [
+    ("chunk_rows", 0),
+    ("chunk_rows", 2.5),
+    ("hot_limit", 0),
+    ("hot_limit", 1.5),
+    ("max_pending", 0),
+    ("cache_max_bytes", -5),
+    ("timeout", 0),
+    ("timeout", -1.0),
+    ("timeout", float("inf")),
+    ("timeout", float("nan")),
+    ("timeout", "soon"),
+])
 def test_serve_config_rejects_bad_draw_knobs(tmp_path, knob, value):
-    """Caught when the server is configured, not as a 500 per render."""
+    """Caught when the server is configured, before it touches the disk,
+    not as a 500 per render."""
+    models = tmp_path / "models"
     with pytest.raises(ValueError, match=rf"{knob} must be"):
-        ServeConfig(str(tmp_path), **{knob: value})
+        ServeConfig(str(models), **{knob: value})
+    assert not models.exists()
 
 
 @contextlib.contextmanager
@@ -913,8 +926,8 @@ def test_serve_cli_parser_wiring():
     args = build_parser().parse_args(
         ["serve", "--models-dir", "m", "--port", "0",
          "--register", "a:model.npz:schema.json",
-         "--workers", "2", "--quiet"])
+         "--chunk-rows", "2", "--quiet"])
     assert args.models_dir == "m"
     assert args.register == ["a:model.npz:schema.json"]
-    assert args.workers == 2
+    assert args.chunk_rows == 2
     assert args.fn.__name__ == "cmd_serve"
