@@ -401,13 +401,15 @@ def cmd_sample(args) -> int:
               f"--dcs; the draw will not enforce them (and will differ "
               f"from the fit-time draw)", file=sys.stderr)
     stream_fmt = stream_format_for(args.out)
+    trace = RunTrace(label=f"sample:{args.model}") if args.trace else None
     if stream_fmt is not None:
-        _warn_ignored(args, ("workers", "trace"),
+        _warn_ignored(args, ("workers",),
                       "does not apply to a streamed draw (--out is a "
                       "table file)")
         start = time.perf_counter()
         chunks = fitted.sample_stream(n=args.n, seed=args.seed,
-                                      chunk_rows=args.chunk_rows)
+                                      chunk_rows=args.chunk_rows,
+                                      trace=trace)
         try:
             rows = write_table_stream(args.out, relation, chunks,
                                       fmt=stream_fmt)
@@ -419,10 +421,10 @@ def cmd_sample(args) -> int:
               f"(n={rows}, {stream_fmt}, chunk_rows={chunk_rows}, "
               f"{time.perf_counter() - start:.1f}s via the blocked "
               f"engine, no privacy spend)")
+        _finish_trace(args, trace)
         return 0
     _warn_ignored(args, ("chunk_rows",),
                   "applies to streamed draws (--out a table file) only")
-    trace = RunTrace(label=f"sample:{args.model}") if args.trace else None
     result = fitted.sample(n=args.n, seed=args.seed,
                            workers=args.workers, trace=trace)
     save_bundle(args.out, result.table, fitted.dcs)
@@ -507,6 +509,11 @@ def cmd_evaluate(args) -> int:
     synth_bundle = load_bundle(args.synth_bundle)
     if true_bundle.relation.names != synth_bundle.relation.names:
         print("error: bundles have different schemas", file=sys.stderr)
+        return 2
+    width = len(true_bundle.relation.names)
+    if max(args.alpha) > width:
+        print(f"error: --alpha {max(args.alpha)} exceeds the bundles' "
+              f"{width} attributes", file=sys.stderr)
         return 2
     if true_bundle.dcs:
         print("== Metric I: DC violating-pair % (true vs synthetic) ==")
@@ -622,6 +629,15 @@ def _positive_int(text: str) -> int:
     """``--chunk-rows``, ``--hot-limit``, ``--max-pending``, ``--alpha``,
     ``--max-sets``: an integer >= 1."""
     return _int_at_least(text, 1)
+
+
+def _port(text: str) -> int:
+    """``--port``: 0 (a free port) to 65535."""
+    value = _int_at_least(text, 0)
+    if value > 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be <= 65535, got {text!r}")
+    return value
 
 
 def _positive_float(text: str) -> float:
@@ -802,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draw-cache directory (default: "
                         "<models-dir>/_cache)")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8765,
+    p.add_argument("--port", type=_port, default=8765,
                    help="listen port (0 picks a free one; default 8765)")
     p.add_argument("--register", action="append", metavar="SPEC",
                    default=None,

@@ -28,8 +28,8 @@ restructures the same computation around two observations:
     sharded across workers.  The drawn instance is a pure function of
     ``(model, DCs, weights, n, seed)`` — block size and worker count
     are scheduling details.  That property is what makes **sharded
-    parallel draws** safe (items 3 and 4): shards stitch back
-    bit-identical to ``workers=1``.
+    parallel draws** safe (item 5): shards stitch back bit-identical
+    to ``workers=1``.
 
 Selection itself uses the Gumbel-max trick: ``argmax(logp - penalty +
 gumbel)`` draws from exactly the normalised-product distribution of
@@ -37,39 +37,46 @@ Algorithm 3 line 10, so the engine samples from the *same law* as the
 per-row reference loop (their draws differ only through the rng
 scheme).
 
-Built on those two properties, three further execution lanes (all
-bit-identical to the plain single-worker draw, pinned by
+Built on those two properties, the draw has one lane dispatch, one
+driver and one parallel schedule (pinned by
 ``tests/test_engine_blocked.py``):
 
-3.  **Group-disjoint constrained sub-schedules.**  Rows in different
-    determinant / equality groups provably cannot interact, so a
-    constrained column whose group keys are determined up front can be
-    partitioned into *group-closed* row shards (:func:`_shard_rows`,
-    union-find over the per-DC group ids) and each shard run as its own
-    sub-schedule with shard-local violation indexes — the same pass,
-    gathered onto the shard's rows.
+3.  **One lane dispatch.**  Every column runs :meth:`_ColumnPass.fill`.
+    A column no DC constrains is the zero-penalty case of the same
+    lanes — the categorical block lane or the numerical window lane, in
+    noise-chunk-sized blocks that keep every row (a hyper target folds
+    its member columns in bulk) — and is traced ``unconstrained``.
 
-4.  **A process-pool lane** (``workers > 1``): those shards ship to
-    worker processes as compact picklable specs (row indices +
-    gathered context slices + the noise key); each worker holds one
+4.  **One draw driver** (:func:`_draw`): chunk-major column passes over
+    row ranges.  A column's :class:`_PassState` (violation indexes, FD
+    lookups, used-value sets) lives from its first chunk to its last,
+    so its indexes accumulate exactly as one long pass would build
+    them; its base, noise view and scratch live for one chunk, and
+    each cell reads the noise of its *global* row.  Every DC shape
+    streams: each binary DC counts in its violation index, never in a
+    scan of the sampled prefix.  :func:`synthesize_stream` yields the
+    chunks and :func:`synthesize_engine` is the one-chunk call, so a
+    one-chunk stream is the single-shot draw by construction.  Longer
+    streams equal it bit for bit except in numerical columns drawn
+    from a sub-model head, whose last bits depend on the batch size
+    (ROADMAP item 1).
+
+5.  **Group-disjoint constrained shards on worker processes**
+    (``workers > 1``, single-shot draws only, like the MCMC
+    refinement).  Rows in different determinant / equality groups
+    provably cannot interact, so a constrained column whose group keys
+    are determined up front partitions into *group-closed* row shards
+    (:func:`_shard_rows`, union-find over the per-DC group ids).  Each
+    shard ships to a worker process as a compact picklable spec (row
+    indices + gathered context slices + the noise key) and runs the
+    same pass with shard-local violation indexes; each worker holds one
     :class:`_ColumnSampler` built from the model payload at pool init
     and recomputes a categorical base conditional locally, which is
-    row-pure.  A numerical target's base ships as the parent's rows
-    of ``(mu, sigma)`` instead: its ``d x 2`` head's last bits depend
-    on the batch size (the same cause as a partial stream chunk's
-    drift), so a worker's shard-sized head could move cells.  Outputs
-    stitch back by row index — bit-identical to ``workers=1`` (pinned)
-    because every cell's noise is position-pure.  Unconstrained
-    columns always draw in the parent, one noise tile at a time: they
-    cost less inline than shipped.
-
-5.  **Streaming chunked draws** (:func:`synthesize_stream`): the same
-    column passes run chunk-major with per-column state (violation
-    indexes, FD lookups, used-value sets, noise streams) persisting
-    across chunks, yielding bounded-memory row chunks whose
-    concatenation equals the single-shot draw bit for bit.  Every DC
-    shape streams: each binary DC counts in its violation index, never
-    in a scan of the sampled prefix.
+    row-pure.  A numerical target's base ships as the parent's rows of
+    ``(mu, sigma)`` instead, because its head's last bits depend on the
+    batch size.  Outputs stitch back by row index — bit-identical to
+    ``workers=1`` (pinned) because every cell's noise is
+    position-pure.  DC-free columns always draw in the parent.
 
 Entry points: :func:`synthesize_engine`, behind
 :meth:`repro.core.kamino.FittedKamino.sample`, and
@@ -126,14 +133,13 @@ _MIN_WINDOW_ROWS = 32
 #: more than ``n - _MIN_SHARD_ROWS`` rows.
 _MIN_SHARD_ROWS = 2048
 
-#: Default row-chunk of a streaming draw (``sample_stream``); a pure
-#: scheduling knob — chunk boundaries never change a cell.
+#: Default row-chunk of a streaming draw (``sample_stream``); scheduling,
+#: except in the numerical sub-model heads (item 4 above).
 STREAM_CHUNK_ROWS = 65536
 
 #: Bounds on the per-column chunk caches (noise matrices and base
-#: candidate matrices).  Small LRUs: a streaming n=10M draw touches
-#: thousands of chunks, but lanes walk rows forward, and a contiguous
-#: tile, block or window spans at most two chunks.
+#: candidate matrices).  Small LRUs: lanes walk rows forward, and a
+#: contiguous block or window spans at most two chunks.
 _NOISE_CACHE_CHUNKS = 2
 _BASE_CACHE_CHUNKS = 2
 
@@ -206,22 +212,23 @@ class _LRU:
 class _CellNoise:
     """Counter-based per-cell uniform streams for one column.
 
-    Row ``i``'s noise is row ``i % chunk`` of the ``(chunk, stride)``
-    matrix drawn from the Philox stream keyed ``(seed, tag, i //
-    chunk)``.  Chunks are fixed, so any row range regenerates the same
-    values regardless of block boundaries or which worker asks.
+    Global row ``i``'s noise is row ``i % chunk`` of the ``(chunk,
+    stride)`` matrix drawn from the Philox stream keyed ``(seed, tag, i
+    // chunk)``.  Chunks are fixed, so any row range regenerates the
+    same values regardless of block boundaries or which worker asks.
+    :meth:`rows` reads local rows: local row ``r`` is global row
+    ``offset + r`` (a streamed chunk's first row).
     """
 
-    #: Global row of local row 0 (:class:`_OffsetNoise` shifts it).
-    offset = 0
-
     def __init__(self, seed: int, tag: int, stride: int,
-                 chunk: int = NOISE_CHUNK, n_rows: int | None = None):
+                 chunk: int = NOISE_CHUNK, n_rows: int | None = None,
+                 offset: int = 0):
         self.seed = seed
         self.tag = tag
         self.stride = max(int(stride), 1)
         self.chunk = int(chunk)
         self.n_rows = n_rows
+        self.offset = int(offset)
         self._cache = _LRU(_NOISE_CACHE_CHUNKS)
 
     def _chunk_rows(self, c: int) -> np.ndarray:
@@ -241,9 +248,10 @@ class _CellNoise:
         return cached
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        """The (hi - lo, stride) noise matrix for rows [lo, hi)."""
+        """The (hi - lo, stride) noise matrix for local rows [lo, hi)."""
         if hi <= lo:
             return np.empty((0, self.stride))
+        lo, hi = lo + self.offset, hi + self.offset
         first, last = lo // self.chunk, (hi - 1) // self.chunk
         if first == last:
             block = self._chunk_rows(first)
@@ -256,32 +264,13 @@ class _CellNoise:
         return np.concatenate(parts, axis=0)
 
 
-class _OffsetNoise:
-    """A noise view shifted by a fixed global row offset.
-
-    Streaming chunks work on chunk-local arrays but every cell must
-    read the uniforms of its *global* row — local row ``r`` maps to
-    ``offset + r`` of the inner stream.
-    """
-
-    __slots__ = ("inner", "offset", "stride", "chunk")
-
-    def __init__(self, inner, offset: int):
-        self.inner = inner
-        self.offset = int(offset)
-        self.stride = inner.stride
-        self.chunk = inner.chunk
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        return self.inner.rows(lo + self.offset, hi + self.offset)
-
-
 class _GatherNoise:
     """A noise view over an arbitrary (sorted) global row selection.
 
     Group-closed shards gather non-contiguous rows; local row ``r``
-    maps to global row ``rows[r]``.  Rows are fetched chunk by chunk so
-    regeneration cost matches the contiguous path.
+    maps to global row ``rows[r]`` of ``inner`` (a :class:`_CellNoise`
+    at offset 0).  Rows are fetched chunk by chunk so regeneration cost
+    matches the contiguous path.
     """
 
     __slots__ = ("inner", "_rows", "stride", "chunk")
@@ -344,65 +333,6 @@ def _layout_for(sampler: _ColumnSampler, j: int, base) -> _Layout:
     fresh_off = value_slots + d + extras if fresh else -1
     stride = value_slots + d + extras + fresh
     return _Layout(base[0], d, extras, fresh_off, gumbel_off, stride)
-
-
-# ----------------------------------------------------------------------
-# Unconstrained columns: fully vectorized, one noise tile at a time
-# ----------------------------------------------------------------------
-def _draw_unconstrained(sampler: _ColumnSampler, j: int, base,
-                        layout: _Layout, noise, cols: dict,
-                        wcols: dict, lo: int, hi: int) -> None:
-    """Draw rows [lo, hi) of an unconstrained column, one noise chunk
-    at a time.
-
-    Tiles end where the noise stream's chunks do (in global rows), so a
-    tile reads one cached chunk as a view and every scratch array is
-    tile-sized; each cell reads its own noise, so the tiling never
-    changes one.
-    """
-    step = noise.chunk
-    while lo < hi:
-        end = min(hi, lo + step - (lo + noise.offset) % step)
-        _draw_unconstrained_tile(sampler, j, base, layout, noise, cols,
-                                 wcols, lo, end)
-        lo = end
-
-
-def _draw_unconstrained_tile(sampler: _ColumnSampler, j: int, base,
-                             layout: _Layout, noise, cols: dict,
-                             wcols: dict, lo: int, hi: int) -> None:
-    w = sampler.wseq[j]
-    wattr = sampler.wrel[w]
-    u = noise.rows(lo, hi)
-    if layout.kind == "cat":
-        codes = np.argmax(base[1][lo:hi] + _gumbel(u[:, :layout.d]), axis=1)
-        wcols[w][lo:hi] = codes
-        if sampler.hyper.is_hyper(w):
-            for attr, values in sampler.hyper.decode_codes(w, codes).items():
-                cols[attr][lo:hi] = values
-    elif layout.kind == "num":
-        d = layout.d
-        mu, sigma = base[1][lo:hi], base[2][lo:hi]
-        z = _box_muller(u[:, :2 * d])
-        cand = sampler.snap(
-            w, wattr.domain.clip(mu[:, None] + sigma[:, None] * z))
-        logp = -0.5 * ((cand - mu[:, None]) / sigma[:, None]) ** 2
-        pick = np.argmax(
-            logp + _gumbel(u[:, layout.gumbel_off:layout.gumbel_off + d]),
-            axis=1)
-        wcols[w][lo:hi] = cand[np.arange(hi - lo), pick]
-    else:
-        hist = base[1]
-        q = layout.d
-        logp = hist.log_prob_codes()[None, :]
-        bins = np.argmax(
-            logp + _gumbel(u[:, layout.gumbel_off:layout.gumbel_off + q]),
-            axis=1)
-        edges = hist.quantizer.edges
-        dec = u[np.arange(hi - lo), bins]
-        values = edges[bins] + dec * (edges[bins + 1] - edges[bins])
-        wcols[w][lo:hi] = sampler.snap(
-            w, hist.quantizer.domain.clip(values))
 
 
 # ----------------------------------------------------------------------
@@ -567,24 +497,30 @@ def _shard_rows(specs: list | None, cols: dict, n: int,
 
 @dataclass
 class _PassState:
-    """Per-column incremental state that outlives one chunk.
+    """Per-column incremental state: the violation indexes, FD lookups
+    and used-value set a column's pass folds its rows into.
 
-    A single-shot pass creates (and discards) this implicitly; a
-    streaming draw keeps one per column so the violation indexes, FD
-    lookups, and used-value sets accumulate across chunks exactly as
-    they would over one long pass.
+    It lives from the column's first chunk to its last, so its indexes
+    accumulate across chunks exactly as over one long pass; a shard's
+    pass starts one over its own rows.
     """
 
     vio: dict
     fd_indexes: list
     used: set | None
 
+    @classmethod
+    def start(cls, sampler: _ColumnSampler, j: int) -> "_PassState":
+        """Empty state for position ``j``: no row folded yet."""
+        return cls(sampler.violation_indexes_for(j),
+                   sampler.fd_indexes_for(j),
+                   sampler.fresh_value_tracker(j))
+
 
 class _ColumnPass:
-    """Shared state of one constrained column pass.
+    """One column's pass over one chunk of rows.
 
-    ``state`` carries persistent per-column indexes across streaming
-    chunks (None builds fresh ones — the single-shot case).  Every
+    ``state`` holds the column's indexes (:class:`_PassState`).  Every
     binary DC counts in its index, so a chunk never needs the rows
     before it.  ``row_offset`` is the global index of local row 0, used
     only for the "is the global prefix empty" guards of the candidate
@@ -592,10 +528,8 @@ class _ColumnPass:
     """
 
     def __init__(self, sampler: _ColumnSampler, j: int, base,
-                 layout: _Layout, noise, cols: dict,
-                 wcols: dict, fd_indexes: list | None = None,
-                 tracer=None, state: _PassState | None = None,
-                 row_offset: int = 0):
+                 layout: _Layout, noise, cols: dict, wcols: dict,
+                 state: _PassState, tracer=None, row_offset: int = 0):
         self.sampler = sampler
         self.j = j
         self.base = base
@@ -605,15 +539,9 @@ class _ColumnPass:
         self.wcols = wcols
         self.row_offset = int(row_offset)
         self.w = sampler.wseq[j]
-        if state is not None:
-            self.vio = state.vio
-            self.fd_indexes = state.fd_indexes
-            self.used = state.used
-        else:
-            self.vio = sampler.violation_indexes_for(j)
-            self.fd_indexes = (fd_indexes if fd_indexes is not None
-                               else sampler.fd_indexes_for(j))
-            self.used = sampler.fresh_value_tracker(j)
+        self.vio = state.vio
+        self.fd_indexes = state.fd_indexes
+        self.used = state.used
         self.tracer = tracer
         if tracer is not None:
             # Route every index probe into the column's probe counters.
@@ -754,9 +682,8 @@ class _ColumnPass:
         for any block size.
         """
         specs = self._fd_lane_specs()
-        if self.tracer is not None:
-            self.tracer.mode = ("cat-fd-lane" if specs is not None
-                                else "cat-generic")
+        self._trace_lane("cat-fd-lane" if specs is not None
+                         else "cat-generic")
         if specs is not None:
             self._fill_cat_fd_lane(n, max_block, specs)
         else:
@@ -797,10 +724,13 @@ class _ColumnPass:
     def _fd_lane_specs(self) -> list | None:
         """Per-DC ``(weight, index, mode, source_attrs)`` for the pure-
         FD fast lane, or None when any active non-unary DC doesn't fit
-        (no index, non-FD shape, hyper target, composite det target).
+        (no index, non-FD shape, composite det target) or a hyper
+        target has any active DC.
         """
         if not self.decoded_is_codes:
-            return None
+            # A DC-free hyper target folds its member columns in bulk
+            # (:meth:`_fold_kept_prefix`).
+            return None if self.active else []
         specs = []
         for dc, weight, tattrs in self._active_specs:
             if dc.is_unary:
@@ -940,6 +870,9 @@ class _ColumnPass:
                 self.wcols[self.w][i] = values[r]
                 _record_fd(self.fd_indexes, self.cols, i)
         self.wcols[self.w][lo:lo + stop] = values[:stop]
+        if self.decoded and not self.decoded_is_codes:
+            for attr, member in self.decoded.items():
+                self.cols[attr][lo:lo + stop] = member[picks[:stop]]
         for _, index, mode, side, _ in per_dc:
             if mode == "dep":
                 index.add_codes(side[:stop], picks[:stop])
@@ -1125,12 +1058,13 @@ class _ColumnPass:
             rows = np.arange(B)
             groups = [index.group_codes(cols, slice(lo, hi))
                       for index in fds]
-            cand, logp = self._base_candidates(lo, hi)
-            cmat = np.empty((B, width))
-            cmat[:, :d] = cand
-            cmat[:, d:] = cand[:, :1]  # valid pad, masked by -inf below
-            lpm = np.full((B, width), -np.inf)
-            lpm[:, :d] = logp
+            cmat, lpm = self._base_candidates(lo, hi)
+            if width > d:
+                # Slots for the hard FDs' extras, masked until filled.
+                cmat = np.concatenate(
+                    [cmat, np.repeat(cmat[:, :1], width - d, axis=1)], axis=1)
+                lpm = np.concatenate(
+                    [lpm, np.full((B, width - d), -np.inf)], axis=1)
             holds = {s: fds[s].holds(groups[s]) for s in hard}
             if holds:
                 extra = np.zeros((B, grid.shape[0]), dtype=bool)
@@ -1149,7 +1083,7 @@ class _ColumnPass:
                     lpm[r_idx, pos] = hist.log_prob_codes()[
                         hist.quantizer.encode(added)]
             ranks = fds[0].dep_ranks(cmat) if fds else None
-            penalty = np.zeros((B, width))
+            penalty = None
             per_dc = []
             fd_groups = iter(groups)
             for dc, weight, index in specs:
@@ -1164,10 +1098,12 @@ class _ColumnPass:
                     group = next(fd_groups)
                     counts = index.counts_at(group, ranks)
                     per_dc.append((weight, index, "dep", group, counts))
-                penalty += weight * counts
+                penalty = (weight * counts if penalty is None
+                           else penalty + weight * counts)
             u = self.noise.rows(lo, hi)
             g = _gumbel(u[:, gum:gum + width])
-            picks = np.argmax(lpm - penalty + g, axis=1)
+            picks = np.argmax(lpm + g if penalty is None
+                              else lpm - penalty + g, axis=1)
             # With no FD to fold, the picks only size the kept prefix.
             pick_ranks = ranks[rows, picks] if fds else picks
             fresh = [~holds[s][rows, pick_ranks] if s in holds else None
@@ -1298,26 +1234,38 @@ class _ColumnPass:
 
     # -- lane dispatch ---------------------------------------------------
     def fill(self, n: int, max_block: int) -> None:
-        """Draw rows ``0..n`` of this constrained column on its lane.
+        """Draw rows ``0..n`` of this column on its lane: the one lane
+        dispatch.
 
         A categorical target scores blocks of up to ``max_block`` rows
         (:meth:`fill_cat`).  A numerical one runs in windows of up to
         ``max_block`` rows when its DCs are FDs counted on its value
         grid or unary DCs alone (:meth:`_fill_num_fd_lane`, traced as
         ``num-blocked``), and per row otherwise
-        (:meth:`fill_numeric_sequential`, ``num-sequential``).
+        (:meth:`fill_numeric_sequential`, ``num-sequential``).  A
+        DC-free column is the zero-penalty case of the first and the
+        window lane: blocks of one noise chunk, each kept whole, traced
+        ``unconstrained``.
         """
+        if not self.active:
+            max_block = self.noise.chunk
         if self.layout.kind == "cat":
             self.fill_cat(n, max_block)
             return
         specs = self._num_fd_specs()
-        if self.tracer is not None:
-            self.tracer.mode = ("num-sequential" if specs is None
-                                else "num-blocked")
+        self._trace_lane("num-sequential" if specs is None
+                         else "num-blocked")
         if specs is None:
             self.fill_numeric_sequential(n)
         else:
             self._fill_num_fd_lane(n, max_block, specs)
+
+    def _trace_lane(self, lane: str) -> None:
+        """Name the lane on the column trace; a column with no active DC
+        (and so no FD lookup, whose DC is active at its dependent)
+        reads ``unconstrained``."""
+        if self.tracer is not None:
+            self.tracer.mode = lane if self.active else "unconstrained"
 
 
 # ----------------------------------------------------------------------
@@ -1412,10 +1360,10 @@ def _pool_constrained(j: int, rows: np.ndarray, noise_key: tuple,
     A categorical base is row-pure, so recomputing it over the gathered
     context slices equals the parent's rows; a numerical base arrives
     as the parent's rows (``shipped``).  The noise view addresses
-    global rows, so the draw is position-exact.  The pass builds its
-    own (shard-local) violation and FD-lookup indexes: rows outside the
-    shard share no group with rows inside it, so the local indexes
-    answer every probe with exactly the global counts.
+    global rows, so the draw is position-exact.  The pass starts its
+    own (shard-local) :class:`_PassState`, as the driver does: rows
+    outside the shard share no group with rows inside it, so the local
+    indexes answer every probe with exactly the global counts.
     """
     fault_point("engine.worker")
     s = _POOL_SAMPLER
@@ -1428,7 +1376,7 @@ def _pool_constrained(j: int, rows: np.ndarray, noise_key: tuple,
     w = s.wseq[j]
     noise = _GatherNoise(_CellNoise(*noise_key), rows)
     _ColumnPass(s, j, base, _layout_for(s, j, base), noise, gcols,
-                {w: gw}).fill(m, max_block)
+                {w: gw}, _PassState.start(s, j)).fill(m, max_block)
     return gw, {a: vals for a, vals in tcols.items() if a != w}
 
 
@@ -1489,55 +1437,37 @@ def _heal_pool(ppool, tracer=None) -> None:
 
 
 # ----------------------------------------------------------------------
-# Entry point
+# The draw driver and its two entry points
 # ----------------------------------------------------------------------
-def synthesize_engine(model, relation, dcs, weights, n: int, params,
-                      seed: int, hyper: HyperSpec | None = None,
-                      use_fd_lookup: bool = False, workers: int = 1,
-                      noise_chunk: int = NOISE_CHUNK,
-                      trace=None) -> Table:
-    """Algorithm 3: draw a synthetic instance of ``n`` rows.
+def _draw(model, relation, dcs, weights, n: int, params, seed: int,
+          hyper: HyperSpec | None, use_fd_lookup: bool, chunk_rows: int,
+          noise_chunk: int, workers: int = 1, trace=None):
+    """Yield the draw of ``n`` rows in chunks of ``chunk_rows`` rows (one
+    empty chunk when ``n`` is 0).
 
-    The output is a deterministic function of the arguments — in
-    particular it does **not** depend on ``workers`` (a scheduling knob
-    only), nor on the block cap :data:`MAX_BLOCK_ROWS`.  ``seed`` keys
-    every per-cell noise stream; ``noise_chunk`` is the persisted
-    chunking of those streams (model format v2 records it so reloaded
-    models replay their draws).
+    Each chunk runs every column's pass over its row range.  A column's
+    :class:`_PassState` starts with its first chunk and is dropped
+    after its last; its base, layout, noise view and pass live for one
+    chunk, and the noise view reads global rows.  ``workers > 1`` (at
+    ``n >= 2 * _MIN_SHARD_ROWS``, no MCMC) shards constrained columns
+    onto worker processes and ``mcmc_m > 0`` refines each column after
+    its pass; both need the whole draw in one chunk, so only
+    :func:`synthesize_engine` asks for them.
 
-    ``workers > 1`` (at ``n >= 2 * _MIN_SHARD_ROWS``, without MCMC)
-    starts a :class:`~concurrent.futures.ProcessPoolExecutor` whose
-    workers hold their own ``_ColumnSampler`` (built once per worker
-    by :func:`_pool_init`).  A constrained column shards when its active
-    DCs expose group keys: :func:`_shard_rows` partitions rows into
-    group-closed components, each shard ships to a worker as a compact
-    spec and runs a gathered sub-schedule with shard-local indexes, and
-    outputs stitch back by row index — bit-identical to ``workers=1``
-    because no two rows in different shards can interact and every
-    cell's noise is addressed by its global position.  Every other
-    column draws inline.  If a worker dies, its column re-runs inline
-    and so does the rest of the draw (:func:`_heal_pool`).
-
-    ``trace`` (a :class:`repro.obs.trace.SampleTrace`) records one
-    :class:`~repro.obs.trace.ColumnTrace` per working column: wall
-    clock, lane (``unconstrained``/``cat-fd-lane``/``cat-generic``/
-    ``num-blocked``/``num-sequential``, plus ``cat-sharded``/
-    ``num-sharded`` with ``shards``/``stitch_us`` counters when a
-    constrained column splits), block sizes, re-scored/forced rows, and
-    index probe counts.  Tracing reads no randomness — a traced draw is
-    bit-identical to an untraced one — and ``None`` costs nothing.
+    ``trace`` (a :class:`repro.obs.trace.SampleTrace`) gets one
+    :class:`~repro.obs.trace.ColumnTrace` per working column, summed
+    over the chunks, and is finished with the drain's wall clock.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    start = time.perf_counter()
     if hyper is None:
         hyper = HyperSpec.trivial(relation, model.sequence)
     master = int(seed)
     sampler = _ColumnSampler(
         model, relation, hyper, dcs, weights, params,
         rng=np.random.default_rng(0), use_fd_lookup=use_fd_lookup)
-    cols = _allocate_columns(relation, n)
-    wcols = _allocate_working(sampler, cols, n)
-
+    ncols = len(sampler.wseq)
+    states: list[_PassState | None] = [None] * ncols
+    col_traces = [None] * ncols
     # Workers only pay off past the sharding floor; below it, and under
     # the (sequential) MCMC refinement, every column runs inline.
     ppool = None
@@ -1549,30 +1479,26 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
             initargs=(model, relation, dcs, weights, params, hyper,
                       use_fd_lookup))
     try:
-        for j in range(len(sampler.wseq)):
-            col_trace = None
-            if trace is not None:
-                col_trace = trace.column(sampler.wseq[j])
-                col_start = time.perf_counter()
-            base = sampler.base_distribution(j, wcols, n, tracer=col_trace)
-            layout = _layout_for(sampler, j, base)
-            noise_key = (master, 2 * j, layout.stride, noise_chunk, n)
-            fd_indexes = sampler.fd_indexes_for(j)
-            if not sampler.active_at[j] and not fd_indexes:
-                if col_trace is not None:
-                    col_trace.mode = "unconstrained"
-                    col_trace.count("shards")
-                _draw_unconstrained(sampler, j, base, layout,
-                                    _CellNoise(*noise_key), cols, wcols,
-                                    0, n)
-            elif n > 0:
+        for off in range(0, max(n, 1), chunk_rows):
+            m = min(chunk_rows, n - off)
+            cols = _allocate_columns(relation, m)
+            wcols = _allocate_working(sampler, cols, m)
+            for j in range(ncols):
+                col_trace = col_traces[j]
+                if trace is not None:
+                    if col_trace is None:
+                        col_trace = col_traces[j] = trace.column(
+                            sampler.wseq[j])
+                        if not sampler.active_at[j]:
+                            col_trace.count("shards")  # always inline
+                    col_start = time.perf_counter()
+                base = sampler.base_distribution(j, wcols, m,
+                                                 tracer=col_trace)
+                layout = _layout_for(sampler, j, base)
+                noise_key = (master, 2 * j, layout.stride, noise_chunk, n)
                 shards = None
-                if ppool is not None:
-                    specs = _conflict_keys(sampler, j)
-                    if (specs is not None
-                            and sampler.fresh_value_tracker(j) is None
-                            and _fd_shard_closed(specs, fd_indexes)):
-                        shards = _shard_rows(specs, cols, n, workers)
+                if ppool is not None and sampler.active_at[j]:
+                    shards = _column_shards(sampler, j, cols, m, workers)
                 if shards is not None:
                     if col_trace is not None:
                         col_trace.mode = (
@@ -1587,51 +1513,110 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
                         _heal_pool(ppool, tracer=col_trace)
                         ppool = shards = None
                 if shards is None:
+                    state = states[j] or _PassState.start(sampler, j)
+                    states[j] = state if off + m < n else None
                     _ColumnPass(sampler, j, base, layout,
-                                _CellNoise(*noise_key), cols, wcols,
-                                fd_indexes, tracer=col_trace,
-                                ).fill(n, MAX_BLOCK_ROWS)
-            if col_trace is not None:
-                col_trace.finish(time.perf_counter() - col_start, n)
-            if params.mcmc_m > 0:
-                # The refinement is inherently sequential; it draws from
-                # its own keyed stream so the column passes above stay
-                # schedule-invariant.
-                sampler.rng = np.random.Generator(np.random.Philox(
-                    np.random.SeedSequence([master, 2 * j + 1])))
-                _mcmc_resample(sampler, j, cols, wcols, n, params.mcmc_m)
+                                _CellNoise(*noise_key, offset=off), cols,
+                                wcols, state, tracer=col_trace,
+                                row_offset=off).fill(m, MAX_BLOCK_ROWS)
+                if col_trace is not None:
+                    col_trace.finish(time.perf_counter() - col_start, m)
+                if params.mcmc_m > 0:
+                    # The refinement is inherently sequential; it draws
+                    # from its own keyed stream so the column passes
+                    # above stay schedule-invariant.
+                    sampler.rng = np.random.Generator(np.random.Philox(
+                        np.random.SeedSequence([master, 2 * j + 1])))
+                    _mcmc_resample(sampler, j, cols, wcols, m,
+                                   params.mcmc_m)
+            yield Table(relation, cols, validate=False)
     finally:
         if ppool is not None:
             ppool.shutdown(wait=True)
-    return Table(relation, cols, validate=False)
+    if trace is not None:
+        trace.finish(time.perf_counter() - start)
 
 
-# ----------------------------------------------------------------------
-# Streaming entry point
-# ----------------------------------------------------------------------
+def _column_shards(sampler: _ColumnSampler, j: int, cols: dict, n: int,
+                   workers: int) -> list[np.ndarray] | None:
+    """Group-closed row shards of constrained position ``j``, or None
+    when it cannot shard (see :func:`_shard_rows`)."""
+    specs = _conflict_keys(sampler, j)
+    if (specs is None or sampler.fresh_value_tracker(j) is not None
+            or not _fd_shard_closed(specs, sampler.fd_indexes_for(j))):
+        return None
+    return _shard_rows(specs, cols, n, workers)
+
+
+def synthesize_engine(model, relation, dcs, weights, n: int, params,
+                      seed: int, hyper: HyperSpec | None = None,
+                      use_fd_lookup: bool = False, workers: int = 1,
+                      noise_chunk: int = NOISE_CHUNK,
+                      trace=None) -> Table:
+    """Algorithm 3: draw a synthetic instance of ``n`` rows — the
+    one-chunk call of the draw driver (:func:`_draw`).
+
+    The output is a deterministic function of the arguments — in
+    particular it does **not** depend on ``workers`` (a scheduling knob
+    only), nor on the block cap :data:`MAX_BLOCK_ROWS`.  ``seed`` keys
+    every per-cell noise stream; ``noise_chunk`` is the persisted
+    chunking of those streams (model format v2 records it so reloaded
+    models replay their draws).
+
+    ``workers > 1`` (at ``n >= 2 * _MIN_SHARD_ROWS``, without MCMC)
+    runs the group-closed shards of constrained columns on a
+    :class:`~concurrent.futures.ProcessPoolExecutor` (item 5 of the
+    module docstring); every other column draws inline.  If a worker
+    dies, its column re-runs inline and so does the rest of the draw
+    (:func:`_heal_pool`).
+
+    ``trace`` (a :class:`repro.obs.trace.SampleTrace`) records one
+    :class:`~repro.obs.trace.ColumnTrace` per working column: wall
+    clock, lane (``unconstrained``/``cat-fd-lane``/``cat-generic``/
+    ``num-blocked``/``num-sequential``, plus ``cat-sharded``/
+    ``num-sharded`` with ``shards``/``stitch_us`` counters when a
+    constrained column splits), block sizes, re-scored/forced rows, and
+    index probe counts.  Tracing reads no randomness — a traced draw is
+    bit-identical to an untraced one — and ``None`` costs nothing.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    (table,) = _draw(model, relation, dcs, weights, n, params, seed, hyper,
+                     use_fd_lookup, max(n, 1), noise_chunk,
+                     workers=workers, trace=trace)
+    return table
+
+
 def synthesize_stream(model, relation, dcs, weights, n: int, params,
                       seed: int, hyper: HyperSpec | None = None,
                       use_fd_lookup: bool = False,
                       chunk_rows: int = STREAM_CHUNK_ROWS,
-                      noise_chunk: int = NOISE_CHUNK):
-    """Yield the blocked-engine draw of ``n`` rows in bounded chunks.
+                      noise_chunk: int = NOISE_CHUNK, trace=None):
+    """Yield the draw of ``n`` rows in chunks of ``chunk_rows`` rows.
 
-    Concatenating the yielded :class:`Table` chunks (in order) is
-    bit-identical to ``synthesize_engine(..., workers=1)`` with the
-    same arguments: each cell's noise is addressed by its *global* row
-    (``_OffsetNoise`` over the same keyed streams), chunk and block
-    boundaries are pure scheduling, and the per-column constraint state
+    The chunks come from the draw driver (:func:`_draw`) that
+    :func:`synthesize_engine` calls with one chunk, so a stream whose
+    ``chunk_rows`` covers ``n`` is the single-shot draw by
+    construction.  With more chunks, each cell still reads the noise of
+    its *global* row and each column's constraint state
     (:class:`_PassState`: violation indexes, FD lookups, used-value
     sets) persists across chunks exactly as one long pass would build
-    it.  Peak memory holds one ``chunk_rows``-row table, each
-    categorical column's (chunk_rows, V) base and the (k, V) rows of
-    its chunk's k distinct context tuples it is gathered from (k is at
-    most half the chunk), a numerical target's (chunk_rows, d) context
-    vectors and that per-column index state; every other scratch
+    it, so the concatenated chunks equal the single-shot draw bit for
+    bit — except in numerical columns drawn from a sub-model head,
+    whose last bits depend on the batch size (ROADMAP item 1: tpch
+    ``o_totalprice`` and adult ``fnlwgt`` move in a few hundred cells
+    of a 70,000-row draw in 65,536-row chunks).
+
+    Peak memory holds one ``chunk_rows``-row table, each categorical
+    column's (chunk_rows, V) base and the (k, V) rows of its chunk's k
+    distinct context tuples it is gathered from (k is at most half the
+    chunk), a numerical target's (chunk_rows, d) context vectors and
+    the index state of the columns drawn so far; every other scratch
     array is one inference tile or noise chunk — never the full ``n``
-    rows.  Every DC shape streams: binary DCs count in their indexes,
-    unary ones on the row alone.  ``mcmc_m > 0`` is rejected: the
-    refinement re-reads the whole instance.
+    rows.  Every DC shape streams.  ``mcmc_m > 0`` is rejected: the
+    refinement re-reads the whole instance.  ``trace`` (a
+    :class:`~repro.obs.trace.SampleTrace`) gets per-column traces
+    summed over the chunks.  ``n = 0`` yields no chunk.
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -1639,42 +1624,7 @@ def synthesize_stream(model, relation, dcs, weights, n: int, params,
         raise ValueError(
             "streaming draws require mcmc_m == 0: the MCMC refinement "
             "re-reads the full instance")
-    if hyper is None:
-        hyper = HyperSpec.trivial(relation, model.sequence)
-    master = int(seed)
-    sampler = _ColumnSampler(
-        model, relation, hyper, dcs, weights, params,
-        rng=np.random.default_rng(0), use_fd_lookup=use_fd_lookup)
-    ncols = len(sampler.wseq)
-    states: list[_PassState | None] = []
-    for j in range(ncols):
-        fd_indexes = sampler.fd_indexes_for(j)
-        if sampler.active_at[j] or fd_indexes:
-            states.append(_PassState(
-                vio=sampler.violation_indexes_for(j),
-                fd_indexes=fd_indexes,
-                used=sampler.fresh_value_tracker(j)))
-        else:
-            states.append(None)
-    layouts: list[_Layout | None] = [None] * ncols
-    noises: list[_CellNoise | None] = [None] * ncols
-    for off in range(0, n, chunk_rows):
-        m = min(chunk_rows, n - off)
-        cols = _allocate_columns(relation, m)
-        wcols = _allocate_working(sampler, cols, m)
-        for j in range(ncols):
-            base = sampler.base_distribution(j, wcols, m)
-            if layouts[j] is None:
-                layouts[j] = _layout_for(sampler, j, base)
-                noises[j] = _CellNoise(master, 2 * j, layouts[j].stride,
-                                       noise_chunk, n)
-            layout = layouts[j]
-            noise = _OffsetNoise(noises[j], off)
-            if states[j] is None:
-                _draw_unconstrained(sampler, j, base, layout, noise,
-                                    cols, wcols, 0, m)
-            else:
-                _ColumnPass(sampler, j, base, layout, noise, cols, wcols,
-                            state=states[j], row_offset=off,
-                            ).fill(m, MAX_BLOCK_ROWS)
-        yield Table(relation, cols, validate=False)
+    if n > 0:
+        yield from _draw(model, relation, dcs, weights, n, params, seed,
+                         hyper, use_fd_lookup, chunk_rows, noise_chunk,
+                         trace=trace)

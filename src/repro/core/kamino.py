@@ -345,25 +345,29 @@ class FittedKamino:
             workers=workers, noise_chunk=chunk,
             trace=run_trace)
         seconds = time.perf_counter() - start
-        if run_trace is not None:
-            run_trace.finish(seconds)
         return self._result(synthetic, seconds)
 
     def sample_stream(self, n: int | None = None, seed: int | None = None,
-                      chunk_rows: int | None = None):
+                      chunk_rows: int | None = None, *, trace=None):
         """Draw ``n`` rows as an iterator of bounded-memory table chunks.
 
-        Concatenating the yielded :class:`Table` chunks in order is
-        bit-identical to ``sample(n, seed).table`` — chunking is pure
-        scheduling (see :func:`repro.core.engine.synthesize_stream`).
-        ``chunk_rows`` defaults to ``STREAM_CHUNK_ROWS`` (65,536).  Peak
-        memory holds one chunk plus the per-column constraint-index
-        state, never the full ``n`` rows — this is the lane behind
-        ``repro-kamino sample --out`` streaming n=10M draws straight to
-        disk.
+        ``sample`` is the one-chunk call of the same draw driver, so a
+        stream whose ``chunk_rows`` covers ``n`` yields exactly
+        ``sample(n, seed).table``.  With more chunks the concatenation
+        equals it bit for bit except in numerical columns drawn from a
+        sub-model head, whose last bits depend on the batch size (see
+        :func:`repro.core.engine.synthesize_stream`).  ``chunk_rows``
+        defaults to ``STREAM_CHUNK_ROWS`` (65,536).  Peak memory holds
+        one chunk plus the per-column constraint-index state, never the
+        full ``n`` rows — this is the lane behind ``repro-kamino sample
+        --out`` streaming n=10M draws straight to disk.
 
-        Requires ``mcmc_m == 0`` (the refinement re-reads the whole
-        instance); every DC shape streams.
+        ``trace`` (a :class:`repro.obs.trace.RunTrace`) gets one
+        :class:`~repro.obs.trace.SampleTrace` (engine
+        ``"blocked-stream"``) with per-column traces summed over the
+        chunks, finished when the stream is drained; it never touches
+        an rng.  Requires ``mcmc_m == 0`` (the refinement re-reads the
+        whole instance); every DC shape streams.
         """
         n_out = _draw_size(n, self.default_n)
         seed = _draw_seed(seed)
@@ -372,11 +376,13 @@ class FittedKamino:
                  else _positive_int(chunk_rows, "chunk_rows"))
         master, noise_chunk = self._noise_key(seed)
         sampled_dcs = self.dcs if cfg.constraint_aware_sampling else []
+        run_trace = (None if trace is None
+                     else trace.begin_sample("blocked-stream", n_out, seed))
         return synthesize_stream(
             self.model, self.relation, sampled_dcs, self.weights,
             n_out, self.params, master, hyper=self.hyper,
             use_fd_lookup=cfg.use_fd_lookup,
-            chunk_rows=chunk, noise_chunk=noise_chunk)
+            chunk_rows=chunk, noise_chunk=noise_chunk, trace=run_trace)
 
     def sample_ar(self, n: int | None = None, seed: int | None = None,
                   max_tries: int = 300, trace=None) -> KaminoResult:

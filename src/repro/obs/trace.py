@@ -6,14 +6,16 @@ long each part took:
 * **fit phases** — sequencing (Algorithm 4), parameter search
   (Algorithm 6), DP-SGD model training (Algorithm 2), and DC-weight
   learning (Algorithm 5), timed via :meth:`RunTrace.phase`;
-* **sample runs** — one :class:`SampleTrace` per draw, holding a
-  :class:`ColumnTrace` per sampled working column: wall-clock,
-  rows/sec, the engine lane the column ran on (``mode``), scheduling
-  counters (blocks, block sizes, re-scored rows, forced rows,
-  sequential-fallback rows), and violation-index probe counts.
+* **sample runs** — one :class:`SampleTrace` per draw or stream,
+  holding a :class:`ColumnTrace` per sampled working column (a
+  stream's summed over its chunks): wall-clock, rows/sec, the engine
+  lane the column ran on (``mode``), scheduling counters (blocks,
+  block sizes, re-scored rows, forced rows, sequential-fallback rows),
+  and violation-index probe counts.
 
 The collector is threaded through :meth:`repro.core.kamino.Kamino.fit`,
-:meth:`repro.core.kamino.FittedKamino.sample`, the sampling engine
+:meth:`repro.core.kamino.FittedKamino.sample` and ``sample_stream``,
+the sampling engine
 (:mod:`repro.core.engine`), and the
 violation indexes (:mod:`repro.constraints.index`) behind a
 zero-cost-when-off hook: every instrumentation site is guarded by an
@@ -48,7 +50,8 @@ def _rps(rows: int, seconds: float) -> float:
 
 
 class ColumnTrace:
-    """Telemetry of one sampled working column (one engine pass)."""
+    """Telemetry of one sampled working column: its engine passes,
+    summed over a stream's chunks."""
 
     __slots__ = ("name", "mode", "seconds", "rows", "counters", "probes")
 
@@ -90,8 +93,10 @@ class ColumnTrace:
             self.counters["block_rows_max"] = size
 
     def finish(self, seconds: float, rows: int) -> None:
-        self.seconds = float(seconds)
-        self.rows = int(rows)
+        """Add one pass's wall clock and rows (a streamed column runs
+        one pass per chunk)."""
+        self.seconds += float(seconds)
+        self.rows += int(rows)
 
     @property
     def sequential_fallback_rate(self) -> float:
@@ -118,8 +123,9 @@ class ColumnTrace:
 
 
 class SampleTrace:
-    """Telemetry of one :meth:`FittedKamino.sample` (or ``sample_ar``)
-    run: draw parameters, total wall-clock, and per-column passes."""
+    """Telemetry of one :meth:`FittedKamino.sample`, ``sample_stream``
+    or ``sample_ar`` run: draw parameters, total wall-clock, and
+    per-column passes (none for ``sample_ar``)."""
 
     def __init__(self, engine: str, n: int, seed, workers: int = 1):
         self.engine = engine

@@ -87,7 +87,9 @@ class ServeConfig:
         self.models_dir = models_dir
         self.cache_dir = cache_dir or os.path.join(models_dir, "_cache")
         self.host = host
-        self.port = int(port)
+        self.port = _non_negative_int(port, "port")
+        if self.port > 65535:
+            raise ValueError(f"port must be at most 65535, got {port!r}")
         self.hot_limit = _positive_int(hot_limit, "hot_limit")
         self.cache_max_bytes = _non_negative_int(cache_max_bytes,
                                                  "cache_max_bytes")
@@ -99,9 +101,10 @@ class ServeConfig:
         if not 0 < self.timeout < math.inf:
             raise ValueError(
                 f"timeout must be a finite number > 0, got {timeout!r}")
-        #: Rows per streamed render chunk (None: the engine default) —
-        #: pure scheduling, never changes a drawn byte, so cached and
-        #: fresh responses always agree.
+        #: Rows per streamed render chunk (None: the engine default).
+        #: A body of at most one chunk is the single-shot draw; longer
+        #: bodies can move in numerical sub-model heads' last bits
+        #: (ROADMAP item 1), so keep it fixed for one cache directory.
         self.chunk_rows = (None if chunk_rows is None
                            else _positive_int(chunk_rows, "chunk_rows"))
         self.quiet = bool(quiet)
@@ -158,9 +161,12 @@ class KaminoServer(ThreadingHTTPServer):
 
     def _draw_chunks(self, loaded, n, seed, trace):
         """The table chunks of one draw: the backend's ``sample_stream``
-        (bounded memory on native streamers), the one render path.
-        ``chunk_rows`` is scheduling, so every served body is the
-        single-shot draw's bytes."""
+        (bounded memory on native streamers), the one render path.  A
+        body of at most ``chunk_rows`` rows is the single-shot draw's
+        bytes; a longer one can differ from it in the last bits of a
+        Kamino model's numerical sub-model heads (ROADMAP item 1), and
+        is the same for every request.  Kamino renders trace per
+        column."""
         return loaded.fitted.sample_stream(
             n=n, seed=seed, chunk_rows=self.config.chunk_rows, trace=trace)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core.kamino import FittedKamino, Kamino, KaminoConfig, _draw_size
+from repro.core.kamino import FittedKamino, Kamino, KaminoConfig
 from repro.synth.ledger import BudgetLedger
 from repro.synth.protocol import FittedSynthesizer, Synthesizer
 
@@ -62,29 +62,16 @@ class FittedKaminoSynthesizer(FittedSynthesizer):
 
     def sample_stream(self, n=None, seed=None, chunk_rows=None, *,
                       trace=None):
-        """Bounded-memory chunks via :meth:`FittedKamino.sample_stream`.
-
-        Same contract as the protocol default — concatenated chunks
-        equal the single-shot draw bit for bit — but peak memory holds
-        one chunk, never the full ``n`` rows.  ``trace`` records one
-        run-level :class:`~repro.obs.trace.SampleTrace` timed over the
-        drain (the underlying stream has no per-column hook); it never
-        touches an rng.
+        """Bounded-memory chunks via :meth:`FittedKamino.sample_stream`:
+        peak memory holds one chunk, never the full ``n`` rows.  A
+        stream of one chunk is the single-shot draw; longer ones equal
+        it except in the last bits of numerical sub-model heads (see
+        :meth:`FittedKamino.sample_stream`).  ``trace`` records one
+        :class:`~repro.obs.trace.SampleTrace` with per-column traces;
+        it never touches an rng.
         """
-        n_out = _draw_size(n, self.fitted.default_n)
-        chunks = self.fitted.sample_stream(n=n_out, seed=seed,
-                                           chunk_rows=chunk_rows)
-        if trace is None:
-            return chunks
-        return self._traced_drain(chunks, n_out, seed, trace)
-
-    def _traced_drain(self, chunks, n_out, seed, trace):
-        import time
-        run = trace.begin_sample("blocked-stream", n_out, seed)
-        start = time.perf_counter()
-        for chunk in chunks:
-            yield chunk
-        run.finish(time.perf_counter() - start)
+        return self.fitted.sample_stream(n=n, seed=seed,
+                                         chunk_rows=chunk_rows, trace=trace)
 
     def save(self, path: str) -> None:
         """Native Kamino model format v2, not the synth payload —

@@ -183,8 +183,10 @@ class FittedSynthesizer:
                       chunk_rows: int | None = None, *, trace=None):
         """Draw ``n`` rows as an iterator of :class:`Table` chunks.
 
-        Concatenating the chunks in order is bit-identical to
-        ``sample(n, seed)`` — chunking is pure output scheduling.  The
+        Concatenating the chunks in order gives ``sample(n, seed)``
+        (past one chunk, Kamino's native stream can differ in the last
+        bits of numerical sub-model heads: see
+        :meth:`repro.core.kamino.FittedKamino.sample_stream`).  The
         protocol-level default materializes one single-shot draw and
         slices it (bounded *output* granularity, not bounded peak
         memory); backends with a genuinely incremental draw override

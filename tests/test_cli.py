@@ -353,6 +353,54 @@ def test_cmd_sample_warns_about_flags_its_path_ignores(tpch_bundle, tmp_path,
     assert _ignored_flags(capsys) == flags[::2]
 
 
+def test_cmd_sample_streamed_draw_writes_its_trace(tpch_bundle, tmp_path,
+                                                   capsys):
+    """``--trace`` on a streamed draw saves and summarises one
+    ``blocked-stream`` sample with a trace per working column, each over
+    all ``--n`` rows; the CSV is the single-shot draw's."""
+    from repro.core import FittedKamino
+    from repro.io import load_dcs, load_relation
+    from repro.io.stream import write_table_stream
+
+    model = tmp_path / "model.npz"
+    assert main(["fit", tpch_bundle, "--epsilon", "inf",
+                 "--max-iterations", "2", "--out", str(model)]) == 0
+    capsys.readouterr()
+    schema, dcs = f"{tpch_bundle}/schema.json", f"{tpch_bundle}/dcs.txt"
+    out, trace = tmp_path / "draw.csv", tmp_path / "t.json"
+    assert main(["sample", str(model), "--schema", schema, "--dcs", dcs,
+                 "--n", "50", "--seed", "3", "--chunk-rows", "16",
+                 "--out", str(out), "--trace", str(trace)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"wrote run trace to {trace}" in captured.out
+    (run,) = json.loads(trace.read_text())["samples"]
+    assert (run["engine"], run["n"], run["seed"]) == \
+        ("blocked-stream", 50, 3)
+    relation = load_relation(schema)
+    fitted = FittedKamino.load(str(model), relation,
+                               load_dcs(dcs, relation=relation))
+    assert [col["name"] for col in run["columns"]] == \
+        list(fitted.hyper.working_sequence)
+    assert all(col["rows"] == 50 and col["mode"] for col in run["columns"])
+    single = tmp_path / "single.csv"
+    write_table_stream(str(single), relation,
+                       [fitted.sample(n=50, seed=3).table], fmt="csv")
+    assert out.read_bytes() == single.read_bytes()
+
+
+def test_evaluate_alpha_past_the_attribute_count_is_an_error(tpch_bundle,
+                                                            capsys):
+    """An order past the bundle's attribute count has no marginal sets:
+    one error line naming ``--alpha``, before any metric prints."""
+    assert main(["evaluate", tpch_bundle, tpch_bundle, "--alpha", "1",
+                 "--alpha", "99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --alpha 99")
+
+
 def test_backend_paths_warn_about_kamino_only_flags(tpch_bundle, tmp_path,
                                                     capsys):
     assert main(["synthesize", tpch_bundle, "--method", "privbayes",
@@ -456,6 +504,8 @@ def test_bad_seed_is_a_usage_error(capsys, argv, value, message):
     ("serve", "--cache-max-bytes", "-5", "must be >= 0"),
     ("serve", "--timeout", "0", "must be a finite number > 0"),
     ("serve", "--timeout", "inf", "must be a finite number > 0"),
+    ("serve", "--port", "70000", "must be <= 65535"),
+    ("serve", "--port", "-1", "must be >= 0"),
     ("evaluate", "--alpha", "-1", "must be >= 1"),
     ("evaluate", "--alpha", "0", "must be >= 1"),
     ("evaluate", "--max-sets", "0", "must be >= 1"),

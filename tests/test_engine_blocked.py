@@ -312,6 +312,38 @@ def test_pool_knob_validated(fitted):
         _assert_tables_equal(one, table, f"pool={pool}")
 
 
+def test_dc_free_hyper_column_folds_in_bulk():
+    """A DC-free grouped column (adult at ``group_max_domain=128``) runs
+    the block lane and writes its member columns in bulk: it never
+    enters the generic per-row loop, and it draws what that loop
+    draws."""
+    ds = load("adult", n=300, seed=0)
+    cfg = KaminoConfig(epsilon=1.0, seed=0, group_max_domain=128,
+                       params_override=_cap)
+    model = Kamino(ds.relation, ds.dcs, config=cfg).fit(ds.table)
+    hyper = {w for w in model.hyper.working_sequence
+             if model.hyper.is_hyper(w)}
+    assert hyper
+    pass_cls = engine_mod._ColumnPass
+    generic, specs = pass_cls._fill_cat_generic, pass_cls._fd_lane_specs
+    entered = []
+
+    def spy(self, n, max_block):
+        entered.append(self.w)
+        return generic(self, n, max_block)
+
+    trace = RunTrace()
+    with mock.patch.object(pass_cls, "_fill_cat_generic", spy):
+        bulk = model.sample(n=3000, seed=4, trace=trace).table
+    assert not hyper & set(entered), entered
+    assert {c.name: c.mode for c in trace.samples[0].columns
+            if c.name in hyper} == dict.fromkeys(hyper, "unconstrained")
+    with mock.patch.object(pass_cls, "_fd_lane_specs", lambda self: (
+            None if self.w in hyper else specs(self))):
+        per_row = model.sample(n=3000, seed=4).table
+    _assert_tables_equal(bulk, per_row, "hyper")
+
+
 def test_stream_rejects_mcmc(fitted):
     ds, model = fitted
     params = copy.copy(model.params)

@@ -28,7 +28,7 @@ from repro.constraints import (
 from repro.core import Kamino
 from repro.core import sampling as sampling_mod
 from repro.core.engine import (
-    _CellNoise, _ColumnPass, _gumbel, _layout_for,
+    _CellNoise, _ColumnPass, _gumbel, _layout_for, _PassState,
 )
 from repro.core.hyper import HyperSpec
 from repro.core.sampling import (
@@ -192,7 +192,7 @@ def _lane_pass(sc: dict, tracer: ColumnTrace) -> _ColumnPass:
     layout = _layout_for(sampler, j, base)
     noise = _CellNoise(sc["seed"], 2 * j, layout.stride, 16, n)
     return _ColumnPass(sampler, j, base, layout, noise, cols, wcols,
-                       tracer=tracer)
+                       _PassState.start(sampler, j), tracer=tracer)
 
 
 def _index_state(index):

@@ -21,7 +21,9 @@ br2000's generic soft DCs (``phi_b2``, ``phi_b3``) count in
   streams equal to the single-shot draw;
 * the engine's schedule: per constrained column of a traced draw of
   each dataset, its lane and scheduling counters, and per column the
-  rows its sub-model's forward ran;
+  rows its sub-model's forward ran; a traced one-chunk stream reports
+  the same, and a traced stream of three chunks traces every column
+  over all its rows;
 * the per-row pass counts ``hard_violation_pairs`` when traced: the
   count equals the rise of the hard DCs' index totals, on random
   relations under order and two-attribute DCs with violating history.
@@ -38,7 +40,7 @@ from hypothesis import strategies as st
 from repro.constraints import GridViolationIndex, count_violations, parse_dc
 from repro.core import Kamino
 from repro.core.engine import (
-    MAX_BLOCK_ROWS, _CellNoise, _ColumnPass, _layout_for,
+    MAX_BLOCK_ROWS, _CellNoise, _ColumnPass, _layout_for, _PassState,
 )
 from repro.core.hyper import HyperSpec
 from repro.core.params import KaminoParams
@@ -357,7 +359,12 @@ def test_engine_schedule_pinned(fits, name):
     (each pass starts from empty indexes); every column's
     ``forward_rows``, unconstrained ones included, is the count of
     distinct context tuples in the drawn table (n when more than half
-    are distinct); and the traced draw is the untraced one."""
+    are distinct); and the traced draw is the untraced one.  A traced
+    stream of one 1,500-row chunk runs the same driver call: the same
+    table and, column by column, the same lanes, counters and probes.
+    A traced stream of 512-row chunks traces every column once, on the
+    same lane, over all 1,500 rows; a DC-free column counts one
+    shard."""
     fitted = fits(name)
     trace = RunTrace()
     table = fitted.sample(n=1500, seed=1000, trace=trace).table
@@ -383,6 +390,31 @@ def test_engine_schedule_pinned(fits, name):
         k = np.unique(np.stack([table.column(a).astype(np.float64)
                                 for a in context], axis=1), axis=0).shape[0]
         assert forward[w] == (k if 2 * k <= 1500 else 1500), w
+
+    stream = RunTrace()
+    (chunk,) = fitted.sample_stream(n=1500, seed=1000, chunk_rows=1500,
+                                    trace=stream)
+    assert _table_digest(chunk) == _SEED_1000_DIGESTS[name]
+    (run,) = stream.samples
+    assert run.engine == "blocked-stream"
+    assert _column_schedule(run) == _column_schedule(trace.samples[0])
+
+    multi = RunTrace()
+    chunks = list(fitted.sample_stream(n=1500, seed=1000, chunk_rows=512,
+                                       trace=multi))
+    assert [chunk.n for chunk in chunks] == [512, 512, 476]
+    (run,) = multi.samples
+    assert run.seconds > 0
+    assert [(col.name, col.mode, col.rows) for col in run.columns] == \
+        [(col.name, col.mode, 1500) for col in trace.samples[0].columns]
+    for col in run.columns:
+        if col.mode == "unconstrained":
+            assert col.counters["shards"] == 1, col.name
+
+
+def _column_schedule(run) -> list:
+    return [(col.name, col.mode, col.rows, col.counters, col.probes)
+            for col in run.columns]
 
 
 # ----------------------------------------------------------------------
@@ -441,7 +473,8 @@ def test_per_row_pass_counts_hard_violation_pairs(data):
         layout = _layout_for(sampler, 2, base)
         col = _ColumnPass(sampler, 2, base, layout,
                           _CellNoise(seed, 4, layout.stride, 16, n),
-                          cols, wcols, tracer=tracer, row_offset=h)
+                          cols, wcols, _PassState.start(sampler, 2),
+                          tracer=tracer, row_offset=h)
         for i in range(h):
             for index in col.vio.values():
                 index.append_from(hist, i)

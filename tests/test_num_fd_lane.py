@@ -41,7 +41,7 @@ from repro.constraints.violations import multi_candidate_violation_counts
 from repro.core import Kamino
 from repro.core import sampling as sampling_mod
 from repro.core.engine import (
-    _CellNoise, _ColumnPass, _layout_for, _OffsetNoise, _PassState,
+    _CellNoise, _ColumnPass, _layout_for, _PassState,
 )
 from repro.core.hyper import HyperSpec
 from repro.core.params import KaminoParams
@@ -281,7 +281,7 @@ def test_window_lane_equals_the_per_row_pass(sc):
         layout = _layout_for(sampler, j, base)
         noise = _CellNoise(sc["seed"], 2 * j, layout.stride, 16, n)
         col = _ColumnPass(sampler, j, base, layout, noise, cols, wcols,
-                          tracer=tracer)
+                          _PassState.start(sampler, j), tracer=tracer)
         col.row_offset = _fold_history(sc, sampler, col.vio,
                                        col.fd_indexes)
         return col
@@ -323,7 +323,6 @@ def test_window_lane_equals_the_per_row_pass(sc):
     # Streamed: chunk-local arrays, global noise, persistent tables.
     sampler = _sampler(sc, case)
     layout = _layout_for(sampler, j, base)
-    noise = _CellNoise(sc["seed"], 2 * j, layout.stride, 16, n)
     state = _PassState(vio=sampler.violation_indexes_for(j),
                        fd_indexes=sampler.fd_indexes_for(j), used=None)
     h = _fold_history(sc, sampler, state.vio, state.fd_indexes)
@@ -336,7 +335,8 @@ def test_window_lane_equals_the_per_row_pass(sc):
                 ccols[a][:] = cols0[a][off:off + m]
         cwcols = _allocate_working(sampler, ccols, m)
         _ColumnPass(sampler, j, _rows(base, off, off + m), layout,
-                    _OffsetNoise(noise, off), ccols, cwcols, state=state,
+                    _CellNoise(sc["seed"], 2 * j, layout.stride, 16, n,
+                               off), ccols, cwcols, state=state,
                     row_offset=h + off).fill(m, sc["max_block"])
         out.append(ccols["y"])
     np.testing.assert_array_equal(np.concatenate(out), ref.cols["y"])

@@ -712,6 +712,9 @@ def test_registry_quarantines_load_failure(tmp_path, tpch):
     ("timeout", float("inf")),
     ("timeout", float("nan")),
     ("timeout", "soon"),
+    ("port", 70000),
+    ("port", -1),
+    ("port", 80.5),
 ])
 def test_serve_config_rejects_bad_draw_knobs(tmp_path, knob, value):
     """Caught when the server is configured, before it touches the disk,
