@@ -46,7 +46,7 @@ from repro.constraints.algebra import (
     minimize_dcs,
 )
 from repro.constraints.discovery import discover_dcs
-from repro.constraints.fd import FDIndex, extract_fds
+from repro.constraints.fd import extract_fds
 from repro.constraints.index import (
     ArrayFDViolationIndex,
     FDViolationIndex,
@@ -61,7 +61,6 @@ from repro.constraints.index import (
 __all__ = [
     "ArrayFDViolationIndex",
     "DenialConstraint",
-    "FDIndex",
     "FDViolationIndex",
     "GridViolationIndex",
     "UnaryViolationIndex",

@@ -14,12 +14,16 @@ classification the rest of the system needs:
   chain-decomposition assignment ``Phi_{A_j}`` (§3.2) and the
   constraint-aware sequencing (Algorithm 4);
 * FD-shape detection (``X -> Y``), which feeds Algorithm 4 and the
-  hard-FD lookup optimisation of §7.3.6.
+  sampler's FD count tables.
 """
 
 from __future__ import annotations
 
 from repro.constraints.predicate import CONST, Operator, Predicate, TUPLE_I, TUPLE_J
+
+
+class DCParseError(ValueError):
+    """Malformed DC text, or a DC that does not fit its schema."""
 
 
 class DenialConstraint:
@@ -80,10 +84,23 @@ class DenialConstraint:
         return self._attributes
 
     def bind(self, relation) -> "DenialConstraint":
-        """Encode constant predicates against a schema (see Predicate.bind)."""
-        return DenialConstraint(
-            self.name, [p.bind(relation) for p in self.predicates], self.hard
-        )
+        """Encode constant predicates against a schema (see
+        Predicate.bind).
+
+        A DC that does not fit the schema — an attribute outside it, or
+        a constant its attribute cannot hold — raises
+        :class:`DCParseError` naming the DC.
+        """
+        try:
+            missing = sorted(a for a in self.attributes if a not in relation)
+            if missing:
+                raise ValueError(
+                    f"no attribute {', '.join(map(repr, missing))}")
+            predicates = [p.bind(relation) for p in self.predicates]
+        except ValueError as exc:
+            raise DCParseError(
+                f"DC {self.name!r} does not fit the schema: {exc}") from None
+        return DenialConstraint(self.name, predicates, self.hard)
 
     def active_at(self, prefix_attrs) -> bool:
         """True if all participating attributes are within ``prefix_attrs``.

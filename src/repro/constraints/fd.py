@@ -1,14 +1,13 @@
 """Functional-dependency utilities.
 
-Algorithm 4 (constraint-aware sequencing) consumes "FDs from Phi", and
-the hard-FD lookup optimisation of §7.3.6 replaces violation checking
-with a direct determinant -> dependent lookup while sampling.  Both are
-implemented here.
+Algorithm 4 (constraint-aware sequencing) consumes "FDs from Phi":
+:func:`extract_fds` reads them off the DC list.  While sampling, each
+FD counts in its violation index (:mod:`repro.constraints.index`),
+which also keeps a hard FD the way §7.3.6's determinant -> dependent
+lookup does.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 def extract_fds(dcs) -> list[tuple[tuple[str, ...], str, object]]:
@@ -22,49 +21,3 @@ def extract_fds(dcs) -> list[tuple[tuple[str, ...], str, object]]:
         if fd is not None:
             out.append((fd[0], fd[1], dc))
     return out
-
-
-class FDIndex:
-    """Incremental determinant -> dependent index for one hard FD.
-
-    While the sampler fills a column left-to-right, already-sampled
-    tuples pin the dependent value of their determinant group.  The
-    index answers "what dependent value (if any) is already forced for
-    this determinant?" in O(1), replacing the O(prefix) violation scan
-    for hard FDs (§7.3.6's second optimisation).
-    """
-
-    def __init__(self, determinant, dependent: str):
-        self.determinant = tuple(determinant)
-        self.dependent = dependent
-        self._forced: dict[tuple, object] = {}
-
-    def key_of(self, row: dict) -> tuple:
-        """Build the determinant key from a row dict."""
-        return tuple(row[a] for a in self.determinant)
-
-    def forced_value(self, row: dict):
-        """Dependent value forced by earlier tuples, or None."""
-        return self._forced.get(self.key_of(row))
-
-    def record(self, row: dict, value) -> None:
-        """Register that ``row``'s determinant group now maps to ``value``."""
-        key = self.key_of(row)
-        if key not in self._forced:
-            self._forced[key] = value
-
-    def rebuild(self, cols: dict, upto: int) -> None:
-        """Rebuild the index from the first ``upto`` rows of ``cols``."""
-        self._forced.clear()
-        if upto == 0:
-            return
-        keys = np.stack([np.asarray(cols[a][:upto]) for a in self.determinant],
-                        axis=1)
-        deps = np.asarray(cols[self.dependent][:upto])
-        for key_row, dep in zip(keys, deps):
-            key = tuple(key_row.tolist())
-            if key not in self._forced:
-                self._forced[key] = dep.item() if hasattr(dep, "item") else dep
-
-    def __len__(self) -> int:
-        return len(self._forced)

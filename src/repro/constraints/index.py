@@ -17,8 +17,9 @@ O(group) instead of O(prefix):
   (``X -> y``), hard *or* soft.  Per determinant group it tracks the
   group size and a dependent-value histogram; the number of new
   violations a candidate ``v`` creates is ``size(X) - count(X, v)``.
-  This generalises the forced-value ``FDIndex`` fast path of
-  Experiment 10 from hard FDs to violation *counts*.
+  At the hard weight the group's dependent is the one zero-count
+  candidate, so these counts also keep a hard FD the way Experiment
+  10's forced-value lookup (§7.3.6) did.
 * :class:`ArrayFDViolationIndex` — the same FD counts over known value
   domains as one dense table (composite determinants by a mixed-radix
   code, numerical dependents by rank on their value grid), so block

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from repro.constraints.dc import DenialConstraint
+from repro.constraints.dc import DCParseError, DenialConstraint
 from repro.constraints.predicate import CONST, Operator, Predicate, TUPLE_I, TUPLE_J
 
 _TUPLE_VARS = {"ti": TUPLE_I, "t1": TUPLE_I, "tj": TUPLE_J, "t2": TUPLE_J}
@@ -40,10 +40,6 @@ _OPERAND_RE = re.compile(
     r"|(?P<num>-?\d+(?:\.\d+)?)"
     r")\s*"
 )
-
-
-class DCParseError(ValueError):
-    """Raised on malformed DC text."""
 
 
 def _parse_operand(text: str):
@@ -98,7 +94,9 @@ def parse_dc(text: str, name: str = "dc", hard: bool = True,
         Hardness flag (see :class:`DenialConstraint`).
     relation:
         If given, constants in predicates are encoded against the
-        schema's domains (categorical constants become codes).
+        schema's domains (categorical constants become codes), and a
+        DC that does not fit the schema raises :class:`DCParseError`
+        (see :meth:`DenialConstraint.bind`).
     """
     stripped = text.strip()
     lowered = stripped.lower()

@@ -135,15 +135,31 @@ class Predicate:
 
         Categorical constants given as raw values (e.g. ``"Bachelors"``)
         become integer codes so they compare against stored columns.
+        A constant the schema cannot hold — a categorical value or code
+        outside the domain, or a non-numeric constant on a numerical
+        attribute — raises :class:`ValueError`.
         """
         if not self.is_constant:
             return self
         attr = relation[self.lhs_attr]
         const = self.const
-        if attr.is_categorical and not isinstance(const, (int, np.integer)):
-            const = attr.domain.encode(const)
-        elif attr.is_numerical:
-            const = float(const)
+        if attr.is_categorical:
+            if not isinstance(const, (int, np.integer)):
+                if not attr.domain.contains(const):
+                    raise ValueError(
+                        f"{const!r} is not a value of {attr.name!r}")
+                const = attr.domain.encode(const)
+            elif not 0 <= const < attr.domain.size:
+                raise ValueError(
+                    f"code {const} is outside the {attr.domain.size} "
+                    f"codes of {attr.name!r}")
+        else:
+            try:
+                const = float(const)
+            except ValueError:
+                raise ValueError(
+                    f"{const!r} is not a number, and {attr.name!r} is "
+                    f"numerical") from None
         return Predicate(self.lhs_var, self.lhs_attr, self.op,
                          CONST, None, const)
 

@@ -8,8 +8,7 @@
 * :mod:`repro.core.weights` — Algorithm 5 (private DC-weight learning);
 * :mod:`repro.core.sampling` — Algorithm 3's per-cell machinery
   (constraint-aware candidates and penalties), the constrained MCMC
-  refinement, the accept-reject alternative (Experiment 6), and the
-  hard-FD lookup fast path (Experiment 10);
+  refinement and the accept-reject alternative (Experiment 6);
 * :mod:`repro.core.engine` — the block-scheduled vectorized sampling
   engine that draws every instance: conflict-aware batching over the
   violation-index group keys, counter-based per-cell rng, and sharded

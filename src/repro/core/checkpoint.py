@@ -26,9 +26,9 @@ precisely where the interrupted run left it.
 The **fit key** binds a checkpoint to the fit that wrote it: a sha256
 over the persisted config fields, the private table's content digest,
 and any caller-supplied known weights.  A checkpoint from a different
-table, budget, or fit config never resumes.  The fields only the draw
-reads (``use_fd_lookup``, ``constraint_aware_sampling``) enter the
-key at their defaults, so a retry that differs only in them resumes.
+table, budget, or fit config never resumes.  The one field only the
+draw reads (``constraint_aware_sampling``) enters the key at its
+default, so a retry that differs only in it resumes.
 ``params_override`` is a callable and cannot be digested — only its
 presence is recorded, so resuming under a *different* override with
 the same config is the caller's responsibility (the restored params
@@ -83,8 +83,7 @@ def table_digest(table) -> str:
 
 #: Config fields only the draw reads, hashed at their defaults: a retry
 #: that changes how it will sample resumes instead of re-spending.
-_DRAW_FIELDS = {"use_fd_lookup": False,
-                "constraint_aware_sampling": True}
+_DRAW_FIELDS = {"constraint_aware_sampling": True}
 
 
 def fit_key(config, table, known_weights=None) -> str:

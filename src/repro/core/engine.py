@@ -48,8 +48,8 @@ driver and one parallel schedule (pinned by
     its member columns in bulk) — and is traced ``unconstrained``.
 
 4.  **One draw driver** (:func:`_draw`): chunk-major column passes over
-    row ranges.  A column's :class:`_PassState` (violation indexes, FD
-    lookups, used-value sets) lives from its first chunk to its last,
+    row ranges.  A column's :class:`_PassState` (violation indexes,
+    used-value set) lives from its first chunk to its last,
     so its indexes accumulate exactly as one long pass would build
     them; its base, noise view and scratch live for one chunk, and
     each cell reads the noise of its *global* row.  Every DC shape
@@ -104,9 +104,7 @@ from repro.core.sampling import (
     _allocate_working,
     _append_row,
     _ColumnSampler,
-    _forced_value,
     _mcmc_resample,
-    _record_fd,
 )
 from repro.constraints.index import ArrayFDViolationIndex, FDViolationIndex
 from repro.constraints.violations import multi_candidate_violation_counts
@@ -497,8 +495,8 @@ def _shard_rows(specs: list | None, cols: dict, n: int,
 
 @dataclass
 class _PassState:
-    """Per-column incremental state: the violation indexes, FD lookups
-    and used-value set a column's pass folds its rows into.
+    """Per-column incremental state: the violation indexes and
+    used-value set a column's pass folds its rows into.
 
     It lives from the column's first chunk to its last, so its indexes
     accumulate across chunks exactly as over one long pass; a shard's
@@ -506,14 +504,12 @@ class _PassState:
     """
 
     vio: dict
-    fd_indexes: list
     used: set | None
 
     @classmethod
     def start(cls, sampler: _ColumnSampler, j: int) -> "_PassState":
         """Empty state for position ``j``: no row folded yet."""
         return cls(sampler.violation_indexes_for(j),
-                   sampler.fd_indexes_for(j),
                    sampler.fresh_value_tracker(j))
 
 
@@ -540,7 +536,6 @@ class _ColumnPass:
         self.row_offset = int(row_offset)
         self.w = sampler.wseq[j]
         self.vio = state.vio
-        self.fd_indexes = state.fd_indexes
         self.used = state.used
         self.tracer = tracer
         if tracer is not None:
@@ -690,7 +685,6 @@ class _ColumnPass:
             self._fill_cat_generic(n, max_block)
 
     def _fill_cat_generic(self, n: int, max_block: int) -> None:
-        cols, w = self.cols, self.w
         tracer = self.tracer
         V = self.layout.d
         for lo in range(0, n, max_block):
@@ -705,14 +699,6 @@ class _ColumnPass:
             picks = np.argmax(logp - penalty + g, axis=1)
             for i in range(lo, hi):
                 r = i - lo
-                if self.fd_indexes:
-                    forced = _forced_value(self.fd_indexes, cols, i)
-                    if forced is not None:
-                        if tracer is not None:
-                            tracer.count("forced_rows")
-                        self.wcols[w][i] = forced
-                        self._fold_row(i)
-                        continue
                 pick = int(picks[r])
                 if self._pen_at(i, pick) != penalty[r, pick]:
                     if tracer is not None:
@@ -776,8 +762,8 @@ class _ColumnPass:
         count only by the earlier in-block rows of its FD group that
         hold another dependent.  So when every index is an
         :class:`ArrayFDViolationIndex`, the rows before the first such
-        row (and before the first FD-lookup forced row) keep their
-        picks and fold in with one ``add_codes`` per DC.  From there on,
+        row keep their picks and fold in with one ``add_codes`` per
+        DC.  From there on,
         rows are validated one at a time with O(1) pair probes and
         re-scored against the live state when a count moved.
         Validation compares raw per-DC counts (integers), so keep/
@@ -849,8 +835,7 @@ class _ColumnPass:
         the picks).  The prefix ends at the first row with an earlier
         in-block row of one of its FD groups holding another dependent,
         or one new to the group where that DC's ``fresh`` mask is given
-        (see :func:`_first_conflict`), or at the first row an FD lookup
-        forces.
+        (see :func:`_first_conflict`).
         """
         values = picks if values is None else values
         stop = picks.shape[0]
@@ -859,16 +844,6 @@ class _ColumnPass:
             new = None if fresh is None else fresh[s]
             stop = _first_conflict(group[:stop], dep[:stop],
                                    None if new is None else new[:stop])
-        if self.fd_indexes:
-            # Forced values depend on the rows recorded before them, so
-            # this check walks the prefix row by row.
-            for r in range(stop):
-                i = lo + r
-                if _forced_value(self.fd_indexes, self.cols, i) is not None:
-                    stop = r
-                    break
-                self.wcols[self.w][i] = values[r]
-                _record_fd(self.fd_indexes, self.cols, i)
         self.wcols[self.w][lo:lo + stop] = values[:stop]
         if self.decoded and not self.decoded_is_codes:
             for attr, member in self.decoded.items():
@@ -888,8 +863,7 @@ class _ColumnPass:
         ``per_dc`` sides are per-row python keys, or a count-table
         index's code array, turned into keys here.
         """
-        cols, w = self.cols, self.w
-        tracer = self.tracer
+        w, tracer = self.w, self.tracer
         V = self.layout.d
         logp_all = self.base[1]
         per_dc = [(weight, index, mode, _python_keys(mode, side), counts)
@@ -897,50 +871,39 @@ class _ColumnPass:
         hard_pairs = 0
         for r in range(start, B):
             i = lo + r
-            forced = (_forced_value(self.fd_indexes, cols, i)
-                      if self.fd_indexes else None)
-            if forced is not None:
+            pick = picks[r]
+            valid = True
+            for weight, index, mode, side, counts in per_dc:
+                now = (index.probe_pair(side[r], pick) if mode == "dep"
+                       else index.probe_pair((pick,), side[r]))
+                if now != counts[r, pick]:
+                    valid = False
+                    break
+            if not valid:
+                # Re-score vs the live state, same op order as the block
+                # pass so kept and re-scored rows are the same
+                # computation at B=1.
                 if tracer is not None:
-                    tracer.count("forced_rows")
-                self.wcols[w][i] = forced
-                pick = int(cols[w][i])
-            else:
-                pick = picks[r]
-                valid = True
+                    tracer.count("rescored_rows")
+                s = logp_all[i] + g[r]
                 for weight, index, mode, side, counts in per_dc:
-                    now = (index.probe_pair(side[r], pick)
-                           if mode == "dep"
-                           else index.probe_pair((pick,), side[r]))
-                    if now != counts[r, pick]:
-                        valid = False
-                        break
-                if not valid:
-                    # Re-score vs the live state, same op order as the
-                    # block pass so kept and re-scored rows are the
-                    # same computation at B=1.
-                    if tracer is not None:
-                        tracer.count("rescored_rows")
-                    s = logp_all[i] + g[r]
-                    for weight, index, mode, side, counts in per_dc:
-                        if mode == "dep":
-                            c = index.probe_block_codes([side[r]], V)[0]
-                        else:
-                            c = index.probe_det_codes(side[r], V)
-                        s = s - weight * c
-                    if pen_unary is not None:
-                        s = s - pen_unary[r]
-                    pick = int(np.argmax(s))
-                self.wcols[w][i] = pick
+                    if mode == "dep":
+                        c = index.probe_block_codes([side[r]], V)[0]
+                    else:
+                        c = index.probe_det_codes(side[r], V)
+                    s = s - weight * c
+                if pen_unary is not None:
+                    s = s - pen_unary[r]
+                pick = int(np.argmax(s))
+            self.wcols[w][i] = pick
             for weight, index, mode, side, counts in per_dc:
                 created = (index.add_pair(side[r], pick) if mode == "dep"
                            else index.add_pair((pick,), side[r]))
                 if index.dc.hard:
                     hard_pairs += created
-            _record_fd(self.fd_indexes, cols, i)
         return hard_pairs
 
     def _fold_row(self, i: int) -> None:
-        _record_fd(self.fd_indexes, self.cols, i)
         _append_row(self.vio, self.cols, i)
         if self.used is not None:
             self.used.add(float(self.cols[self.w][i]))
@@ -1029,10 +992,9 @@ class _ColumnPass:
         as groups grow, the same first-index argmax wins (the argument
         of :meth:`fill_cat`).  The kept prefix folds with one
         ``add_codes`` per DC and the next window starts at the first row
-        not kept, sized from the prefix just kept.  FD-lookup forced
-        rows end the prefix and are written one at a time.  With no FD
-        (unary DCs only) rows never interact, and every window keeps all
-        its rows.
+        not kept, sized from the prefix just kept.  With no FD (unary
+        DCs only) rows never interact, and every window keeps all its
+        rows.
 
         Traced, each window counts as a block, its scored rows beyond
         the kept prefix as ``rescored_rows``, and the violating pairs
@@ -1047,12 +1009,6 @@ class _ColumnPass:
         grid = fds[0].dep_universe if fds else None
         window, lo = max_block, 0
         while lo < n:
-            if self.fd_indexes:
-                forced = _forced_value(self.fd_indexes, cols, lo)
-                if forced is not None:
-                    self._write_forced_num(lo, forced, fds)
-                    lo += 1
-                    continue
             hi = min(lo + window, n)
             B = hi - lo
             rows = np.arange(B)
@@ -1123,22 +1079,6 @@ class _ColumnPass:
             lo += stop
             window = min(max_block, max(_MIN_WINDOW_ROWS, 2 * stop))
 
-    def _write_forced_num(self, i: int, forced, fds: list) -> None:
-        """Write and fold one FD-lookup forced row of the window lane."""
-        cols, tracer = self.cols, self.tracer
-        self.wcols[self.w][i] = forced
-        _record_fd(self.fd_indexes, cols, i)
-        pairs = 0
-        for index in fds:
-            created = index.add_pair(
-                tuple(cols[a][i] for a in index.determinant), cols[self.w][i])
-            if index.dc.hard:
-                pairs += created
-        if tracer is not None:
-            tracer.count("forced_rows")
-            if pairs:
-                tracer.count("hard_violation_pairs", pairs)
-
     # -- the per-row pass ------------------------------------------------
     def fill_numeric_sequential(self, n: int) -> None:
         """The per-row pass: every numerical column the window lane does
@@ -1150,7 +1090,7 @@ class _ColumnPass:
         normalise-and-choice).
 
         Traced, the pass counts ``hard_violation_pairs``: the violating
-        pairs its rows add under hard binary DCs, forced rows included.
+        pairs its rows add under hard binary DCs.
         """
         sampler, layout = self.sampler, self.layout
         w, cols, j = self.w, self.cols, self.j
@@ -1173,20 +1113,6 @@ class _ColumnPass:
             g_rows = _gumbel(u_rows[:, gum_off:gum_off + layout.width])
             for r in range(hi - lo):
                 i = lo + r
-                if self.fd_indexes:
-                    forced = _forced_value(self.fd_indexes, cols, i)
-                    if forced is not None:
-                        self.wcols[w][i] = forced
-                        if tracer is not None:
-                            tracer.count("forced_rows")
-                            hard_pairs += sum(
-                                int(index.candidate_counts(None, {
-                                    a: cols[a][i]
-                                    for a in dc.attributes})[0])
-                                for dc, _, index, _, counted in probes
-                                if counted)
-                        self._fold_row(i)
-                        continue
                 cand, logp = cand_rows[r], logp_rows[r]
                 if layout.extras:
                     extra = sampler._consistent_values(
@@ -1262,7 +1188,6 @@ class _ColumnPass:
 
     def _trace_lane(self, lane: str) -> None:
         """Name the lane on the column trace; a column with no active DC
-        (and so no FD lookup, whose DC is active at its dependent)
         reads ``unconstrained``."""
         if self.tracer is not None:
             self.tracer.mode = lane if self.active else "unconstrained"
@@ -1273,8 +1198,8 @@ class _ColumnPass:
 # ----------------------------------------------------------------------
 def _shard_attrs(sampler: _ColumnSampler, j: int) -> list[str]:
     """Earlier-column attributes a constrained shard must gather: every
-    active DC's attributes plus the FD-lookup determinants, minus the
-    target's own (not yet sampled) attributes."""
+    active DC's attributes minus the target's own (not yet sampled)
+    attributes."""
     w = sampler.wseq[j]
     if sampler.hyper.is_hyper(w):
         tattrs = set(sampler.hyper.original_attrs(w))
@@ -1283,9 +1208,6 @@ def _shard_attrs(sampler: _ColumnSampler, j: int) -> list[str]:
     need: set[str] = set()
     for dc in sampler.active_at[j]:
         need |= set(dc.attributes)
-    for fdx in sampler.fd_indexes_for(j):
-        need |= set(fdx.determinant)
-        need.add(fdx.dependent)
     return sorted(need - tattrs)
 
 
@@ -1344,12 +1266,11 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-def _pool_init(model, relation, dcs, weights, params, hyper,
-               use_fd_lookup: bool) -> None:
+def _pool_init(model, relation, dcs, weights, params, hyper) -> None:
     global _POOL_SAMPLER
     _POOL_SAMPLER = _ColumnSampler(
         model, relation, hyper, dcs, weights, params,
-        rng=np.random.default_rng(0), use_fd_lookup=use_fd_lookup)
+        rng=np.random.default_rng(0))
 
 
 def _pool_constrained(j: int, rows: np.ndarray, noise_key: tuple,
@@ -1378,19 +1299,6 @@ def _pool_constrained(j: int, rows: np.ndarray, noise_key: tuple,
     _ColumnPass(s, j, base, _layout_for(s, j, base), noise, gcols,
                 {w: gw}, _PassState.start(s, j)).fill(m, max_block)
     return gw, {a: vals for a, vals in tcols.items() if a != w}
-
-
-def _fd_shard_closed(specs: list, fd_indexes: list) -> bool:
-    """True when every FD-lookup determinant group is shard-closed.
-
-    The component partition joins the *spec* partitions, so an FD
-    lookup's forced-value semantics survive sharding iff some spec key
-    is a subset of its determinant (then determinant groups refine that
-    spec's groups and never straddle shards).
-    """
-    return all(
-        any(set(key) <= set(fdx.determinant) for key in specs)
-        for fdx in fd_indexes)
 
 
 def _run_sharded(sampler: _ColumnSampler, j: int, base, noise_key: tuple,
@@ -1440,8 +1348,8 @@ def _heal_pool(ppool, tracer=None) -> None:
 # The draw driver and its two entry points
 # ----------------------------------------------------------------------
 def _draw(model, relation, dcs, weights, n: int, params, seed: int,
-          hyper: HyperSpec | None, use_fd_lookup: bool, chunk_rows: int,
-          noise_chunk: int, workers: int = 1, trace=None):
+          hyper: HyperSpec | None, chunk_rows: int, noise_chunk: int,
+          workers: int = 1, trace=None):
     """Yield the draw of ``n`` rows in chunks of ``chunk_rows`` rows (one
     empty chunk when ``n`` is 0).
 
@@ -1464,7 +1372,7 @@ def _draw(model, relation, dcs, weights, n: int, params, seed: int,
     master = int(seed)
     sampler = _ColumnSampler(
         model, relation, hyper, dcs, weights, params,
-        rng=np.random.default_rng(0), use_fd_lookup=use_fd_lookup)
+        rng=np.random.default_rng(0))
     ncols = len(sampler.wseq)
     states: list[_PassState | None] = [None] * ncols
     col_traces = [None] * ncols
@@ -1476,8 +1384,7 @@ def _draw(model, relation, dcs, weights, n: int, params, seed: int,
         ppool = ProcessPoolExecutor(
             max_workers=workers, mp_context=_pool_context(),
             initializer=_pool_init,
-            initargs=(model, relation, dcs, weights, params, hyper,
-                      use_fd_lookup))
+            initargs=(model, relation, dcs, weights, params, hyper))
     try:
         for off in range(0, max(n, 1), chunk_rows):
             m = min(chunk_rows, n - off)
@@ -1542,16 +1449,14 @@ def _column_shards(sampler: _ColumnSampler, j: int, cols: dict, n: int,
     """Group-closed row shards of constrained position ``j``, or None
     when it cannot shard (see :func:`_shard_rows`)."""
     specs = _conflict_keys(sampler, j)
-    if (specs is None or sampler.fresh_value_tracker(j) is not None
-            or not _fd_shard_closed(specs, sampler.fd_indexes_for(j))):
+    if specs is None or sampler.fresh_value_tracker(j) is not None:
         return None
     return _shard_rows(specs, cols, n, workers)
 
 
 def synthesize_engine(model, relation, dcs, weights, n: int, params,
                       seed: int, hyper: HyperSpec | None = None,
-                      use_fd_lookup: bool = False, workers: int = 1,
-                      noise_chunk: int = NOISE_CHUNK,
+                      workers: int = 1, noise_chunk: int = NOISE_CHUNK,
                       trace=None) -> Table:
     """Algorithm 3: draw a synthetic instance of ``n`` rows — the
     one-chunk call of the draw driver (:func:`_draw`).
@@ -1575,21 +1480,19 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
     clock, lane (``unconstrained``/``cat-fd-lane``/``cat-generic``/
     ``num-blocked``/``num-sequential``, plus ``cat-sharded``/
     ``num-sharded`` with ``shards``/``stitch_us`` counters when a
-    constrained column splits), block sizes, re-scored/forced rows, and
-    index probe counts.  Tracing reads no randomness — a traced draw is
+    constrained column splits), block sizes, re-scored rows, and index
+    probe counts.  Tracing reads no randomness — a traced draw is
     bit-identical to an untraced one — and ``None`` costs nothing.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     (table,) = _draw(model, relation, dcs, weights, n, params, seed, hyper,
-                     use_fd_lookup, max(n, 1), noise_chunk,
-                     workers=workers, trace=trace)
+                     max(n, 1), noise_chunk, workers=workers, trace=trace)
     return table
 
 
 def synthesize_stream(model, relation, dcs, weights, n: int, params,
                       seed: int, hyper: HyperSpec | None = None,
-                      use_fd_lookup: bool = False,
                       chunk_rows: int = STREAM_CHUNK_ROWS,
                       noise_chunk: int = NOISE_CHUNK, trace=None):
     """Yield the draw of ``n`` rows in chunks of ``chunk_rows`` rows.
@@ -1599,9 +1502,8 @@ def synthesize_stream(model, relation, dcs, weights, n: int, params,
     ``chunk_rows`` covers ``n`` is the single-shot draw by
     construction.  With more chunks, each cell still reads the noise of
     its *global* row and each column's constraint state
-    (:class:`_PassState`: violation indexes, FD lookups, used-value
-    sets) persists across chunks exactly as one long pass would build
-    it, so the concatenated chunks equal the single-shot draw bit for
+    (:class:`_PassState`: violation indexes, used-value set) persists
+    across chunks exactly as one long pass would build it, so the concatenated chunks equal the single-shot draw bit for
     bit — except in numerical columns drawn from a sub-model head,
     whose last bits depend on the batch size (ROADMAP item 1: tpch
     ``o_totalprice`` and adult ``fnlwgt`` move in a few hundred cells
@@ -1626,5 +1528,4 @@ def synthesize_stream(model, relation, dcs, weights, n: int, params,
             "re-reads the full instance")
     if n > 0:
         yield from _draw(model, relation, dcs, weights, n, params, seed,
-                         hyper, use_fd_lookup, chunk_rows, noise_chunk,
-                         trace=trace)
+                         hyper, chunk_rows, noise_chunk, trace=trace)

@@ -157,8 +157,8 @@ class GrowingSynthesizer:
         Budget ledger to record spends into (one is created if omitted).
     kamino_kwargs:
         Extra keyword arguments forwarded to :class:`Kamino` (e.g.
-        ``params_override`` for small-scale runs, or ``use_fd_lookup``
-        for the hard-FD lookup path).
+        ``params_override`` for small-scale runs, or
+        ``group_max_domain`` for hyper-attribute grouping).
     """
 
     def __init__(self, relation, dcs, epsilon: float, delta: float = 1e-6,

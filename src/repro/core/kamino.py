@@ -122,8 +122,6 @@ class KaminoConfig:
     large_domain_threshold:
         Domain size beyond which an attribute is modeled by an
         independent histogram (``None`` disables the fallback).
-    use_fd_lookup:
-        Hard-FD lookup fast path in the sampler (Experiment 10).
     parallel_training:
         Train sub-models without embedding reuse (Experiment 10).
     params_override:
@@ -154,7 +152,6 @@ class KaminoConfig:
     seed: int = 0
     group_max_domain: int | None = None
     large_domain_threshold: int | None = 1000
-    use_fd_lookup: bool = False
     parallel_training: bool = False
     params_override: Callable[[KaminoParams], None] | None = None
     random_sequence: bool = False
@@ -341,7 +338,6 @@ class FittedKamino:
         synthetic = synthesize_engine(
             self.model, self.relation, sampled_dcs, self.weights,
             n_out, self.params, master, hyper=self.hyper,
-            use_fd_lookup=cfg.use_fd_lookup,
             workers=workers, noise_chunk=chunk,
             trace=run_trace)
         seconds = time.perf_counter() - start
@@ -381,7 +377,6 @@ class FittedKamino:
         return synthesize_stream(
             self.model, self.relation, sampled_dcs, self.weights,
             n_out, self.params, master, hyper=self.hyper,
-            use_fd_lookup=cfg.use_fd_lookup,
             chunk_rows=chunk, noise_chunk=noise_chunk, trace=run_trace)
 
     def sample_ar(self, n: int | None = None, seed: int | None = None,

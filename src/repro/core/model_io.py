@@ -27,9 +27,10 @@ the post-fit sampler randomness state, and the engine's counter-rng spec
 models round-trip and a reloaded model reproduces the original draws bit
 for bit.  The config's ``engine`` entry is written as ``"blocked"``, the
 only engine, its four draw-scheduling entries as the defaults they
-always held, and the retired switch between prefix scans and violation
-indexes as ``true`` (every DC is index-served); all six are ignored on
-load.
+always held, the retired switch between prefix scans and violation
+indexes as ``true`` (every DC is index-served), and the retired
+hard-FD lookup switch as ``false`` (each hard FD is kept by its
+violation index); all seven are ignored on load.
 
 Version 1 files and v2 files whose ``engine`` entry reads ``"row"`` or
 is missing were fitted for a retired per-row sampler.  They still load,
@@ -104,13 +105,14 @@ _SAMPLING_PARAMS = ("epsilon", "delta", "num_candidates", "mcmc_m",
                     "quant_bins", "n", "k")
 
 #: Retired config entries and the constants they are written as: the
-#: engine choice, the draw-scheduling defaults (now per-call
-#: arguments) and the scan-or-index probe switch (every DC is
-#: index-served).  Writing them keeps ``meta.json``, artifact
-#: digests and checkpoint keys unchanged; loading ignores them.
-_RETIRED_CONFIG = {"use_violation_index": True, "engine": "blocked",
-                   "workers": 1, "pool": "thread", "max_block_rows": 512,
-                   "stream_chunk_rows": 65536}
+#: hard-FD lookup switch (each hard FD is kept by its violation index),
+#: the scan-or-index probe switch (every DC is index-served), the
+#: engine choice and the draw-scheduling defaults (now per-call
+#: arguments).  Writing them keeps ``meta.json``, artifact digests and
+#: checkpoint keys unchanged; loading ignores them.
+_RETIRED_CONFIG = {"use_fd_lookup": False, "use_violation_index": True,
+                   "engine": "blocked", "workers": 1, "pool": "thread",
+                   "max_block_rows": 512, "stream_chunk_rows": 65536}
 
 #: The persisted config fields, in their order in ``meta.json``: every
 #: KaminoConfig field but ``params_override`` (a callable consumed during

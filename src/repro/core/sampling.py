@@ -20,9 +20,9 @@ database semantics: all remaining instances are "almost surely" ruled
 out, so we pick the least bad).
 
 :class:`_ColumnSampler` holds that machinery — base conditionals,
-candidate sets, violation penalties, the violation indexes and the
-hard-FD lookup indexes — and the block-scheduled engine of
-:mod:`repro.core.engine` draws every instance with it.  The loop that
+candidate sets, violation penalties and the violation indexes — and
+the block-scheduled engine of :mod:`repro.core.engine` draws every
+instance with it.  The loop that
 walks it one cell at a time is the tests' reference
 (``tests/row_reference.py``).
 
@@ -30,18 +30,17 @@ Also implemented here:
 
 * the constrained MCMC refinement (line 12): after a column is filled,
   ``m`` random cells are re-sampled conditioned on *all* other cells;
-* :func:`ar_sample` — the accept-reject alternative of Experiment 6;
-* the hard-FD lookup fast path of Experiment 10 (``use_fd_lookup``):
-  when the target is the dependent of a hard FD whose determinant is
-  already sampled, the forced value is read from an incremental index
-  instead of scanning the prefix.
+* :func:`ar_sample` — the accept-reject alternative of Experiment 6.
 
 The violation counts themselves come from the incremental violation
 indexes of :mod:`repro.constraints.index`: as each row is sampled it is
 folded into a per-DC index, and the per-candidate count at line 8
 becomes an O(group) probe instead of an O(prefix) broadcast rescan.
 Every binary DC has an index; unary DCs count on the row alone.  The
-counts are the scan engine's, bit for bit.
+counts are the scan engine's, bit for bit.  A hard FD is kept by its
+index alone: at :data:`HARD_WEIGHT` the group's dependent wins whenever
+a consistent one exists, which is what Experiment 10's hard-FD lookup
+(§7.3.6) forced, without a second index.
 
 Every draw is pure post-processing over a trained model: it reads only
 the model, the (public) DCs and weights, and an rng.  Each draw builds
@@ -57,7 +56,6 @@ import math
 
 import numpy as np
 
-from repro.constraints.fd import FDIndex, extract_fds
 from repro.constraints.index import (
     FDViolationIndex, ViolationIndex, build_fd_table_index,
     build_grid_index, build_index,
@@ -98,7 +96,7 @@ class _ColumnSampler:
     and accept-reject."""
 
     def __init__(self, model, relation, hyper: HyperSpec, dcs, weights,
-                 params, rng, use_fd_lookup: bool = False):
+                 params, rng):
         self.model = model
         self.relation = relation
         self.hyper = hyper
@@ -106,7 +104,6 @@ class _ColumnSampler:
         self.weights = dict(weights)
         self.params = params
         self.rng = rng
-        self.use_fd_lookup = use_fd_lookup
 
         self.wseq = hyper.working_sequence
         self.wrel = hyper.working_relation
@@ -505,24 +502,6 @@ class _ColumnSampler:
             return np.arange(attr.domain.size, dtype=np.float64)
         return self.snap_grids.get(name)
 
-    def fd_indexes_for(self, j: int) -> list[FDIndex]:
-        """Hard-FD indexes usable at position ``j`` (fast path).
-
-        The FD must be hard, its dependent must be the (singleton)
-        target, and its determinant fully covered by earlier positions.
-        """
-        if not self.use_fd_lookup:
-            return []
-        w = self.wseq[j]
-        if self.hyper.is_hyper(w):
-            return []
-        earlier = self.covered_after[j - 1] if j > 0 else set()
-        out = []
-        for determinant, dependent, dc in extract_fds(self.dcs):
-            if dc.hard and dependent == w and set(determinant) <= earlier:
-                out.append(FDIndex(determinant, dependent))
-        return out
-
 
 def _allocate_columns(relation, n: int) -> dict:
     cols = {}
@@ -553,22 +532,6 @@ def _write_cell(sampler: _ColumnSampler, j: int, i: int, cand_idx: int,
     if sampler.hyper.is_hyper(w):
         for attr, values in decode.items():
             cols[attr][i] = values[cand_idx]
-
-
-def _forced_value(fd_indexes, cols: dict, i: int):
-    for index in fd_indexes:
-        row = {a: cols[a][i] for a in index.determinant}
-        value = index.forced_value(row)
-        if value is not None:
-            return value
-    return None
-
-
-def _record_fd(fd_indexes, cols: dict, i: int) -> None:
-    """Pin row ``i``'s determinant -> dependent mapping in every index."""
-    for index in fd_indexes:
-        row = {a: cols[a][i] for a in index.determinant}
-        index.record(row, cols[index.dependent][i])
 
 
 def _append_row(vio_indexes: dict, cols: dict, i: int) -> None:

@@ -10,8 +10,8 @@ long each part took:
   holding a :class:`ColumnTrace` per sampled working column (a
   stream's summed over its chunks): wall-clock, rows/sec, the engine
   lane the column ran on (``mode``), scheduling counters (blocks,
-  block sizes, re-scored rows, forced rows, sequential-fallback rows),
-  and violation-index probe counts.
+  block sizes, re-scored rows, per-row-pass rows), and
+  violation-index probe counts.
 
 The collector is threaded through :meth:`repro.core.kamino.Kamino.fit`,
 :meth:`repro.core.kamino.FittedKamino.sample` and ``sample_stream``,
@@ -65,7 +65,7 @@ class ColumnTrace:
         self.rows = 0
         #: Scheduling counters, whichever the lane produces:
         #: ``blocks``, ``block_rows_max``, ``rescored_rows``,
-        #: ``forced_rows``, ``sequential_rows``; ``shards`` (1 for an
+        #: ``sequential_rows``; ``shards`` (1 for an
         #: unconstrained column, which always draws inline, else the
         #: worker shards of a sharded lane) with ``stitch_us`` and, if
         #: a worker died, ``pool_broken``; the ``hard_violation_pairs``

@@ -11,8 +11,8 @@ the server owns artifact lifecycle, the engine stays a pure library:
 * :mod:`repro.serve.queue` — request coalescing, per-model
   serialization, bounded-depth backpressure (429/503);
 * :mod:`repro.serve.cache` — the deterministic draw cache: rendered
-  response bodies keyed by ``(version, n, seed, format)`` with strong
-  ETags and LRU size bounding;
+  response bodies keyed by ``(version, n, seed, format, chunk_rows)``
+  with strong ETags and LRU size bounding;
 * :mod:`repro.serve.server` — the stdlib ``ThreadingHTTPServer``
   exposing ``/models``, ``/sample``, ``/healthz``, ``/metrics``
   (wired up as ``repro-kamino serve``);

@@ -1,12 +1,16 @@
-"""The deterministic draw cache: (model version, n, seed, format) → bytes.
+"""The deterministic draw cache: (model version, n, seed, format, render
+chunking) → bytes.
 
 Under the counter-based Philox streams a draw is a pure function of
 ``(model bytes, n, seed)``, and the registry's version ids *are* the
 model bytes (content digests) — so a rendered response is immutable and
-perfectly cacheable.  The cache stores each response body as one file
-plus a tiny ``.meta.json`` sidecar carrying its **strong ETag** (the
-sha256 of the body) and content type; ``If-None-Match`` revalidation is
-an index lookup away and never re-touches the engine.
+perfectly cacheable.  A body longer than one render chunk can differ
+in the last bits of numerical sub-model heads with the chunking, so
+the key covers the server's ``chunk_rows`` too.  The cache stores each
+response body as one file plus a tiny ``.meta.json`` sidecar carrying
+its **strong ETag** (the sha256 of the body) and content type;
+``If-None-Match`` revalidation is an index lookup away and never
+re-touches the engine.
 
 Bounded: ``max_bytes`` caps the total body bytes on disk; insertion
 evicts least-recently-*served* entries first.  The index is in-memory
@@ -33,14 +37,16 @@ DEFAULT_MAX_BYTES = 256 << 20
 _META_SUFFIX = ".meta.json"
 
 
-def draw_key(version: str, n, seed, fmt: str) -> str:
+def draw_key(version: str, n, seed, fmt: str, chunk_rows) -> str:
     """The cache key of one deterministic draw request.
 
     ``version`` is the registry's content-digest version id, so the key
     covers the model bytes; ``n``/``seed`` may be ``None`` (the
-    artifact's defaults — themselves part of the model bytes).
+    artifact's defaults — themselves part of the model bytes), and so
+    may ``chunk_rows``, the rows per render chunk (the backend's
+    default).
     """
-    raw = f"{version}|n={n}|seed={seed}|fmt={fmt}"
+    raw = f"{version}|n={n}|seed={seed}|fmt={fmt}|chunk_rows={chunk_rows}"
     return hashlib.sha256(raw.encode()).hexdigest()[:32]
 
 

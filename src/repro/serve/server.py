@@ -104,7 +104,7 @@ class ServeConfig:
         #: Rows per streamed render chunk (None: the engine default).
         #: A body of at most one chunk is the single-shot draw; longer
         #: bodies can move in numerical sub-model heads' last bits
-        #: (ROADMAP item 1), so keep it fixed for one cache directory.
+        #: (ROADMAP item 1), so the draw cache key covers it.
         self.chunk_rows = (None if chunk_rows is None
                            else _positive_int(chunk_rows, "chunk_rows"))
         self.quiet = bool(quiet)
@@ -140,7 +140,8 @@ class KaminoServer(ThreadingHTTPServer):
         """
         loaded = self.registry.get(record.name, record.version)
         trace = RunTrace(label=f"{record.name}:{record.version}")
-        tmp = self.draw_cache.begin(draw_key(record.version, n, seed, fmt))
+        key = self.cache_key(record, n, seed, fmt)
+        tmp = self.draw_cache.begin(key)
         start = time.perf_counter()
         try:
             chunks = self._deadline_chunks(
@@ -152,12 +153,17 @@ class KaminoServer(ThreadingHTTPServer):
             self.draw_cache.discard(tmp)
             raise
         seconds = time.perf_counter() - start
-        entry = self.draw_cache.put(
-            draw_key(record.version, n, seed, fmt), tmp,
-            content_type=CONTENT_TYPES[fmt])
+        entry = self.draw_cache.put(key, tmp,
+                                    content_type=CONTENT_TYPES[fmt])
         self.metrics.observe_draw(f"{record.name}:{record.version}",
                                   rows, seconds, trace=trace)
         return entry
+
+    def cache_key(self, record, n, seed, fmt: str) -> str:
+        """The draw cache key of one request under this server's render
+        chunking."""
+        return draw_key(record.version, n, seed, fmt,
+                        self.config.chunk_rows)
 
     def _draw_chunks(self, loaded, n, seed, trace):
         """The table chunks of one draw: the backend's ``sample_stream``
@@ -297,7 +303,7 @@ class _Handler(BaseHTTPRequestHandler):
         except UnknownModelError as exc:
             self._send_error(404, str(exc.args[0]), model=model)
             return
-        key = draw_key(record.version, n, seed, fmt)
+        key = server.cache_key(record, n, seed, fmt)
         entry = server.draw_cache.get(key)
         cache_state = "hit"
         if entry is None:

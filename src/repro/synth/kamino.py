@@ -87,7 +87,7 @@ class KaminoSynthesizer(Synthesizer):
     """The Kamino pipeline as a registry backend.
 
     Extra keyword arguments are :class:`KaminoConfig` knobs
-    (``params_override``, ``group_max_domain``, ``use_fd_lookup``, ...),
+    (``params_override``, ``group_max_domain``, ``random_sequence``, ...),
     so harness- and CLI-level construction stays one call.
     """
 

@@ -111,15 +111,14 @@ def test_checkpoint_from_other_config_never_resumes(ds, tmp_path):
 
 
 @pytest.mark.parametrize("knob, value, resumes", [
-    ("use_fd_lookup", True, True),
     ("constraint_aware_sampling", False, True),
     ("weight_estimator", "capped", False),
 ])
 def test_retry_resumes_across_draw_side_changes_only(ds, tmp_path, knob,
                                                      value, resumes):
-    """The fit phases never read the sampler's switches, so a retry
-    that changes only one of them resumes without spending epsilon
-    again; a retry that changes a fit field starts fresh."""
+    """The fit phases never read the sampler's switch, so a retry that
+    changes only it resumes without spending epsilon again; a retry
+    that changes a fit field starts fresh."""
     ckdir = str(tmp_path / "ck")
     with faults.injected("fit.dp_sgd=error"):
         with pytest.raises(FaultInjected):

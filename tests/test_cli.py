@@ -560,6 +560,31 @@ def test_malformed_dc_text_is_an_error_line(tpch_bundle, capsys):
     assert "dcs.txt:5: missing operator" in line
 
 
+@pytest.mark.parametrize("line, message", [
+    ("bad hard: not(ti.nosuch == tj.age)", "no attribute 'nosuch'"),
+    ("bad hard: not(ti.sex == 'Nope')", "'Nope' is not a value of 'sex'"),
+    ("bad hard: not(ti.age == 'x')", "'x' is not a number"),
+    ("bad hard: not(ti.sex == 999)", "code 999 is outside"),
+], ids=["attribute", "categorical-value", "numerical-constant",
+        "categorical-code"])
+def test_dc_outside_the_schema_is_an_error_before_fit(tmp_path, capsys,
+                                                      line, message):
+    """A DC the schema cannot hold is one ``error:`` line naming it,
+    before the fit spends any budget: exit 2 and no model file."""
+    dataset = load("adult", n=60, seed=0)
+    bundle = tmp_path / "adult"
+    save_bundle(str(bundle), dataset.table, dataset.dcs)
+    with open(bundle / "dcs.txt", "a") as f:
+        f.write(line + "\n")
+    model = tmp_path / "model.npz"
+    assert main(["fit", str(bundle), "--epsilon", "1.0",
+                 "--max-iterations", "4", "--out", str(model)]) == 2
+    error = _error_line(capsys)
+    assert "DC 'bad' does not fit the schema" in error
+    assert message in error
+    assert not model.exists()
+
+
 def test_corrupt_model_is_an_error_line(tpch_bundle, tmp_path, capsys):
     model = tmp_path / "model.npz"
     model.write_bytes(b"not a model")

@@ -195,3 +195,28 @@ class TestParser:
     def test_hardness_flag(self):
         assert parse_dc("not(ti.a > 1)", hard=False).hard is False
         assert parse_dc("not(ti.a > 1)").hard is True
+
+    @pytest.mark.parametrize("text, message", [
+        ("not(ti.nosuch == tj.num)", "no attribute 'nosuch'"),
+        ("not(ti.edu == tj.edu and ti.x != tj.y)", "no attribute 'x', 'y'"),
+        ("not(ti.edu == 'PhD')", "'PhD' is not a value of 'edu'"),
+        ("not(ti.edu == 3)", "code 3 is outside the 3 codes of 'edu'"),
+        ("not(ti.edu == -1)", "code -1 is outside"),
+        ("not(ti.num == 'x')", "'x' is not a number"),
+    ], ids=["attribute", "attributes", "categorical-value",
+            "categorical-code", "negative-code", "numerical-constant"])
+    def test_dc_outside_the_schema_rejected(self, relation, text, message):
+        """Bound to a schema, a DC it cannot hold is a DCParseError
+        naming the DC; so is binding it later (``Kamino`` binds its DCs
+        on construction, before any fit phase runs)."""
+        with pytest.raises(DCParseError, match="DC 'bad' does not fit"):
+            parse_dc(text, name="bad", relation=relation)
+        with pytest.raises(DCParseError) as err:
+            parse_dc(text, name="bad").bind(relation)
+        assert message in str(err.value)
+
+    def test_binding_keeps_in_schema_constants(self, relation):
+        dc = parse_dc("not(ti.edu == 2 and ti.num == '5')",
+                      relation=relation)
+        assert [p.const for p in dc.predicates] == [2, 5.0]
+        assert dc.bind(relation).predicates[0].const == 2

@@ -95,14 +95,6 @@ class TestSynthesize:
                                 {"fd": math.inf}, 120, params, 0)
         assert count_violations(FD, out) == 0
 
-    def test_fd_lookup_fast_path_consistent(self):
-        table = fd_table()
-        model, params, rng = trained_model(table)
-        out = synthesize_engine(model, table.relation, [FD],
-                                {"fd": math.inf}, 200, params, 3,
-                                use_fd_lookup=True)
-        assert count_violations(FD, out) == 0
-
     def test_hyper_grouping_sampling(self):
         table = fd_table()
         spec = HyperSpec(table.relation, [["g", "h"], ["x"]])

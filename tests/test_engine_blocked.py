@@ -10,9 +10,10 @@ Pins the engine's contract:
   share a sampling law and differ only in rng scheme);
 * hard-DC enforcement, the ``workers``/``pool`` surface, and
   model-format round-trips (counter-rng spec persisted; files written
-  for the retired row engine draw on the blocked engine);
-* the forced-value bugfix: rows short-circuited by one hard-FD lookup
-  index are recorded in *every* FD index sharing the dependent.
+  for the retired row engine, or recording a retired switch, draw on
+  the blocked engine);
+* two hard FDs onto one dependent, each kept by its own violation
+  index: a row joining two groups takes the value both hold.
 """
 
 import copy
@@ -30,8 +31,8 @@ import repro.core.engine as engine_mod
 from repro.constraints import count_violations, parse_dc
 from repro.core import FittedKamino, Kamino, KaminoConfig
 from repro.core.engine import (
-    _NOISE_CACHE_CHUNKS, _CellNoise, _LRU, synthesize_engine,
-    synthesize_stream,
+    _NOISE_CACHE_CHUNKS, MAX_BLOCK_ROWS, _CellNoise, _ColumnPass, _LRU,
+    _layout_for, _PassState, synthesize_engine, synthesize_stream,
 )
 from repro.core.hyper import HyperSpec
 from repro.core.sampling import (
@@ -184,15 +185,15 @@ def test_model_io_persists_engine_and_rng_spec(tmp_path):
 
 @pytest.mark.parametrize("written_for",
                          ["no-engine-entry", "row", "scheduling",
-                          "scan-probes"])
+                          "scan-probes", "fd-lookup"])
 def test_legacy_model_files_draw_on_the_blocked_engine(tmp_path,
                                                        written_for):
     """Files written for the retired row engine — an ``engine`` entry
     reading ``"row"``, or none at all (written before the entry
     existed, with no rng spec either) — and files recording draw
-    scheduling, or prefix-scan probes, in their config load and draw
-    what the fresh artifact draws: seeded, at the default seed, and
-    streamed."""
+    scheduling, prefix-scan probes or the hard-FD lookup in their
+    config load and draw what the fresh artifact draws: seeded, at the
+    default seed, and streamed."""
     ds = load("tpch", n=80, seed=0)
     cfg = KaminoConfig(epsilon=1.0, seed=0, params_override=_cap)
     model = Kamino(ds.relation, ds.dcs, config=cfg).fit(ds.table)
@@ -209,6 +210,8 @@ def test_legacy_model_files_draw_on_the_blocked_engine(tmp_path,
                                         stream_chunk_rows=1000)
     elif written_for == "scan-probes":
         meta["fitted"]["config"]["use_violation_index"] = False
+    elif written_for == "fd-lookup":
+        meta["fitted"]["config"]["use_fd_lookup"] = True
     else:
         del meta["fitted"]["config"]["engine"]
         del meta["fitted"]["rng_spec"]
@@ -468,7 +471,7 @@ def test_schedule_sweep_bit_identical(tpch_fitted, n, chunk_rows,
 
 
 # ----------------------------------------------------------------------
-# Forced-value recording bugfix
+# Two hard FDs onto one dependent
 # ----------------------------------------------------------------------
 def _shared_dependent_dataset(n=80, seed=0):
     rng = np.random.default_rng(seed)
@@ -490,10 +493,14 @@ def _shared_dependent_dataset(n=80, seed=0):
     return relation, table, dcs
 
 
-def test_forced_rows_recorded_in_all_fd_indexes():
+def test_two_hard_fds_onto_one_dependent_hold():
+    """``x -> z`` and ``y -> z`` are hard and share the dependent.  Row 1
+    shares row 0's ``x`` but brings a new ``y``; row 2 brings an unseen
+    ``x`` and row 1's ``y``.  Each FD's violation index alone makes
+    both rows take the value their groups hold, so the table draws with
+    no violation, in the engine's pass and in the per-row reference."""
     relation, table, dcs = _shared_dependent_dataset()
-    cfg = KaminoConfig(epsilon=float("inf"), seed=0, use_fd_lookup=True,
-                       params_override=_cap)
+    cfg = KaminoConfig(epsilon=float("inf"), seed=0, params_override=_cap)
     model = Kamino(relation, dcs, config=cfg).fit(table)
     # Impose x, y, z order so both FD determinants precede the shared
     # dependent (the sampler accepts any sequence whose contexts the
@@ -501,26 +508,28 @@ def test_forced_rows_recorded_in_all_fd_indexes():
     hyper = HyperSpec.trivial(relation, ["x", "y", "z"])
     sampler = _ColumnSampler(
         model.model, relation, hyper, model.dcs, model.weights,
-        model.params, np.random.default_rng(0), use_fd_lookup=True)
-    j = 2
-    n = 3
-    cols = _allocate_columns(relation, n)
-    wcols = _allocate_working(sampler, cols, n)
-    # Row 0 seeds both indexes; row 1 shares x (forced by the x-index)
-    # but introduces a new y; row 2 carries an unseen x and row 1's y —
-    # only the y-index can force it, and only if row 1 was recorded.
-    cols["x"][:] = [0, 0, 7]
-    cols["y"][:] = [1, 4, 4]
-    fd_indexes = sampler.fd_indexes_for(j)
-    assert len(fd_indexes) == 2
-    _fill_column(sampler, j, cols, wcols, n, fd_indexes=fd_indexes)
-    by_det = {index.determinant: index for index in fd_indexes}
-    z = cols["z"]
-    # Every (determinant, dependent) binding of the sampled rows must be
-    # present in *both* indexes — including rows the other index forced.
-    assert by_det[("y",)].forced_value({"y": cols["y"][1]}) == z[1]
-    assert by_det[("x",)].forced_value({"x": cols["x"][2]}) == z[2]
-    assert z[2] == z[1]  # forced through the y-index's recording
-    for dc in model.dcs:
-        assert count_violations(dc, Table(relation, cols,
-                                          validate=False)) == 0
+        model.params, np.random.default_rng(0))
+    j, n = 2, 3
+
+    def engine_pass(cols, wcols):
+        base = sampler.base_distribution(j, wcols, n)
+        layout = _layout_for(sampler, j, base)
+        _ColumnPass(sampler, j, base, layout,
+                    _CellNoise(0, 2 * j, layout.stride, n_rows=n), cols,
+                    wcols, _PassState.start(sampler, j)
+                    ).fill(n, MAX_BLOCK_ROWS)
+
+    def reference(cols, wcols):
+        _fill_column(sampler, j, cols, wcols, n)
+
+    for fill in (engine_pass, reference):
+        cols = _allocate_columns(relation, n)
+        wcols = _allocate_working(sampler, cols, n)
+        cols["x"][:] = [0, 0, 7]
+        cols["y"][:] = [1, 4, 4]
+        fill(cols, wcols)
+        z = cols["z"]
+        assert z[0] == z[1] == z[2], (fill.__name__, z)
+        for dc in model.dcs:
+            assert count_violations(dc, Table(relation, cols,
+                                              validate=False)) == 0

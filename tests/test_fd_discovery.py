@@ -1,48 +1,20 @@
-"""Tests for the FD index and approximate DC discovery."""
+"""Tests for FD extraction and approximate DC discovery."""
 
 import numpy as np
 
-from repro.constraints import FDIndex, discover_dcs, extract_fds
+from repro.constraints import discover_dcs, extract_fds
 from repro.constraints.dc import DenialConstraint
 from repro.schema import (
     Attribute, CategoricalDomain, NumericalDomain, Relation, Table,
 )
 
 
-class TestFDIndex:
-    def test_record_and_lookup(self):
-        idx = FDIndex(("x",), "y")
-        idx.record({"x": 1, "y": 9}, 9)
-        assert idx.forced_value({"x": 1}) == 9
-        assert idx.forced_value({"x": 2}) is None
-
-    def test_first_writer_wins(self):
-        idx = FDIndex(("x",), "y")
-        idx.record({"x": 1}, 9)
-        idx.record({"x": 1}, 7)
-        assert idx.forced_value({"x": 1}) == 9
-
-    def test_composite_determinant(self):
-        idx = FDIndex(("x", "z"), "y")
-        idx.record({"x": 1, "z": 2}, 5)
-        assert idx.forced_value({"x": 1, "z": 2}) == 5
-        assert idx.forced_value({"x": 1, "z": 3}) is None
-
-    def test_rebuild(self):
-        idx = FDIndex(("x",), "y")
-        cols = {"x": np.array([1, 1, 2]), "y": np.array([9, 9, 4])}
-        idx.rebuild(cols, upto=3)
-        assert idx.forced_value({"x": 2}) == 4
-        assert len(idx) == 2
-        idx.rebuild(cols, upto=0)
-        assert len(idx) == 0
-
-    def test_extract_fds(self):
-        fd = DenialConstraint.fd("f", ["a"], "b")
-        order = DenialConstraint("o", fd.predicates[:1])  # not FD-shaped
-        found = extract_fds([fd, order])
-        assert len(found) == 1
-        assert found[0][0] == ("a",) and found[0][1] == "b"
+def test_extract_fds():
+    fd = DenialConstraint.fd("f", ["a"], "b")
+    order = DenialConstraint("o", fd.predicates[:1])  # not FD-shaped
+    found = extract_fds([fd, order])
+    assert len(found) == 1
+    assert found[0][0] == ("a",) and found[0][1] == "b"
 
 
 class TestDiscovery:

@@ -5,7 +5,7 @@ Pins three things:
 * the block-at-a-time lane (bulk fold of the kept prefix, per-row
   validation from the first in-block conflict on) writes the same column
   and leaves the same index state as the row-at-a-time reference loop
-  below, on random blocks with conflicts, FD-lookup forced rows and a
+  below, on random blocks with conflicts, two FDs onto one target and a
   unary DC — and the same column as that loop over dict-backed indexes;
 * the ``hard_violation_pairs`` trace counter equals the hard-FD
   violations of the drawn table;
@@ -32,8 +32,7 @@ from repro.core.engine import (
 )
 from repro.core.hyper import HyperSpec
 from repro.core.sampling import (
-    _allocate_columns, _allocate_working, _ColumnSampler, _forced_value,
-    _record_fd,
+    _allocate_columns, _allocate_working, _ColumnSampler,
 )
 from repro.datasets import load
 from repro.obs.trace import ColumnTrace, RunTrace
@@ -80,20 +79,6 @@ def reference_fd_lane(col: _ColumnPass, n: int, max_block: int) -> None:
         picks = np.argmax(scores, axis=1).tolist()
         for r in range(B):
             i = lo + r
-            if col.fd_indexes:
-                forced = _forced_value(col.fd_indexes, cols, i)
-                if forced is not None:
-                    if tracer is not None:
-                        tracer.count("forced_rows")
-                    col.wcols[w][i] = forced
-                    pick = int(cols[w][i])
-                    for weight, index, mode, side, counts in per_dc:
-                        if mode == "dep":
-                            index.add_pair(side[r], pick)
-                        else:
-                            index.add_pair((pick,), side[r])
-                    _record_fd(col.fd_indexes, cols, i)
-                    continue
             pick = picks[r]
             valid = True
             for weight, index, mode, side, counts in per_dc:
@@ -121,7 +106,6 @@ def reference_fd_lane(col: _ColumnPass, n: int, max_block: int) -> None:
                     index.add_pair(side[r], pick)
                 else:
                     index.add_pair((pick,), side[r])
-            _record_fd(col.fd_indexes, cols, i)
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +132,6 @@ def lane_scenarios(draw):
         "second_fd": draw(st.booleans()),
         "composite": draw(st.booleans()),
         "unary": draw(st.booleans()),
-        "fd_lookup": hard and target == "y" and draw(st.booleans()),
         "max_block": draw(st.integers(1, 40)),
         "seed": draw(st.integers(0, 2 ** 16)),
         "peaky": draw(st.booleans()),
@@ -175,8 +158,7 @@ def _lane_pass(sc: dict, tracer: ColumnTrace) -> _ColumnPass:
     order = (["x", "z", "y"] if sc["target"] == "y" else ["y", "z", "x"])
     hyper = HyperSpec.trivial(relation, order)
     sampler = _ColumnSampler(None, relation, hyper, dcs, weights, None,
-                             np.random.default_rng(0),
-                             use_fd_lookup=sc["fd_lookup"])
+                             np.random.default_rng(0))
     n, j = sc["n"], 2
     rng = np.random.default_rng(sc["seed"])
     cols = _allocate_columns(relation, n)
@@ -215,9 +197,7 @@ def test_block_lane_equals_row_at_a_time_reference(sc):
     for name, index in new.vio.items():
         for a, b in zip(_index_state(index), _index_state(ref.vio[name])):
             np.testing.assert_array_equal(a, b)
-    for fdx, fdx_ref in zip(new.fd_indexes, ref.fd_indexes):
-        assert fdx._forced == fdx_ref._forced
-    for key in ("blocks", "rescored_rows", "forced_rows"):
+    for key in ("blocks", "rescored_rows"):
         assert new_trace.counters.get(key) == ref_trace.counters.get(key)
 
     # The same reference over the dict-backed indexes draws the same

@@ -300,25 +300,25 @@ def test_index_served_shapes_take_the_retired_paths(shapes):
 # The engine's schedule
 # ----------------------------------------------------------------------
 _SCHEDULE_KEYS = ("blocks", "rescored_rows", "sequential_rows",
-                  "forced_rows", "hard_violation_pairs")
+                  "hard_violation_pairs")
 
 #: Per constrained column of a traced n=1,500 draw at seed 1,000: the
 #: lane, then the counters of ``_SCHEDULE_KEYS``.
 _SCHEDULES = {
-    "adult": {"edu_num": ("num-blocked", 13, 670, 0, 0, 0),
-              "cap_gain": ("num-sequential", 0, 0, 1500, 0, 0)},
-    "tax": {"child_exemp": ("num-blocked", 17, 1003, 0, 0, 0),
-            "single_exemp": ("num-blocked", 27, 1272, 0, 0, 0),
-            "areacode": ("cat-fd-lane", 3, 441, 0, 0, 59),
-            "zip": ("cat-fd-lane", 3, 612, 0, 0, 0),
-            "city": ("cat-fd-lane", 3, 46, 0, 0, 0),
-            "salary": ("num-sequential", 0, 0, 1500, 0, 0)},
-    "tpch": {"n_name": ("cat-fd-lane", 3, 436, 0, 0, 0),
-             "n_regionkey": ("cat-fd-lane", 3, 368, 0, 0, 0),
-             "c_mktsegment": ("cat-fd-lane", 3, 343, 0, 0, 0),
-             "c_nationkey": ("cat-fd-lane", 3, 435, 0, 0, 0)},
-    "br2000": {"a11": ("num-sequential", 0, 0, 1500, 0, 0),
-               "a5": ("num-sequential", 0, 0, 1500, 0, 0)},
+    "adult": {"edu_num": ("num-blocked", 13, 670, 0, 0),
+              "cap_gain": ("num-sequential", 0, 0, 1500, 0)},
+    "tax": {"child_exemp": ("num-blocked", 17, 1003, 0, 0),
+            "single_exemp": ("num-blocked", 27, 1272, 0, 0),
+            "areacode": ("cat-fd-lane", 3, 441, 0, 59),
+            "zip": ("cat-fd-lane", 3, 612, 0, 0),
+            "city": ("cat-fd-lane", 3, 46, 0, 0),
+            "salary": ("num-sequential", 0, 0, 1500, 0)},
+    "tpch": {"n_name": ("cat-fd-lane", 3, 436, 0, 0),
+             "n_regionkey": ("cat-fd-lane", 3, 368, 0, 0),
+             "c_mktsegment": ("cat-fd-lane", 3, 343, 0, 0),
+             "c_nationkey": ("cat-fd-lane", 3, 435, 0, 0)},
+    "br2000": {"a11": ("num-sequential", 0, 0, 1500, 0),
+               "a5": ("num-sequential", 0, 0, 1500, 0)},
 }
 
 #: Per working column of the same draws: the rows its sub-model's

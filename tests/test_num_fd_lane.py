@@ -8,11 +8,11 @@ Pins four things:
 * the window lane draws the same column as the per-row pass over
   dict-backed indexes (the reference), in one pass and across streamed
   ``_PassState`` chunks, on random relations with hard and soft FDs,
-  FD-lookup forced rows, a unary DC and groups already holding several
-  values, and both count ``hard_violation_pairs`` when traced;
+  a unary DC and groups already holding several values, and both count
+  ``hard_violation_pairs`` when traced;
 * draw digests recorded before the lane replaced those blocks (adult
   ``edu_num``, tax ``child_exemp``/``single_exemp``): single-shot,
-  sharded, FD-lookup, MCMC, accept-reject and per-row reference-loop
+  sharded, MCMC, accept-reject and per-row reference-loop
   (``row_reference``) draws; large shapes are ``slow``;
 * adult and tax streams in full chunks equal their single-shot draws;
 * a numerical column under unary DCs alone runs the window lane with no
@@ -46,7 +46,7 @@ from repro.core.engine import (
 from repro.core.hyper import HyperSpec
 from repro.core.params import KaminoParams
 from repro.core.sampling import (
-    _allocate_columns, _allocate_working, _ColumnSampler, _record_fd,
+    _allocate_columns, _allocate_working, _ColumnSampler,
 )
 from repro.core.training import HistogramModel
 from repro.datasets import load
@@ -174,7 +174,6 @@ def num_fd_scenarios(draw):
                             unique=True))
         fds.append((sorted(det), draw(st.booleans()),
                     draw(st.sampled_from([0.3, 1.0, 5.0]))))
-    hard = any(h for _, h, _ in fds)
     return {
         "det_sizes": det_sizes,
         "fds": fds,
@@ -184,7 +183,6 @@ def num_fd_scenarios(draw):
         "num_candidates": draw(st.integers(1, 6)),
         "hist": draw(st.booleans()),
         "unary": draw(st.booleans()),
-        "fd_lookup": hard and draw(st.booleans()),
         "n": draw(st.integers(1, 120)),
         "max_block": draw(st.integers(1, 64)),
         "chunk": draw(st.integers(1, 50)),
@@ -232,11 +230,10 @@ def _num_fd_case(sc: dict):
     return relation, dcs, weights, params, hyper, cols, base
 
 
-def _sampler(sc, case):
+def _sampler(case):
     relation, dcs, weights, params, hyper, _, _ = case
     return _ColumnSampler(None, relation, hyper, dcs, weights, params,
-                          np.random.default_rng(0),
-                          use_fd_lookup=sc["fd_lookup"])
+                          np.random.default_rng(0))
 
 
 def _rows(base, lo, hi):
@@ -245,7 +242,7 @@ def _rows(base, lo, hi):
     return base
 
 
-def _fold_history(sc, sampler, vio: dict, fd_indexes: list) -> int:
+def _fold_history(sc, sampler, vio: dict) -> int:
     """Fold earlier rows with random dependents (FD violations included)
     into fresh indexes, so groups start out holding several values."""
     rng = np.random.default_rng(sc["seed"] + 1)
@@ -257,7 +254,6 @@ def _fold_history(sc, sampler, vio: dict, fd_indexes: list) -> int:
     for i in range(h):
         for index in vio.values():
             index.append_from(hist, i)
-        _record_fd(fd_indexes, hist, i)
     return h
 
 
@@ -275,15 +271,14 @@ def test_window_lane_equals_the_per_row_pass(sc):
     n, j = sc["n"], len(sc["det_sizes"])
 
     def fresh_pass(tracer=None):
-        sampler = _sampler(sc, case)
+        sampler = _sampler(case)
         cols = {a: c.copy() for a, c in cols0.items()}
         wcols = _allocate_working(sampler, cols, n)
         layout = _layout_for(sampler, j, base)
         noise = _CellNoise(sc["seed"], 2 * j, layout.stride, 16, n)
         col = _ColumnPass(sampler, j, base, layout, noise, cols, wcols,
                           _PassState.start(sampler, j), tracer=tracer)
-        col.row_offset = _fold_history(sc, sampler, col.vio,
-                                       col.fd_indexes)
+        col.row_offset = _fold_history(sc, sampler, col.vio)
         return col
 
     trace = ColumnTrace("y")
@@ -314,18 +309,14 @@ def test_window_lane_equals_the_per_row_pass(sc):
     assert trace.counters.get("hard_violation_pairs", 0) == hard_pairs
     assert ref_trace.counters.get("hard_violation_pairs", 0) == hard_pairs
     assert ref_trace.counters["sequential_rows"] == n
-    assert ref_trace.counters.get("forced_rows", 0) == \
-        trace.counters.get("forced_rows", 0)
     assert trace.counters.get("block_rows", 0) == \
-        n + trace.counters.get("rescored_rows", 0) \
-        - trace.counters.get("forced_rows", 0)
+        n + trace.counters.get("rescored_rows", 0)
 
     # Streamed: chunk-local arrays, global noise, persistent tables.
-    sampler = _sampler(sc, case)
+    sampler = _sampler(case)
     layout = _layout_for(sampler, j, base)
-    state = _PassState(vio=sampler.violation_indexes_for(j),
-                       fd_indexes=sampler.fd_indexes_for(j), used=None)
-    h = _fold_history(sc, sampler, state.vio, state.fd_indexes)
+    state = _PassState(vio=sampler.violation_indexes_for(j), used=None)
+    h = _fold_history(sc, sampler, state.vio)
     out = []
     for off in range(0, n, sc["chunk"]):
         m = min(sc["chunk"], n - off)
@@ -425,17 +416,6 @@ def test_draw_digests_pinned(fits, name, n, seed, digest):
 def test_sharded_draws_pinned(fits, n, digest):
     table = fits("tax").sample(n=n, seed=3000, workers=2).table
     assert _table_digest(table) == digest
-
-
-@pytest.mark.parametrize("name, digest", [
-    ("adult", "e437c1a9feca74bc"),
-    ("tax", "81f1512cf8410280"),
-])
-def test_fd_lookup_draws_pinned(fits, name, digest):
-    fitted = fits(name)
-    lookup = dataclasses.replace(
-        fitted, config=fitted.config.replace(use_fd_lookup=True))
-    assert _table_digest(lookup.sample(n=1500, seed=3000).table) == digest
 
 
 @pytest.mark.parametrize("name, mcmc_m, digest", [

@@ -264,13 +264,16 @@ def test_cache_rebuilds_index_from_disk(tmp_path):
 
 
 def test_draw_key_covers_every_dimension():
-    base = draw_key("v1", 100, 7, "csv")
-    assert draw_key("v1", 100, 7, "csv") == base
-    assert draw_key("v2", 100, 7, "csv") != base
-    assert draw_key("v1", 101, 7, "csv") != base
-    assert draw_key("v1", 100, 8, "csv") != base
-    assert draw_key("v1", 100, 7, "parquet") != base
-    assert draw_key("v1", None, None, "csv") != base
+    base = draw_key("v1", 100, 7, "csv", None)
+    assert draw_key("v1", 100, 7, "csv", None) == base
+    assert draw_key("v2", 100, 7, "csv", None) != base
+    assert draw_key("v1", 101, 7, "csv", None) != base
+    assert draw_key("v1", 100, 8, "csv", None) != base
+    assert draw_key("v1", 100, 7, "parquet", None) != base
+    assert draw_key("v1", None, None, "csv", None) != base
+    assert draw_key("v1", 100, 7, "csv", 64) != base
+    assert draw_key("v1", 100, 7, "csv", 65) != \
+        draw_key("v1", 100, 7, "csv", 64)
 
 
 # ----------------------------------------------------------------------
@@ -756,6 +759,30 @@ def test_serve_quarantined_model_is_clean_503(tmp_path, tpch):
         text = client.metrics()
         assert 'kamino_serve_events_total{event="quarantine_rejects"}' \
             in text
+
+
+def test_servers_at_other_chunk_rows_share_a_cache_directory(tmp_path,
+                                                            tpch):
+    """A body longer than one render chunk depends on ``chunk_rows``
+    (numerical sub-model heads' last bits), so the cache key covers
+    it: servers restarted over one models directory — one draw cache —
+    at different ``chunk_rows`` each render and serve their own
+    ``sample_stream`` body, never the other's cached one."""
+    for chunk_rows in (7, None):
+        with _running_server(tmp_path / "models", tpch,
+                             chunk_rows=chunk_rows) as (srv, client):
+            resp = client.sample("tpch", n=200, seed=1)
+            assert resp.status == 200
+            assert resp.cache_state == "miss", chunk_rows
+            direct = tmp_path / f"direct-{chunk_rows}.csv"
+            write_table_stream(
+                str(direct), tpch["dataset"].relation,
+                tpch["fitted"].sample_stream(n=200, seed=1,
+                                             chunk_rows=chunk_rows))
+            assert resp.body == direct.read_bytes(), chunk_rows
+            again = client.sample("tpch", n=200, seed=1)
+            assert again.cache_state == "hit"
+            assert again.body == resp.body
 
 
 # ----------------------------------------------------------------------

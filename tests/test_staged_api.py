@@ -3,8 +3,8 @@
 Pins the redesign's contract: ``KaminoConfig`` validation and the
 keyword constructor, ``fit()`` + ``FittedKamino.sample()``
 bit-identical to the fused ``fit_sample`` across private / non-private
-/ grouped / FD-lookup / AR configurations, and sample-many semantics
-(any size, any seed, no retraining).
+/ grouped / AR configurations, and sample-many semantics (any size,
+any seed, no retraining).
 """
 
 import dataclasses
@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.constraints import count_violations
+from repro.constraints import count_violations, parse_dc
+from repro.constraints.parser import DCParseError
 from repro.core import FittedKamino, Kamino, KaminoConfig
 from repro.core.kamino import ConfigError, KaminoResult
 from repro.datasets import load
@@ -46,7 +47,6 @@ def test_config_defaults_match_paper():
     assert cfg.delta == 1e-6
     assert cfg.large_domain_threshold == 1000
     assert cfg.group_max_domain is None
-    assert not cfg.use_fd_lookup
     assert cfg.constraint_aware_sampling
     assert cfg.weight_estimator == "matrix"
     assert cfg.private
@@ -89,17 +89,17 @@ def test_config_replace_revalidates():
 # ----------------------------------------------------------------------
 def test_kamino_accepts_config_object():
     ds = load("tpch", n=20, seed=0)
-    cfg = KaminoConfig(epsilon=1.0, seed=3, use_fd_lookup=True)
+    cfg = KaminoConfig(epsilon=1.0, seed=3, random_sequence=True)
     kam = Kamino(ds.relation, ds.dcs, config=cfg)
     assert kam.config is cfg
-    assert kam.config.seed == 3 and kam.config.use_fd_lookup
+    assert kam.config.seed == 3 and kam.config.random_sequence
 
 
 def test_kamino_kwargs_shim_builds_config():
     ds = load("tpch", n=20, seed=0)
-    kam = Kamino(ds.relation, ds.dcs, 1.0, seed=3, use_fd_lookup=True)
+    kam = Kamino(ds.relation, ds.dcs, 1.0, seed=3, random_sequence=True)
     assert kam.config == KaminoConfig(epsilon=1.0, seed=3,
-                                      use_fd_lookup=True)
+                                      random_sequence=True)
     # delta is the one knob that may also come positionally.
     assert Kamino(ds.relation, ds.dcs, 1.0, 1e-5).config == \
         KaminoConfig(epsilon=1.0, delta=1e-5)
@@ -120,8 +120,8 @@ def test_kamino_rejects_knobs_alongside_config():
     cfg = KaminoConfig(epsilon=1.0)
     with pytest.raises(TypeError, match="seed"):
         Kamino(ds.relation, ds.dcs, config=cfg, seed=5)
-    with pytest.raises(TypeError, match="use_fd_lookup"):
-        Kamino(ds.relation, ds.dcs, config=cfg, use_fd_lookup=True)
+    with pytest.raises(TypeError, match="random_sequence"):
+        Kamino(ds.relation, ds.dcs, config=cfg, random_sequence=True)
     with pytest.raises(TypeError, match="delta"):
         Kamino(ds.relation, ds.dcs, None, 1e-5, config=cfg)
 
@@ -145,9 +145,30 @@ def test_scheduling_is_not_a_config_knob(knob, value):
 def test_probe_switch_is_not_a_config_knob():
     """Every DC counts in a violation index, so the switch that could
     replace the indexes with prefix scans is gone: an unknown knob."""
-    assert len(dataclasses.fields(KaminoConfig)) == 11
+    assert len(dataclasses.fields(KaminoConfig)) == 10
     with pytest.raises(TypeError, match="use_violation_index"):
         KaminoConfig(epsilon=1.0, use_violation_index=False)
+
+
+def test_fd_lookup_is_not_a_config_knob():
+    """Each hard FD is kept by its own violation index, so the hard-FD
+    lookup switch is gone: the config and the constructor reject it as
+    an unknown knob."""
+    ds = load("tpch", n=20, seed=0)
+    with pytest.raises(TypeError, match="use_fd_lookup"):
+        KaminoConfig(epsilon=1.0, use_fd_lookup=True)
+    with pytest.raises(TypeError, match="use_fd_lookup"):
+        Kamino(ds.relation, ds.dcs, 1.0, use_fd_lookup=True)
+
+
+def test_dc_outside_the_relation_is_rejected_before_fit():
+    """A DC naming an attribute the relation lacks is a DCParseError
+    naming it, raised before any fit phase runs or spends budget."""
+    ds = load("tpch", n=20, seed=0)
+    bad = parse_dc("not(ti.nosuch == tj.c_custkey)", name="bad")
+    with pytest.raises(DCParseError,
+                       match="DC 'bad' .*: no attribute 'nosuch'$"):
+        Kamino(ds.relation, [*ds.dcs, bad], 1.0).fit(ds.table)
 
 
 def test_kamino_attribute_writes_raise():
@@ -158,7 +179,7 @@ def test_kamino_attribute_writes_raise():
     with pytest.raises(AttributeError):
         kam.seed = 5
     with pytest.raises(AttributeError):
-        kam.use_fd_lookup = True
+        kam.random_sequence = True
     assert kam.config == KaminoConfig(epsilon=1.0, seed=3)
 
 
@@ -186,13 +207,6 @@ def test_fused_equals_staged_non_private():
     make = lambda: Kamino(ds.relation, ds.dcs, math.inf,  # noqa: E731
                           seed=1, params_override=_cap)
     _fused_vs_staged(make(), make(), ds.table, n=60)
-
-
-def test_fused_equals_staged_fd_lookup():
-    ds = load("tpch", n=100, seed=0)
-    make = lambda: Kamino(ds.relation, ds.dcs, 1.0, seed=2,  # noqa: E731
-                          use_fd_lookup=True, params_override=_cap)
-    _fused_vs_staged(make(), make(), ds.table)
 
 
 def test_fused_equals_staged_grouped():
