@@ -41,9 +41,31 @@ All indexes produce counts **bit-identical** to the scan-based
 functions (``count_violations``, ``multi_candidate_violation_counts``,
 ``violation_matrix``); ``tests/test_violation_index.py`` asserts this on
 randomized tables.  Consumers: :mod:`repro.core.sampling` (Algorithm 3
-and the MCMC refinement), :mod:`repro.baselines.cleaning` (repair
-passes), and :func:`repro.constraints.violations.violation_matrix`
-(Algorithm 5).
+and the MCMC refinement), :mod:`repro.core.engine` (the block lanes),
+:mod:`repro.baselines.cleaning` (repair passes), and
+:func:`repro.constraints.violations.violation_matrix` (Algorithm 5).
+
+**The lane protocol.**  The engine's block lanes draw a column a block
+of ``B`` rows at a time and ask every index the same few things, never
+its class (:class:`ViolationIndex` documents each call):
+
+* ``lane_keys`` — what the other calls read of the block's rows,
+  computed once per block;
+* ``block_counts`` — the ``(B, V)`` new-violation counts of the
+  candidates against the indexed rows (or of one row's, to re-score it);
+* ``count_at`` — the live count of one row at its picked candidate, to
+  validate a block-start pick;
+* ``fold`` — append rows at their picks;
+* ``kept_prefix`` — how many leading rows keep their block-start picks
+  (the rows before the block's first in-block conflict), or 0 where the
+  index cannot say (``keeps_prefixes`` is False);
+* ``hint_values`` — the zero-violation values of a hard DC's target
+  given a row, for the sampler's candidate augmentation.
+
+The base class answers from ``probe_many``, ``candidate_counts`` and
+``append_from``; the dict FD index probes a block drawing its dependent
+in one ``probe_block_codes``; the FD count tables answer everything from
+the table, kept prefixes included.
 
 Group keys are built from the *original* stored scalars (int codes stay
 ints), never cast through float64 — so int64 keys above 2**53 cannot
@@ -62,6 +84,38 @@ from repro.constraints.violations import multi_candidate_violation_counts
 def _item(value):
     """Convert a numpy scalar to a hashable python scalar."""
     return value.item() if hasattr(value, "item") else value
+
+
+def _is_codes(values: np.ndarray, size: int) -> bool:
+    """Whether ``values`` is one row of the codes ``0..size-1`` in
+    order, shaped ``(size,)`` or ``(1, size)``."""
+    return (values.shape[-1] == values.size == size
+            and values.dtype.kind in "iu"
+            and bool((values.reshape(-1) == np.arange(size)).all()))
+
+
+def _first_conflict(group: np.ndarray, dep: np.ndarray,
+                    fresh: np.ndarray | None = None) -> int:
+    """First row with an earlier row of the same group holding another
+    dependent, or ``len(group)`` when there is none.
+
+    Within a group (rows in order), the first such row is the first
+    whose dependent differs from the group's first row's.  ``fresh``
+    (optional) marks rows whose dependent is new to their group; a row
+    after such a row of its group conflicts too.
+    """
+    n = group.shape[0]
+    order = np.argsort(group, kind="stable")
+    g, d = group[order], dep[order]
+    starts = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+    lengths = np.diff(np.append(starts, n))
+    bad = d != np.repeat(d[starts], lengths)
+    if fresh is not None:
+        f = fresh[order].astype(np.int64)
+        before = np.cumsum(f) - f
+        bad |= before > np.repeat(before[starts], lengths)
+    bad = order[bad]
+    return int(bad.min()) if bad.size else n
 
 
 class ViolationIndex:
@@ -150,6 +204,70 @@ class ViolationIndex:
         return np.vstack([self.candidate_counts(target_values, context)
                           for context in contexts])
 
+    # -- the lane protocol ---------------------------------------------
+    #: Whether :meth:`kept_prefix` names a block's kept prefix (else it
+    #: answers 0 and the lane validates every row).
+    keeps_prefixes = False
+
+    def lane_keys(self, target: dict, cols: dict, lo: int, hi: int):
+        """What the calls below read of rows ``lo..hi`` of ``cols``,
+        computed once per block.
+
+        ``target`` maps each of the DC's attributes the lane draws to its
+        ``(V,)`` candidates, shared by every row (the FD count tables
+        also take ``(B, W)`` per-row candidates).  Here: the candidates
+        and each row's context (its values of the DC's other
+        attributes).
+        """
+        ctx = [a for a in self.dc.attributes if a not in target]
+        return target, [{a: cols[a][i] for a in ctx} for i in range(lo, hi)]
+
+    def block_counts(self, keys, rows: slice = slice(None)) -> np.ndarray:
+        """``(B, V)`` new-violation counts of every candidate of the
+        block rows ``rows`` (default: all) against the indexed rows."""
+        target, contexts = keys
+        return self.probe_many(target, contexts[rows])
+
+    def count_at(self, keys, r: int, pick: int) -> int:
+        """The live new-violation count of block row ``r`` at candidate
+        ``pick``."""
+        return int(self.candidate_counts(None, self._lane_row(keys, r,
+                                                              pick))[0])
+
+    def fold(self, keys, picks, start: int = 0) -> None:
+        """Append block rows ``start, start + 1, ...`` at their picked
+        candidates ``picks``."""
+        for r, pick in enumerate(picks, start):
+            self._add_row(self._lane_row(keys, r, pick))
+
+    def kept_prefix(self, keys, picks: np.ndarray,
+                    held_only: bool = False) -> int:
+        """How many leading rows of a block keep their block-start
+        ``picks``: the rows before the first whose count at its pick an
+        earlier row of the block moves, or 0 where the index cannot say.
+
+        With ``held_only``, a row after an earlier row of its group that
+        picked a value the group did not hold at the block start ends
+        the prefix too (a lane whose candidates include those values).
+        """
+        return 0
+
+    def dependent_grid(self, attr: str) -> np.ndarray | None:
+        """The sorted values on which the index counts ``attr`` as an
+        FD's dependent, by rank; None when it does not."""
+        return None
+
+    def hint_values(self, target: str, row: dict, limit: int) -> list:
+        """Zero-violation candidate values for ``target`` given ``row``,
+        from the indexed rows (see the subclasses)."""
+        raise NotImplementedError
+
+    def _lane_row(self, keys, r: int, pick: int) -> dict:
+        target, contexts = keys
+        context = contexts[r]
+        return {a: target[a][pick] if a in target else context[a]
+                for a in self.dc.attributes}
+
     # -- internals -----------------------------------------------------
     def _add_row(self, row: dict) -> None:
         raise NotImplementedError
@@ -161,16 +279,12 @@ class ViolationIndex:
 # ----------------------------------------------------------------------
 # FD-shaped DCs
 # ----------------------------------------------------------------------
-class FDViolationIndex(ViolationIndex):
-    """Hash-bucket group index for an FD-shaped DC ``X -> y``.
-
-    State per determinant key: group size and a histogram of dependent
-    values.  Appending a tuple with key ``k`` and dependent ``v``
-    creates ``size(k) - count(k, v)`` new violating pairs, which is an
-    O(1) dict probe — and exactly what the scan engine counts, because a
-    pair violates an FD iff the determinants agree and the dependents
-    differ (both orientations coincide).
-    """
+class _FDIndex(ViolationIndex):
+    """An FD-shaped DC ``X -> y``: a group of tuples per determinant
+    key, and a pair violates iff its determinants agree and its
+    dependents differ (both orientations coincide).  A tuple joining
+    group ``k`` with dependent ``v`` creates ``size(k) - count(k, v)``
+    violating pairs — exactly what the scan engine counts."""
 
     def __init__(self, dc: DenialConstraint):
         super().__init__(dc)
@@ -179,6 +293,23 @@ class FDViolationIndex(ViolationIndex):
             raise ValueError(f"DC {dc.name} is not FD-shaped")
         self.determinant, self.dependent = fd
         self.reset()
+
+    def hint_values(self, target: str, row: dict, limit: int) -> list:
+        """The first ``limit`` sorted distinct values of ``target`` among
+        the indexed rows that match ``row`` on the FD's other
+        attributes: the dependents of ``row``'s determinant group
+        (:meth:`dependents_of`), or, for a determinant attribute, the
+        values bound to ``row``'s dependent (:meth:`matched_det_values`).
+        """
+        if target == self.dependent:
+            return self.dependents_of(row)[:limit]
+        return self.matched_det_values(target, row)[:limit]
+
+
+class FDViolationIndex(_FDIndex):
+    """Hash-bucket group index for an FD-shaped DC: per determinant key,
+    the group size and a histogram of dependent values, so a probe is
+    an O(1) dict lookup."""
 
     def reset(self) -> None:
         #: key -> [group_size, {dep_value: count}]
@@ -265,39 +396,19 @@ class FDViolationIndex(ViolationIndex):
         return out
 
     # -- multiset updates ----------------------------------------------
-    def probe_pair(self, key: tuple, dep) -> int:
-        """New violations if ``(key, dep)`` were appended — the O(1)
-        kernel behind every probe; ``key``/``dep`` are python scalars
-        (as produced by ``.tolist()`` on the column arrays)."""
-        self._bump("probe_pair")
+    def _add_row(self, row: dict) -> None:
+        self._add_pair(self._key(row), _item(row[self.dependent]))
+
+    def _add_pair(self, key: tuple, dep) -> None:
         group = self._groups.get(key)
         if group is None:
-            return 0
-        return group[0] - group[1].get(dep, 0)
-
-    def add_pair(self, key: tuple, dep) -> int:
-        """Append one ``(determinant key, dependent)`` observation and
-        return the violating pairs it adds.
-
-        The allocation-free core of :meth:`append_from` for callers that
-        already hold python-scalar keys (the blocked engine's fast
-        lane).
-        """
-        group = self._groups.get(key)
-        if group is None:
-            group = [0, {}]
-            self._groups[key] = group
+            group = self._groups[key] = [0, {}]
         size, counts = group
-        created = size - counts.get(dep, 0)
-        self._total += created
+        self._total += size - counts.get(dep, 0)
         group[0] = size + 1
         counts[dep] = counts.get(dep, 0) + 1
         self._det_cache_update(key, dep, 1)
         self._n += 1
-        return created
-
-    def _add_row(self, row: dict) -> None:
-        self.add_pair(self._key(row), _item(row[self.dependent]))
 
     def _remove_row(self, row: dict) -> None:
         key = self._key(row)
@@ -405,6 +516,57 @@ class FDViolationIndex(ViolationIndex):
                 row[idx] -= vals
         return out
 
+    def lane_keys(self, target: dict, cols: dict, lo: int, hi: int):
+        """``(target, values, B)``: the candidates and the block rows'
+        other values, as python scalars per attribute, so that per-row
+        calls are dict lookups."""
+        values = {a: cols[a][lo:hi].tolist() for a in self.dc.attributes
+                  if a not in target}
+        values.update((a, c.tolist()) for a, c in target.items())
+        return target, values, hi - lo
+
+    def block_counts(self, keys, rows: slice = slice(None)) -> np.ndarray:
+        """Drawing the dependent or the (single) determinant over its
+        code domain, :meth:`probe_block_codes` or one
+        :meth:`probe_det_codes` per row; any other layout probes each
+        row generically."""
+        target, values, B = keys
+        attr = next(iter(target))
+        cands = target[attr]
+        if len(target) == 1 and _is_codes(cands, cands.shape[-1]):
+            V = cands.shape[0]
+            if attr == self.dependent:
+                return self.probe_block_codes(list(zip(
+                    *[values[a][rows] for a in self.determinant])), V)
+            deps = values[self.dependent][rows]
+            out = np.empty((len(deps), V), dtype=np.int64)
+            if all(self.probe_det_codes(dep, V, out=row) is not None
+                   for dep, row in zip(deps, out)):
+                return out
+        ctx = [a for a in self.dc.attributes if a not in target]
+        return self.probe_many(target, [{a: values[a][i] for a in ctx}
+                                        for i in range(B)[rows]])
+
+    def count_at(self, keys, r: int, pick: int) -> int:
+        """One group lookup, traced as a ``probe_pair``."""
+        self._bump("probe_pair")
+        key, dep = self._lane_pair(keys, r, pick)
+        group = self._groups.get(key)
+        return 0 if group is None else group[0] - group[1].get(dep, 0)
+
+    def fold(self, keys, picks, start: int = 0) -> None:
+        for r, pick in enumerate(picks, start):
+            self._add_pair(*self._lane_pair(keys, r, pick))
+
+    def _lane_pair(self, keys, r: int, pick: int) -> tuple:
+        """Block row ``r``'s determinant key and dependent at candidate
+        ``pick``."""
+        target, values, _ = keys
+        key = tuple(values[a][pick if a in target else r]
+                    for a in self.determinant)
+        dep = self.dependent
+        return key, values[dep][pick if dep in target else r]
+
     def dependents_of(self, key_row: dict) -> list:
         """Sorted distinct dependent values already bound to the
         determinant group of ``key_row`` (empty if the group is new)."""
@@ -442,8 +604,9 @@ class FDViolationIndex(ViolationIndex):
 MAX_FD_TABLE_CELLS = 1 << 22
 
 
-class ArrayFDViolationIndex(FDViolationIndex):
-    """:class:`FDViolationIndex` over known value domains, as one table.
+class ArrayFDViolationIndex(_FDIndex):
+    """The FD counts of :class:`FDViolationIndex` over known value
+    domains, as one table.
 
     For ``X -> y`` whose determinant attributes take codes and whose
     dependent takes codes ``0..V-1`` — or, for a numerical dependent,
@@ -451,21 +614,21 @@ class ArrayFDViolationIndex(FDViolationIndex):
     per-group histograms become one int64 table ``count[x, y]`` next to
     the group sizes ``size[x]``.  A composite determinant indexes by one
     mixed-radix code (``det_size`` lists the attributes' code sizes;
-    the group count is their product).  Every probe is then array
-    arithmetic: the ``(B, V)`` candidate counts of a block of rows are
-    one row gather and one in-place subtract (:meth:`dep_counts`), the
-    counts of arbitrary candidate ranks one fancy gather
-    (:meth:`counts_at`), and folding a block in is one ``np.add.at``
-    (:meth:`add_codes`).  ``dep_major`` stores the table as
-    ``count[y, x]`` instead, so that a block drawing the (single)
-    *determinant* (:meth:`det_counts`) gathers contiguous rows too.
+    the group count is their product).  The lane protocol is then
+    array arithmetic: the ``(B, V)`` candidate counts of a block of rows
+    drawing the dependent are one row gather and one in-place subtract,
+    those of arbitrary candidates one fancy gather, a row's count at its
+    pick two reads, a block's kept prefix one stable sort of its picked
+    ``(group, dependent)`` pairs, and folding that prefix in one
+    ``np.add.at`` (:meth:`add_codes`).  ``dep_major`` stores the table
+    as ``count[y, x]`` instead, so that a block drawing the (single)
+    *determinant* gathers contiguous rows too.
 
     The value-level API (``append_from``, ``candidate_counts``,
-    ``probe_many``, ``dependents_of``, ``probe_pair``/``add_pair`` with
-    per-attribute key tuples) answers exactly like the dict-backed
-    index.  The caller guarantees in-domain determinant codes; a probe
-    of an off-universe dependent counts the whole group, and appending
-    one raises :class:`ValueError`.
+    ``probe_many``, ``hint_values``) answers exactly like the
+    dict-backed index.  The caller guarantees in-domain determinant
+    codes; a probe of an off-universe dependent counts the whole group,
+    and appending one raises :class:`ValueError`.
     """
 
     def __init__(self, dc: DenialConstraint, det_size, dep_size: int,
@@ -509,13 +672,6 @@ class ArrayFDViolationIndex(FDViolationIndex):
         ``cols``."""
         return self._det_code([cols[a][rows] for a in self.determinant])
 
-    def _key_code(self, key: tuple):
-        """The determinant code of a key tuple: per-attribute codes, or a
-        1-tuple holding the code itself.  The block lanes key their
-        row-at-a-time probes (``probe_pair``, ``add_pair``,
-        ``probe_block_codes``) by :meth:`group_codes` codes that way."""
-        return key[0] if len(key) == 1 else self._det_code(key)
-
     def dep_ranks(self, values) -> np.ndarray:
         """Table column of each dependent value: the code itself, or the
         rank on the universe (-1 off it)."""
@@ -535,38 +691,101 @@ class ArrayFDViolationIndex(FDViolationIndex):
         if rank >= 0:
             return rank
         if strict:
-            raise ValueError(
-                f"DC {self.dc.name}: dependent value {dep!r} of "
-                f"{self.dependent!r} is off the indexed value universe")
+            raise self._off_universe()
         return None
 
-    # -- block probes and folds ------------------------------------------
-    def dep_counts(self, det_codes: np.ndarray) -> np.ndarray:
-        """``(B, V)`` new-violation counts of every dependent code, one
-        row per determinant code in ``det_codes``."""
-        self._bump("probe_block_codes")
-        out = self._by_det[det_codes]
-        np.subtract(self._sizes[det_codes][:, None], out, out=out)
-        return out
+    def _off_universe(self) -> ValueError:
+        return ValueError(f"DC {self.dc.name}: a dependent value of "
+                          f"{self.dependent!r} is off the indexed value "
+                          f"universe")
 
-    def counts_at(self, det_codes: np.ndarray,
-                  ranks: np.ndarray) -> np.ndarray:
-        """``(B, W)`` new-violation counts of dependent ranks ``ranks``
-        (``(B, W)``, -1 off the universe: the whole group), one row per
-        determinant code.  Traced as a ``probe_block_codes``, like
-        :meth:`dep_counts`: one block gather."""
-        self._bump("probe_block_codes")
-        sizes = self._sizes[det_codes][:, None]
-        held = self._by_det[det_codes[:, None], np.maximum(ranks, 0)]
-        return sizes - np.where(ranks >= 0, held, 0)
+    # -- the lane protocol over the table --------------------------------
+    keeps_prefixes = True
 
-    def det_counts(self, dep_codes: np.ndarray) -> np.ndarray:
-        """``(B, K)`` new-violation counts of every determinant code, one
-        row per dependent code in ``dep_codes``."""
-        self._bump("probe_det_codes")
-        out = self._by_det.T[dep_codes]
-        np.subtract(self._sizes[None, :], out, out=out)
-        return out
+    def lane_keys(self, target: dict, cols: dict, lo: int, hi: int):
+        """``(det, dep)``: each block row's determinant code and
+        dependent table column at each candidate, as ``(B, W)`` views.
+        Where the candidates are one side's whole code domain that side
+        is None, since the candidate is its code: ``(det, None)`` holds
+        each row's group when the lane draws the dependent, ``(None,
+        dep)`` each row's dependent when it draws the determinant."""
+        def side(attr):
+            if attr in target:
+                return np.atleast_2d(target[attr])
+            return cols[attr][lo:hi, None]
+        det = self._det_code([side(a) for a in self.determinant])
+        dep = self.dep_ranks(side(self.dependent))
+        if det.shape[1] == 1 and _is_codes(dep, self.dep_size):
+            return det[:, 0], None
+        if dep.shape[1] == 1 and _is_codes(det, self.det_size):
+            return None, dep[:, 0]
+        shape = (hi - lo, max(det.shape[1], dep.shape[1]))
+        return np.broadcast_to(det, shape), np.broadcast_to(dep, shape)
+
+    @staticmethod
+    def _cells(keys, rows, picks):
+        """The determinant codes and dependent columns of block rows
+        ``rows`` at candidates ``picks`` (index arrays, or one row)."""
+        det, dep = keys
+        if dep is None:
+            return det[rows], picks
+        if det is None:
+            return picks, dep[rows]
+        return det[rows, picks], dep[rows, picks]
+
+    def block_counts(self, keys, rows: slice = slice(None)) -> np.ndarray:
+        """One gather from the table: traced as ``probe_det_codes`` when
+        the candidates are determinant codes, else as
+        ``probe_block_codes``.  A dependent off the universe (rank -1)
+        counts the whole group."""
+        det, dep = keys
+        if det is None:
+            self._bump("probe_det_codes")
+            out = self._by_det.T[dep[rows]]
+            np.subtract(self._sizes[None, :], out, out=out)
+            return out
+        self._bump("probe_block_codes")
+        det = det[rows]
+        if dep is None:
+            out = self._by_det[det]
+            np.subtract(self._sizes[det][:, None], out, out=out)
+            return out
+        dep = dep[rows]
+        held = self._by_det[det, np.maximum(dep, 0)]
+        return self._sizes[det] - np.where(dep >= 0, held, 0)
+
+    def count_at(self, keys, r: int, pick: int) -> int:
+        """Two table reads, traced as a ``probe_pair``."""
+        self._bump("probe_pair")
+        det, col = self._cells(keys, r, pick)
+        size = self._sizes.item(det)
+        return size - self._by_det.item(det, col) if col >= 0 else size
+
+    def fold(self, keys, picks, start: int = 0) -> None:
+        if len(picks) != 1:
+            self.add_codes(*self._cells(
+                keys, np.arange(start, start + len(picks)), picks))
+            return
+        # One row: two scalar adds cost less than ``np.add.at``.
+        det, col = self._cells(keys, start, picks[0])
+        if col < 0:
+            raise self._off_universe()
+        self._sizes[det] += 1
+        self._by_det[det, col] += 1
+        self._n += 1
+
+    def kept_prefix(self, keys, picks: np.ndarray,
+                    held_only: bool = False) -> int:
+        """The rows before the first with an earlier row of the block in
+        its determinant group holding another dependent (or, with
+        ``held_only``, one the group did not hold): a row before it
+        counts the same at its pick as at the block start."""
+        group, value = self._cells(keys, np.arange(len(picks)), picks)
+        fresh = self._by_det[group, value] == 0 if held_only else None
+        return _first_conflict(group, value, fresh)
+
+    def dependent_grid(self, attr: str) -> np.ndarray | None:
+        return self.dep_universe if attr == self.dependent else None
 
     def holds(self, det_codes: np.ndarray) -> np.ndarray:
         """``(B, V)`` mask of the dependents each group already holds
@@ -577,9 +796,7 @@ class ArrayFDViolationIndex(FDViolationIndex):
         """Append the rows ``(det_codes[r], dep_codes[r])`` (dependent
         table columns: codes, or universe ranks)."""
         if self.dep_universe is not None and (dep_codes < 0).any():
-            raise ValueError(
-                f"DC {self.dc.name}: a dependent value of "
-                f"{self.dependent!r} is off the indexed value universe")
+            raise self._off_universe()
         np.add.at(self._sizes, det_codes, 1)
         if self.dep_major:
             np.add.at(self._table, (dep_codes, det_codes), 1)
@@ -587,48 +804,16 @@ class ArrayFDViolationIndex(FDViolationIndex):
             np.add.at(self._table, (det_codes, dep_codes), 1)
         self._n += len(det_codes)
 
-    # -- the FDViolationIndex API ----------------------------------------
-    def probe_block_codes(self, keys: list, size: int) -> np.ndarray:
-        return self.dep_counts(np.fromiter(
-            (self._key_code(k) for k in keys), dtype=np.int64,
-            count=len(keys)))
-
-    def probe_det_codes(self, dep, size: int,
-                        out: np.ndarray | None = None) -> np.ndarray:
-        self._bump("probe_det_codes")
-        if out is None:
-            return self._sizes - self._by_det[:, dep]
-        np.subtract(self._sizes, self._by_det[:, dep], out=out)
-        return out
-
-    def probe_pair(self, key: tuple, dep) -> int:
-        self._bump("probe_pair")
-        det = self._key_code(key)
-        col = self._dep_column(dep)
-        if col is None:
-            return self._sizes.item(det)
-        return self._sizes.item(det) - self._by_det.item(det, col)
-
-    def add_pair(self, key: tuple, dep) -> int:
-        det = self._key_code(key)
-        col = self._dep_column(dep, strict=True)
-        size = self._sizes.item(det)
-        count = self._by_det.item(det, col)
-        self._sizes[det] = size + 1
-        self._by_det[det, col] = count + 1
-        self._n += 1
-        return size - count
-
-    def _add_row(self, row: dict) -> None:
-        self.add_pair(tuple(row[a] for a in self.determinant),
-                      row[self.dependent])
+    # -- the value-level FDViolationIndex API ----------------------------
+    def _add_row(self, row: dict, delta: int = 1) -> None:
+        det = self._det_code([row[a] for a in self.determinant])
+        col = self._dep_column(row[self.dependent], strict=True)
+        self._sizes[det] += delta
+        self._by_det[det, col] += delta
+        self._n += delta
 
     def _remove_row(self, row: dict) -> None:
-        det = self._key_code(tuple(row[a] for a in self.determinant))
-        col = self._dep_column(row[self.dependent], strict=True)
-        self._sizes[det] -= 1
-        self._by_det[det, col] -= 1
-        self._n -= 1
+        self._add_row(row, -1)
 
     def total(self) -> int:
         """Violating pairs: within-group pairs minus same-dependent ones."""
@@ -651,7 +836,7 @@ class ArrayFDViolationIndex(FDViolationIndex):
         return counts.astype(np.int64, copy=False)
 
     def dependents_of(self, key_row: dict) -> list:
-        det = self._key_code(tuple(key_row[a] for a in self.determinant))
+        det = self._det_code([key_row[a] for a in self.determinant])
         ranks = np.flatnonzero(self._by_det[det])
         if self.dep_universe is None:
             return ranks.tolist()

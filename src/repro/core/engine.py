@@ -7,15 +7,19 @@ Python loop per constrained cell, and at production ``n`` the sampler
 is bounded by interpreter overhead, not by the index math.  This module
 restructures the same computation around two observations:
 
-1.  **Blocks and windows.**  A categorical column scores a block of
-    rows in one shot against the block-start index state (batched
-    index probes, one gumbel-argmax per block) and then keeps each
-    row's pick exactly when a row-at-a-time pass would, re-scoring the
-    rest (:meth:`_ColumnPass.fill_cat`).  A numerical column whose DCs
-    are FDs onto it counted on its value grid (or unary DCs alone)
-    works in windows the same way (:meth:`_ColumnPass._fill_num_fd_lane`).
-    Over dense FD tables the kept prefix of a block or window folds in
-    bulk.  Every other numerical column runs the per-row pass
+1.  **Blocks and windows.**  Every categorical column, whatever the
+    shape of its DCs, scores a block of rows in one shot against the
+    block-start index state (one ``(B, V)`` count matrix per DC, one
+    gumbel-argmax per block) and then keeps each row's pick exactly
+    when a row-at-a-time pass would, re-scoring the rest
+    (:meth:`_ColumnPass.fill_cat`).  A numerical column whose DCs are
+    FDs onto it counted on its value grid (or unary DCs alone) works in
+    windows the same way (:meth:`_ColumnPass._fill_num_fd_lane`).  Both
+    lanes ask the violation indexes through one protocol
+    (:class:`~repro.constraints.index.ViolationIndex`), never for their
+    class; where every index names a block's kept prefix (the FD count
+    tables) it folds in bulk.  Every other numerical column runs the
+    per-row pass
     (:meth:`_ColumnPass.fill_numeric_sequential`): base candidates and
     noise come a chunk at a time, and only the extras, the probes and
     the argmax run per row — the sequential semantics, minus the
@@ -41,11 +45,12 @@ Built on those two properties, the draw has one lane dispatch, one
 driver and one parallel schedule (pinned by
 ``tests/test_engine_blocked.py``):
 
-3.  **One lane dispatch.**  Every column runs :meth:`_ColumnPass.fill`.
-    A column no DC constrains is the zero-penalty case of the same
-    lanes — the categorical block lane or the numerical window lane, in
-    noise-chunk-sized blocks that keep every row (a hyper target folds
-    its member columns in bulk) — and is traced ``unconstrained``.
+3.  **One lane dispatch.**  Every column runs :meth:`_ColumnPass.fill`:
+    the one categorical block lane, the numerical window lane or the
+    per-row pass.  A column no DC constrains is the zero-penalty case
+    of the first two, in noise-chunk-sized blocks that keep every row
+    (a hyper target writes its member columns in bulk), and is traced
+    ``unconstrained``.
 
 4.  **One draw driver** (:func:`_draw`): chunk-major column passes over
     row ranges.  A column's :class:`_PassState` (violation indexes,
@@ -106,7 +111,6 @@ from repro.core.sampling import (
     _ColumnSampler,
     _mcmc_resample,
 )
-from repro.constraints.index import ArrayFDViolationIndex, FDViolationIndex
 from repro.constraints.violations import multi_candidate_violation_counts
 from repro.schema.table import Table
 
@@ -370,41 +374,6 @@ def _conflict_keys(sampler: _ColumnSampler, j: int) -> list | None:
     return specs
 
 
-def _python_keys(mode: str, side) -> list:
-    """An FD-lane side as per-row python keys: determinant key tuples
-    (``dep`` mode) or dependent values (``det`` mode).  A list already
-    is; a code array (count-table lane) becomes one, a determinant code
-    ``c`` the key ``(c,)`` (see ``ArrayFDViolationIndex._key_code``)."""
-    if isinstance(side, list):
-        return side
-    codes = side.tolist()
-    return [(v,) for v in codes] if mode == "dep" else codes
-
-
-def _first_conflict(group: np.ndarray, dep: np.ndarray,
-                    fresh: np.ndarray | None = None) -> int:
-    """First row with an earlier row of the same group holding another
-    dependent, or ``len(group)`` when there is none.
-
-    Within a group (rows in order), the first such row is the first
-    whose dependent differs from the group's first row's.  ``fresh``
-    (optional) marks rows whose dependent is new to their group; a row
-    after such a row of its group conflicts too.
-    """
-    n = group.shape[0]
-    order = np.argsort(group, kind="stable")
-    g, d = group[order], dep[order]
-    starts = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
-    lengths = np.diff(np.append(starts, n))
-    bad = d != np.repeat(d[starts], lengths)
-    if fresh is not None:
-        f = fresh[order].astype(np.int64)
-        before = np.cumsum(f) - f
-        bad |= before > np.repeat(before[starts], lengths)
-    bad = order[bad]
-    return int(bad.min()) if bad.size else n
-
-
 # ----------------------------------------------------------------------
 # Group-disjoint sub-schedules: partition rows into closed shards
 # ----------------------------------------------------------------------
@@ -543,17 +512,15 @@ class _ColumnPass:
             for index in self.vio.values():
                 index.counters = tracer.probes
         self.active = sampler.active_at[j]
+        self.decoded = None
+        #: A hyper target's member columns, by working code.
+        self._members = {}
         if layout.kind == "cat":
             codes = np.arange(layout.d, dtype=np.int64)
+            self.decoded = {self.w: codes}
             if sampler.hyper.is_hyper(self.w):
-                self.decoded = sampler.hyper.decode_codes(self.w, codes)
-                self.decoded_is_codes = False
-            else:
-                self.decoded = {self.w: codes}
-                self.decoded_is_codes = True
-        else:
-            self.decoded = None
-            self.decoded_is_codes = False
+                self.decoded = self._members = sampler.hyper.decode_codes(
+                    self.w, codes)
         self._active_specs = [
             (dc, sampler.weight_of(dc),
              tuple(a for a in (self.decoded or {}) if a in dc.attributes))
@@ -561,177 +528,12 @@ class _ColumnPass:
         self._chunk_cache = _LRU(_BASE_CACHE_CHUNKS)
         self._n_rows = next(iter(cols.values())).shape[0]
 
-    # -- penalties (categorical targets) ---------------------------------
-    def _penalty(self, rows: np.ndarray) -> np.ndarray:
-        """(B, V) weighted violation counts of every code for the
-        scored rows.
-
-        Binary DCs probe their violation indexes (an FD's block probes,
-        else ``probe_many``), whose state is the block start; unary DCs
-        count on each row alone.
-        """
-        cols = self.cols
-        penalty = np.zeros((rows.shape[0], self.layout.d))
-        for dc, weight, tattrs in self._active_specs:
-            counts = self._fd_block_counts(dc, tattrs, rows)
-            if counts is None:
-                tv = {a: self.decoded[a] for a in tattrs}
-                ctx_attrs = [a for a in dc.attributes if a not in tv]
-                contexts = [{a: cols[a][i] for a in ctx_attrs}
-                            for i in rows]
-                if dc.is_unary:
-                    counts = np.vstack([
-                        multi_candidate_violation_counts(dc, tv, context,
-                                                         {})
-                        for context in contexts])
-                else:
-                    counts = self.vio[dc.name].probe_many(tv, contexts)
-            penalty += weight * counts
-        return penalty
-
-    def _fd_block_counts(self, dc, tattrs: tuple,
-                         rows: np.ndarray) -> np.ndarray | None:
-        """Vectorized block counts for the two hot FD probe layouts.
-
-        Dependent-target (determinant known): one histogram subtraction
-        per row via ``probe_block_codes``.  Determinant-target (single
-        determinant attribute, dependent known): one det-major cache
-        subtraction per row via ``probe_det_codes``.  None on any other
-        layout — the caller takes the generic path.
-        """
-        index = self.vio.get(dc.name)
-        if not isinstance(index, FDViolationIndex) \
-                or not self.decoded_is_codes:
-            return None
-        cols, size = self.cols, self.layout.d
-        if tattrs == (index.dependent,):
-            det_cols = [cols[a][rows].tolist() for a in index.determinant]
-            if len(det_cols) == 1:
-                keys = [(v,) for v in det_cols[0]]
-            else:
-                keys = list(zip(*det_cols))
-            return index.probe_block_codes(keys, size)
-        if (len(index.determinant) == 1
-                and tattrs == (index.determinant[0],)):
-            deps = cols[index.dependent][rows].tolist()
-            out = np.empty((rows.shape[0], size), dtype=np.int64)
-            for r, dep in enumerate(deps):
-                counts = index.probe_det_codes(dep, size)
-                if counts is None:
-                    return None
-                out[r] = counts
-            return out
-        return None
-
-    # -- scoring -------------------------------------------------------
-    def _pen_at(self, i: int, pick: int) -> float:
-        """Row ``i``'s penalty at candidate ``pick`` vs the live state.
-
-        Same per-DC accumulation order (and hence bitwise-identical
-        float result) as :meth:`_penalty` restricted to one candidate,
-        so equality against the block-start matrix entry means "nothing
-        this row depends on changed".
-        """
-        total = 0.0
-        cols = self.cols
-        for dc, weight, tattrs in self._active_specs:
-            row = {a: cols[a][i] for a in dc.attributes if a not in tattrs}
-            for a in tattrs:
-                row[a] = self.decoded[a][pick]
-            counts = (multi_candidate_violation_counts(dc, None, row, {})
-                      if dc.is_unary
-                      else self.vio[dc.name].candidate_counts(None, row))
-            total += weight * counts[0]
-        return total
-
-    def _rescore_cat_row(self, i: int, logp_row: np.ndarray,
-                         g_row: np.ndarray) -> int:
-        """Sequential-exact re-score of one row against the live state."""
-        rows = np.asarray([i], dtype=np.int64)
-        penalty = self._penalty(rows)[0]
-        return int(np.argmax(logp_row - penalty + g_row))
-
-    def _write_cat(self, i: int, pick: int) -> None:
-        self.wcols[self.w][i] = pick
-        if self.sampler.hyper.is_hyper(self.w):
-            for attr, values in self.decoded.items():
-                self.cols[attr][i] = values[pick]
-
-    def fill_cat(self, n: int, max_block: int) -> None:
-        """Optimistic fixed blocks with per-row validation (cat target).
-
-        Every block is scored in one shot against the block-start index
-        state; rows are then validated in order against the live state.
-        A row is kept iff its picked candidate's penalty is unchanged —
-        exact, because in-block penalties are monotone nondecreasing
-        (groups only grow), so other candidates' scores can only have
-        fallen and the original first-index argmax still wins.  Rows
-        that fail the check (an earlier in-block row entered one of
-        their groups disruptively) are re-scored sequentially with the
-        same per-cell noise, which is exactly the singleton-block
-        computation.
-
-        Columns whose active DCs are all FD-shaped (plus any unary) run
-        the allocation-free pair-probe lane; anything else goes through
-        the generic probe machinery.  Both lanes produce the same draws
-        for any block size.
-        """
-        specs = self._fd_lane_specs()
-        self._trace_lane("cat-fd-lane" if specs is not None
-                         else "cat-generic")
-        if specs is not None:
-            self._fill_cat_fd_lane(n, max_block, specs)
-        else:
-            self._fill_cat_generic(n, max_block)
-
-    def _fill_cat_generic(self, n: int, max_block: int) -> None:
-        tracer = self.tracer
-        V = self.layout.d
-        for lo in range(0, n, max_block):
-            hi = min(lo + max_block, n)
-            if tracer is not None:
-                tracer.observe_block(hi - lo)
-            rows = np.arange(lo, hi, dtype=np.int64)
-            u = self.noise.rows(lo, hi)
-            logp = self.base[1][lo:hi]
-            g = _gumbel(u[:, :V])
-            penalty = self._penalty(rows)
-            picks = np.argmax(logp - penalty + g, axis=1)
-            for i in range(lo, hi):
-                r = i - lo
-                pick = int(picks[r])
-                if self._pen_at(i, pick) != penalty[r, pick]:
-                    if tracer is not None:
-                        tracer.count("rescored_rows")
-                    pick = self._rescore_cat_row(i, logp[r], g[r])
-                self._write_cat(i, pick)
-                self._fold_row(i)
-
-    def _fd_lane_specs(self) -> list | None:
-        """Per-DC ``(weight, index, mode, source_attrs)`` for the pure-
-        FD fast lane, or None when any active non-unary DC doesn't fit
-        (no index, non-FD shape, composite det target) or a hyper
-        target has any active DC.
-        """
-        if not self.decoded_is_codes:
-            # A DC-free hyper target folds its member columns in bulk
-            # (:meth:`_fold_kept_prefix`).
-            return None if self.active else []
-        specs = []
-        for dc, weight, tattrs in self._active_specs:
-            if dc.is_unary:
-                continue
-            index = self.vio.get(dc.name)
-            if not isinstance(index, FDViolationIndex):
-                return None
-            if tattrs == (index.dependent,):
-                specs.append((weight, index, "dep", index.determinant))
-            elif (len(index.determinant) == 1
-                    and tattrs == (index.determinant[0],)):
-                specs.append((weight, index, "det", (index.dependent,)))
-            else:
-                return None
-        return specs
+    def _write_cat(self, rows, picks) -> None:
+        """Write picked codes at ``rows`` (a row, or a slice with one
+        pick per row), and a hyper target's member columns."""
+        self.wcols[self.w][rows] = picks
+        for attr, values in self._members.items():
+            self.cols[attr][rows] = values[picks]
 
     def _unary_penalty(self, lo: int, hi: int) -> np.ndarray | None:
         """(B, V) weighted unary counts (prefix-independent), or None."""
@@ -752,156 +554,105 @@ class _ColumnPass:
             penalty += weight * counts
         return penalty
 
-    def _fill_cat_fd_lane(self, n: int, max_block: int,
-                          specs: list) -> None:
-        """The hot lane: FD-only columns, integer-exact validation.
+    def fill_cat(self, n: int, max_block: int) -> None:
+        """The categorical block lane: every categorical column, hyper
+        targets included.
 
-        Per block: one vectorized probe per DC, one gumbel-argmax, then
-        the rows are kept or re-scored exactly as a row-at-a-time pass
-        would.  A row's live count at its pick exceeds the block-start
-        count only by the earlier in-block rows of its FD group that
-        hold another dependent.  So when every index is an
-        :class:`ArrayFDViolationIndex`, the rows before the first such
-        row keep their picks and fold in with one ``add_codes`` per
-        DC.  From there on,
-        rows are validated one at a time with O(1) pair probes and
-        re-scored against the live state when a count moved.
-        Validation compares raw per-DC counts (integers), so keep/
-        rescore decisions carry no float subtleties at all.
+        Each block is scored in one shot against the block-start index
+        state: ``logp + gumbel`` minus each binary DC's weighted
+        ``(B, V)`` counts (DC order), minus the unary DCs' penalty.
+        Rows are then kept exactly when a row-at-a-time pass would keep
+        them.  Where every index names the block's *kept prefix* (the
+        rows before its first in-block conflict, whose counts at their
+        picks cannot have moved) those rows write and fold in bulk.
+        From there on each row is validated against the live state on
+        its per-DC integer counts at its pick, and re-scored with the
+        same noise and the same operation order when a count moved.
+        Keeping a row is exact because in-block counts only grow (groups
+        only grow): the other candidates' scores can only have fallen,
+        so the first-index argmax still wins.  So every block size draws
+        the same table.
 
-        Traced, the lane counts ``hard_violation_pairs``: the violating
-        pairs its picks add under hard FDs, nonzero only where no
-        zero-violation code existed.
+        The indexes answer through one protocol
+        (:class:`~repro.constraints.index.ViolationIndex`: ``lane_keys``,
+        ``block_counts``, ``count_at``, ``fold``, ``kept_prefix``), and
+        keys and codes are computed once per block.  The lane is traced
+        ``cat-fd-lane`` when every index names kept prefixes (the FD
+        count tables) and ``cat-generic`` otherwise, and counts
+        ``hard_violation_pairs``: the violating pairs its picks add
+        under hard binary DCs, nonzero only where no zero-violation code
+        existed.
         """
-        cols = self.cols
-        tracer = self.tracer
+        cols, tracer = self.cols, self.tracer
         V = self.layout.d
         logp_all = self.base[1]
-        tables = all(isinstance(index, ArrayFDViolationIndex)
-                     for _, index, _, _ in specs)
+        binary = [(weight, self.vio[dc.name],
+                   {a: self.decoded[a] for a in tattrs}, dc.hard)
+                  for dc, weight, tattrs in self._active_specs
+                  if not dc.is_unary]
+        self._trace_lane(
+            "cat-fd-lane" if all(index.keeps_prefixes
+                                 for _, index, _, _ in binary)
+            else "cat-generic")
         for lo in range(0, n, max_block):
             hi = min(lo + max_block, n)
             B = hi - lo
             if tracer is not None:
                 tracer.observe_block(B)
-            u = self.noise.rows(lo, hi)
-            g = _gumbel(u[:, :V])
+            g = _gumbel(self.noise.rows(lo, hi)[:, :V])
             scores = logp_all[lo:hi] + g
             per_dc = []
-            for weight, index, mode, src in specs:
-                if tables and mode == "dep":
-                    side = index.group_codes(cols, slice(lo, hi))
-                    counts = index.dep_counts(side)
-                elif tables:
-                    side = cols[src[0]][lo:hi]
-                    counts = index.det_counts(side)
-                elif mode == "dep":
-                    src_cols = [cols[a][lo:hi].tolist() for a in src]
-                    side = ([(v,) for v in src_cols[0]]
-                            if len(src_cols) == 1 else list(zip(*src_cols)))
-                    counts = index.probe_block_codes(side, V)
-                else:
-                    side = cols[src[0]][lo:hi].tolist()
-                    counts = np.empty((B, V), dtype=np.int64)
-                    for r, dep in enumerate(side):
-                        index.probe_det_codes(dep, V, out=counts[r])
-                per_dc.append((weight, index, mode, side, counts))
+            for weight, index, target, hard in binary:
+                keys = index.lane_keys(target, cols, lo, hi)
+                counts = index.block_counts(keys)
                 scores -= weight * counts
+                per_dc.append((weight, index, keys, counts, hard))
             pen_unary = self._unary_penalty(lo, hi)
             if pen_unary is not None:
                 scores -= pen_unary
             picks = np.argmax(scores, axis=1)
-            stop = self._fold_kept_prefix(per_dc, picks, lo) if tables else 0
+            stop = min((index.kept_prefix(keys, picks)
+                        for _, index, keys, _, _ in per_dc), default=B)
+            self._write_cat(slice(lo, lo + stop), picks[:stop])
             hard_pairs = 0
-            if tracer is not None and stop:
-                kept = np.arange(stop)
-                hard_pairs = sum(int(counts[kept, picks[:stop]].sum())
-                                 for _, index, _, _, counts in per_dc
-                                 if index.dc.hard)
-            if stop < B:
-                hard_pairs += self._fill_fd_rows(per_dc, picks.tolist(),
-                                                 pen_unary, g, lo, stop, B)
+            for _, index, keys, counts, hard in per_dc:
+                index.fold(keys, picks[:stop])
+                if hard and tracer is not None:
+                    hard_pairs += int(
+                        counts[np.arange(stop), picks[:stop]].sum())
+            picks = picks.tolist() if stop < B else None
+            for r in range(stop, B):
+                pick, live = picks[r], None
+                for _, index, keys, counts, _ in per_dc:
+                    if index.count_at(keys, r, pick) != counts[r, pick]:
+                        pick, live = self._rescore_cat(
+                            per_dc, r, logp_all[lo + r] + g[r], pen_unary)
+                        break
+                self._write_cat(lo + r, pick)
+                for s, (_, index, keys, counts, hard) in enumerate(per_dc):
+                    index.fold(keys, (pick,), r)
+                    if hard:
+                        hard_pairs += int(counts[r, pick] if live is None
+                                          else live[s][pick])
             if tracer is not None and hard_pairs:
                 tracer.count("hard_violation_pairs", hard_pairs)
 
-    def _fold_kept_prefix(self, per_dc: list, picks: np.ndarray, lo: int,
-                          values: np.ndarray | None = None,
-                          fresh: list | None = None) -> int:
-        """Write and fold the block rows a row-at-a-time pass would keep
-        as picked; returns how many (a prefix of the block).
-
-        ``picks`` are the picked table columns (codes, or the dependent's
-        grid ranks) and ``values`` the working values written (default:
-        the picks).  The prefix ends at the first row with an earlier
-        in-block row of one of its FD groups holding another dependent,
-        or one new to the group where that DC's ``fresh`` mask is given
-        (see :func:`_first_conflict`).
-        """
-        values = picks if values is None else values
-        stop = picks.shape[0]
-        for s, (_, _, mode, side, _) in enumerate(per_dc):
-            group, dep = (side, picks) if mode == "dep" else (picks, side)
-            new = None if fresh is None else fresh[s]
-            stop = _first_conflict(group[:stop], dep[:stop],
-                                   None if new is None else new[:stop])
-        self.wcols[self.w][lo:lo + stop] = values[:stop]
-        if self.decoded and not self.decoded_is_codes:
-            for attr, member in self.decoded.items():
-                self.cols[attr][lo:lo + stop] = member[picks[:stop]]
-        for _, index, mode, side, _ in per_dc:
-            if mode == "dep":
-                index.add_codes(side[:stop], picks[:stop])
-            else:
-                index.add_codes(picks[:stop], side[:stop])
-        return stop
-
-    def _fill_fd_rows(self, per_dc: list, picks: list, pen_unary,
-                      g: np.ndarray, lo: int, start: int, B: int) -> int:
-        """Validate, re-score and fold block rows ``start..B`` one at a
-        time; returns the violating pairs the picks add under hard FDs.
-
-        ``per_dc`` sides are per-row python keys, or a count-table
-        index's code array, turned into keys here.
-        """
-        w, tracer = self.w, self.tracer
-        V = self.layout.d
-        logp_all = self.base[1]
-        per_dc = [(weight, index, mode, _python_keys(mode, side), counts)
-                  for weight, index, mode, side, counts in per_dc]
-        hard_pairs = 0
-        for r in range(start, B):
-            i = lo + r
-            pick = picks[r]
-            valid = True
-            for weight, index, mode, side, counts in per_dc:
-                now = (index.probe_pair(side[r], pick) if mode == "dep"
-                       else index.probe_pair((pick,), side[r]))
-                if now != counts[r, pick]:
-                    valid = False
-                    break
-            if not valid:
-                # Re-score vs the live state, same op order as the block
-                # pass so kept and re-scored rows are the same
-                # computation at B=1.
-                if tracer is not None:
-                    tracer.count("rescored_rows")
-                s = logp_all[i] + g[r]
-                for weight, index, mode, side, counts in per_dc:
-                    if mode == "dep":
-                        c = index.probe_block_codes([side[r]], V)[0]
-                    else:
-                        c = index.probe_det_codes(side[r], V)
-                    s = s - weight * c
-                if pen_unary is not None:
-                    s = s - pen_unary[r]
-                pick = int(np.argmax(s))
-            self.wcols[w][i] = pick
-            for weight, index, mode, side, counts in per_dc:
-                created = (index.add_pair(side[r], pick) if mode == "dep"
-                           else index.add_pair((pick,), side[r]))
-                if index.dc.hard:
-                    hard_pairs += created
-        return hard_pairs
+    def _rescore_cat(self, per_dc: list, r: int, scores: np.ndarray,
+                     pen_unary) -> tuple:
+        """Re-score block row ``r`` (``scores``: its ``logp + gumbel``)
+        against the live state, in the block's operation order, so a
+        kept and a re-scored row are the same computation at B=1;
+        returns the pick and each DC's counts of the row."""
+        if self.tracer is not None:
+            self.tracer.count("rescored_rows")
+        live = []
+        for weight, index, keys, _, _ in per_dc:
+            counts = index.block_counts(keys, slice(r, r + 1))[0]
+            scores = scores - weight * counts
+            live.append(counts)
+        if pen_unary is not None:
+            scores = scores - pen_unary[r]
+        return int(np.argmax(scores)), live
 
     def _fold_row(self, i: int) -> None:
         _append_row(self.vio, self.cols, i)
@@ -960,18 +711,16 @@ class _ColumnPass:
     def _num_fd_specs(self) -> list | None:
         """``(dc, weight, index)`` per active DC (``index`` None for a
         unary DC) when every non-unary one is an FD onto this numerical
-        target counted in an :class:`ArrayFDViolationIndex` over its
-        value grid, else None.  Unary DCs alone qualify too."""
+        target whose index counts it on its value grid
+        (``dependent_grid``), else None.  Unary DCs alone qualify too."""
         if self.layout.kind == "cat" or self.used is not None:
             return None
         specs = []
         for dc, weight, _ in self._active_specs:
             index = None
             if not dc.is_unary:
-                index = self.vio.get(dc.name)
-                if (not isinstance(index, ArrayFDViolationIndex)
-                        or index.dependent != self.w
-                        or index.dep_universe is None):
+                index = self.vio[dc.name]
+                if index.dependent_grid(self.w) is None:
                     return None
             specs.append((dc, weight, index))
         return specs
@@ -990,9 +739,10 @@ class _ColumnPass:
         hold at the window start: otherwise its candidates and the
         penalty at its pick are unchanged, and since penalties only grow
         as groups grow, the same first-index argmax wins (the argument
-        of :meth:`fill_cat`).  The kept prefix folds with one
-        ``add_codes`` per DC and the next window starts at the first row
-        not kept, sized from the prefix just kept.  With no FD (unary
+        of :meth:`fill_cat`).  The indexes name that kept prefix and
+        fold it in bulk (``kept_prefix``, ``fold``), and the next window
+        starts at the first row not kept, sized from the prefix just
+        kept.  With no FD (unary
         DCs only) rows never interact, and every window keeps all its
         rows.
 
@@ -1005,26 +755,24 @@ class _ColumnPass:
         d, width = layout.d, layout.width
         gum = layout.gumbel_off
         fds = [index for _, _, index in specs if index is not None]
-        hard = [s for s, index in enumerate(fds) if index.dc.hard]
-        grid = fds[0].dep_universe if fds else None
+        hard = [index for index in fds if index.dc.hard]
+        grid = fds[0].dependent_grid(w) if fds else None
         window, lo = max_block, 0
         while lo < n:
             hi = min(lo + window, n)
             B = hi - lo
             rows = np.arange(B)
-            groups = [index.group_codes(cols, slice(lo, hi))
-                      for index in fds]
             cmat, lpm = self._base_candidates(lo, hi)
-            if width > d:
+            if hard:
                 # Slots for the hard FDs' extras, masked until filled.
                 cmat = np.concatenate(
                     [cmat, np.repeat(cmat[:, :1], width - d, axis=1)], axis=1)
                 lpm = np.concatenate(
                     [lpm, np.full((B, width - d), -np.inf)], axis=1)
-            holds = {s: fds[s].holds(groups[s]) for s in hard}
-            if holds:
                 extra = np.zeros((B, grid.shape[0]), dtype=bool)
-                for held in holds.values():
+                for index in hard:
+                    held = index.holds(index.group_codes(cols,
+                                                         slice(lo, hi)))
                     extra |= held & (np.cumsum(held, axis=1)
                                      <= CONSISTENT_LIMIT)
                 r_idx, rank = np.nonzero(extra)
@@ -1038,10 +786,8 @@ class _ColumnPass:
                     hist = base[1]
                     lpm[r_idx, pos] = hist.log_prob_codes()[
                         hist.quantizer.encode(added)]
-            ranks = fds[0].dep_ranks(cmat) if fds else None
             penalty = None
             per_dc = []
-            fd_groups = iter(groups)
             for dc, weight, index in specs:
                 if index is None:
                     counts = np.vstack([
@@ -1051,28 +797,29 @@ class _ColumnPass:
                              if a != w}, {})
                         for r in range(B)])
                 else:
-                    group = next(fd_groups)
-                    counts = index.counts_at(group, ranks)
-                    per_dc.append((weight, index, "dep", group, counts))
+                    keys = index.lane_keys({w: cmat}, cols, lo, hi)
+                    counts = index.block_counts(keys)
+                    per_dc.append((index, keys, counts))
                 penalty = (weight * counts if penalty is None
                            else penalty + weight * counts)
             u = self.noise.rows(lo, hi)
             g = _gumbel(u[:, gum:gum + width])
             picks = np.argmax(lpm + g if penalty is None
                               else lpm - penalty + g, axis=1)
-            # With no FD to fold, the picks only size the kept prefix.
-            pick_ranks = ranks[rows, picks] if fds else picks
-            fresh = [~holds[s][rows, pick_ranks] if s in holds else None
-                     for s in range(len(fds))]
-            stop = self._fold_kept_prefix(per_dc, pick_ranks, lo,
-                                          values=cmat[rows, picks],
-                                          fresh=fresh)
+            # Hard FDs' groups feed the extras: a value new to a group
+            # ends the prefix too.
+            stop = min((index.kept_prefix(keys, picks,
+                                          held_only=index.dc.hard)
+                        for index, keys, _ in per_dc), default=B)
+            self.wcols[w][lo:lo + stop] = cmat[rows[:stop], picks[:stop]]
+            for index, keys, _ in per_dc:
+                index.fold(keys, picks[:stop])
             if tracer is not None:
                 tracer.observe_block(B)
                 if stop < B:
                     tracer.count("rescored_rows", B - stop)
                 pairs = sum(int(counts[rows[:stop], picks[:stop]].sum())
-                            for _, index, _, _, counts in per_dc
+                            for index, _, counts in per_dc
                             if index.dc.hard)
                 if pairs:
                     tracer.count("hard_violation_pairs", pairs)
@@ -1477,11 +1224,12 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
 
     ``trace`` (a :class:`repro.obs.trace.SampleTrace`) records one
     :class:`~repro.obs.trace.ColumnTrace` per working column: wall
-    clock, lane (``unconstrained``/``cat-fd-lane``/``cat-generic``/
-    ``num-blocked``/``num-sequential``, plus ``cat-sharded``/
-    ``num-sharded`` with ``shards``/``stitch_us`` counters when a
-    constrained column splits), block sizes, re-scored rows, and index
-    probe counts.  Tracing reads no randomness — a traced draw is
+    clock, lane (``unconstrained``; the categorical block lane as
+    ``cat-fd-lane`` where every index folds kept prefixes in bulk, else
+    ``cat-generic``; ``num-blocked``/``num-sequential``; plus
+    ``cat-sharded``/``num-sharded`` with ``shards``/``stitch_us``
+    counters when a constrained column splits), block sizes, re-scored
+    rows, ``hard_violation_pairs`` and index probe counts.  Tracing reads no randomness — a traced draw is
     bit-identical to an untraced one — and ``None`` costs nothing.
     """
     if workers < 1:

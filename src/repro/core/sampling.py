@@ -57,8 +57,7 @@ import math
 import numpy as np
 
 from repro.constraints.index import (
-    FDViolationIndex, ViolationIndex, build_fd_table_index,
-    build_grid_index, build_index,
+    ViolationIndex, build_fd_table_index, build_grid_index, build_index,
 )
 from repro.constraints.violations import multi_candidate_violation_counts
 from repro.core.hyper import HyperSpec
@@ -274,12 +273,13 @@ class _ColumnSampler:
         endpoints of conditional-order DCs.
 
         ``indexes`` — every active binary DC's violation index, covering
-        the prefix — answers exactly what the prefix scans return: an FD
-        determinant group (or its reverse histogram lookup when the
-        target sits *inside* the determinant), or a
-        :class:`~repro.constraints.index.GridViolationIndex` group's
-        ``hint_values``.  Without indexes (the MCMC refinement) the
-        rows ``[:i]`` of ``cols`` are scanned as the prefix.
+        the prefix — answers exactly what the prefix scans return, each
+        through its ``hint_values``: an FD's determinant group (or its
+        reverse lookup when the target sits *inside* the determinant),
+        or a :class:`~repro.constraints.index.GridViolationIndex`
+        group's matches and order endpoints.  Without indexes (the MCMC
+        refinement) the rows ``[:i]`` of ``cols`` are scanned as the
+        prefix.
         ``prefix_rows`` is the number of rows already sampled *globally*
         when it differs from ``i`` (chunked draws).
         """
@@ -299,14 +299,8 @@ class _ColumnSampler:
                     cols[target][:i][mask])[:limit].tolist())
                 values.extend(self._order_interval(dc, target, cols, i))
                 continue
-            index = indexes[dc.name]
-            row = {a: cols[a][i] for a in dc.attributes}
-            if not isinstance(index, FDViolationIndex):
-                values.extend(index.hint_values(target, row, limit))
-            elif index.dependent == target:
-                values.extend(index.dependents_of(row)[:limit])
-            else:
-                values.extend(index.matched_det_values(target, row)[:limit])
+            values.extend(indexes[dc.name].hint_values(
+                target, {a: cols[a][i] for a in dc.attributes}, limit))
         if not values:
             return np.empty(0, dtype=np.float64)
         # sorted-distinct == np.unique, without the array machinery

@@ -69,16 +69,17 @@ class ColumnTrace:
         #: unconstrained column, which always draws inline, else the
         #: worker shards of a sharded lane) with ``stitch_us`` and, if
         #: a worker died, ``pool_broken``; the ``hard_violation_pairs``
-        #: of the FD lanes and the per-row pass; and ``forward_rows``,
+        #: of every lane but the shard passes; and ``forward_rows``,
         #: the rows the column's sub-model ran (one per distinct context
         #: tuple, or every row; none for a histogram column).
         self.counters: dict[str, int] = {}
         #: Violation-index probe counts, keyed by probe method name
         #: (``probe_block_codes``, ``probe_det_codes``, ``probe_pair``,
         #: ``probe_many``, ``candidate_counts``).  An FD count table's
-        #: block gathers count under the probe they stand in for:
-        #: ``dep_counts`` and the window lane's ``counts_at`` as
-        #: ``probe_block_codes``, ``det_counts`` as ``probe_det_codes``.
+        #: lane calls count under the probe they stand in for: a block's
+        #: counts as ``probe_det_codes`` when its candidates are
+        #: determinant codes, else ``probe_block_codes``, and a row's
+        #: count at its pick as ``probe_pair``.
         #: The engine attaches this dict to every index it probes.
         self.probes: dict[str, int] = {}
 

@@ -316,10 +316,10 @@ def test_pool_knob_validated(fitted):
 
 
 def test_dc_free_hyper_column_folds_in_bulk():
-    """A DC-free grouped column (adult at ``group_max_domain=128``) runs
-    the block lane and writes its member columns in bulk: it never
-    enters the generic per-row loop, and it draws what that loop
-    draws."""
+    """A DC-free grouped column (adult at ``group_max_domain=128``) keeps
+    every row of its blocks and writes its member columns in bulk: it
+    never takes the lane's per-row path, and it draws what writing each
+    row on its own draws."""
     ds = load("adult", n=300, seed=0)
     cfg = KaminoConfig(epsilon=1.0, seed=0, group_max_domain=128,
                        params_override=_cap)
@@ -328,21 +328,33 @@ def test_dc_free_hyper_column_folds_in_bulk():
              if model.hyper.is_hyper(w)}
     assert hyper
     pass_cls = engine_mod._ColumnPass
-    generic, specs = pass_cls._fill_cat_generic, pass_cls._fd_lane_specs
-    entered = []
+    write = pass_cls._write_cat
+    bulk_rows, row_writes = {}, []
 
-    def spy(self, n, max_block):
-        entered.append(self.w)
-        return generic(self, n, max_block)
+    def spy(self, rows, picks):
+        if isinstance(rows, slice):
+            bulk_rows[self.w] = (bulk_rows.get(self.w, 0)
+                                 + rows.stop - rows.start)
+        else:
+            row_writes.append(self.w)
+        return write(self, rows, picks)
 
     trace = RunTrace()
-    with mock.patch.object(pass_cls, "_fill_cat_generic", spy):
+    with mock.patch.object(pass_cls, "_write_cat", spy):
         bulk = model.sample(n=3000, seed=4, trace=trace).table
-    assert not hyper & set(entered), entered
+    assert not hyper & set(row_writes), row_writes
+    assert {w: bulk_rows[w] for w in hyper} == dict.fromkeys(hyper, 3000)
     assert {c.name: c.mode for c in trace.samples[0].columns
             if c.name in hyper} == dict.fromkeys(hyper, "unconstrained")
-    with mock.patch.object(pass_cls, "_fd_lane_specs", lambda self: (
-            None if self.w in hyper else specs(self))):
+
+    def one_by_one(self, rows, picks):
+        if not isinstance(rows, slice):
+            return write(self, rows, picks)
+        for i, pick in zip(range(rows.start, rows.stop),
+                           np.asarray(picks).tolist()):
+            write(self, i, pick)
+
+    with mock.patch.object(pass_cls, "_write_cat", one_by_one):
         per_row = model.sample(n=3000, seed=4).table
     _assert_tables_equal(bulk, per_row, "hyper")
 

@@ -1,12 +1,18 @@
 """The blocked engine's FD lane over array-backed FD count tables.
 
-Pins three things:
+Pins four things:
 
 * the block-at-a-time lane (bulk fold of the kept prefix, per-row
   validation from the first in-block conflict on) writes the same column
   and leaves the same index state as the row-at-a-time reference loop
-  below, on random blocks with conflicts, two FDs onto one target and a
-  unary DC — and the same column as that loop over dict-backed indexes;
+  below (the indexes' value-level API alone), on random blocks with
+  conflicts, two FDs onto one target and a unary DC — and the same
+  column as that loop over dict-backed indexes;
+* the one categorical lane over every index kind (table and dict FDs,
+  order DCs on tables and point arrays, two-attribute and unary DCs,
+  plain and hyper targets) draws the same column at any block size,
+  and leaves index totals and ``hard_violation_pairs`` equal to the
+  scan engine's counts;
 * the ``hard_violation_pairs`` trace counter equals the hard-FD
   violations of the drawn table;
 * draw digests (single-shot, process pool, streamed) recorded before
@@ -25,6 +31,7 @@ from hypothesis import strategies as st
 from repro.constraints import (
     ArrayFDViolationIndex, FDViolationIndex, count_violations, parse_dc,
 )
+from repro.constraints import index as index_mod
 from repro.core import Kamino
 from repro.core import sampling as sampling_mod
 from repro.core.engine import (
@@ -44,12 +51,18 @@ from repro.schema import Attribute, CategoricalDomain, Relation, Table
 # ----------------------------------------------------------------------
 def reference_fd_lane(col: _ColumnPass, n: int, max_block: int) -> None:
     """Score each block against its start state, then validate, re-score
-    and fold every row one at a time (the lane before bulk folding)."""
-    specs = col._fd_lane_specs()
+    and fold every row one at a time (the lane before bulk folding),
+    through the indexes' value-level API alone: ``probe_many`` for a
+    block, ``candidate_counts`` for one row and ``append_from`` to fold
+    it."""
     cols, w = col.cols, col.w
     tracer = col.tracer
     V = col.layout.d
+    codes = np.arange(V, dtype=np.int64)
     logp_all = col.base[1]
+    specs = [(col.sampler.weight_of(dc), col.vio[dc.name],
+              [a for a in dc.attributes if a != w])
+             for dc in col.active if not dc.is_unary]
     for lo in range(0, n, max_block):
         hi = min(lo + max_block, n)
         B = hi - lo
@@ -59,19 +72,10 @@ def reference_fd_lane(col: _ColumnPass, n: int, max_block: int) -> None:
         g = _gumbel(u[:, :V])
         scores = logp_all[lo:hi] + g
         per_dc = []
-        for weight, index, mode, src in specs:
-            if mode == "dep":
-                src_cols = [cols[a][lo:hi].tolist() for a in src]
-                keys = ([(v,) for v in src_cols[0]]
-                        if len(src_cols) == 1 else list(zip(*src_cols)))
-                counts = index.probe_block_codes(keys, V)
-                per_dc.append((weight, index, mode, keys, counts))
-            else:
-                deps = cols[src[0]][lo:hi].tolist()
-                counts = np.empty((B, V), dtype=np.int64)
-                for r, dep in enumerate(deps):
-                    index.probe_det_codes(dep, V, out=counts[r])
-                per_dc.append((weight, index, mode, deps, counts))
+        for weight, index, ctx in specs:
+            contexts = [{a: cols[a][i] for a in ctx} for i in range(lo, hi)]
+            counts = index.probe_many({w: codes}, contexts)
+            per_dc.append((weight, index, contexts, counts))
             scores -= weight * counts
         pen_unary = col._unary_penalty(lo, hi)
         if pen_unary is not None:
@@ -81,9 +85,9 @@ def reference_fd_lane(col: _ColumnPass, n: int, max_block: int) -> None:
             i = lo + r
             pick = picks[r]
             valid = True
-            for weight, index, mode, side, counts in per_dc:
-                now = (index.probe_pair(side[r], pick) if mode == "dep"
-                       else index.probe_pair((pick,), side[r]))
+            for weight, index, contexts, counts in per_dc:
+                now = index.candidate_counts(
+                    None, dict(contexts[r], **{w: codes[pick]}))[0]
                 if now != counts[r, pick]:
                     valid = False
                     break
@@ -91,21 +95,15 @@ def reference_fd_lane(col: _ColumnPass, n: int, max_block: int) -> None:
                 if tracer is not None:
                     tracer.count("rescored_rows")
                 s = logp_all[i] + g[r]
-                for weight, index, mode, side, counts in per_dc:
-                    if mode == "dep":
-                        c = index.probe_block_codes([side[r]], V)[0]
-                    else:
-                        c = index.probe_det_codes(side[r], V)
-                    s = s - weight * c
+                for weight, index, contexts, counts in per_dc:
+                    s = s - weight * index.candidate_counts(
+                        {w: codes}, contexts[r])
                 if pen_unary is not None:
                     s = s - pen_unary[r]
                 pick = int(np.argmax(s))
             col.wcols[w][i] = pick
-            for weight, index, mode, side, counts in per_dc:
-                if mode == "dep":
-                    index.add_pair(side[r], pick)
-                else:
-                    index.add_pair((pick,), side[r])
+            for weight, index, contexts, counts in per_dc:
+                index.append_from(cols, i)
 
 
 # ----------------------------------------------------------------------
@@ -187,10 +185,10 @@ def test_block_lane_equals_row_at_a_time_reference(sc):
     new_trace, ref_trace = ColumnTrace("new"), ColumnTrace("ref")
     new = _lane_pass(sc, new_trace)
     ref = _lane_pass(sc, ref_trace)
-    assert new._fd_lane_specs() is not None
     assert all(isinstance(index, ArrayFDViolationIndex)
-               for index in new.vio.values())
+               and index.keeps_prefixes for index in new.vio.values())
     new.fill_cat(sc["n"], sc["max_block"])
+    assert new_trace.mode == "cat-fd-lane"
     reference_fd_lane(ref, sc["n"], sc["max_block"])
     t = sc["target"]
     np.testing.assert_array_equal(new.cols[t], ref.cols[t])
@@ -209,6 +207,127 @@ def test_block_lane_equals_row_at_a_time_reference(sc):
                for index in legacy.vio.values())
     reference_fd_lane(legacy, sc["n"], sc["max_block"])
     np.testing.assert_array_equal(new.cols[t], legacy.cols[t])
+
+
+# ----------------------------------------------------------------------
+# One categorical lane over every index kind
+# ----------------------------------------------------------------------
+#: DCs on target ``T`` with ``O`` the other code attribute: table FDs
+#: with ``T`` as dependent, as determinant and under a composite
+#: determinant, an order DC (value-grid tables or point arrays), a
+#: two-attribute DC (point arrays) and a unary DC; ``fd_member`` (the
+#: hyper target only) holds both its attributes in the target.
+_MIXED_DCS = {
+    "fd_member": "not(ti.t == tj.t and ti.T != tj.T)",
+    "fd_dep": "not(ti.O == tj.O and ti.T != tj.T)",
+    "fd_det": "not(ti.T == tj.T and ti.O != tj.O)",
+    "fd_comp": "not(ti.O == tj.O and ti.z == tj.z and ti.T != tj.T)",
+    "order": "not(ti.z == tj.z and ti.O > tj.O and ti.T < tj.T)",
+    "cross": "not(ti.O < tj.T and ti.T < tj.O)",
+    "unary": "not(ti.T == 'T0')",
+}
+
+
+@st.composite
+def mixed_scenarios(draw):
+    target = draw(st.sampled_from(["y", "x", "hyper"]))
+    names = draw(st.lists(st.sampled_from(
+        [name for name in sorted(_MIXED_DCS)
+         if target == "hyper" or name != "fd_member"]),
+        min_size=1, max_size=4, unique=True))
+    fds = [name for name in names if name.startswith("fd")]
+    return {
+        "k": draw(st.integers(1, 5)), "v": draw(st.integers(2, 6)),
+        "n": draw(st.integers(1, 70)),
+        "target": target,
+        "names": names,
+        "hard": {name: draw(st.booleans()) for name in names},
+        "weight": draw(st.sampled_from([0.3, 1.0, 4.0])),
+        "dict_fds": draw(st.lists(st.sampled_from(fds), unique=True))
+        if fds else [],
+        "grid_tables": draw(st.booleans()),
+        "max_block": draw(st.integers(2, 40)),
+        "seed": draw(st.integers(0, 2 ** 16)),
+    }
+
+
+def _mixed_pass(sc: dict, tracer) -> tuple:
+    """A fresh pass drawing ``y``, ``x`` or the hyper target ``y+t``
+    under the scenario's DCs, its indexes built as the sampler builds
+    them (an FD in ``dict_fds`` on the dict-backed index, point arrays
+    for every group without ``grid_tables``)."""
+    k, v, n = sc["k"], sc["v"], sc["n"]
+    relation = Relation([
+        Attribute("x", CategoricalDomain([f"x{i}" for i in range(k)])),
+        Attribute("z", CategoricalDomain([f"z{i}" for i in range(3)])),
+        Attribute("y", CategoricalDomain([f"y{i}" for i in range(v)])),
+        Attribute("t", CategoricalDomain(["t0", "t1"])),
+    ])
+    T, O = ("x", "y") if sc["target"] == "x" else ("y", "x")
+    dcs = [parse_dc(_MIXED_DCS[name].replace("T", T).replace("O", O),
+                    name=name, hard=sc["hard"][name], relation=relation)
+           for name in sc["names"]]
+    if sc["target"] == "hyper":
+        groups = [["x"], ["z"], ["y", "t"]]
+    else:
+        groups = [[O], ["z"], [T], ["t"]]
+    hyper = HyperSpec(relation, groups)
+    sampler = _ColumnSampler(None, relation, hyper, dcs,
+                             {dc.name: sc["weight"] for dc in dcs}, None,
+                             np.random.default_rng(0))
+    build = sampling_mod.build_fd_table_index
+    with mock.patch.object(
+            sampling_mod, "build_fd_table_index",
+            lambda dc, *a, **kw: (None if dc.name in sc["dict_fds"]
+                                  else build(dc, *a, **kw))), \
+            mock.patch.object(index_mod, "MAX_GRID_CELLS",
+                              index_mod.MAX_GRID_CELLS
+                              if sc["grid_tables"] else 0):
+        state = _PassState.start(sampler, 2)
+    rng = np.random.default_rng(sc["seed"])
+    cols = _allocate_columns(relation, n)
+    for attr in ("x", "y", "z") if sc["target"] == "hyper" else (O, "z"):
+        size = relation[attr].domain.size
+        cols[attr][:] = rng.integers(0, min(size, 3), n)
+    wcols = _allocate_working(sampler, cols, n)
+    V = hyper.working_relation[sampler.wseq[2]].domain.size
+    logits = rng.normal(size=(n, V)) * 3.0
+    base = ("cat", logits - np.log(np.exp(logits).sum(axis=1,
+                                                      keepdims=True)))
+    layout = _layout_for(sampler, 2, base)
+    noise = _CellNoise(sc["seed"], 4, layout.stride, 16, n)
+    return (_ColumnPass(sampler, 2, base, layout, noise, cols, wcols,
+                        state, tracer=tracer), relation, dcs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sc=mixed_scenarios())
+def test_one_lane_over_every_index_kind(sc):
+    """One categorical block lane draws under table FDs (the target as
+    dependent, as determinant, under a composite determinant), dict FDs,
+    order DCs on value-grid tables and on point arrays, two-attribute
+    and unary DCs, for plain and hyper targets: a random block size
+    draws what one-row blocks draw, each index ends holding the drawn
+    rows' violations, and the traced ``hard_violation_pairs`` is the
+    scan count of the hard binary DCs."""
+    trace = ColumnTrace("col")
+    col, relation, dcs = _mixed_pass(sc, trace)
+    col.fill_cat(sc["n"], sc["max_block"])
+    one, _, _ = _mixed_pass(sc, None)
+    one.fill_cat(sc["n"], 1)
+    for a in relation.names:
+        np.testing.assert_array_equal(col.cols[a], one.cols[a], err_msg=a)
+    np.testing.assert_array_equal(col.wcols[col.w], one.wcols[one.w])
+    table = Table(relation, col.cols, validate=False)
+    for name, index in col.vio.items():
+        dc = next(dc for dc in dcs if dc.name == name)
+        assert index.total() == count_violations(dc, table), name
+    assert trace.counters.get("hard_violation_pairs", 0) == sum(
+        count_violations(dc, table) for dc in dcs
+        if dc.hard and not dc.is_unary)
+    assert trace.mode == ("cat-fd-lane" if all(
+        index.keeps_prefixes for index in col.vio.values())
+        else "cat-generic")
 
 
 # ----------------------------------------------------------------------

@@ -20,8 +20,8 @@ br2000's generic soft DCs (``phi_b2``, ``phi_b3``) count in
   single-shot, accept-reject and MCMC digests recorded before, and
   streams equal to the single-shot draw;
 * the engine's schedule: per constrained column of a traced draw of
-  each dataset, its lane and scheduling counters, and per column the
-  rows its sub-model's forward ran; a traced one-chunk stream reports
+  each dataset, its lane, scheduling counters and index probe counts,
+  and per column the rows its sub-model's forward ran; a traced one-chunk stream reports
   the same, and a traced stream of three chunks traces every column
   over all its rows;
 * the per-row pass counts ``hard_violation_pairs`` when traced: the
@@ -274,6 +274,36 @@ def test_index_served_shapes_stream_the_single_shot_draw(shapes, shape):
         _SHAPE_DIGESTS[shape]["single"]
 
 
+@pytest.mark.parametrize("shape, n, seed", [
+    (shape, 600, 3) for shape in sorted(_SHAPE_DIGESTS)] + [
+    ("tax-wide-order", 3000, 5)])
+def test_index_served_shapes_count_hard_violation_pairs(shapes, shape, n,
+                                                        seed):
+    """Traced, every column counts ``hard_violation_pairs``, the pairs
+    its picks add under its hard binary DCs: the scan count over the
+    drawn table (each pass starts from empty indexes).  The categorical
+    lane counts them whatever its indexes, so tax-wide-order's ``city``
+    (an FD table and an order DC on point arrays) reads its 12 pairs at
+    n=600, not 0; the traced draw is the pinned one."""
+    fitted = shapes(shape)
+    trace = RunTrace()
+    table = fitted.sample(n=n, seed=seed, trace=trace).table
+    if n == 600:
+        assert _table_digest(table) == _SHAPE_DIGESTS[shape]["single"]
+    sampler = _ColumnSampler(
+        fitted.model, fitted.relation, fitted.hyper, fitted.dcs,
+        fitted.weights, fitted.params, np.random.default_rng(0))
+    counted = {}
+    for col in trace.samples[0].columns:
+        active = sampler.active_at[sampler.wseq.index(col.name)]
+        counted[col.name] = col.counters.get("hard_violation_pairs", 0)
+        assert counted[col.name] == sum(
+            count_violations(dc, table) for dc in active
+            if dc.hard and not dc.is_unary), col.name
+    if shape == "tax-wide-order":
+        assert counted["city"] == {600: 12, 3000: 3384}[n]
+
+
 def test_index_served_shapes_take_the_retired_paths(shapes):
     """Each shape runs a path a prefix scan or the sorted order index
     served before: groups on point arrays (a two-attribute DC, the
@@ -302,23 +332,35 @@ def test_index_served_shapes_take_the_retired_paths(shapes):
 _SCHEDULE_KEYS = ("blocks", "rescored_rows", "sequential_rows",
                   "hard_violation_pairs")
 
+_BLOCK, _DET, _PAIR, _ROW = ("probe_block_codes", "probe_det_codes",
+                              "probe_pair", "candidate_counts")
+
 #: Per constrained column of a traced n=1,500 draw at seed 1,000: the
-#: lane, then the counters of ``_SCHEDULE_KEYS``.
+#: lane, the counters of ``_SCHEDULE_KEYS`` and the index probes.  A
+#: block lane probes once per block plus once per re-scored row, and
+#: validates rows past the kept prefix one ``probe_pair`` per DC up to
+#: the first moved count; the per-row pass probes every row.
 _SCHEDULES = {
-    "adult": {"edu_num": ("num-blocked", 13, 670, 0, 0),
-              "cap_gain": ("num-sequential", 0, 0, 1500, 0)},
-    "tax": {"child_exemp": ("num-blocked", 17, 1003, 0, 0),
-            "single_exemp": ("num-blocked", 27, 1272, 0, 0),
-            "areacode": ("cat-fd-lane", 3, 441, 0, 59),
-            "zip": ("cat-fd-lane", 3, 612, 0, 0),
-            "city": ("cat-fd-lane", 3, 46, 0, 0),
-            "salary": ("num-sequential", 0, 0, 1500, 0)},
-    "tpch": {"n_name": ("cat-fd-lane", 3, 436, 0, 0),
-             "n_regionkey": ("cat-fd-lane", 3, 368, 0, 0),
-             "c_mktsegment": ("cat-fd-lane", 3, 343, 0, 0),
-             "c_nationkey": ("cat-fd-lane", 3, 435, 0, 0)},
-    "br2000": {"a11": ("num-sequential", 0, 0, 1500, 0),
-               "a5": ("num-sequential", 0, 0, 1500, 0)},
+    "adult": {"edu_num": ("num-blocked", 13, 670, 0, 0, {_BLOCK: 13}),
+              "cap_gain": ("num-sequential", 0, 0, 1500, 0, {_ROW: 1500})},
+    "tax": {"child_exemp": ("num-blocked", 17, 1003, 0, 0, {_BLOCK: 17}),
+            "single_exemp": ("num-blocked", 27, 1272, 0, 0,
+                             {_BLOCK: 27}),
+            "areacode": ("cat-fd-lane", 3, 441, 0, 59,
+                         {_DET: 444, _PAIR: 1328}),
+            "zip": ("cat-fd-lane", 3, 612, 0, 0, {_DET: 615, _PAIR: 1419}),
+            "city": ("cat-fd-lane", 3, 46, 0, 0, {_BLOCK: 49, _PAIR: 1124}),
+            "salary": ("num-sequential", 0, 0, 1500, 0, {_ROW: 1500})},
+    "tpch": {"n_name": ("cat-fd-lane", 3, 436, 0, 0,
+                        {_BLOCK: 439, _PAIR: 991}),
+             "n_regionkey": ("cat-fd-lane", 3, 368, 0, 0,
+                             {_BLOCK: 371, _PAIR: 511}),
+             "c_mktsegment": ("cat-fd-lane", 3, 343, 0, 0,
+                              {_BLOCK: 346, _PAIR: 986}),
+             "c_nationkey": ("cat-fd-lane", 3, 435, 0, 0,
+                             {_BLOCK: 438, _PAIR: 991})},
+    "br2000": {"a11": ("num-sequential", 0, 0, 1500, 0, {_ROW: 1500}),
+               "a5": ("num-sequential", 0, 0, 1500, 0, {_ROW: 3000})},
 }
 
 #: Per working column of the same draws: the rows its sub-model's
@@ -353,8 +395,8 @@ _SEED_1000_DIGESTS = {"adult": "c82b7343b709a030",
 
 @pytest.mark.parametrize("name", sorted(_SCHEDULES))
 def test_engine_schedule_pinned(fits, name):
-    """Lanes and scheduling counters are pure functions of the model, n
-    and seed.  Every lane's ``hard_violation_pairs`` equals the scan
+    """Lanes, scheduling counters and index probes are pure functions of
+    the model, n and seed.  Every lane's ``hard_violation_pairs`` equals the scan
     engine's count of its column's hard binary DCs in the drawn table
     (each pass starts from empty indexes); every column's
     ``forward_rows``, unconstrained ones included, is the count of
@@ -377,7 +419,8 @@ def test_engine_schedule_pinned(fits, name):
         if col.mode == "unconstrained":
             continue
         got[col.name] = (col.mode,) + tuple(
-            col.counters.get(key, 0) for key in _SCHEDULE_KEYS)
+            col.counters.get(key, 0) for key in _SCHEDULE_KEYS) + (
+            col.probes,)
         active = sampler.active_at[sampler.wseq.index(col.name)]
         assert col.counters.get("hard_violation_pairs", 0) == sum(
             count_violations(dc, table) for dc in active

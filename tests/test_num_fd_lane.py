@@ -139,17 +139,15 @@ def test_fd_table_matches_dict_index_and_scan(data):
         np.testing.assert_array_equal(
             dict_index.candidate_counts({"y": cands}, ctx), want)
         assert index.dependents_of(ctx) == dict_index.dependents_of(ctx)
-        key = tuple(int(ctx[a]) for a in dets)
         for c, value in enumerate(cands.tolist()):
-            assert index.probe_pair(key, value) == want[c]
             row = dict(ctx, y=value)
             np.testing.assert_array_equal(
                 index.candidate_counts(None, row), want[c:c + 1])
-        group = index.group_codes({a: np.array([ctx[a]]) for a in dets},
-                                  slice(None))
-        ranks = index.dep_ranks(cands)
-        np.testing.assert_array_equal(
-            index.counts_at(group, ranks[None, :])[0], want)
+        keys = index.lane_keys({"y": cands},
+                               {a: np.array([ctx[a]]) for a in dets}, 0, 1)
+        np.testing.assert_array_equal(index.block_counts(keys)[0], want)
+        assert [index.count_at(keys, 0, c)
+                for c in range(cands.shape[0])] == want.tolist()
     if off.size:
         bad = {a: np.array([0]) for a in dets}
         bad["y"] = off[:1]

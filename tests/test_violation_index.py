@@ -589,12 +589,13 @@ def test_probe_det_codes_matches_general_path():
         assert index.probe_det_codes(cols["b"][i], 5, out=out) is out
         np.testing.assert_array_equal(out, want, err_msg=f"out {i}")
         index.append_from(cols, i)
-    # pair kernel agrees with the dict probe
+    # a row's count at its pick agrees with the group's histogram
     for i in range(0, n, 7):
-        key = (int(cols["a"][i]),)
+        keys = index.lane_keys({"b": np.arange(4)}, cols, i, i + 1)
         dep = int(cols["b"][i])
-        group = index._groups[key]
-        assert index.probe_pair(key, dep) == group[0] - group[1].get(dep, 0)
+        group = index._groups[(int(cols["a"][i]),)]
+        assert index.count_at(keys, 0, dep) == \
+            group[0] - group[1].get(dep, 0)
 
 
 # ----------------------------------------------------------------------
@@ -605,8 +606,10 @@ def test_probe_det_codes_matches_general_path():
 def test_array_fd_index_matches_dict_index_and_scan(data):
     """On random code tables, the count-table index answers every probe
     like the dict-backed index and the scan engine, in both layouts,
-    through appends (one by one and in bulk) and removals; the factory
-    switches to it exactly below the cell cap."""
+    through appends (one by one and in bulk) and removals; both answer
+    ``hint_values`` like the sampler's prefix scan, for the dependent
+    and the determinant; the factory switches to the table exactly
+    below the cell cap."""
     k = data.draw(st.integers(1, 6), label="det codes")
     v = data.draw(st.integers(1, 6), label="dep codes")
     cap = data.draw(st.integers(1, 40), label="cell cap")
@@ -653,19 +656,17 @@ def test_array_fd_index_matches_dict_index_and_scan(data):
 
         keys = [(x,) for x in range(k)]
         np.testing.assert_array_equal(
-            table_index.probe_block_codes(keys, v),
+            table_index.block_counts(table_index.lane_keys(
+                {"y": dep_codes}, {"x": det_codes}, 0, k)),
             dict_index.probe_block_codes(keys, v))
-        np.testing.assert_array_equal(table_index.dep_counts(det_codes),
-                                      dict_index.probe_block_codes(keys, v))
         for y in range(v):
             want = multi_candidate_violation_counts(
                 dc, {"x": det_codes}, {"y": np.int64(y)}, prefix)
             np.testing.assert_array_equal(
-                table_index.probe_det_codes(y, k), want)
-            np.testing.assert_array_equal(
                 dict_index.probe_det_codes(y, k), want)
             np.testing.assert_array_equal(
-                table_index.det_counts(np.array([y]))[0], want)
+                table_index.block_counts(table_index.lane_keys(
+                    {"x": det_codes}, {"y": np.array([y])}, 0, 1))[0], want)
             np.testing.assert_array_equal(
                 table_index.candidate_counts({"x": det_codes},
                                              {"y": np.int64(y)}), want)
@@ -681,12 +682,25 @@ def test_array_fd_index_matches_dict_index_and_scan(data):
                 dict_index.candidate_counts({"y": dep_codes}, ctx), want)
             assert table_index.dependents_of(ctx) == \
                 dict_index.dependents_of(ctx)
+            one = {"x": np.array([x])}
+            table_keys = table_index.lane_keys({"y": dep_codes}, one, 0, 1)
+            dict_keys = dict_index.lane_keys({"y": dep_codes}, one, 0, 1)
             for y in range(v):
-                assert table_index.probe_pair((x,), y) == \
-                    dict_index.probe_pair((x,), y) == want[y]
+                assert table_index.count_at(table_keys, 0, y) == \
+                    dict_index.count_at(dict_keys, 0, y) == want[y]
                 row = {"x": np.int64(x), "y": np.int64(y)}
                 np.testing.assert_array_equal(
                     table_index.candidate_counts(None, row), want[y:y + 1])
+        # hint_values: the first four sorted distinct values of the
+        # target among the rows matching on the other attribute — the
+        # prefix scan of ``_consistent_values(indexes=None)``.
+        for target, other, size in (("y", "x", k), ("x", "y", v)):
+            for value in range(size):
+                row = {other: np.int64(value)}
+                scan = np.unique(prefix[target][prefix[other] == value])
+                for index in (table_index, dict_index):
+                    assert index.hint_values(target, row, 4) == \
+                        scan[:4].tolist(), (target, value)
         # Both columns vary per candidate (a hyper-attribute target).
         xs = np.asarray(data.draw(st.lists(st.integers(0, k - 1),
                                            min_size=3, max_size=3)))
