@@ -35,7 +35,8 @@ O(group) instead of O(prefix):
   sorted target values, so ``d`` candidates cost O(g log g + d log g);
   any other DC runs the scan engine over the group.
 * :class:`UnaryViolationIndex` — violations depend only on the tuple
-  itself; the index just maintains the running total.
+  itself; the index just maintains the running total (the sampler
+  counts a unary DC's candidates on the row alone).
 
 All indexes produce counts **bit-identical** to the scan-based
 functions (``count_violations``, ``multi_candidate_violation_counts``,
@@ -45,14 +46,13 @@ and the MCMC refinement), :mod:`repro.core.engine` (the block lanes),
 :mod:`repro.baselines.cleaning` (repair passes), and
 :func:`repro.constraints.violations.violation_matrix` (Algorithm 5).
 
-**The lane protocol.**  The engine's block lanes draw a column a block
-of ``B`` rows at a time and ask every index the same few things, never
-its class (:class:`ViolationIndex` documents each call):
+**The lane protocol.**  Every caller asks every index the same few
+things, never its class (:class:`ViolationIndex` documents each call):
 
-* ``lane_keys`` — what the other calls read of the block's rows,
+* ``lane_keys`` — what the other calls read of a block of rows,
   computed once per block;
 * ``block_counts`` — the ``(B, V)`` new-violation counts of the
-  candidates against the indexed rows (or of one row's, to re-score it);
+  candidates against the indexed rows: the one count call;
 * ``count_at`` — the live count of one row at its picked candidate, to
   validate a block-start pick;
 * ``fold`` — append rows at their picks;
@@ -62,10 +62,13 @@ its class (:class:`ViolationIndex` documents each call):
 * ``hint_values`` — the zero-violation values of a hard DC's target
   given a row, for the sampler's candidate augmentation.
 
-The base class answers from ``probe_many``, ``candidate_counts`` and
-``append_from``; the dict FD index probes a block drawing its dependent
-in one ``probe_block_codes``; the FD count tables answer everything from
-the table, kept prefixes included.
+The engine's block lanes ask ``block_counts`` for a block of rows; the
+per-row pass, the MCMC refinement and accept-reject ask it at one row
+(``lane_keys(target, cols, i, i + 1)``).  The FD count tables answer a
+block in one gather, the dict FD index each row from its determinant
+group's histogram, and the grid index each row from its group.  Rows
+join and leave through ``append_from``/``remove_from`` (or ``fold``),
+cells change through ``rewrite_cell``.
 
 Group keys are built from the *original* stored scalars (int codes stay
 ints), never cast through float64 — so int64 keys above 2**53 cannot
@@ -177,33 +180,6 @@ class ViolationIndex:
         """Indexed tuples."""
         return self._n
 
-    def candidate_counts(self, target_values: dict | None,
-                         context: dict) -> np.ndarray:
-        """New-violation counts per candidate against the indexed rows.
-
-        Same contract as
-        :func:`~repro.constraints.violations.multi_candidate_violation_counts`
-        (the indexed rows play the role of ``prefix_cols``).
-        """
-        raise NotImplementedError
-
-    def probe_many(self, target_values: dict, contexts) -> np.ndarray:
-        """Batched :meth:`candidate_counts` over a block of rows.
-
-        ``target_values`` holds the ``d`` candidates every row shares
-        (the categorical full-domain case); ``contexts`` is a sequence
-        of per-row context dicts.  Returns a ``(len(contexts), d)``
-        count matrix.
-
-        The base implementation loops; :class:`GridViolationIndex`
-        looks the candidates up once.
-        """
-        self._bump("probe_many")
-        if not contexts:
-            return np.zeros((0, 0), dtype=np.int64)
-        return np.vstack([self.candidate_counts(target_values, context)
-                          for context in contexts])
-
     # -- the lane protocol ---------------------------------------------
     #: Whether :meth:`kept_prefix` names a block's kept prefix (else it
     #: answers 0 and the lane validates every row).
@@ -220,19 +196,27 @@ class ViolationIndex:
         attributes).
         """
         ctx = [a for a in self.dc.attributes if a not in target]
+        if hi == lo + 1:    # a per-row caller's block: no row loop
+            return target, [{a: cols[a][lo] for a in ctx}]
         return target, [{a: cols[a][i] for a in ctx} for i in range(lo, hi)]
 
     def block_counts(self, keys, rows: slice = slice(None)) -> np.ndarray:
         """``(B, V)`` new-violation counts of every candidate of the
-        block rows ``rows`` (default: all) against the indexed rows."""
-        target, contexts = keys
-        return self.probe_many(target, contexts[rows])
+        block rows ``rows`` (default: all) against the indexed rows —
+        row by row, what
+        :func:`~repro.constraints.violations.multi_candidate_violation_counts`
+        counts with the indexed rows as the prefix.  The one count
+        call: a lane asks it per block, a per-row caller for a block of
+        one row."""
+        raise NotImplementedError
 
     def count_at(self, keys, r: int, pick: int) -> int:
         """The live new-violation count of block row ``r`` at candidate
-        ``pick``."""
-        return int(self.candidate_counts(None, self._lane_row(keys, r,
-                                                              pick))[0])
+        ``pick``: :meth:`block_counts` of that row over that candidate."""
+        target, contexts = keys
+        return int(self.block_counts(
+            ({a: c[pick:pick + 1] for a, c in target.items()},
+             contexts[r:r + 1]))[0, 0])
 
     def fold(self, keys, picks, start: int = 0) -> None:
         """Append block rows ``start, start + 1, ...`` at their picked
@@ -367,33 +351,24 @@ class FDViolationIndex(_FDIndex):
         self._det_by_dep = by_dep
         return True
 
-    def probe_det_codes(self, dep, size: int,
-                        out: np.ndarray | None = None) -> np.ndarray | None:
-        """Counts for full-domain *determinant* candidates, fixed dep.
-
-        The mirror image of :meth:`probe_block_codes`: the sampler is
-        filling a determinant column after the dependent, so candidate
-        ``c`` joins group ``c`` and creates ``size(c) - count(c, dep)``
-        violations.  O(V) vectorized via the det-major cache; None when
-        the cache cannot represent this index (composite or non-code
-        determinant).  ``out`` receives the counts without allocating.
-        """
-        self._bump("probe_det_codes")
+    def _det_counts(self, dep, size: int, out: np.ndarray) -> bool:
+        """Write into ``out`` the counts of the determinant codes
+        ``0..size-1`` for a row holding dependent ``dep``: candidate
+        ``c`` joins group ``c`` and adds ``size(c) - count(c, dep)``.
+        Two vector ops on the det-major cache; False when the cache
+        cannot represent this index (composite or non-code
+        determinant)."""
         if self._det_sizes is None or self._det_sizes.shape[0] != size:
             self._det_sizes = None
             self._det_by_dep = None
             if not self._activate_det_cache(size):
-                return None
-        per = self._det_by_dep.get(_item(dep))
-        if out is None:
-            if per is None:
-                return self._det_sizes.copy()
-            return self._det_sizes - per
+                return False
+        per = self._det_by_dep.get(dep)
         if per is None:
             out[:] = self._det_sizes
         else:
             np.subtract(self._det_sizes, per, out=out)
-        return out
+        return True
 
     # -- multiset updates ----------------------------------------------
     def _add_row(self, row: dict) -> None:
@@ -426,96 +401,6 @@ class FDViolationIndex(_FDIndex):
         self._det_cache_update(key, dep, -1)
         self._n -= 1
 
-    def candidate_counts(self, target_values: dict | None,
-                         context: dict) -> np.ndarray:
-        self._bump("candidate_counts")
-        if not target_values:
-            row = {a: context[a] for a in self.dc.attributes}
-            key = self._key(row)
-            group = self._groups.get(key)
-            if group is None:
-                return np.zeros(1, dtype=np.int64)
-            size, counts = group
-            dep = _item(row[self.dependent])
-            return np.array([size - counts.get(dep, 0)], dtype=np.int64)
-
-        d = next(iter(target_values.values())).shape[0]
-        det_in_targets = [a for a in self.determinant if a in target_values]
-        if not det_in_targets and self.dependent in target_values:
-            # Fast path: fixed determinant group, vector of dependents.
-            key = tuple(_item(context[a]) for a in self.determinant)
-            group = self._groups.get(key)
-            if group is None:
-                return np.zeros(d, dtype=np.int64)
-            size, counts = group
-            deps = target_values[self.dependent].tolist()
-            return np.fromiter((size - counts.get(v, 0) for v in deps),
-                               dtype=np.int64, count=d)
-
-        # Det-target fast path: single-attribute determinant, fixed
-        # dependent, full-code-domain candidates (the sampler filling a
-        # determinant column after its dependent).
-        if (len(self.determinant) == 1 and det_in_targets
-                and self.dependent not in target_values):
-            cands = target_values[self.determinant[0]]
-            if (cands.dtype.kind in "iu"
-                    and np.array_equal(cands, np.arange(
-                        cands.shape[0], dtype=cands.dtype))):
-                counts = self.probe_det_codes(context[self.dependent],
-                                              cands.shape[0])
-                if counts is not None:
-                    return counts
-
-        # General path: the determinant key varies per candidate.
-        det_cols = [
-            (target_values[a].tolist() if a in target_values
-             else [_item(context[a])] * d)
-            for a in self.determinant]
-        if self.dependent in target_values:
-            dep_col = target_values[self.dependent].tolist()
-        else:
-            dep_col = [_item(context[self.dependent])] * d
-        out = np.empty(d, dtype=np.int64)
-        for c in range(d):
-            key = tuple(col[c] for col in det_cols)
-            group = self._groups.get(key)
-            if group is None:
-                out[c] = 0
-            else:
-                size, counts = group
-                out[c] = size - counts.get(dep_col[c], 0)
-        return out
-
-    def probe_block_codes(self, keys: list, size: int) -> np.ndarray:
-        """Vectorized block probe: full-domain categorical dependents.
-
-        ``keys`` holds one (python-scalar) determinant key tuple per
-        block row; candidates are the complete code domain ``0..size-1``
-        for every row.  Row ``r`` of the result is
-        ``group_size(keys[r]) - histogram(keys[r])`` — identical to
-        :meth:`candidate_counts` with ``target_values =
-        {dependent: arange(size)}`` but without the per-candidate dict
-        probes (a group's histogram usually has far fewer distinct
-        dependents than the domain has codes).
-        """
-        self._bump("probe_block_codes")
-        out = np.empty((len(keys), size), dtype=np.int64)
-        for r, key in enumerate(keys):
-            group = self._groups.get(key)
-            row = out[r]
-            if group is None:
-                row[:] = 0
-                continue
-            gsize, counts = group
-            row[:] = gsize
-            if counts:
-                idx = np.fromiter(counts.keys(), dtype=np.int64,
-                                  count=len(counts))
-                vals = np.fromiter(counts.values(), dtype=np.int64,
-                                   count=len(counts))
-                row[idx] -= vals
-        return out
-
     def lane_keys(self, target: dict, cols: dict, lo: int, hi: int):
         """``(target, values, B)``: the candidates and the block rows'
         other values, as python scalars per attribute, so that per-row
@@ -526,33 +411,62 @@ class FDViolationIndex(_FDIndex):
         return target, values, hi - lo
 
     def block_counts(self, keys, rows: slice = slice(None)) -> np.ndarray:
-        """Drawing the dependent or the (single) determinant over its
-        code domain, :meth:`probe_block_codes` or one
-        :meth:`probe_det_codes` per row; any other layout probes each
-        row generically."""
+        """Three paths, by what the lane draws.
+
+        * The dependent: one group lookup per row, the group's size less
+          its histogram — subtracted at once over a code domain (a group
+          holds far fewer distinct dependents than the domain has
+          codes), else read per candidate.
+        * The (single) determinant over its code domain: two vector ops
+          per row on the det-major cache, traced as
+          ``probe_det_codes``.
+        * Anything else (a composite determinant, a hyper target): one
+          lookup per candidate's determinant key.
+
+        The other two are traced as ``probe_block_codes``.
+        """
         target, values, B = keys
-        attr = next(iter(target))
-        cands = target[attr]
-        if len(target) == 1 and _is_codes(cands, cands.shape[-1]):
-            V = cands.shape[0]
-            if attr == self.dependent:
-                return self.probe_block_codes(list(zip(
-                    *[values[a][rows] for a in self.determinant])), V)
-            deps = values[self.dependent][rows]
-            out = np.empty((len(deps), V), dtype=np.int64)
-            if all(self.probe_det_codes(dep, V, out=row) is not None
-                   for dep, row in zip(deps, out)):
-                return out
-        ctx = [a for a in self.dc.attributes if a not in target]
-        return self.probe_many(target, [{a: values[a][i] for a in ctx}
-                                        for i in range(B)[rows]])
+        rows = range(B)[rows]
+        cands = next(iter(target.values()))
+        V = cands.shape[0]
+        codes = len(target) == 1 and _is_codes(cands, V)
+        dep = self.dependent
+        out = np.empty((len(rows), V), dtype=np.int64)
+        if codes and dep not in target and all(
+                self._det_counts(values[dep][i], V, row)
+                for i, row in zip(rows, out)):
+            self._bump("probe_det_codes")
+            return out
+        self._bump("probe_block_codes")
+        if any(a in target for a in self.determinant):
+            for row, i in zip(out, rows):
+                dets = zip(*[values[a] if a in target else [values[a][i]] * V
+                             for a in self.determinant])
+                deps = values[dep] if dep in target else [values[dep][i]] * V
+                row[:] = [self._pair_count(key, v)
+                          for key, v in zip(dets, deps)]
+            return out
+        det, deps = [values[a] for a in self.determinant], values[dep]
+        for row, i in zip(out, rows):
+            group = self._groups.get(tuple(col[i] for col in det))
+            if group is None:
+                row[:] = 0
+                continue
+            size, counts = group
+            if not codes:
+                row[:] = [size - counts.get(v, 0) for v in deps]
+                continue
+            row[:] = size
+            if counts:
+                row[np.fromiter(counts.keys(), dtype=np.int64,
+                                count=len(counts))] -= np.fromiter(
+                    counts.values(), dtype=np.int64, count=len(counts))
+        return out
 
     def count_at(self, keys, r: int, pick: int) -> int:
         """One group lookup, traced as a ``probe_pair``."""
         self._bump("probe_pair")
-        key, dep = self._lane_pair(keys, r, pick)
-        group = self._groups.get(key)
-        return 0 if group is None else group[0] - group[1].get(dep, 0)
+        return self._pair_count(*self._lane_pair(keys, r, pick))
 
     def fold(self, keys, picks, start: int = 0) -> None:
         for r, pick in enumerate(picks, start):
@@ -566,6 +480,12 @@ class FDViolationIndex(_FDIndex):
                     for a in self.determinant)
         dep = self.dependent
         return key, values[dep][pick if dep in target else r]
+
+    def _pair_count(self, key: tuple, dep) -> int:
+        """The violations a row with determinant ``key`` and dependent
+        ``dep`` adds: its group's size less the rows holding ``dep``."""
+        group = self._groups.get(key)
+        return 0 if group is None else group[0] - group[1].get(dep, 0)
 
     def dependents_of(self, key_row: dict) -> list:
         """Sorted distinct dependent values already bound to the
@@ -624,11 +544,11 @@ class ArrayFDViolationIndex(_FDIndex):
     as ``count[y, x]`` instead, so that a block drawing the (single)
     *determinant* gathers contiguous rows too.
 
-    The value-level API (``append_from``, ``candidate_counts``,
-    ``probe_many``, ``hint_values``) answers exactly like the
-    dict-backed index.  The caller guarantees in-domain determinant
-    codes; a probe of an off-universe dependent counts the whole group,
-    and appending one raises :class:`ValueError`.
+    The row-level calls (``append_from``, ``remove_from``,
+    ``hint_values``, ``total``) answer exactly like the dict-backed
+    index.  The caller guarantees in-domain determinant codes; a count
+    of an off-universe dependent counts the whole group, and appending
+    one raises :class:`ValueError`.
     """
 
     def __init__(self, dc: DenialConstraint, det_size, dep_size: int,
@@ -804,7 +724,7 @@ class ArrayFDViolationIndex(_FDIndex):
             np.add.at(self._table, (det_codes, dep_codes), 1)
         self._n += len(det_codes)
 
-    # -- the value-level FDViolationIndex API ----------------------------
+    # -- rows, totals and hints -------------------------------------------
     def _add_row(self, row: dict, delta: int = 1) -> None:
         det = self._det_code([row[a] for a in self.determinant])
         col = self._dep_column(row[self.dependent], strict=True)
@@ -820,20 +740,6 @@ class ArrayFDViolationIndex(_FDIndex):
         sizes, table = self._sizes, self._table
         return int((sizes * (sizes - 1)).sum() // 2
                    - (table * (table - 1)).sum() // 2)
-
-    def candidate_counts(self, target_values: dict | None,
-                         context: dict) -> np.ndarray:
-        self._bump("candidate_counts")
-        tv = target_values or {}
-        det = self._det_code([np.asarray(tv.get(a, context.get(a)))
-                              for a in self.determinant])
-        ranks = self.dep_ranks(tv.get(self.dependent,
-                                      context.get(self.dependent)))
-        det, ranks = np.broadcast_arrays(np.atleast_1d(det),
-                                         np.atleast_1d(ranks))
-        counts = self._sizes[det] - np.where(
-            ranks >= 0, self._by_det[det, np.maximum(ranks, 0)], 0)
-        return counts.astype(np.int64, copy=False)
 
     def dependents_of(self, key_row: dict) -> list:
         det = self._det_code([key_row[a] for a in self.determinant])
@@ -1006,6 +912,14 @@ def _grid_layout(dc: DenialConstraint) -> tuple[tuple, tuple] | None:
     return (eq_attrs, axes) if axes else None
 
 
+def _ranks_on(values: np.ndarray, cands: np.ndarray) -> np.ndarray | None:
+    """The ranks of ``cands`` on the sorted ``values``, or None when one
+    is not among them (a rank past the end clips onto another value)."""
+    ranks = values.searchsorted(cands)
+    hits = np.count_nonzero(values.take(ranks, mode="clip") == cands)
+    return ranks if hits == cands.size else None
+
+
 def _indexer(mask: np.ndarray):
     """A mask's true positions as a slice when contiguous, else an
     index array; None when there are none."""
@@ -1087,6 +1001,7 @@ class GridViolationIndex(ViolationIndex):
         if dc.is_unary or dc.as_fd() is not None:
             raise ValueError(f"DC {dc.name} is unary or FD-shaped")
         self.eq_attrs = _group_key(dc)
+        self._eq_set = frozenset(self.eq_attrs)
         self.axes = tuple(sorted(dc.attributes - set(self.eq_attrs)))
         shape = dc.as_conditional_order()
         #: ``(greater_attr, less_attr)`` for the order shape, else None.
@@ -1304,22 +1219,17 @@ class GridViolationIndex(ViolationIndex):
         for attr, values, ranks in zip(self.axes, self._values,
                                        self._ranks):
             cands = target_values.get(attr)
-            if cands is None:
-                r = ranks.get(context[attr])
-                if r is None:
-                    return None
-            else:
-                # A rank past the end clips onto a different value.
-                r = values.searchsorted(cands)
-                if not (values.take(r, mode="clip") == cands).all():
-                    return None
+            r = (ranks.get(context[attr]) if cands is None
+                 else _ranks_on(values, cands))
+            if r is None:
+                return None
             idx.append(r)
         return tuple(idx)
 
     def _counts(self, target_values: dict, context: dict) -> np.ndarray:
         d = (next(iter(target_values.values())).shape[0]
              if target_values else 1)
-        if any(a in target_values for a in self.eq_attrs):
+        if not self._eq_set.isdisjoint(target_values):
             return self._counts_by_key(target_values, context, d)
         key = self._key(context)
         group = self._groups.get(key)
@@ -1386,31 +1296,30 @@ class GridViolationIndex(ViolationIndex):
             out[sel] = self._counts(tv, ctx)
         return out
 
-    def candidate_counts(self, target_values: dict | None,
-                         context: dict) -> np.ndarray:
-        self._bump("candidate_counts")
-        return self._counts(target_values or {}, context)
-
-    def probe_many(self, target_values: dict, contexts) -> np.ndarray:
-        """Batched probe: the shared candidates' ranks are looked up
-        once, then each row is one gather from its group's ``pen``."""
+    def block_counts(self, keys, rows: slice = slice(None)) -> np.ndarray:
+        """Each row counted from its group.  A block of several rows
+        drawing one grid axis looks its candidates' ranks up once, and
+        each row is then one gather from its group's ``pen``.  Traced as
+        ``candidate_counts`` for one row and ``probe_many`` for a
+        block."""
+        target, contexts = keys
+        contexts = contexts[rows]
+        if len(contexts) == 1:
+            self._bump("candidate_counts")
+            return self._counts(target, contexts[0])[None]
         self._bump("probe_many")
-        if not contexts:
-            return np.zeros((0, 0), dtype=np.int64)
-        if (self._ranks is None or len(target_values) != 1
-                or next(iter(target_values)) not in self.axes):
-            return np.vstack([self._counts(target_values, context)
-                              for context in contexts])
-        ((attr, cands),) = target_values.items()
-        k = self.axes.index(attr)
-        values = self._values[k]
-        ranks = values.searchsorted(cands)
-        on_grid = bool((values.take(ranks, mode="clip") == cands).all())
+        attr, cands = next(iter(target.items()))
         out = np.empty((len(contexts), cands.shape[0]), dtype=np.int64)
-        for r, context in enumerate(contexts):
-            counts = self._gather(context, k, ranks) if on_grid else None
-            out[r] = (self._counts(target_values, context)
-                      if counts is None else counts)
+        k = ranks = None
+        if self._ranks is not None and len(target) == 1 and attr in self.axes:
+            k = self.axes.index(attr)
+            ranks = _ranks_on(self._values[k], cands)
+            if ranks is None:
+                k = None
+        for row, context in zip(out, contexts):
+            counts = None if k is None else self._gather(context, k, ranks)
+            row[:] = (self._counts(target, context) if counts is None
+                      else counts)
         return out
 
     def _gather(self, context: dict, k: int, ranks: np.ndarray):
@@ -1555,7 +1464,8 @@ def build_grid_index(dc: DenialConstraint,
 # Unary DCs
 # ----------------------------------------------------------------------
 class UnaryViolationIndex(ViolationIndex):
-    """Running total for a unary DC (violations are per-tuple)."""
+    """Running total for a unary DC (violations are per-tuple); it
+    counts no candidates."""
 
     def __init__(self, dc: DenialConstraint):
         super().__init__(dc)
@@ -1580,13 +1490,6 @@ class UnaryViolationIndex(ViolationIndex):
     def _remove_row(self, row: dict) -> None:
         self._total -= int(self._violates(row))
         self._n -= 1
-
-    def candidate_counts(self, target_values: dict | None,
-                         context: dict) -> np.ndarray:
-        # Unary violations ignore the indexed rows entirely; delegate to
-        # the (cheap, O(d)) scan evaluation for exact agreement.
-        return multi_candidate_violation_counts(self.dc, target_values,
-                                                context, {})
 
 
 # ----------------------------------------------------------------------

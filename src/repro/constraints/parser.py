@@ -75,7 +75,8 @@ def _parse_predicate(text: str) -> Predicate:
         raise DCParseError(f"trailing junk in predicate: {tail!r}")
     lhs_var, lhs_attr = left
     if right[0] == CONST:
-        return Predicate(lhs_var, lhs_attr, op, CONST, None, right[1])
+        return Predicate(lhs_var, lhs_attr, op, CONST, None, right[1],
+                         from_text=True)
     rhs_var, rhs_attr = right
     return Predicate(lhs_var, lhs_attr, op, rhs_var, rhs_attr)
 

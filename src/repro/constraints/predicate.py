@@ -73,6 +73,27 @@ TUPLE_J = "j"
 CONST = "const"
 
 
+def _as_integer(value) -> int | None:
+    """``value`` as an int when it is one or its decimal text, else
+    None."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, str):
+        try:
+            number = int(value)
+        except ValueError:
+            return None
+        return number if str(number) == value else None
+    return None
+
+
+def _integers(values: list) -> list | None:
+    """A categorical domain's values as ints, when every one is an
+    integer or its decimal text; else None."""
+    out = [_as_integer(v) for v in values]
+    return None if None in out else out
+
+
 class Predicate:
     """One conjunct of a denial constraint.
 
@@ -91,10 +112,15 @@ class Predicate:
         The constant value for ``rhs_var == "const"``; categorical
         constants must be given as raw domain values and are encoded by
         :meth:`bind`.
+    from_text:
+        The constant was read from DC text (the parser sets it), so an
+        integer names a value of an integer-valued categorical domain,
+        not a code (see :meth:`bind`).
     """
 
     def __init__(self, lhs_var: str, lhs_attr: str, op: Operator,
-                 rhs_var: str, rhs_attr: str | None = None, const=None):
+                 rhs_var: str, rhs_attr: str | None = None, const=None,
+                 from_text: bool = False):
         if lhs_var not in (TUPLE_I, TUPLE_J):
             raise ValueError(f"bad tuple variable {lhs_var!r}")
         if rhs_var not in (TUPLE_I, TUPLE_J, CONST):
@@ -109,6 +135,7 @@ class Predicate:
         self.rhs_var = rhs_var
         self.rhs_attr = rhs_attr
         self.const = const
+        self.from_text = from_text
 
     @property
     def is_constant(self) -> bool:
@@ -134,17 +161,28 @@ class Predicate:
         """Return a copy with the constant encoded against the schema.
 
         Categorical constants given as raw values (e.g. ``"Bachelors"``)
-        become integer codes so they compare against stored columns.
-        A constant the schema cannot hold — a categorical value or code
-        outside the domain, or a non-numeric constant on a numerical
-        attribute — raises :class:`ValueError`.
+        become integer codes so they compare against stored columns; an
+        integer is a code, except that one written in DC text names a
+        value of a domain whose values are all integers (or their
+        decimal text, as a CSV reads them).  The bound constant is a
+        code either way, so binding again changes nothing.  A constant
+        the schema cannot hold — a categorical value or code outside
+        the domain, or a non-numeric constant on a numerical attribute
+        — raises :class:`ValueError`.
         """
         if not self.is_constant:
             return self
         attr = relation[self.lhs_attr]
         const = self.const
         if attr.is_categorical:
-            if not isinstance(const, (int, np.integer)):
+            named = (_integers(attr.domain.values)
+                     if self.from_text and isinstance(const, int) else None)
+            if named is not None:
+                if const not in named:
+                    raise ValueError(
+                        f"{const} is not a value of {attr.name!r}")
+                const = named.index(const)
+            elif not isinstance(const, (int, np.integer)):
                 if not attr.domain.contains(const):
                     raise ValueError(
                         f"{const!r} is not a value of {attr.name!r}")
@@ -182,7 +220,8 @@ class Predicate:
         """The predicate with tuple variables i and j exchanged."""
         swap = {TUPLE_I: TUPLE_J, TUPLE_J: TUPLE_I, CONST: CONST}
         return Predicate(swap[self.lhs_var], self.lhs_attr, self.op,
-                         swap[self.rhs_var], self.rhs_attr, self.const)
+                         swap[self.rhs_var], self.rhs_attr, self.const,
+                         self.from_text)
 
     def __repr__(self) -> str:
         lhs = f"t{self.lhs_var}.{self.lhs_attr}"

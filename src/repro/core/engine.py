@@ -20,10 +20,10 @@ restructures the same computation around two observations:
     class; where every index names a block's kept prefix (the FD count
     tables) it folds in bulk.  Every other numerical column runs the
     per-row pass
-    (:meth:`_ColumnPass.fill_numeric_sequential`): base candidates and
-    noise come a chunk at a time, and only the extras, the probes and
-    the argmax run per row — the sequential semantics, minus the
-    per-row rng calls.
+    (:meth:`_ColumnPass.fill_numeric_sequential`), which asks the same
+    protocol a row at a time: base candidates and noise come a chunk at
+    a time, and only the extras, the counts and the argmax run per
+    row — the sequential semantics, minus the per-row rng calls.
 
 2.  **Counter-based per-cell noise.**  All randomness comes from
     :class:`numpy.random.Philox` streams keyed by ``(seed, column,
@@ -112,6 +112,7 @@ from repro.core.sampling import (
     _mcmc_resample,
 )
 from repro.constraints.violations import multi_candidate_violation_counts
+from repro.obs.trace import ColumnTrace
 from repro.schema.table import Table
 
 _LOG = logging.getLogger("repro.engine")
@@ -487,14 +488,12 @@ class _ColumnPass:
 
     ``state`` holds the column's indexes (:class:`_PassState`).  Every
     binary DC counts in its index, so a chunk never needs the rows
-    before it.  ``row_offset`` is the global index of local row 0, used
-    only for the "is the global prefix empty" guards of the candidate
-    augmentation — never for array indexing.
+    before it.
     """
 
     def __init__(self, sampler: _ColumnSampler, j: int, base,
                  layout: _Layout, noise, cols: dict, wcols: dict,
-                 state: _PassState, tracer=None, row_offset: int = 0):
+                 state: _PassState, tracer=None):
         self.sampler = sampler
         self.j = j
         self.base = base
@@ -502,7 +501,6 @@ class _ColumnPass:
         self.noise = noise
         self.cols = cols
         self.wcols = wcols
-        self.row_offset = int(row_offset)
         self.w = sampler.wseq[j]
         self.vio = state.vio
         self.used = state.used
@@ -832,9 +830,11 @@ class _ColumnPass:
         not take (order and generic DCs, FDs on the dict index, targets
         that take fresh values).  Base candidates and uniforms come a
         noise chunk at a time from the vectorized machinery; only
-        extras, penalty probes, and the argmax run per row — strictly
-        less per-row Python than the reference loop (no per-row rng, no
-        normalise-and-choice).
+        extras, the counts and the argmax run per row — strictly less
+        per-row Python than the reference loop (no per-row rng, no
+        normalise-and-choice).  Each index counts the row as a block of
+        one row (``lane_keys``, ``block_counts``), and the picked row
+        joins the indexes through ``append_from``.
 
         Traced, the pass counts ``hard_violation_pairs``: the violating
         pairs its rows add under hard binary DCs.
@@ -863,15 +863,13 @@ class _ColumnPass:
                 cand, logp = cand_rows[r], logp_rows[r]
                 if layout.extras:
                     extra = sampler._consistent_values(
-                        j, w, cols, i, indexes=self.vio,
-                        prefix_rows=self.row_offset + i)
+                        j, w, cols, i, indexes=self.vio)
                     fresh = _EMPTY
                     if fresh_off >= 0:
                         fresh = sampler._fresh_values(
                             j, w, cols, i, used=self.used,
                             uniforms=u_rows[r, fresh_off:
-                                            fresh_off + _FRESH_TRIES],
-                            prefix_rows=self.row_offset + i)
+                                            fresh_off + _FRESH_TRIES])
                     if extra.size or fresh.size:
                         added = np.concatenate([extra, fresh])
                         cand = np.concatenate([cand, added])
@@ -884,13 +882,15 @@ class _ColumnPass:
                         logp = np.concatenate([logp, added_lp])
                 pen = None
                 hard_counts = []
+                target = {w: cand}
                 for dc, weight, index, ctx_attrs, counted in probes:
-                    tv = {w: cand}
-                    context = {a: cols[a][i] for a in ctx_attrs}
-                    counts = (multi_candidate_violation_counts(dc, tv,
-                                                               context, {})
-                              if index is None
-                              else index.candidate_counts(tv, context))
+                    if index is None:
+                        counts = multi_candidate_violation_counts(
+                            dc, target, {a: cols[a][i] for a in ctx_attrs},
+                            {})
+                    else:
+                        counts = index.block_counts(index.lane_keys(
+                            target, cols, i, i + 1))[0]
                     pen = (weight * counts if pen is None
                            else pen + weight * counts)
                     if counted:
@@ -1021,7 +1021,8 @@ def _pool_init(model, relation, dcs, weights, params, hyper) -> None:
 
 
 def _pool_constrained(j: int, rows: np.ndarray, noise_key: tuple,
-                      wctx: dict, shipped, gctx: dict, max_block: int):
+                      wctx: dict, shipped, gctx: dict, max_block: int,
+                      traced: bool = False):
     """Worker-side group-closed constrained shard: compact spec in,
     target column slices out.
 
@@ -1032,6 +1033,8 @@ def _pool_constrained(j: int, rows: np.ndarray, noise_key: tuple,
     own (shard-local) :class:`_PassState`, as the driver does: rows
     outside the shard share no group with rows inside it, so the local
     indexes answer every probe with exactly the global counts.
+    When ``traced``, the pass runs with a trace of its own and ships
+    its counters and probes back as the third item (else None).
     """
     fault_point("engine.worker")
     s = _POOL_SAMPLER
@@ -1043,9 +1046,12 @@ def _pool_constrained(j: int, rows: np.ndarray, noise_key: tuple,
     gcols.update(tcols)
     w = s.wseq[j]
     noise = _GatherNoise(_CellNoise(*noise_key), rows)
+    tracer = ColumnTrace(w) if traced else None
     _ColumnPass(s, j, base, _layout_for(s, j, base), noise, gcols,
-                {w: gw}, _PassState.start(s, j)).fill(m, max_block)
-    return gw, {a: vals for a, vals in tcols.items() if a != w}
+                {w: gw}, _PassState.start(s, j),
+                tracer=tracer).fill(m, max_block)
+    work = None if tracer is None else (tracer.counters, tracer.probes)
+    return gw, {a: vals for a, vals in tcols.items() if a != w}, work
 
 
 def _run_sharded(sampler: _ColumnSampler, j: int, base, noise_key: tuple,
@@ -1056,22 +1062,26 @@ def _run_sharded(sampler: _ColumnSampler, j: int, base, noise_key: tuple,
     Every shard's result is collected before a byte is stitched, so a
     dead worker leaves the output columns untouched.  Shard outputs
     stitch back by their (disjoint) global row indices; completion
-    order cannot matter.
+    order cannot matter.  A traced column adds each shard pass's
+    counters and probes (:meth:`~repro.obs.trace.ColumnTrace.merge`).
     """
     need = _shard_attrs(sampler, j)
     futs = [ppool.submit(_pool_constrained, j, rows, noise_key,
                          *_shard_base(sampler, j, base, wcols, rows),
-                         {a: cols[a][rows] for a in need}, max_block)
+                         {a: cols[a][rows] for a in need}, max_block,
+                         tracer is not None)
             for rows in shards]
     results = [f.result() for f in futs]
     w = sampler.wseq[j]
     t0 = time.perf_counter()
-    for rows, (gw, members) in zip(shards, results):
+    for rows, (gw, members, _) in zip(shards, results):
         wcols[w][rows] = gw
         for a, vals in members.items():
             cols[a][rows] = vals
     if tracer is not None:
         tracer.count("stitch_us", int((time.perf_counter() - t0) * 1e6))
+        for _, _, work in results:
+            tracer.merge(*work)
 
 
 def _heal_pool(ppool, tracer=None) -> None:
@@ -1171,8 +1181,8 @@ def _draw(model, relation, dcs, weights, n: int, params, seed: int,
                     states[j] = state if off + m < n else None
                     _ColumnPass(sampler, j, base, layout,
                                 _CellNoise(*noise_key, offset=off), cols,
-                                wcols, state, tracer=col_trace,
-                                row_offset=off).fill(m, MAX_BLOCK_ROWS)
+                                wcols, state,
+                                tracer=col_trace).fill(m, MAX_BLOCK_ROWS)
                 if col_trace is not None:
                     col_trace.finish(time.perf_counter() - col_start, m)
                 if params.mcmc_m > 0:
@@ -1229,8 +1239,10 @@ def synthesize_engine(model, relation, dcs, weights, n: int, params,
     ``cat-generic``; ``num-blocked``/``num-sequential``; plus
     ``cat-sharded``/``num-sharded`` with ``shards``/``stitch_us``
     counters when a constrained column splits), block sizes, re-scored
-    rows, ``hard_violation_pairs`` and index probe counts.  Tracing reads no randomness — a traced draw is
-    bit-identical to an untraced one — and ``None`` costs nothing.
+    rows, ``hard_violation_pairs`` and index probe counts, a sharded
+    column's summed over its shard passes.  Tracing reads no
+    randomness — a traced draw is bit-identical to an untraced one —
+    and ``None`` costs nothing.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -265,31 +265,29 @@ class _ColumnSampler:
 
     def _consistent_values(self, j: int, target: str, cols: dict,
                            i: int, limit: int = CONSISTENT_LIMIT,
-                           indexes: dict[str, ViolationIndex] | None = None,
-                           prefix_rows: int | None = None) -> np.ndarray:
+                           indexes: dict[str, ViolationIndex] | None = None
+                           ) -> np.ndarray:
         """Target values of prefix rows matching row ``i`` on the other
         attributes of each active hard DC (always violation-free for
         two-tuple DCs against those rows), plus the feasible-interval
-        endpoints of conditional-order DCs.
+        endpoints of conditional-order DCs; none before the first row.
 
-        ``indexes`` — every active binary DC's violation index, covering
-        the prefix — answers exactly what the prefix scans return, each
-        through its ``hint_values``: an FD's determinant group (or its
-        reverse lookup when the target sits *inside* the determinant),
-        or a :class:`~repro.constraints.index.GridViolationIndex`
-        group's matches and order endpoints.  Without indexes (the MCMC
-        refinement) the rows ``[:i]`` of ``cols`` are scanned as the
-        prefix.
-        ``prefix_rows`` is the number of rows already sampled *globally*
-        when it differs from ``i`` (chunked draws).
+        ``indexes`` — every active binary DC's violation index, holding
+        the prefix (a chunked draw's earlier chunks included) — answers
+        exactly what the prefix scans return, each through its
+        ``hint_values``: an FD's determinant group (or its reverse
+        lookup when the target sits *inside* the determinant), or a
+        :class:`~repro.constraints.index.GridViolationIndex` group's
+        matches and order endpoints.  An index holding no row answers
+        nothing.  Without indexes (the MCMC refinement) the rows
+        ``[:i]`` of ``cols`` are scanned as the prefix.
         """
-        hist = i if prefix_rows is None else prefix_rows
         values: list[float] = []
         for dc in self.active_at[j]:
             if not dc.hard or dc.is_unary or target not in dc.attributes:
                 continue
             others = [a for a in dc.attributes if a != target]
-            if not others or hist == 0:
+            if not others:
                 continue
             if indexes is None:
                 mask = np.ones(i, dtype=bool)
@@ -331,8 +329,7 @@ class _ColumnSampler:
     def _fresh_values(self, j: int, target: str, cols: dict, i: int,
                       limit: int = 2, tries: int = 24,
                       used: set | None = None,
-                      uniforms: np.ndarray | None = None,
-                      prefix_rows: int | None = None) -> np.ndarray:
+                      uniforms: np.ndarray | None = None) -> np.ndarray:
         """Unused domain values for determinants of active hard FDs.
 
         A key-like numerical attribute (e.g. TPC-H's ``c_custkey``) gets
@@ -344,20 +341,19 @@ class _ColumnSampler:
         constraint satisfiable.
 
         ``used`` is the incrementally maintained prefix-value set from
-        :meth:`fresh_value_tracker` (None re-scans the prefix, the
-        legacy behaviour).  ``uniforms`` supplies ``tries`` pre-drawn
-        uniform variates in [0, 1) instead of consuming ``self.rng`` —
-        the counter-based stream hook of the blocked engine.
+        :meth:`fresh_value_tracker` (None re-scans the rows ``[:i]`` of
+        ``cols``, as the MCMC refinement does).  Before the first row
+        the set is empty and no value is needed: every value is fresh.
+        ``uniforms`` supplies ``tries`` pre-drawn uniform variates in
+        [0, 1) instead of consuming ``self.rng`` — the counter-based
+        stream hook of the blocked engine.
         """
         is_fd_det = any(
             dc.hard and (shape := dc.as_fd()) is not None
             and target in shape[0]
             for dc in self.active_at[j])
-        hist = i if prefix_rows is None else prefix_rows
-        if not is_fd_det or hist == 0:
-            return np.empty(0, dtype=np.float64)
         attr = self.relation[target]
-        if not attr.is_numerical:
+        if not is_fd_det or not attr.is_numerical:
             return np.empty(0, dtype=np.float64)
         domain = attr.domain
         if used is None:
@@ -365,6 +361,8 @@ class _ColumnSampler:
             drawn = used
         else:
             drawn: set = set()
+        if not used:
+            return np.empty(0, dtype=np.float64)
         out: list[float] = []
         for t in range(tries):
             if len(out) >= limit:
@@ -436,24 +434,25 @@ class _ColumnSampler:
         """Weighted violation counts per candidate (Algorithm 3 line 8).
 
         ``indexes`` maps every active binary DC to an incremental
-        violation index whose state covers exactly the rows the probe
-        should count against (the prefix, or every other row for the
-        MCMC re-sampling conditional); unary DCs count on the row
-        alone.
+        violation index whose state covers exactly the rows the counts
+        are against (the prefix, or every other row for the MCMC
+        re-sampling conditional); each is asked through the lane
+        protocol, as a block of the one row ``i`` (``lane_keys``, then
+        ``block_counts``).  Unary DCs count on the row alone.
         """
         d = next(iter(decode.values())).shape[0]
         penalty = np.zeros(d)
         for dc in self.active_at[j]:
             target_values = {a: decode[a] for a in dc.attributes
                              if a in decode}
-            context = {a: cols[a][i] for a in dc.attributes
-                       if a not in target_values}
             if dc.is_unary:
                 counts = multi_candidate_violation_counts(
-                    dc, target_values, context, {})
+                    dc, target_values, {a: cols[a][i] for a in dc.attributes
+                                        if a not in target_values}, {})
             else:
-                counts = indexes[dc.name].candidate_counts(target_values,
-                                                           context)
+                index = indexes[dc.name]
+                counts = index.block_counts(index.lane_keys(
+                    target_values, cols, i, i + 1))[0]
             penalty = penalty + self.weight_of(dc) * counts
         return penalty
 

@@ -69,22 +69,35 @@ class ColumnTrace:
         #: unconstrained column, which always draws inline, else the
         #: worker shards of a sharded lane) with ``stitch_us`` and, if
         #: a worker died, ``pool_broken``; the ``hard_violation_pairs``
-        #: of every lane but the shard passes; and ``forward_rows``,
-        #: the rows the column's sub-model ran (one per distinct context
-        #: tuple, or every row; none for a histogram column).
+        #: of every lane; and ``forward_rows``, the rows the column's
+        #: sub-model ran (one per distinct context tuple, or every row;
+        #: none for a histogram column).  A sharded column adds its
+        #: shard passes' counters (:meth:`merge`).
         self.counters: dict[str, int] = {}
-        #: Violation-index probe counts, keyed by probe method name
-        #: (``probe_block_codes``, ``probe_det_codes``, ``probe_pair``,
-        #: ``probe_many``, ``candidate_counts``).  An FD count table's
-        #: lane calls count under the probe they stand in for: a block's
-        #: counts as ``probe_det_codes`` when its candidates are
-        #: determinant codes, else ``probe_block_codes``, and a row's
-        #: count at its pick as ``probe_pair``.
+        #: Violation-index probe counts, one per call of the lane
+        #: protocol, keyed by the probe it stands in for.  An FD index
+        #: counts a ``block_counts`` call as ``probe_det_codes`` when
+        #: its candidates are determinant codes, else
+        #: ``probe_block_codes``; the grid index as ``candidate_counts``
+        #: for one row and ``probe_many`` for a block.  A row's count
+        #: at its pick (``count_at``) is a ``probe_pair`` on an FD
+        #: index and a one-row ``candidate_counts`` on the grid index.
         #: The engine attaches this dict to every index it probes.
         self.probes: dict[str, int] = {}
 
     def count(self, key: str, inc: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + inc
+
+    def merge(self, counters: dict, probes: dict) -> None:
+        """Add the counters and probes of a pass traced apart (a worker
+        process's shard pass); ``block_rows_max`` keeps the larger."""
+        for key, value in counters.items():
+            if key == "block_rows_max":
+                self.counters[key] = max(value, self.counters.get(key, 0))
+            else:
+                self.count(key, value)
+        for key, value in probes.items():
+            self.probes[key] = self.probes.get(key, 0) + value
 
     def observe_block(self, size: int) -> None:
         """Record one scheduled block of ``size`` rows."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cli import infer_schema
 from repro.constraints import DenialConstraint, Operator, Predicate, parse_dc
 from repro.constraints.dc import active_dc_map
 from repro.constraints.parser import DCParseError
@@ -214,6 +215,36 @@ class TestParser:
         with pytest.raises(DCParseError) as err:
             parse_dc(text, name="bad").bind(relation)
         assert message in str(err.value)
+
+    def test_integer_names_a_value_of_an_integer_valued_domain(
+            self, tmp_path):
+        """On a categorical column of integers (as a CSV reads them, or
+        as ints), an unquoted integer in DC text names the value, by
+        either binding route; binding the bound DC again (``Kamino``,
+        ``FittedKamino.load``) keeps its code."""
+        path = tmp_path / "flags.csv"
+        path.write_text("flag,edu\n5,HS\n7,BS\n5,MS\n")
+        rel = infer_schema(str(path), categorical_threshold=20)
+        assert rel["flag"].domain.values == ["5", "7"]
+        ints = Relation([Attribute("flag", CategoricalDomain([7, 5]))])
+        for schema, code, texts in (
+                (rel, 1, ("not(ti.flag == 7)", "not(ti.flag == '7')")),
+                (ints, 0, ("not(ti.flag == 7)",))):
+            for text in texts:
+                for dc in (parse_dc(text, name="f", relation=schema),
+                           parse_dc(text, name="f").bind(schema)):
+                    assert dc.predicates[0].const == code, text
+                    assert dc.bind(schema).predicates[0].const == code
+            for dc in (lambda: parse_dc("not(ti.flag == 1)", name="f",
+                                        relation=schema),
+                       lambda: parse_dc("not(ti.flag == 1)",
+                                        name="f").bind(schema)):
+                with pytest.raises(DCParseError,
+                                   match="1 is not a value of 'flag'"):
+                    dc()
+        # A domain with a non-integer value keeps integers as codes.
+        dc = parse_dc("not(ti.edu == 1)", relation=rel)
+        assert dc.predicates[0].const == 1
 
     def test_binding_keeps_in_schema_constants(self, relation):
         dc = parse_dc("not(ti.edu == 2 and ti.num == '5')",

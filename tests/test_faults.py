@@ -130,9 +130,11 @@ def test_env_var_arms_injection_in_subprocess():
 def test_pool_worker_death_heals_bit_identical(artifacts, caplog):
     """A killed process-pool worker re-runs its column inline and the
     rest of the draw runs inline: same bytes as workers=1, a
-    pool_broken counter, a warning, and no sharded column after it."""
+    pool_broken counter, a warning, no sharded column after it, and
+    the healed column counts its inline pass alone."""
     ds, model = artifacts["dataset"], artifacts["fitted"]
-    reference = model.sample(n=4096, seed=9, workers=1)
+    ref_trace = RunTrace()
+    reference = model.sample(n=4096, seed=9, workers=1, trace=ref_trace)
     trace = RunTrace(label="chaos")
     with caplog.at_level(logging.WARNING, logger="repro.engine"):
         with faults.injected("engine.worker=kill"):
@@ -151,6 +153,12 @@ def test_pool_worker_death_heals_bit_identical(artifacts, caplog):
     assert all(col.mode not in ("cat-sharded", "num-sharded")
                for col in columns[first + 1:]), \
         [(col.name, col.mode) for col in columns]
+    healed = columns[first]
+    inline = ref_trace.samples[0].columns[first]
+    assert (healed.name, healed.mode) == (inline.name, inline.mode)
+    assert healed.probes == inline.probes
+    assert {key: value for key, value in healed.counters.items()
+            if key not in ("pool_broken", "shards")} == inline.counters
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,9 @@ Pins four things:
 * the block-at-a-time lane (bulk fold of the kept prefix, per-row
   validation from the first in-block conflict on) writes the same column
   and leaves the same index state as the row-at-a-time reference loop
-  below (the indexes' value-level API alone), on random blocks with
-  conflicts, two FDs onto one target and a unary DC — and the same
-  column as that loop over dict-backed indexes;
+  below (the scan engine's counts against the drawn prefix), on random
+  blocks with conflicts, two FDs onto one target and a unary DC — and
+  the lane over dict-backed indexes writes that column too;
 * the one categorical lane over every index kind (table and dict FDs,
   order DCs on tables and point arrays, two-attribute and unary DCs,
   plain and hyper targets) draws the same column at any block size,
@@ -29,7 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constraints import (
-    ArrayFDViolationIndex, FDViolationIndex, count_violations, parse_dc,
+    ArrayFDViolationIndex, FDViolationIndex, count_violations,
+    multi_candidate_violation_counts, parse_dc,
 )
 from repro.constraints import index as index_mod
 from repro.core import Kamino
@@ -51,18 +52,26 @@ from repro.schema import Attribute, CategoricalDomain, Relation, Table
 # ----------------------------------------------------------------------
 def reference_fd_lane(col: _ColumnPass, n: int, max_block: int) -> None:
     """Score each block against its start state, then validate, re-score
-    and fold every row one at a time (the lane before bulk folding),
-    through the indexes' value-level API alone: ``probe_many`` for a
-    block, ``candidate_counts`` for one row and ``append_from`` to fold
-    it."""
+    and fold every row one at a time (the lane before bulk folding).
+    Every count is the scan engine's against the drawn prefix
+    (``multi_candidate_violation_counts``), so no index answers one;
+    rows still join the pass's indexes (``append_from``), whose state
+    the test compares."""
     cols, w = col.cols, col.w
     tracer = col.tracer
     V = col.layout.d
     codes = np.arange(V, dtype=np.int64)
     logp_all = col.base[1]
-    specs = [(col.sampler.weight_of(dc), col.vio[dc.name],
+    specs = [(dc, col.sampler.weight_of(dc),
               [a for a in dc.attributes if a != w])
              for dc in col.active if not dc.is_unary]
+
+    def scan(dc, ctx, i, upto, cands):
+        """Row ``i``'s counts at ``cands`` against the rows ``:upto``."""
+        return multi_candidate_violation_counts(
+            dc, {w: cands}, {a: cols[a][i] for a in ctx},
+            {a: cols[a][:upto] for a in dc.attributes})
+
     for lo in range(0, n, max_block):
         hi = min(lo + max_block, n)
         B = hi - lo
@@ -72,10 +81,10 @@ def reference_fd_lane(col: _ColumnPass, n: int, max_block: int) -> None:
         g = _gumbel(u[:, :V])
         scores = logp_all[lo:hi] + g
         per_dc = []
-        for weight, index, ctx in specs:
-            contexts = [{a: cols[a][i] for a in ctx} for i in range(lo, hi)]
-            counts = index.probe_many({w: codes}, contexts)
-            per_dc.append((weight, index, contexts, counts))
+        for dc, weight, ctx in specs:
+            counts = np.vstack([scan(dc, ctx, i, lo, codes)
+                                for i in range(lo, hi)])
+            per_dc.append((dc, weight, ctx, counts))
             scores -= weight * counts
         pen_unary = col._unary_penalty(lo, hi)
         if pen_unary is not None:
@@ -84,25 +93,18 @@ def reference_fd_lane(col: _ColumnPass, n: int, max_block: int) -> None:
         for r in range(B):
             i = lo + r
             pick = picks[r]
-            valid = True
-            for weight, index, contexts, counts in per_dc:
-                now = index.candidate_counts(
-                    None, dict(contexts[r], **{w: codes[pick]}))[0]
-                if now != counts[r, pick]:
-                    valid = False
-                    break
-            if not valid:
+            if any(scan(dc, ctx, i, i, codes[pick:pick + 1])[0]
+                   != counts[r, pick] for dc, _, ctx, counts in per_dc):
                 if tracer is not None:
                     tracer.count("rescored_rows")
                 s = logp_all[i] + g[r]
-                for weight, index, contexts, counts in per_dc:
-                    s = s - weight * index.candidate_counts(
-                        {w: codes}, contexts[r])
+                for dc, weight, ctx, _ in per_dc:
+                    s = s - weight * scan(dc, ctx, i, i, codes)
                 if pen_unary is not None:
                     s = s - pen_unary[r]
                 pick = int(np.argmax(s))
             col.wcols[w][i] = pick
-            for weight, index, contexts, counts in per_dc:
+            for index in col.vio.values():
                 index.append_from(cols, i)
 
 
@@ -198,14 +200,14 @@ def test_block_lane_equals_row_at_a_time_reference(sc):
     for key in ("blocks", "rescored_rows"):
         assert new_trace.counters.get(key) == ref_trace.counters.get(key)
 
-    # The same reference over the dict-backed indexes draws the same
-    # column: the count tables change no count.
+    # The lane over the dict-backed indexes draws the same column: the
+    # count tables change no count.
     with mock.patch.object(sampling_mod, "build_fd_table_index",
                            return_value=None):
         legacy = _lane_pass(sc, None)
     assert all(type(index) is FDViolationIndex
                for index in legacy.vio.values())
-    reference_fd_lane(legacy, sc["n"], sc["max_block"])
+    legacy.fill_cat(sc["n"], sc["max_block"])
     np.testing.assert_array_equal(new.cols[t], legacy.cols[t])
 
 

@@ -6,8 +6,10 @@ DC that is not an FD per equality group: in ``hist``/``pen`` tables over
 the attributes' value universes where the predicates each read one
 attribute and the grid fits, and from point arrays otherwise (no
 universe, a predicate comparing two attributes, a grid past
-``MAX_GRID_CELLS``).  Every count must equal the scan engine's
-(``multi_candidate_violation_counts``, ``count_violations``), and the
+``MAX_GRID_CELLS``).  Every count — ``block_counts`` through
+``lane_keys``, for a block and for one row, and ``count_at`` — must
+equal the scan engine's (``multi_candidate_violation_counts`` on the
+prefix, ``count_violations``), and the
 hard-DC hints must equal the sampler's prefix scans, on random DCs
 mixing ``=``, ``!=``, order, constant and two-attribute predicates,
 with and without equality attributes, through appends, removals,
@@ -128,6 +130,19 @@ def _candidates(relation: Relation, attr: str) -> np.ndarray:
     return cands
 
 
+def _scan(dc, target_values: dict, cols: dict, rows, prefix) -> np.ndarray:
+    """The scan engine's counts of ``rows`` against the rows ``prefix``
+    (a count of leading rows, or their indices): ``(len(rows), V)``."""
+    prefix = slice(prefix) if isinstance(prefix, int) else prefix
+    return np.vstack([np.zeros((0, next(iter(
+        target_values.values())).shape[0]), dtype=np.int64)] + [
+        multi_candidate_violation_counts(
+            dc, target_values, {a: cols[a][i] for a in dc.attributes
+                                if a not in target_values},
+            {a: cols[a][prefix] for a in dc.attributes})
+        for i in rows])
+
+
 def _table(relation, cols, rows) -> Table:
     return Table(relation, {a: c[rows] for a, c in cols.items()},
                  validate=False)
@@ -166,33 +181,30 @@ def test_grid_index_matches_scan_engine(sc):
     block = sc["block"]
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        prefix = {a: cols[a][:lo] for a in attrs}
-        # A block probe against the block-start state, per target.
+        # A block's counts against the block-start state, per target.
         for target in attrs:
-            cands = _candidates(relation, target)
-            contexts = [{a: cols[a][i] for a in attrs if a != target}
-                        for i in range(lo, hi)]
-            want = np.vstack([multi_candidate_violation_counts(
-                dc, {target: cands}, ctx, prefix) for ctx in contexts])
+            tv = {target: _candidates(relation, target)}
             np.testing.assert_array_equal(
-                index.probe_many({target: cands}, contexts), want)
+                index.block_counts(index.lane_keys(tv, cols, lo, hi)),
+                _scan(dc, tv, cols, range(lo, hi), lo))
         for i in range(lo, hi):
-            prefix = {a: cols[a][:i] for a in attrs}
             row = {a: cols[a][i] for a in attrs}
             for target in attrs:
                 tv = {target: _candidates(relation, target)}
-                ctx = {a: v for a, v in row.items() if a != target}
                 np.testing.assert_array_equal(
-                    index.candidate_counts(tv, ctx),
-                    multi_candidate_violation_counts(dc, tv, ctx, prefix))
-                if i:
-                    np.testing.assert_array_equal(
-                        sampler._consistent_values(
-                            j, target, cols, i, indexes={dc.name: index}),
-                        sampler._consistent_values(j, target, cols, i))
-            np.testing.assert_array_equal(
-                index.candidate_counts(None, row),
-                multi_candidate_violation_counts(dc, None, row, prefix))
+                    index.block_counts(index.lane_keys(tv, cols, i, i + 1)),
+                    _scan(dc, tv, cols, [i], i))
+                # The count at one pick: the row's own value.
+                keys = index.lane_keys({target: np.array([row[target]])},
+                                       cols, i, i + 1)
+                assert [index.count_at(keys, 0, 0)] == \
+                    multi_candidate_violation_counts(
+                        dc, None, row, {a: cols[a][:i] for a in attrs}
+                    ).tolist()
+                np.testing.assert_array_equal(
+                    sampler._consistent_values(
+                        j, target, cols, i, indexes={dc.name: index}),
+                    sampler._consistent_values(j, target, cols, i))
             index.append_from(cols, i)
             assert index.total() == count_violations(
                 dc, _table(relation, cols, np.arange(i + 1)))
@@ -203,14 +215,11 @@ def test_grid_index_matches_scan_engine(sc):
         index.remove_from(cols, i)
     rest = _table(relation, cols, np.asarray(live, dtype=np.int64))
     assert index.total() == count_violations(dc, rest)
-    prefix = {a: cols[a][live] for a in attrs}
-    for i in range(n):
-        for target in attrs:
-            tv = {target: _candidates(relation, target)}
-            ctx = {a: cols[a][i] for a in attrs if a != target}
-            np.testing.assert_array_equal(
-                index.candidate_counts(tv, ctx),
-                multi_candidate_violation_counts(dc, tv, ctx, prefix))
+    for target in attrs:
+        tv = {target: _candidates(relation, target)}
+        np.testing.assert_array_equal(
+            index.block_counts(index.lane_keys(tv, cols, 0, n)),
+            _scan(dc, tv, cols, range(n), live))
 
 
 def test_grid_layout_declines_other_shapes():

@@ -23,7 +23,8 @@ br2000's generic soft DCs (``phi_b2``, ``phi_b3``) count in
   each dataset, its lane, scheduling counters and index probe counts,
   and per column the rows its sub-model's forward ran; a traced one-chunk stream reports
   the same, and a traced stream of three chunks traces every column
-  over all its rows;
+  over all its rows; a traced ``workers=2`` draw counts its shard
+  passes' work on their columns;
 * the per-row pass counts ``hard_violation_pairs`` when traced: the
   count equals the rise of the hard DCs' index totals, on random
   relations under order and two-attribute DCs with violating history.
@@ -460,6 +461,39 @@ def _column_schedule(run) -> list:
             for col in run.columns]
 
 
+def test_sharded_columns_report_their_shard_passes(fits):
+    """Traced, a ``workers=2`` draw's worker passes ship their counters
+    and probes back to their column: the sharded per-row column counts
+    every row once, each sharded column's ``hard_violation_pairs`` is
+    the scan count of its hard binary DCs, and the table is the
+    ``workers=1`` draw."""
+    fitted = fits("tax")
+    n = 4096
+    trace = RunTrace()
+    table = fitted.sample(n=n, seed=1000, workers=2, pool="process",
+                          trace=trace).table
+    assert _table_digest(table) == \
+        _table_digest(fitted.sample(n=n, seed=1000).table)
+    sampler = _ColumnSampler(
+        fitted.model, fitted.relation, fitted.hyper, fitted.dcs,
+        fitted.weights, fitted.params, np.random.default_rng(0))
+    sharded = {col.name: col for col in trace.samples[0].columns
+               if col.mode.endswith("-sharded")}
+    assert sorted(sharded) == ["child_exemp", "city", "salary",
+                               "single_exemp"]
+    assert sharded["salary"].counters["sequential_rows"] == n
+    assert sharded["salary"].probes == {_ROW: n}
+    for name, col in sharded.items():
+        assert col.counters["shards"] == 2, name
+        if name != "salary":
+            assert col.counters["block_rows"] >= n, name
+            assert col.probes[_BLOCK] >= col.counters["blocks"], name
+        active = sampler.active_at[sampler.wseq.index(name)]
+        assert col.counters.get("hard_violation_pairs", 0) == sum(
+            count_violations(dc, table) for dc in active
+            if dc.hard and not dc.is_unary), name
+
+
 # ----------------------------------------------------------------------
 # The per-row pass counts hard_violation_pairs
 # ----------------------------------------------------------------------
@@ -517,7 +551,7 @@ def test_per_row_pass_counts_hard_violation_pairs(data):
         col = _ColumnPass(sampler, 2, base, layout,
                           _CellNoise(seed, 4, layout.stride, 16, n),
                           cols, wcols, _PassState.start(sampler, 2),
-                          tracer=tracer, row_offset=h)
+                          tracer=tracer)
         for i in range(h):
             for index in col.vio.values():
                 index.append_from(hist, i)

@@ -163,6 +163,13 @@ def test_save_load_dcs_round_trip(tmp_path):
     assert back[0].as_fd() == dcs[0].as_fd()
     # The bound constant survived the round trip as the same code.
     assert back[1].predicates[1].const == dcs[1].predicates[1].const
+    # On a domain of integers the code is written as its value, an
+    # unquoted integer, and read back as that value's code.
+    ints = Relation([Attribute("flag", CategoricalDomain([7, 5]))])
+    dc = parse_dc("not(ti.flag == 5)", name="f", relation=ints)
+    save_dcs([dc], str(path), relation=ints)
+    (back,) = load_dcs(str(path), relation=ints)
+    assert back.predicates[0].const == dc.predicates[0].const == 1
 
 
 def test_load_dcs_skips_comments_and_blank_lines(tmp_path):

@@ -4,7 +4,9 @@ Pins four things:
 
 * the extended :class:`ArrayFDViolationIndex` (composite determinants
   by mixed-radix code, numerical dependents by rank on their value
-  grid) answers like the dict-backed index and the scan engine;
+  grid) counts like the dict-backed index and the scan engine, through
+  ``lane_keys`` + ``block_counts`` for a block and for one row, and
+  ``count_at``;
 * the window lane draws the same column as the per-row pass over
   dict-backed indexes (the reference), in one pass and across streamed
   ``_PassState`` chunks, on random relations with hard and soft FDs,
@@ -128,26 +130,27 @@ def test_fd_table_matches_dict_index_and_scan(data):
     assert index.total() == dict_index.total() == \
         count_violations(dc, Table(rel, prefix, validate=False))
 
+    # Off-grid candidates (numerical) count the whole group.  One block
+    # holds a row of every group, then each row is asked alone.
     cands = np.concatenate([values, off]).astype(cols["y"].dtype)
-    contexts = [dict(zip(dets, (np.int64(c) for c in key)))
-                for key in np.ndindex(*det_sizes)]
-    for ctx in contexts:
-        want = multi_candidate_violation_counts(dc, {"y": cands}, ctx,
-                                                prefix)
+    groups = {a: np.asarray(codes, dtype=np.int64) for a, codes in zip(
+        dets, zip(*np.ndindex(*det_sizes)))}
+    tv = {"y": cands}
+    want = np.vstack([multi_candidate_violation_counts(
+        dc, tv, {a: groups[a][r] for a in dets}, prefix)
+        for r in range(len(groups[dets[0]]))])
+    for fd in (index, dict_index):
         np.testing.assert_array_equal(
-            index.candidate_counts({"y": cands}, ctx), want)
-        np.testing.assert_array_equal(
-            dict_index.candidate_counts({"y": cands}, ctx), want)
+            fd.block_counts(fd.lane_keys(tv, groups, 0, want.shape[0])),
+            want)
+    for r, counts in enumerate(want):
+        ctx = {a: groups[a][r] for a in dets}
         assert index.dependents_of(ctx) == dict_index.dependents_of(ctx)
-        for c, value in enumerate(cands.tolist()):
-            row = dict(ctx, y=value)
-            np.testing.assert_array_equal(
-                index.candidate_counts(None, row), want[c:c + 1])
-        keys = index.lane_keys({"y": cands},
-                               {a: np.array([ctx[a]]) for a in dets}, 0, 1)
-        np.testing.assert_array_equal(index.block_counts(keys)[0], want)
-        assert [index.count_at(keys, 0, c)
-                for c in range(cands.shape[0])] == want.tolist()
+        for fd in (index, dict_index):
+            keys = fd.lane_keys(tv, groups, r, r + 1)
+            np.testing.assert_array_equal(fd.block_counts(keys)[0], counts)
+            assert [fd.count_at(keys, 0, c)
+                    for c in range(cands.shape[0])] == counts.tolist()
     if off.size:
         bad = {a: np.array([0]) for a in dets}
         bad["y"] = off[:1]
@@ -240,7 +243,7 @@ def _rows(base, lo, hi):
     return base
 
 
-def _fold_history(sc, sampler, vio: dict) -> int:
+def _fold_history(sc, sampler, vio: dict) -> None:
     """Fold earlier rows with random dependents (FD violations included)
     into fresh indexes, so groups start out holding several values."""
     rng = np.random.default_rng(sc["seed"] + 1)
@@ -252,7 +255,6 @@ def _fold_history(sc, sampler, vio: dict) -> int:
     for i in range(h):
         for index in vio.values():
             index.append_from(hist, i)
-    return h
 
 
 def _hard_pairs_added(specs, before: dict) -> int:
@@ -276,7 +278,7 @@ def test_window_lane_equals_the_per_row_pass(sc):
         noise = _CellNoise(sc["seed"], 2 * j, layout.stride, 16, n)
         col = _ColumnPass(sampler, j, base, layout, noise, cols, wcols,
                           _PassState.start(sampler, j), tracer=tracer)
-        col.row_offset = _fold_history(sc, sampler, col.vio)
+        _fold_history(sc, sampler, col.vio)
         return col
 
     trace = ColumnTrace("y")
@@ -314,7 +316,7 @@ def test_window_lane_equals_the_per_row_pass(sc):
     sampler = _sampler(case)
     layout = _layout_for(sampler, j, base)
     state = _PassState(vio=sampler.violation_indexes_for(j), used=None)
-    h = _fold_history(sc, sampler, state.vio)
+    _fold_history(sc, sampler, state.vio)
     out = []
     for off in range(0, n, sc["chunk"]):
         m = min(sc["chunk"], n - off)
@@ -325,8 +327,8 @@ def test_window_lane_equals_the_per_row_pass(sc):
         cwcols = _allocate_working(sampler, ccols, m)
         _ColumnPass(sampler, j, _rows(base, off, off + m), layout,
                     _CellNoise(sc["seed"], 2 * j, layout.stride, 16, n,
-                               off), ccols, cwcols, state=state,
-                    row_offset=h + off).fill(m, sc["max_block"])
+                               off), ccols, cwcols,
+                    state=state).fill(m, sc["max_block"])
         out.append(ccols["y"])
     np.testing.assert_array_equal(np.concatenate(out), ref.cols["y"])
 

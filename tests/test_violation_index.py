@@ -1,10 +1,12 @@
 """The incremental violation-index engine vs the scan-based engine.
 
 The contract of :mod:`repro.constraints.index` is *bit-identical*
-counting: every index answers ``total()`` / ``candidate_counts()`` /
-``per_row_violation_counts()`` exactly like ``count_violations`` /
-``multi_candidate_violation_counts`` / the blocked ``violation_matrix``
-evaluation, only faster.  These tests pin that equivalence on
+counting: every index answers ``total()``, every binary one its one
+count call ``block_counts()`` (through ``lane_keys``, at one row and at
+blocks, and ``count_at`` for one pick), and ``per_row_violation_counts()``
+exactly like ``count_violations``, ``multi_candidate_violation_counts``
+on the prefix and the blocked ``violation_matrix`` evaluation, only
+faster.  These tests pin that equivalence on
 randomized tables (Hypothesis) and cover the repair-convergence
 regressions the engine unlocked (FD chains, shared-dependent FDs,
 all-violating unary DCs, exact-dtype group keys).
@@ -82,6 +84,21 @@ def _tables(draw, max_rows: int = 24) -> Table:
     return Table(rel, cols)
 
 
+def _row_counts(index, target_values: dict, cols: dict, i: int):
+    """Row ``i``'s counts at ``target_values``: ``block_counts`` of the
+    one-row block, as the per-row callers ask."""
+    return index.block_counts(index.lane_keys(target_values, cols, i,
+                                              i + 1))[0]
+
+
+def _scan_rows(dc, target_values: dict, cols: dict, rows, prefix: dict):
+    """The scan engine's ``(len(rows), V)`` counts against ``prefix``."""
+    return np.vstack([multi_candidate_violation_counts(
+        dc, target_values, {a: cols[a][i] for a in dc.attributes
+                            if a not in target_values}, prefix)
+        for i in rows])
+
+
 def test_factory_dispatches_on_shape():
     _, dcs = _dcs()
     assert isinstance(build_index(dcs["fd"]), FDViolationIndex)
@@ -112,31 +129,45 @@ def test_incremental_total_matches_count_violations(data):
 
 @given(st.data())
 @settings(max_examples=30, deadline=None)
-def test_candidate_counts_match_scan_engine(data):
-    """Prefix-probe agreement: the probe of Algorithm 3 line 8."""
+def test_block_counts_match_scan_engine(data):
+    """Prefix-count agreement, the count of Algorithm 3 line 8, for the
+    binary indexes of :func:`build_index` (the dict FD index and
+    point-array groups): a block's counts against the block-start
+    state, and each row's against its prefix, at every candidate and
+    at each pick (``count_at``)."""
     _, dcs = _dcs()
     table = _tables(data.draw)
+    block = data.draw(st.integers(1, 6), label="block rows")
     cols = {a: table.column(a) for a in table.relation.names}
+    cands = {a: np.arange(table.relation[a].domain.size, dtype=np.int64)
+             for a in ("a", "b")}
+    cands.update((a, np.arange(0, 13, dtype=np.float64)) for a in ("u", "v"))
     for dc in dcs.values():
+        if dc.is_unary:
+            continue    # counted on the row alone, by the sampler
         index = build_index(dc)
         index.build(cols, 0)
-        for i in range(table.n):
+        for lo in range(0, table.n, block):
+            hi = min(lo + block, table.n)
             for target in sorted(dc.attributes):
-                if target in ("a", "b"):
-                    cands = np.arange(
-                        table.relation[target].domain.size, dtype=np.int64)
-                else:
-                    cands = np.arange(0, 13, dtype=np.float64)
-                target_values = {target: cands}
-                context = {a: cols[a][i] for a in dc.attributes
-                           if a != target}
-                got = index.candidate_counts(target_values, context)
+                tv = {target: cands[target]}
+                np.testing.assert_array_equal(
+                    index.block_counts(index.lane_keys(tv, cols, lo, hi)),
+                    _scan_rows(dc, tv, cols, range(lo, hi),
+                               {a: cols[a][:lo] for a in dc.attributes}),
+                    err_msg=f"{dc.name}@{lo}:{hi}")
+            for i in range(lo, hi):
                 prefix = {a: cols[a][:i] for a in dc.attributes}
-                ref = multi_candidate_violation_counts(
-                    dc, target_values, context, prefix)
-                np.testing.assert_array_equal(got, ref,
-                                              err_msg=f"{dc.name}@{i}")
-            index.append_from(cols, i)
+                for target in sorted(dc.attributes):
+                    tv = {target: cands[target]}
+                    want = _scan_rows(dc, tv, cols, [i], prefix)[0]
+                    np.testing.assert_array_equal(
+                        _row_counts(index, tv, cols, i), want,
+                        err_msg=f"{dc.name}@{i}")
+                    keys = index.lane_keys(tv, cols, i, i + 1)
+                    assert [index.count_at(keys, 0, c)
+                            for c in range(want.shape[0])] == want.tolist()
+                index.append_from(cols, i)
 
 
 @given(st.data())
@@ -449,9 +480,9 @@ def test_order_probes_bit_identical_with_universe(dc_key, data):
             want = multi_candidate_violation_counts(
                 dc, tv, ctx, {a: cols[a][:i] for a in dc.attributes})
             np.testing.assert_array_equal(
-                plain.candidate_counts(tv, ctx), want, err_msg=f"plain {i}")
+                _row_counts(plain, tv, cols, i), want, err_msg=f"plain {i}")
             np.testing.assert_array_equal(
-                fast.candidate_counts(tv, ctx), want, err_msg=f"grid {i}")
+                _row_counts(fast, tv, cols, i), want, err_msg=f"grid {i}")
         plain.append_from(cols, i)
         fast.append_from(cols, i)
         assert plain.total() == fast.total() == count_violations(
@@ -481,7 +512,7 @@ def test_grid_index_exact_past_the_old_dense_cap():
         want = multi_candidate_violation_counts(
             dc, {"u": cands}, ctx, {a: c[:i] for a, c in cols.items()})
         np.testing.assert_array_equal(
-            index.candidate_counts({"u": cands}, ctx), want, err_msg=str(i))
+            _row_counts(index, {"u": cands}, cols, i), want, err_msg=str(i))
         index.append_from(cols, i)
     group = next(iter(index._groups.values()))
     assert group.pen is not None and group.pen.size == side * side
@@ -506,7 +537,7 @@ def test_order_index_off_universe_value_falls_back_exactly():
         want = multi_candidate_violation_counts(
             dc, {"u": cands}, ctx, {a: c[:i] for a, c in cols.items()})
         np.testing.assert_array_equal(
-            index.candidate_counts({"u": cands}, ctx), want, err_msg=str(i))
+            _row_counts(index, {"u": cands}, cols, i), want, err_msg=str(i))
         index.append_from(cols, i)
         # Tables from the eighth tuple on, points again from row 30.
         group = next(iter(index._groups.values()))
@@ -547,9 +578,12 @@ def test_hint_values_match_scans():
 
 
 # ----------------------------------------------------------------------
-# Batched FD probes (PR 5)
+# The dict-backed FD index's three count paths
 # ----------------------------------------------------------------------
-def test_probe_block_codes_matches_candidate_counts():
+def test_dict_fd_counts_a_block_of_dependent_codes():
+    """Drawing the dependent over its code domain, a block's rows each
+    subtract their group's histogram from its size; over other
+    candidates each is read from the group."""
     _, dcs = _dcs()
     dc = dcs["fd"]          # a -> b
     rng = np.random.default_rng(1)
@@ -558,37 +592,41 @@ def test_probe_block_codes_matches_candidate_counts():
             "b": rng.integers(0, 4, n).astype(np.int64)}
     index = build_index(dc)
     index.build(cols, n)
-    codes = np.arange(4, dtype=np.int64)
-    keys = [(int(cols["a"][i]),) for i in range(n)]
-    block = index.probe_block_codes(keys, 4)
-    many = index.probe_many({"b": codes},
-                            [{"a": cols["a"][i]} for i in range(n)])
-    for i in range(n):
-        want = index.candidate_counts({"b": codes}, {"a": cols["a"][i]})
-        np.testing.assert_array_equal(block[i], want, err_msg=str(i))
-        np.testing.assert_array_equal(many[i], want, err_msg=str(i))
+    for cands in (np.arange(4, dtype=np.int64), np.array([3, 1, 7])):
+        index.counters = {}
+        want = _scan_rows(dc, {"b": cands}, cols, range(n), cols)
+        keys = index.lane_keys({"b": cands}, cols, 0, n)
+        np.testing.assert_array_equal(index.block_counts(keys), want)
+        np.testing.assert_array_equal(
+            index.block_counts(keys, slice(40, 41)), want[40:41])
+        assert index.counters == {"probe_block_codes": 2}
 
 
-def test_probe_det_codes_matches_general_path():
-    """Det-target probes (filling a determinant after its dependent)."""
+def test_dict_fd_counts_determinant_codes_from_the_det_major_cache():
+    """Drawing the determinant over its code domain, each row is two
+    vector ops on the det-major cache (``probe_det_codes``); the same
+    codes out of order take the per-candidate path, and count alike."""
     _, dcs = _dcs()
-    dc = dcs["fd"]          # a -> b; now probe candidates for `a`
+    dc = dcs["fd"]          # a -> b; now count candidates for `a`
     rng = np.random.default_rng(2)
     n = 150
     cols = {"a": rng.integers(0, 5, n).astype(np.int64),
             "b": rng.integers(0, 4, n).astype(np.int64)}
     index = build_index(dc)
+    index.counters = {}
     cands = np.arange(5, dtype=np.int64)
-    for i in range(n):
-        ctx = {"b": cols["b"][i]}
-        want = multi_candidate_violation_counts(
-            dc, {"a": cands}, ctx, {x: c[:i] for x, c in cols.items()})
-        got = index.candidate_counts({"a": cands}, ctx)
-        np.testing.assert_array_equal(got, want, err_msg=str(i))
-        out = np.empty(5, dtype=np.int64)
-        assert index.probe_det_codes(cols["b"][i], 5, out=out) is out
-        np.testing.assert_array_equal(out, want, err_msg=f"out {i}")
-        index.append_from(cols, i)
+    for lo in range(0, n, 10):
+        prefix = {x: c[:lo] for x, c in cols.items()}
+        want = _scan_rows(dc, {"a": cands}, cols, range(lo, lo + 10), prefix)
+        np.testing.assert_array_equal(
+            index.block_counts(index.lane_keys({"a": cands}, cols, lo,
+                                               lo + 10)), want)
+        np.testing.assert_array_equal(
+            _row_counts(index, {"a": cands[::-1]}, cols, lo),
+            want[0, ::-1], err_msg=str(lo))
+        for i in range(lo, lo + 10):
+            index.append_from(cols, i)
+    assert index.counters == {"probe_det_codes": 15, "probe_block_codes": 15}
     # a row's count at its pick agrees with the group's histogram
     for i in range(0, n, 7):
         keys = index.lane_keys({"b": np.arange(4)}, cols, i, i + 1)
@@ -654,32 +692,26 @@ def test_array_fd_index_matches_dict_index_and_scan(data):
         assert table_index.total() == dict_index.total() == \
             count_violations(dc, Table(rel, prefix, validate=False))
 
-        keys = [(x,) for x in range(k)]
-        np.testing.assert_array_equal(
-            table_index.block_counts(table_index.lane_keys(
-                {"y": dep_codes}, {"x": det_codes}, 0, k)),
-            dict_index.probe_block_codes(keys, v))
+        # A block of every group drawing the dependent, and of every
+        # dependent drawing the determinant, then each row alone.
+        every = {"x": det_codes, "y": dep_codes}
+        for target, other in (("y", "x"), ("x", "y")):
+            tv = {target: every[target]}
+            want = _scan_rows(dc, tv, every, range(len(every[other])),
+                              prefix)
+            for index in (table_index, dict_index):
+                np.testing.assert_array_equal(index.block_counts(
+                    index.lane_keys(tv, every, 0, len(every[other]))), want)
+                for i in range(len(every[other])):
+                    np.testing.assert_array_equal(
+                        _row_counts(index, tv, every, i), want[i])
         for y in range(v):
-            want = multi_candidate_violation_counts(
-                dc, {"x": det_codes}, {"y": np.int64(y)}, prefix)
-            np.testing.assert_array_equal(
-                dict_index.probe_det_codes(y, k), want)
-            np.testing.assert_array_equal(
-                table_index.block_counts(table_index.lane_keys(
-                    {"x": det_codes}, {"y": np.array([y])}, 0, 1))[0], want)
-            np.testing.assert_array_equal(
-                table_index.candidate_counts({"x": det_codes},
-                                             {"y": np.int64(y)}), want)
             assert table_index.matched_det_values("x", {"y": y}) == \
                 dict_index.matched_det_values("x", {"y": y})
         for x in range(k):
             ctx = {"x": np.int64(x)}
             want = multi_candidate_violation_counts(
                 dc, {"y": dep_codes}, ctx, prefix)
-            np.testing.assert_array_equal(
-                table_index.candidate_counts({"y": dep_codes}, ctx), want)
-            np.testing.assert_array_equal(
-                dict_index.candidate_counts({"y": dep_codes}, ctx), want)
             assert table_index.dependents_of(ctx) == \
                 dict_index.dependents_of(ctx)
             one = {"x": np.array([x])}
@@ -688,9 +720,6 @@ def test_array_fd_index_matches_dict_index_and_scan(data):
             for y in range(v):
                 assert table_index.count_at(table_keys, 0, y) == \
                     dict_index.count_at(dict_keys, 0, y) == want[y]
-                row = {"x": np.int64(x), "y": np.int64(y)}
-                np.testing.assert_array_equal(
-                    table_index.candidate_counts(None, row), want[y:y + 1])
         # hint_values: the first four sorted distinct values of the
         # target among the rows matching on the other attribute — the
         # prefix scan of ``_consistent_values(indexes=None)``.
@@ -701,14 +730,16 @@ def test_array_fd_index_matches_dict_index_and_scan(data):
                 for index in (table_index, dict_index):
                     assert index.hint_values(target, row, 4) == \
                         scan[:4].tolist(), (target, value)
-        # Both columns vary per candidate (a hyper-attribute target).
+        # Both columns vary per candidate (a hyper-attribute target),
+        # at one row and over a block of two.
         xs = np.asarray(data.draw(st.lists(st.integers(0, k - 1),
                                            min_size=3, max_size=3)))
         ys = np.asarray(data.draw(st.lists(st.integers(0, v - 1),
                                            min_size=3, max_size=3)))
-        want = multi_candidate_violation_counts(
-            dc, {"x": xs, "y": ys}, {}, prefix)
-        np.testing.assert_array_equal(
-            table_index.candidate_counts({"x": xs, "y": ys}, {}), want)
-        np.testing.assert_array_equal(
-            dict_index.candidate_counts({"x": xs, "y": ys}, {}), want)
+        hyper = {"x": xs, "y": ys}
+        want = multi_candidate_violation_counts(dc, hyper, {}, prefix)
+        for index in (table_index, dict_index):
+            np.testing.assert_array_equal(
+                _row_counts(index, hyper, {}, 0), want)
+            np.testing.assert_array_equal(index.block_counts(
+                index.lane_keys(hyper, {}, 0, 2)), [want, want])
