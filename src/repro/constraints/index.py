@@ -51,6 +51,8 @@ things, never its class (:class:`ViolationIndex` documents each call):
 
 * ``lane_keys`` — what the other calls read of a block of rows,
   computed once per block;
+* ``lane_rows`` — the keys of some rows of a block whose candidates the
+  lane extended since (a per-row pass's step);
 * ``block_counts`` — the ``(B, V)`` new-violation counts of the
   candidates against the indexed rows: the one count call;
 * ``count_at`` — the live count of one row at its picked candidate, to
@@ -60,15 +62,19 @@ things, never its class (:class:`ViolationIndex` documents each call):
   (the rows before the block's first in-block conflict), or 0 where the
   index cannot say (``keeps_prefixes`` is False);
 * ``hint_values`` — the zero-violation values of a hard DC's target
-  given a row, for the sampler's candidate augmentation.
+  given a row, for the sampler's candidate augmentation
+  (``lane_hints`` for a block row).
 
-The engine's block lanes ask ``block_counts`` for a block of rows; the
-per-row pass, the MCMC refinement and accept-reject ask it at one row
-(``lane_keys(target, cols, i, i + 1)``).  The FD count tables answer a
-block in one gather, the dict FD index each row from its determinant
-group's histogram, and the grid index each row from its group.  Rows
-join and leave through ``append_from``/``remove_from`` (or ``fold``),
-cells change through ``rewrite_cell``.
+The engine's block lanes ask ``block_counts`` for a block of rows and
+the per-row pass for each step of a chunk (``lane_rows``); the MCMC
+refinement and accept-reject ask it at one row (``lane_keys(target,
+cols, i, i + 1)``).  The FD count tables answer a block in one gather,
+the dict FD index each row from its determinant group's histogram, and
+the grid index each row from its group: a table group with one take
+from the row's ``pen`` line, by ranks its ``lane_keys`` computed once
+per block, and a fold by cell.  Rows join and leave through
+``append_from``/``remove_from`` (or ``fold``), cells change through
+``rewrite_cell``.
 
 Group keys are built from the *original* stored scalars (int codes stay
 ints), never cast through float64 — so int64 keys above 2**53 cannot
@@ -190,15 +196,20 @@ class ViolationIndex:
         computed once per block.
 
         ``target`` maps each of the DC's attributes the lane draws to its
-        ``(V,)`` candidates, shared by every row (the FD count tables
-        also take ``(B, W)`` per-row candidates).  Here: the candidates
-        and each row's context (its values of the DC's other
-        attributes).
+        ``(V,)`` candidates, shared by every row, or to ``(B, W)``
+        per-row candidates (the per-row pass's base candidates).
         """
-        ctx = [a for a in self.dc.attributes if a not in target]
-        if hi == lo + 1:    # a per-row caller's block: no row loop
-            return target, [{a: cols[a][lo] for a in ctx}]
-        return target, [{a: cols[a][i] for a in ctx} for i in range(lo, hi)]
+        raise NotImplementedError
+
+    def lane_rows(self, keys, rows, written: slice):
+        """The keys of block rows ``rows`` (an index array or a slice)
+        over their first ``written.stop`` candidates — a per-row pass's
+        step, which reuses what :meth:`lane_keys` computed for its
+        block.  The lane has rewritten those rows' candidates
+        ``written`` in the ``(B, W)`` target array it passed to
+        :meth:`lane_keys` since (the per-row pass's extras), so the
+        index reads them anew; the block's keys are updated in place."""
+        raise NotImplementedError
 
     def block_counts(self, keys, rows: slice = slice(None)) -> np.ndarray:
         """``(B, V)`` new-violation counts of every candidate of the
@@ -206,23 +217,24 @@ class ViolationIndex:
         row by row, what
         :func:`~repro.constraints.violations.multi_candidate_violation_counts`
         counts with the indexed rows as the prefix.  The one count
-        call: a lane asks it per block, a per-row caller for a block of
-        one row."""
+        call: a lane asks it per block or step, a per-row caller for a
+        block of one row."""
         raise NotImplementedError
 
     def count_at(self, keys, r: int, pick: int) -> int:
         """The live new-violation count of block row ``r`` at candidate
         ``pick``: :meth:`block_counts` of that row over that candidate."""
-        target, contexts = keys
-        return int(self.block_counts(
-            ({a: c[pick:pick + 1] for a, c in target.items()},
-             contexts[r:r + 1]))[0, 0])
+        raise NotImplementedError
 
     def fold(self, keys, picks, start: int = 0) -> None:
         """Append block rows ``start, start + 1, ...`` at their picked
         candidates ``picks``."""
-        for r, pick in enumerate(picks, start):
-            self._add_row(self._lane_row(keys, r, pick))
+        raise NotImplementedError
+
+    def lane_hints(self, keys, r: int, limit: int) -> list:
+        """:meth:`hint_values` of the lane's one target for block row
+        ``r``."""
+        raise NotImplementedError
 
     def kept_prefix(self, keys, picks: np.ndarray,
                     held_only: bool = False) -> int:
@@ -245,12 +257,6 @@ class ViolationIndex:
         """Zero-violation candidate values for ``target`` given ``row``,
         from the indexed rows (see the subclasses)."""
         raise NotImplementedError
-
-    def _lane_row(self, keys, r: int, pick: int) -> dict:
-        target, contexts = keys
-        context = contexts[r]
-        return {a: target[a][pick] if a in target else context[a]
-                for a in self.dc.attributes}
 
     # -- internals -----------------------------------------------------
     def _add_row(self, row: dict) -> None:
@@ -403,12 +409,28 @@ class FDViolationIndex(_FDIndex):
 
     def lane_keys(self, target: dict, cols: dict, lo: int, hi: int):
         """``(target, values, B)``: the candidates and the block rows'
-        other values, as python scalars per attribute, so that per-row
-        calls are dict lookups."""
+        other values, as python scalars per attribute (per-row
+        candidates as one list per row), so that per-row calls are dict
+        lookups."""
         values = {a: cols[a][lo:hi].tolist() for a in self.dc.attributes
                   if a not in target}
         values.update((a, c.tolist()) for a, c in target.items())
         return target, values, hi - lo
+
+    def lane_rows(self, keys, rows, written: slice):
+        target, values, _ = keys
+        step = {a: c[rows, :written.stop] for a, c in target.items()}
+        picked = np.arange(len(values[next(iter(target))]))[rows].tolist()
+        out = {a: [v[r] for r in picked] for a, v in values.items()
+               if a not in target}
+        out.update((a, c.tolist()) for a, c in step.items())
+        return step, out, len(picked)
+
+    def lane_hints(self, keys, r: int, limit: int) -> list:
+        target, values, _ = keys
+        (attr,) = target
+        return self.hint_values(attr, {a: v[r] for a, v in values.items()
+                                       if a not in target}, limit)
 
     def block_counts(self, keys, rows: slice = slice(None)) -> np.ndarray:
         """Three paths, by what the lane draws.
@@ -428,8 +450,9 @@ class FDViolationIndex(_FDIndex):
         target, values, B = keys
         rows = range(B)[rows]
         cands = next(iter(target.values()))
-        V = cands.shape[0]
-        codes = len(target) == 1 and _is_codes(cands, V)
+        per_row = cands.ndim == 2
+        V = cands.shape[-1]
+        codes = not per_row and len(target) == 1 and _is_codes(cands, V)
         dep = self.dependent
         out = np.empty((len(rows), V), dtype=np.int64)
         if codes and dep not in target and all(
@@ -438,15 +461,20 @@ class FDViolationIndex(_FDIndex):
             self._bump("probe_det_codes")
             return out
         self._bump("probe_block_codes")
+
+        def side(a, i):
+            """Row ``i``'s candidates of ``a``, or its value ``V`` times."""
+            if a not in target:
+                return [values[a][i]] * V
+            return values[a][i] if per_row else values[a]
+
         if any(a in target for a in self.determinant):
             for row, i in zip(out, rows):
-                dets = zip(*[values[a] if a in target else [values[a][i]] * V
-                             for a in self.determinant])
-                deps = values[dep] if dep in target else [values[dep][i]] * V
+                dets = zip(*[side(a, i) for a in self.determinant])
                 row[:] = [self._pair_count(key, v)
-                          for key, v in zip(dets, deps)]
+                          for key, v in zip(dets, side(dep, i))]
             return out
-        det, deps = [values[a] for a in self.determinant], values[dep]
+        det = [values[a] for a in self.determinant]
         for row, i in zip(out, rows):
             group = self._groups.get(tuple(col[i] for col in det))
             if group is None:
@@ -454,7 +482,7 @@ class FDViolationIndex(_FDIndex):
                 continue
             size, counts = group
             if not codes:
-                row[:] = [size - counts.get(v, 0) for v in deps]
+                row[:] = [size - counts.get(v, 0) for v in side(dep, i)]
                 continue
             row[:] = size
             if counts:
@@ -476,10 +504,15 @@ class FDViolationIndex(_FDIndex):
         """Block row ``r``'s determinant key and dependent at candidate
         ``pick``."""
         target, values, _ = keys
-        key = tuple(values[a][pick if a in target else r]
-                    for a in self.determinant)
-        dep = self.dependent
-        return key, values[dep][pick if dep in target else r]
+        per_row = next(iter(target.values())).ndim == 2
+
+        def value(a):
+            if a not in target:
+                return values[a][r]
+            return values[a][r][pick] if per_row else values[a][pick]
+
+        return tuple(value(a) for a in self.determinant), \
+            value(self.dependent)
 
     def _pair_count(self, key: tuple, dep) -> int:
         """The violations a row with determinant ``key`` and dependent
@@ -623,12 +656,13 @@ class ArrayFDViolationIndex(_FDIndex):
     keeps_prefixes = True
 
     def lane_keys(self, target: dict, cols: dict, lo: int, hi: int):
-        """``(det, dep)``: each block row's determinant code and
-        dependent table column at each candidate, as ``(B, W)`` views.
-        Where the candidates are one side's whole code domain that side
-        is None, since the candidate is its code: ``(det, None)`` holds
-        each row's group when the lane draws the dependent, ``(None,
-        dep)`` each row's dependent when it draws the determinant."""
+        """``(det, dep, target)``: each block row's determinant code and
+        dependent table column at each candidate, as ``(B, W)`` views,
+        and the candidates.  Where the candidates are one side's whole
+        code domain that side is None, since the candidate is its code:
+        ``(det, None)`` holds each row's group when the lane draws the
+        dependent, ``(None, dep)`` each row's dependent when it draws
+        the determinant."""
         def side(attr):
             if attr in target:
                 return np.atleast_2d(target[attr])
@@ -636,17 +670,44 @@ class ArrayFDViolationIndex(_FDIndex):
         det = self._det_code([side(a) for a in self.determinant])
         dep = self.dep_ranks(side(self.dependent))
         if det.shape[1] == 1 and _is_codes(dep, self.dep_size):
-            return det[:, 0], None
+            return det[:, 0], None, target
         if dep.shape[1] == 1 and _is_codes(det, self.det_size):
-            return None, dep[:, 0]
+            return None, dep[:, 0], target
         shape = (hi - lo, max(det.shape[1], dep.shape[1]))
-        return np.broadcast_to(det, shape), np.broadcast_to(dep, shape)
+        return (np.broadcast_to(det, shape), np.broadcast_to(dep, shape),
+                target)
+
+    def lane_rows(self, keys, rows, written: slice):
+        """The step's table columns, the rewritten candidates' read anew
+        (the per-row pass draws a numerical dependent)."""
+        det, dep, target = self._per_row(keys)
+        det, dep = det[rows, :written.stop], np.array(dep[rows, :written.stop])
+        if written.start < written.stop:
+            dep[:, written] = self.dep_ranks(
+                target[self.dependent][rows, written])
+        return det, dep, None
+
+    def lane_hints(self, keys, r: int, limit: int) -> list:
+        """The dependents of row ``r``'s group (the lane draws the
+        dependent)."""
+        return self._dependents(self._per_row(keys)[0][r, 0])[:limit]
+
+    def _per_row(self, keys) -> tuple:
+        """``keys`` of a lane drawing the dependent as ``(B, W)``
+        determinant codes and dependent columns (``dep`` is None where
+        the candidates were its whole code domain)."""
+        det, dep, target = keys
+        if dep is not None:
+            return keys
+        shape = (det.shape[0], self.dep_size)
+        return (np.broadcast_to(det[:, None], shape),
+                np.broadcast_to(np.arange(self.dep_size), shape), target)
 
     @staticmethod
     def _cells(keys, rows, picks):
         """The determinant codes and dependent columns of block rows
         ``rows`` at candidates ``picks`` (index arrays, or one row)."""
-        det, dep = keys
+        det, dep = keys[:2]
         if dep is None:
             return det[rows], picks
         if det is None:
@@ -658,7 +719,7 @@ class ArrayFDViolationIndex(_FDIndex):
         the candidates are determinant codes, else as
         ``probe_block_codes``.  A dependent off the universe (rank -1)
         counts the whole group."""
-        det, dep = keys
+        det, dep = keys[:2]
         if det is None:
             self._bump("probe_det_codes")
             out = self._by_det.T[dep[rows]]
@@ -742,7 +803,11 @@ class ArrayFDViolationIndex(_FDIndex):
                    - (table * (table - 1)).sum() // 2)
 
     def dependents_of(self, key_row: dict) -> list:
-        det = self._det_code([key_row[a] for a in self.determinant])
+        return self._dependents(
+            self._det_code([key_row[a] for a in self.determinant]))
+
+    def _dependents(self, det) -> list:
+        """The sorted values group ``det`` holds."""
         ranks = np.flatnonzero(self._by_det[det])
         if self.dep_universe is None:
             return ranks.tolist()
@@ -959,6 +1024,27 @@ class _GridGroup:
         self.off_universe = False
 
 
+class _GridRows:
+    """A block's row facts, shared by the block's lane and its steps:
+    the target axis ``k``; per row its group key, its ``pen`` line (its
+    context ranks, a slice on axis ``k``; None off the grid) and, for
+    the order shape, ``lt``/``le``, where its partner value falls among
+    the partner ranks."""
+
+    __slots__ = ("k", "groups", "lines", "lt", "le")
+
+
+class _GridLane:
+    """What :class:`GridViolationIndex`'s lane calls read of some rows:
+    ``target`` (per-row ``(L, W)`` candidates), ``cols`` with ``at``
+    (each row's position in it), and where the block has row facts
+    (``chunk``) each row's block row (``rows``), its candidates' ranks on
+    the target axis (``ranks``, -1 off it) and whether they are all on
+    it (``ok``)."""
+
+    __slots__ = ("target", "cols", "at", "chunk", "rows", "ranks", "ok")
+
+
 class GridViolationIndex(ViolationIndex):
     """Per-equality-group violation counts for a binary DC that is not
     an FD.
@@ -1153,17 +1239,22 @@ class GridViolationIndex(ViolationIndex):
 
     # -- multiset updates ----------------------------------------------
     def _add_row(self, row: dict) -> None:
-        key = self._key(row)
+        self._add(self._key(row), self._cell(row), lambda: row)
+
+    def _add(self, key: tuple, cell: tuple | None, row) -> None:
+        """Add one tuple of group ``key`` in ``cell`` (None off the
+        grid); ``row()`` gives it as a dict, which only a group on point
+        arrays reads."""
         group = self._groups.get(key)
         if group is None:
             group = self._groups[key] = _GridGroup()
-        cell = self._cell(row)
         if group.pen is not None and cell is None:
             self._to_points(group, key)
         if group.pen is not None:
             group.total += int(group.pen[cell])
             self._fold(group, cell, 1)
         else:
+            row = row()
             points = group.points
             if points.n:
                 group.total = self._points_total(group, row, 1)
@@ -1213,18 +1304,24 @@ class GridViolationIndex(ViolationIndex):
 
     # -- probes --------------------------------------------------------
     def _probe_index(self, target_values: dict, context: dict):
-        """The ``pen`` index of a probe — rank arrays on the target
-        axes, ranks elsewhere — or None when a value is off the grid."""
-        idx = []
-        for attr, values, ranks in zip(self.axes, self._values,
-                                       self._ranks):
+        """``(line, ranks)`` of a probe: the basic ``pen`` index of its
+        line (slices on the target axes, ranks elsewhere) and its
+        candidates' rank arrays on the target axes; None when a value is
+        off the grid."""
+        line, ranks = [], []
+        for attr, values, rank_of in zip(self.axes, self._values,
+                                         self._ranks):
             cands = target_values.get(attr)
-            r = (ranks.get(context[attr]) if cands is None
-                 else _ranks_on(values, cands))
+            if cands is None:
+                r = rank_of.get(context[attr])
+                line.append(r)
+            else:
+                r = _ranks_on(values, cands)
+                line.append(slice(None))
+                ranks.append(r)
             if r is None:
                 return None
-            idx.append(r)
-        return tuple(idx)
+        return tuple(line), ranks
 
     def _counts(self, target_values: dict, context: dict) -> np.ndarray:
         d = (next(iter(target_values.values())).shape[0]
@@ -1236,10 +1333,14 @@ class GridViolationIndex(ViolationIndex):
         if group is None:
             return np.zeros(d, dtype=np.int64)
         if group.pen is not None:
-            idx = self._probe_index(target_values, context)
-            if idx is not None:
-                counts = group.pen[idx]
-                return counts if target_values else np.array([counts])
+            probe = self._probe_index(target_values, context)
+            if probe is not None:
+                line, ranks = probe
+                counts = group.pen[line]
+                if not ranks:
+                    return np.array([counts])
+                return (counts.take(ranks[0]) if len(ranks) == 1
+                        else counts[tuple(ranks)])
             cols = self._hist_columns(group, key)
         else:
             cols = group.points.columns()
@@ -1296,48 +1397,180 @@ class GridViolationIndex(ViolationIndex):
             out[sel] = self._counts(tv, ctx)
         return out
 
+    # -- the lane protocol --------------------------------------------
+    def lane_keys(self, target: dict, cols: dict, lo: int, hi: int):
+        """A :class:`_GridLane` of rows ``lo..hi``.
+
+        Where the lane draws one grid axis and groups may count in
+        tables, the block's row facts are computed here once, so that
+        no later call builds a row dict for a table group: each row's
+        group key, its context ranks (its ``pen`` line) and its
+        candidates' ranks on the target axis, and for the order shape
+        where its partner value falls among the partner ranks.  A block
+        of one row (the MCMC refinement, accept-reject) skips them and
+        counts from the row's values.
+        """
+        B = hi - lo
+        lane = _GridLane()
+        lane.cols, lane.at, lane.chunk = cols, np.arange(lo, hi), None
+        lane.target = {a: c if c.ndim == 2 else c[None] if B == 1
+                       else np.broadcast_to(c, (B, c.shape[0]))
+                       for a, c in target.items()}
+        attr = next(iter(target))
+        if (B == 1 or self._ranks is None or len(target) != 1
+                or attr not in self.axes):
+            return lane
+        k = self.axes.index(attr)
+        bad = np.zeros(B, dtype=bool)
+        ranks = []
+        for j, (a, values) in enumerate(zip(self.axes, self._values)):
+            if j == k:
+                ranks.append(None)
+                continue
+            x = cols[a][lo:hi]
+            r = values.searchsorted(x)
+            bad |= values.take(r, mode="clip") != x
+            ranks.append(r)
+        lines = list(zip(*[[slice(None)] * B if r is None else r.tolist()
+                           for r in ranks]))
+        for r in np.flatnonzero(bad).tolist():
+            lines[r] = None
+        chunk = _GridRows()
+        chunk.k, chunk.lines = k, lines
+        chunk.groups = (list(zip(*[cols[a][lo:hi].tolist()
+                                   for a in self.eq_attrs]))
+                        if self.eq_attrs else [()] * B)
+        chunk.lt = chunk.le = None
+        if self.order is not None:
+            # The partner's rank, or where its off-grid value falls.
+            p = ranks[1 - k]
+            x = cols[self.axes[1 - k]][lo:hi]
+            chunk.lt = p.tolist()
+            chunk.le = (p + (self._values[1 - k].take(p, mode="clip")
+                             == x)).tolist()
+        lane.chunk = chunk
+        lane.rows = range(B)
+        lane.ranks, lane.ok = self._lane_ranks(k, target[attr], B)
+        return lane
+
+    def _lane_ranks(self, k: int, cands: np.ndarray, B: int) -> tuple:
+        """``(ranks, ok)``: ``(B, W)`` ranks of the candidates on axis
+        ``k`` (-1 off it) and whether each row's are all on it."""
+        values = self._values[k]
+        ranks = values.searchsorted(cands)
+        hit = values.take(ranks, mode="clip") == cands
+        ranks = np.where(hit, ranks, -1)
+        ok = hit.all(axis=-1)
+        if cands.ndim == 1:
+            return (np.broadcast_to(ranks, (B, ranks.shape[0])),
+                    np.broadcast_to(ok, (B,)))
+        return ranks, ok
+
+    def lane_rows(self, keys, rows, written: slice):
+        """Re-ranks the rewritten candidates into the block's ``ranks``
+        (by lookup for one row) and narrows ``ok`` to the step's."""
+        lane = _GridLane()
+        lane.cols, lane.chunk, lane.at = keys.cols, keys.chunk, keys.at[rows]
+        lane.target = {a: c[rows, :written.stop]
+                       for a, c in keys.target.items()}
+        if lane.chunk is None:
+            return lane
+        lane.rows = (keys.rows[rows] if isinstance(rows, slice)
+                     else [keys.rows[r] for r in rows.tolist()])
+        ok = keys.ok[rows]
+        if written.start < written.stop:
+            (new,) = [c[rows, written] for c in keys.target.values()]
+            if new.shape[0] == 1:
+                rank_of = self._ranks[lane.chunk.k]
+                ranks = [rank_of.get(v, -1) for v in new[0].tolist()]
+                if -1 in ranks:
+                    ok = np.zeros(1, dtype=bool)
+            else:
+                ranks, hit = self._lane_ranks(lane.chunk.k, new, len(new))
+                ok = ok & hit
+            keys.ranks[rows, written] = ranks
+        lane.ranks, lane.ok = keys.ranks[rows, :written.stop], ok
+        return lane
+
+    def _lane_group(self, keys, q: int):
+        """Lane row ``q``'s group and ``pen`` line when it counts in
+        tables with every value on the grid, else ``(group, None)``."""
+        r = keys.rows[q]
+        chunk = keys.chunk
+        group = self._groups.get(chunk.groups[r])
+        line = chunk.lines[r]
+        if (group is None or group.pen is None or line is None
+                or not keys.ok[q]):
+            return group, None
+        return group, line
+
+    def _lane_context(self, keys, q: int) -> dict:
+        i = keys.at[q]
+        return {a: keys.cols[a][i] for a in self.dc.attributes
+                if a not in keys.target}
+
+    def _lane_row(self, keys, q: int, pick: int) -> dict:
+        row = self._lane_context(keys, q)
+        row.update((a, c[q, pick]) for a, c in keys.target.items())
+        return row
+
     def block_counts(self, keys, rows: slice = slice(None)) -> np.ndarray:
-        """Each row counted from its group.  A block of several rows
-        drawing one grid axis looks its candidates' ranks up once, and
-        each row is then one gather from its group's ``pen``.  Traced as
-        ``candidate_counts`` for one row and ``probe_many`` for a
-        block."""
-        target, contexts = keys
-        contexts = contexts[rows]
-        if len(contexts) == 1:
-            self._bump("candidate_counts")
-            return self._counts(target, contexts[0])[None]
-        self._bump("probe_many")
-        attr, cands = next(iter(target.items()))
-        out = np.empty((len(contexts), cands.shape[0]), dtype=np.int64)
-        k = ranks = None
-        if self._ranks is not None and len(target) == 1 and attr in self.axes:
-            k = self.axes.index(attr)
-            ranks = _ranks_on(self._values[k], cands)
-            if ranks is None:
-                k = None
-        for row, context in zip(out, contexts):
-            counts = None if k is None else self._gather(context, k, ranks)
-            row[:] = (self._counts(target, context) if counts is None
-                      else counts)
+        """Each row counted from its group: one take from its ``pen``
+        line where it counts in tables, else from the row's values.
+        Traced as ``candidate_counts`` for one row and ``probe_many``
+        for more."""
+        sel = range(len(keys.at))[rows]
+        self._bump("candidate_counts" if len(sel) == 1 else "probe_many")
+        if len(sel) == 1:
+            return self._lane_counts(keys, sel[0])[None]
+        out = np.empty((len(sel), next(iter(keys.target.values())).shape[1]),
+                       dtype=np.int64)
+        for row, q in zip(out, sel):
+            row[:] = self._lane_counts(keys, q)
         return out
 
-    def _gather(self, context: dict, k: int, ranks: np.ndarray):
-        """``pen`` along axis ``k`` at ``ranks`` for the row ``context``
-        (zeros for an empty group), or None when the row's group counts
-        from point arrays or a context value is off the grid."""
-        group = self._groups.get(self._key(context))
-        if group is None:
-            return 0
-        if group.pen is None:
-            return None
-        cell = []
-        for j, (attr, rank_of) in enumerate(zip(self.axes, self._ranks)):
-            r = ranks if j == k else rank_of.get(context[attr])
-            if r is None:
-                return None
-            cell.append(r)
-        return group.pen[tuple(cell)]
+    def _lane_counts(self, keys, q: int) -> np.ndarray:
+        if keys.chunk is not None:
+            group, line = self._lane_group(keys, q)
+            if group is None:
+                return np.zeros(next(iter(keys.target.values())).shape[1],
+                                dtype=np.int64)
+            if line is not None:
+                return group.pen[line].take(keys.ranks[q])
+        return self._counts({a: c[q] for a, c in keys.target.items()},
+                            self._lane_context(keys, q))
+
+    def count_at(self, keys, r: int, pick: int) -> int:
+        """One read of the row's ``pen`` line where it counts in tables,
+        traced as a one-row ``candidate_counts``."""
+        self._bump("candidate_counts")
+        if keys.chunk is not None:
+            group, line = self._lane_group(keys, r)
+            if group is None:
+                return 0
+            if line is not None:
+                return int(group.pen[line][keys.ranks[r, pick]])
+        return int(self._counts(
+            {a: c[r, pick:pick + 1] for a, c in keys.target.items()},
+            self._lane_context(keys, r))[0])
+
+    def fold(self, keys, picks, start: int = 0) -> None:
+        """Add block rows at their picks: by cell where the block's row
+        facts name it, else from the row's values."""
+        chunk = keys.chunk
+        for q, pick in enumerate(np.asarray(picks).tolist(), start):
+            if chunk is None:
+                self._add_row(self._lane_row(keys, q, pick))
+                continue
+            r = keys.rows[q]
+            line = chunk.lines[r]
+            rank = int(keys.ranks[q, pick])
+            cell = None
+            if line is not None and rank >= 0:
+                k = chunk.k
+                cell = line[:k] + (rank,) + line[k + 1:]
+            self._add(chunk.groups[r], cell,
+                      lambda q=q, pick=pick: self._lane_row(keys, q, pick))
 
     # -- hard-DC candidate hints ---------------------------------------
     def hint_values(self, target: str, row: dict, limit: int) -> list:
@@ -1395,6 +1628,33 @@ class GridViolationIndex(ViolationIndex):
             lo, hi = group.ends[k]
             below = max(hi[:lt], default=-1)
             above = min(lo[le:], default=len(values))
+            if below >= 0:
+                out.append(values[below])
+            if above < len(values):
+                out.append(values[above])
+        return out
+
+    def lane_hints(self, keys, r: int, limit: int) -> list:
+        """:meth:`hint_values` of block row ``r`` by rank where its group
+        has tables: the nonzero ranks of its ``hist`` line, and the
+        order shape's endpoints from ``ends`` at the partner rank."""
+        (attr,) = keys.target
+        chunk = keys.chunk
+        if chunk is not None:
+            group = self._groups.get(chunk.groups[r])
+            if group is None:
+                return []
+        if chunk is None or group.pen is None:
+            return self.hint_values(attr, self._lane_context(keys, r), limit)
+        k = chunk.k
+        values = self._value_lists[k]
+        line = chunk.lines[r]
+        out = [] if line is None else [
+            values[t] for t in group.hist[line].nonzero()[0][:limit].tolist()]
+        if chunk.lt is not None:
+            lo, hi = group.ends[k]
+            below = max(hi[:chunk.lt[r]], default=-1)
+            above = min(lo[chunk.le[r]:], default=len(values))
             if below >= 0:
                 out.append(values[below])
             if above < len(values):

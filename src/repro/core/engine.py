@@ -19,11 +19,13 @@ restructures the same computation around two observations:
     (:class:`~repro.constraints.index.ViolationIndex`), never for their
     class; where every index names a block's kept prefix (the FD count
     tables) it folds in bulk.  Every other numerical column runs the
-    per-row pass
-    (:meth:`_ColumnPass.fill_numeric_sequential`), which asks the same
-    protocol a row at a time: base candidates and noise come a chunk at
-    a time, and only the extras, the counts and the argmax run per
-    row — the sequential semantics, minus the per-row rng calls.
+    per-row pass (:meth:`_ColumnPass.fill_numeric_sequential`): base
+    candidates, noise and each index's reading of the rows come a chunk
+    at a time, and the chunk is drawn in *waves*, one row of each group
+    component a step (rows in different components share no group, so
+    none moves another's counts) — the sequential semantics, minus
+    the per-row rng calls, one row at a time only where the column is
+    one component.
 
 2.  **Counter-based per-cell noise.**  All randomness comes from
     :class:`numpy.random.Philox` streams keyed by ``(seed, column,
@@ -107,7 +109,6 @@ from repro.core.sampling import (
     CONSISTENT_LIMIT,
     _allocate_columns,
     _allocate_working,
-    _append_row,
     _ColumnSampler,
     _mcmc_resample,
 )
@@ -156,9 +157,6 @@ _FRESH_TRIES = 24
 #: endpoints per DC; ``_fresh_values`` at most 2 values per row.
 _CONSISTENT_SLOTS = 6
 _FRESH_SLOTS = 2
-
-_EMPTY = np.empty(0, dtype=np.float64)
-
 
 def _gumbel(u: np.ndarray) -> np.ndarray:
     """Gumbel noise from uniforms (same guards as
@@ -339,17 +337,17 @@ def _layout_for(sampler: _ColumnSampler, j: int, base) -> _Layout:
 
 
 # ----------------------------------------------------------------------
-# Constrained columns: group keys (for sharding) and the FD-lane helpers
+# Constrained columns: group keys (for sharding and waves)
 # ----------------------------------------------------------------------
 def _conflict_keys(sampler: _ColumnSampler, j: int) -> list | None:
     """Per-DC group-key attribute tuples, or None for conflict-all.
 
-    Only sharding reads these (:func:`_shard_rows`): a column can split
-    into group-closed shards only when every active non-unary DC has a
-    group key (FD determinant / order equality attributes) fully
-    determined by earlier positions and untouched by the target —
-    otherwise any candidate could move a row into any group and every
-    pair of rows potentially interacts.
+    Sharding (:func:`_shard_rows`) and the per-row pass's waves
+    (:func:`_waves`) read these: rows split into group components only
+    when every active non-unary DC has a group key (FD determinant /
+    order equality attributes) fully determined by earlier positions
+    and untouched by the target — otherwise any candidate could move a
+    row into any group and every pair of rows potentially interacts.
     """
     w = sampler.wseq[j]
     if sampler.hyper.is_hyper(w):
@@ -461,6 +459,29 @@ def _shard_rows(specs: list | None, cols: dict, n: int,
     shards = [np.flatnonzero(shard_of_row == t) for t in range(k)]
     shards = [s for s in shards if s.shape[0]]
     return shards if len(shards) > 1 else None
+
+
+def _waves(specs: list | None, cols: dict, lo: int,
+           hi: int) -> list[np.ndarray]:
+    """The per-row pass's steps over rows ``lo..hi``: chunk-local row
+    index arrays (a slice for a step of one row), wave ``t`` holding the
+    ``t``-th row of each group component of those rows
+    (:func:`_group_components` under the keys ``specs``), in row order.
+    With no group key (``specs`` None or empty) every row is its own
+    step."""
+    B = hi - lo
+    if not specs or B == 1:
+        return [slice(r, r + 1) for r in range(B)]
+    rows = np.arange(B)
+    comp = _group_components(
+        specs, {a: cols[a][lo:hi] for key in specs for a in key}, B)
+    order = np.argsort(comp, kind="stable")
+    first = np.flatnonzero(np.concatenate(
+        ([True], comp[order][1:] != comp[order][:-1])))
+    pos = np.empty(B, dtype=np.int64)
+    pos[order] = rows - np.repeat(first, np.diff(np.append(first, B)))
+    by_wave = np.argsort(pos, kind="stable")
+    return np.split(by_wave, np.flatnonzero(np.diff(pos[by_wave])) + 1)
 
 
 @dataclass
@@ -652,11 +673,6 @@ class _ColumnPass:
             scores = scores - pen_unary[r]
         return int(np.argmax(scores)), live
 
-    def _fold_row(self, i: int) -> None:
-        _append_row(self.vio, self.cols, i)
-        if self.used is not None:
-            self.used.add(float(self.cols[self.w][i]))
-
     def _base_candidates(self, lo: int, hi: int):
         """(cand, logp) base candidate matrices for rows [lo, hi).
 
@@ -829,81 +845,152 @@ class _ColumnPass:
         """The per-row pass: every numerical column the window lane does
         not take (order and generic DCs, FDs on the dict index, targets
         that take fresh values).  Base candidates and uniforms come a
-        noise chunk at a time from the vectorized machinery; only
-        extras, the counts and the argmax run per row — strictly less
-        per-row Python than the reference loop (no per-row rng, no
-        normalise-and-choice).  Each index counts the row as a block of
-        one row (``lane_keys``, ``block_counts``), and the picked row
-        joins the indexes through ``append_from``.
+        noise chunk at a time, and each index reads the chunk's rows
+        once (``lane_keys`` over the ``(B, d)`` base candidates).
 
-        Traced, the pass counts ``hard_violation_pairs``: the violating
-        pairs its rows add under hard binary DCs.
+        The pass steps through each chunk in *waves*
+        (:func:`_waves`): rows in different group components
+        (:func:`_group_components` over the keys of
+        :func:`_conflict_keys`) share no group under any DC, so no row
+        of a wave moves another's counts, hints or pick, and wave ``t``
+        holds the ``t``-th row of each component.  A step draws its rows
+        at once: each row's extras (its hard DCs' ``lane_hints``, then
+        fresh values) pad to one width with ``-inf`` log-probability
+        slots, each index counts the step (``lane_rows``,
+        ``block_counts``) in the DC order of the penalty, one argmax
+        picks, and the indexes fold the picks.  Each row sees exactly
+        the index state a row-order pass shows it, so every schedule
+        draws the same column; a column with one component (no group
+        key, or fresh values) steps one row at a time.
+
+        Traced, each step is a block, its rows are ``sequential_rows``
+        when it holds one row, and the pass counts
+        ``hard_violation_pairs``: the violating pairs its rows add under
+        hard binary DCs.
         """
-        sampler, layout = self.sampler, self.layout
-        w, cols, j = self.w, self.cols, self.j
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.count("sequential_rows", n)
-        gum_off, fresh_off = layout.gumbel_off, layout.fresh_off
-        hist = self.base[1] if layout.kind == "numhist" else None
-        # (dc, weight, index or None if unary, context attrs, counted)
-        probes = [(dc, weight, None if dc.is_unary else self.vio[dc.name],
-                   [a for a in dc.attributes if a != w],
-                   tracer is not None and dc.hard and not dc.is_unary)
+        layout, w, cols, tracer = self.layout, self.w, self.cols, self.tracer
+        d, gum = layout.d, layout.gumbel_off
+        specs = (_conflict_keys(self.sampler, self.j)
+                 if self.used is None else None)
+        # (dc, weight, index or None if unary)
+        per_dc = [(dc, weight, None if dc.is_unary else self.vio[dc.name])
                   for dc, weight, _ in self._active_specs]
-        hard_pairs = 0
         chunk = self.noise.chunk
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
-            cand_rows, logp_rows = self._base_candidates(lo, hi)
-            u_rows = self.noise.rows(lo, hi)
-            g_rows = _gumbel(u_rows[:, gum_off:gum_off + layout.width])
-            for r in range(hi - lo):
-                i = lo + r
-                cand, logp = cand_rows[r], logp_rows[r]
-                if layout.extras:
-                    extra = sampler._consistent_values(
-                        j, w, cols, i, indexes=self.vio)
-                    fresh = _EMPTY
-                    if fresh_off >= 0:
-                        fresh = sampler._fresh_values(
-                            j, w, cols, i, used=self.used,
-                            uniforms=u_rows[r, fresh_off:
-                                            fresh_off + _FRESH_TRIES])
-                    if extra.size or fresh.size:
-                        added = np.concatenate([extra, fresh])
-                        cand = np.concatenate([cand, added])
-                        if layout.kind == "num":
-                            added_lp = (-0.5 * ((added - self.base[1][i])
-                                                / self.base[2][i]) ** 2)
-                        else:
-                            added_lp = hist.log_prob_codes()[
-                                hist.quantizer.encode(added)]
-                        logp = np.concatenate([logp, added_lp])
-                pen = None
-                hard_counts = []
-                target = {w: cand}
-                for dc, weight, index, ctx_attrs, counted in probes:
-                    if index is None:
-                        counts = multi_candidate_violation_counts(
-                            dc, target, {a: cols[a][i] for a in ctx_attrs},
-                            {})
-                    else:
-                        counts = index.block_counts(index.lane_keys(
-                            target, cols, i, i + 1))[0]
-                    pen = (weight * counts if pen is None
-                           else pen + weight * counts)
-                    if counted:
-                        hard_counts.append(counts)
-                g = g_rows[r, :cand.shape[0]]
-                scores = logp + g if pen is None else logp - pen + g
-                pick = int(np.argmax(scores))
-                self.wcols[w][i] = cand[pick]
-                for counts in hard_counts:
-                    hard_pairs += int(counts[pick])
-                self._fold_row(i)
-        if hard_pairs:
-            tracer.count("hard_violation_pairs", hard_pairs)
+            cand, logp = self._base_candidates(lo, hi)
+            if layout.extras:
+                # Slots for each row's extras, masked until filled.
+                cand = np.concatenate([cand, np.repeat(
+                    cand[:, :1], layout.extras, axis=1)], axis=1)
+                logp = np.concatenate([logp, np.full(
+                    (hi - lo, layout.extras), -np.inf)], axis=1)
+            u = self.noise.rows(lo, hi)
+            g = _gumbel(u[:, gum:gum + layout.width])
+            keys = [None if index is None
+                    else index.lane_keys({w: cand}, cols, lo, hi)
+                    for _, _, index in per_dc]
+            # The hard binary DCs whose hints join the candidates.
+            hinted = [(index, key) for (dc, _, index), key
+                      in zip(per_dc, keys) if layout.extras and dc.hard
+                      and index is not None and len(dc.attributes) > 1]
+            for rows in _waves(specs, cols, lo, hi):
+                picked = (range(rows.start, rows.stop)
+                          if isinstance(rows, slice) else rows.tolist())
+                if tracer is not None:
+                    tracer.observe_block(len(picked))
+                    if len(picked) == 1:
+                        tracer.count("sequential_rows")
+                width = d
+                if hinted or layout.fresh_off >= 0:
+                    width += self._num_extras(lo, rows, picked, cand, logp,
+                                              u, hinted)
+                self._num_step(lo, rows, picked, cand[rows, :width],
+                               logp[rows, :width], g[rows, :width],
+                               per_dc, keys)
+
+    def _num_step(self, lo: int, rows, picked, cand: np.ndarray,
+                  logp: np.ndarray, g: np.ndarray, per_dc: list,
+                  keys: list) -> None:
+        """Draw the chunk rows ``rows`` (one wave; ``picked`` lists them)
+        from their ``(k, W)`` candidates ``cand``, log-probabilities
+        ``logp`` and gumbel slots ``g``."""
+        w, cols, tracer = self.w, self.cols, self.tracer
+        written = slice(self.layout.d, cand.shape[1])
+        pen, folds, hard_counts = None, [], []
+        for (dc, weight, index), key in zip(per_dc, keys):
+            if index is None:
+                ctx = [a for a in dc.attributes if a != w]
+                counts = np.vstack([multi_candidate_violation_counts(
+                    dc, {w: c}, {a: cols[a][lo + r] for a in ctx}, {})
+                    for c, r in zip(cand, picked)])
+            else:
+                key = index.lane_rows(key, rows, written)
+                counts = index.block_counts(key)
+                folds.append((index, key))
+                if dc.hard and tracer is not None:
+                    hard_counts.append(counts)
+            pen = weight * counts if pen is None else pen + weight * counts
+        picks = (logp - pen + g).argmax(axis=1)
+        at = np.arange(len(picked))
+        values = cand[at, picks]
+        self.wcols[w][lo:][rows] = values
+        for index, key in folds:
+            index.fold(key, picks)
+        if self.used is not None:
+            self.used.update(values.tolist())
+        if hard_counts:
+            pairs = sum(int(c[at, picks].sum()) for c in hard_counts)
+            if pairs:
+                tracer.count("hard_violation_pairs", pairs)
+
+    def _num_extras(self, lo: int, rows, picked, cand: np.ndarray,
+                    logp: np.ndarray, u: np.ndarray, hinted: list) -> int:
+        """Write each step row's extra candidates into its slots of the
+        chunk's ``cand`` and ``logp`` — its hard DCs' hints sorted and
+        distinct (what ``_consistent_values`` gives), then its fresh
+        values — and return the most any row has."""
+        d, fresh_off = self.layout.d, self.layout.fresh_off
+        lists = []
+        for r in picked:
+            hints = []
+            for index, key in hinted:
+                hints.extend(index.lane_hints(key, r, CONSISTENT_LIMIT))
+            ext = sorted({float(v) for v in hints})
+            if fresh_off >= 0:
+                ext.extend(self.sampler._fresh_values(
+                    self.j, self.w, self.cols, lo + r, used=self.used,
+                    uniforms=u[r, fresh_off:fresh_off + _FRESH_TRIES]
+                ).tolist())
+            lists.append(ext)
+        width = max(map(len, lists))
+        if not width:
+            return 0
+        if self.layout.kind == "num" and len(lists) == 1:
+            # One row: its few values in python floats, the same IEEE
+            # operations as the array expression below.
+            (r,), (ext,) = picked, lists
+            mu = float(self.base[1][lo + r])
+            sigma = float(self.base[2][lo + r])
+            cand[r, d:d + width] = ext
+            logp[r, d:d + width] = [
+                -0.5 * (t * t) for t in ((v - mu) / sigma for v in ext)]
+            return width
+        # Short rows keep their slots' first-candidate fill and -inf.
+        firsts = cand[rows, 0].tolist()
+        cand[rows, d:d + width] = [
+            ext + [c] * (width - len(ext)) for ext, c in zip(lists, firsts)]
+        extra = cand[rows, d:d + width]
+        if self.layout.kind == "num":
+            mu, sigma = self.base[1][lo:][rows], self.base[2][lo:][rows]
+            lp = -0.5 * ((extra - mu[:, None]) / sigma[:, None]) ** 2
+        else:
+            hist = self.base[1]
+            lp = hist.log_prob_codes()[hist.quantizer.encode(extra)]
+        lp[np.arange(width) >= np.array([len(ext) for ext in lists])[:, None]
+           ] = -np.inf
+        logp[rows, d:d + width] = lp
+        return width
 
     # -- lane dispatch ---------------------------------------------------
     def fill(self, n: int, max_block: int) -> None:
@@ -915,7 +1002,8 @@ class _ColumnPass:
         ``max_block`` rows when its DCs are FDs counted on its value
         grid or unary DCs alone (:meth:`_fill_num_fd_lane`, traced as
         ``num-blocked``), and per row otherwise
-        (:meth:`fill_numeric_sequential`, ``num-sequential``).  A
+        (:meth:`fill_numeric_sequential`, ``num-sequential``: waves of
+        group-disjoint rows).  A
         DC-free column is the zero-penalty case of the first and the
         window lane: blocks of one noise chunk, each kept whole, traced
         ``unconstrained``.

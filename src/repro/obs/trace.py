@@ -64,8 +64,10 @@ class ColumnTrace:
         self.seconds = 0.0
         self.rows = 0
         #: Scheduling counters, whichever the lane produces:
-        #: ``blocks``, ``block_rows_max``, ``rescored_rows``,
-        #: ``sequential_rows``; ``shards`` (1 for an
+        #: ``blocks`` (the per-row pass's steps included),
+        #: ``block_rows_max`` (its widest wave), ``rescored_rows``,
+        #: ``sequential_rows`` (rows the per-row pass drew in one-row
+        #: steps); ``shards`` (1 for an
         #: unconstrained column, which always draws inline, else the
         #: worker shards of a sharded lane) with ``stitch_us`` and, if
         #: a worker died, ``pool_broken``; the ``hard_violation_pairs``
@@ -79,7 +81,8 @@ class ColumnTrace:
         #: counts a ``block_counts`` call as ``probe_det_codes`` when
         #: its candidates are determinant codes, else
         #: ``probe_block_codes``; the grid index as ``candidate_counts``
-        #: for one row and ``probe_many`` for a block.  A row's count
+        #: for one row and ``probe_many`` for more (a block, or a
+        #: per-row pass's wave).  A row's count
         #: at its pick (``count_at``) is a ``probe_pair`` on an FD
         #: index and a one-row ``candidate_counts`` on the grid index.
         #: The engine attaches this dict to every index it probes.
@@ -114,8 +117,9 @@ class ColumnTrace:
 
     @property
     def sequential_fallback_rate(self) -> float:
-        """Fraction of rows drawn on a per-row path (sequential lane
-        plus in-block re-scores) instead of a vectorized block."""
+        """Fraction of rows drawn one at a time (the per-row pass's
+        one-row steps plus in-block re-scores) instead of in a block or
+        wave."""
         if not self.rows:
             return 0.0
         slow = (self.counters.get("sequential_rows", 0)

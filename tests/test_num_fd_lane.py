@@ -308,7 +308,7 @@ def test_window_lane_equals_the_per_row_pass(sc):
     assert _hard_pairs_added(ref_specs, ref_before) == hard_pairs
     assert trace.counters.get("hard_violation_pairs", 0) == hard_pairs
     assert ref_trace.counters.get("hard_violation_pairs", 0) == hard_pairs
-    assert ref_trace.counters["sequential_rows"] == n
+    assert ref_trace.counters["block_rows"] == n
     assert trace.counters.get("block_rows", 0) == \
         n + trace.counters.get("rescored_rows", 0)
 
